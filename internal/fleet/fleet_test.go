@@ -167,7 +167,7 @@ func post(t *testing.T, url, body string, out any) int {
 }
 
 // await polls the router for a job until it is terminal.
-func await(t *testing.T, base, id string) jobView {
+func await(t *testing.T, base, id string) service.JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -175,7 +175,7 @@ func await(t *testing.T, base, id string) jobView {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var view jobView
+		var view service.JobView
 		err = json.NewDecoder(resp.Body).Decode(&view)
 		resp.Body.Close()
 		if err != nil {
@@ -187,7 +187,7 @@ func await(t *testing.T, base, id string) jobView {
 		time.Sleep(3 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish through the router", id)
-	return jobView{}
+	return service.JobView{}
 }
 
 func quickSpec(t *testing.T, name string) scenario.Spec {

@@ -20,22 +20,10 @@ import (
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var p metrics.Prom
 
-	reqs := make([]metrics.PromSample, 0, len(endpointPatterns))
-	subs := make([]metrics.HistogramSub, 0, len(endpointPatterns))
-	for _, pat := range endpointPatterns {
-		h := rt.endpoints[pat]
-		lbl := []metrics.Label{{Name: "endpoint", Value: pat}}
-		reqs = append(reqs, metrics.PromSample{Labels: lbl, Value: float64(h.Count())})
-		subs = append(subs, metrics.HistogramSub{Labels: lbl, H: h})
-	}
-	p.Counter("occamy_requests_total", "HTTP requests served, by route pattern.", reqs...)
-	p.HistogramFamily("occamy_request_duration_seconds", "HTTP handler latency, by route pattern.", subs...)
+	rt.api.WriteMetrics(&p)
 
-	rt.mu.Lock()
-	c := rt.counters
-	sweepJobs := len(rt.sweeps)
+	c := rt.snapshot()
 	sweepCache := rt.sweepCache.Stats()
-	rt.mu.Unlock()
 
 	p.Counter("occamy_router_ops_total", "Router operations, by kind.",
 		metrics.PromSample{Labels: []metrics.Label{{Name: "op", Value: "routed"}}, Value: float64(c.Routed)},
@@ -50,7 +38,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("occamy_router_workers", "Workers on the consistent-hash ring.",
 		metrics.PromSample{Value: float64(len(rt.workers))})
 	p.Gauge("occamy_router_sweep_jobs", "Router-owned sweep jobs in the ledger.",
-		metrics.PromSample{Value: float64(sweepJobs)})
+		metrics.PromSample{Value: float64(rt.jobs.Len())})
 	p.Gauge("occamy_uptime_seconds", "Seconds since the router started.",
 		metrics.PromSample{Value: time.Since(rt.started).Seconds()})
 

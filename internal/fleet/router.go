@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,11 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"occamy/internal/metrics"
-	"occamy/internal/scenario"
 	"occamy/internal/service"
 )
 
@@ -88,86 +87,18 @@ type Router struct {
 	client     *http.Client
 	limiter    *RateLimiter
 	sweepCache *service.Cache
-	maxSweep   int
-	pollEvery  time.Duration
-	pointWait  time.Duration
-	started    time.Time
-	endpoints  map[string]*metrics.Histogram
-	logger     *slog.Logger
+	// jobs is the router-owned sweep ledger ("g<seq>" IDs): the worker's
+	// job kernel with the shard fan-out (runSweep) as its executor and
+	// the aggregated-table cache as its result cache.
+	jobs      *service.Ledger
+	api       *service.API
+	maxSweep  int
+	pollEvery time.Duration
+	pointWait time.Duration
+	started   time.Time
 
 	mu       sync.Mutex
-	sweeps   map[string]*sweepJob // by router job id
-	order    []string
-	inflight map[string]*sweepJob // by sweep fingerprint
-	seq      int64
 	counters Counters
-}
-
-// sweepJob is a router-owned aggregation job: one POST /v1/sweeps,
-// fanned out as N point runs across the fleet.
-type sweepJob struct {
-	id          string
-	spec        scenario.Spec
-	axes        []scenario.SweepAxis
-	fingerprint string
-	trace       string
-
-	state  service.JobState
-	cached bool
-	errMsg string
-	result []byte
-	cancel atomic.Bool
-	// pointsDone counts grid points that have landed (incremented by the
-	// concurrent point runners); pointsTotal is the grid size. Together
-	// they drive the sweep's live-progress block.
-	pointsDone  atomic.Int64
-	pointsTotal int
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
-}
-
-func (j *sweepJob) status() service.JobStatus {
-	st := service.JobStatus{
-		ID: j.id, Kind: "sweep", State: j.state,
-		Scenario: j.spec.Name, Fingerprint: j.fingerprint, Trace: j.trace, Cached: j.cached,
-		Error: j.errMsg, Submitted: j.submitted, Started: j.started, Finished: j.finished,
-	}
-	if !j.started.IsZero() {
-		st.QueueWaitMs = durToMs(j.started.Sub(j.submitted))
-		switch {
-		case !j.finished.IsZero():
-			st.RunMs = durToMs(j.finished.Sub(j.started))
-		case j.state == service.JobRunning:
-			st.RunMs = durToMs(time.Since(j.started))
-		}
-		// Point-granular progress, the same schema the worker reports for
-		// its own sweep jobs.
-		if j.pointsTotal > 0 {
-			p := &service.Progress{
-				PointsDone:  int(j.pointsDone.Load()),
-				PointsTotal: j.pointsTotal,
-				WallSeconds: time.Since(j.started).Seconds(),
-			}
-			if !j.finished.IsZero() {
-				p.WallSeconds = j.finished.Sub(j.started).Seconds()
-			}
-			p.Fraction = float64(p.PointsDone) / float64(p.PointsTotal)
-			if j.state == service.JobDone {
-				p.Fraction = 1
-			}
-			st.Progress = p
-		}
-	}
-	return st
-}
-
-// durToMs mirrors the worker's duration rendering (ms, µs precision).
-func durToMs(d time.Duration) float64 {
-	if d < 0 {
-		d = 0
-	}
-	return float64(d/time.Microsecond) / 1000
 }
 
 // NewRouter builds a router over the worker fleet.
@@ -205,99 +136,32 @@ func NewRouter(cfg Config) (*Router, error) {
 		client:     client,
 		limiter:    NewRateLimiter(cfg.RatePerClient, cfg.Burst),
 		sweepCache: sweepCache,
+		api:        service.NewAPI(cfg.Logger),
 		maxSweep:   cfg.MaxSweepPoints,
 		pollEvery:  cfg.PollInterval,
 		pointWait:  cfg.PointTimeout,
 		started:    time.Now(),
-		endpoints:  make(map[string]*metrics.Histogram, len(endpointPatterns)),
-		logger:     cfg.Logger,
-		sweeps:     make(map[string]*sweepJob),
-		inflight:   make(map[string]*sweepJob),
 	}
-	for _, pat := range endpointPatterns {
-		rt.endpoints[pat] = metrics.NewLatencyHistogram()
-	}
+	rt.jobs = service.NewLedger("g", service.DefaultMaxJobs, sweepCache, cfg.Logger, rt.startSweep)
+	// The worker's API surface, fleet-wide: same routes, same middleware.
+	rt.api.Handle("GET /v1/scenarios", rt.handleScenarios)
+	rt.api.Handle("GET /v1/scenarios/{name}", rt.handleScenarioExport)
+	rt.api.Handle("POST /v1/runs", rt.handleSubmit)
+	rt.api.Handle("GET /v1/runs", rt.handleJobs)
+	rt.api.Handle("GET /v1/runs/{id}", rt.handleJob)
+	rt.api.Handle("GET /v1/runs/{id}/trace.csv", rt.handleTrace)
+	rt.api.Handle("DELETE /v1/runs/{id}", rt.handleCancel)
+	rt.api.Handle("POST /v1/sweeps", rt.handleSweep)
+	rt.api.Handle("POST /v1/batch", rt.handleBatch)
+	rt.api.Handle("GET /v1/cache", rt.handleCache)
+	rt.api.Handle("GET /v1/stats", rt.handleStats)
+	rt.api.Handle("GET /metrics", rt.handleMetrics)
 	return rt, nil
 }
 
-// endpointPatterns mirrors the worker API surface: the router serves
-// the same routes, so clients (curl, occamy-loadgen) are agnostic to
-// whether they talk to one worker or the fleet.
-var endpointPatterns = []string{
-	"GET /v1/scenarios",
-	"GET /v1/scenarios/{name}",
-	"POST /v1/runs",
-	"GET /v1/runs",
-	"GET /v1/runs/{id}",
-	"GET /v1/runs/{id}/trace.csv",
-	"DELETE /v1/runs/{id}",
-	"POST /v1/sweeps",
-	"POST /v1/batch",
-	"GET /v1/cache",
-	"GET /v1/stats",
-	"GET /metrics",
-}
-
 // Handler returns the router's HTTP API — the same surface as one
-// occamy-served, fleet-wide. The middleware mirrors the worker's:
-// per-endpoint latency recording, X-Occamy-Trace establishment and
-// response echo, and a debug-level structured request record.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern string, fn http.HandlerFunc) {
-		h := rt.endpoints[pattern]
-		if h == nil {
-			panic(fmt.Sprintf("fleet: route %q not in endpointPatterns", pattern))
-		}
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			trace := service.EnsureTrace(r)
-			w.Header().Set(service.TraceHeader, trace)
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			fn(sw, r)
-			d := time.Since(start)
-			h.Record(d)
-			rt.logger.Debug("http",
-				"method", r.Method, "route", pattern, "status", sw.status,
-				"trace", trace, "dur_ms", durToMs(d))
-		})
-	}
-	handle("GET /v1/scenarios", rt.handleScenarios)
-	handle("GET /v1/scenarios/{name}", rt.handleScenarioExport)
-	handle("POST /v1/runs", rt.handleSubmit)
-	handle("GET /v1/runs", rt.handleJobs)
-	handle("GET /v1/runs/{id}", rt.handleJob)
-	handle("GET /v1/runs/{id}/trace.csv", rt.handleTrace)
-	handle("DELETE /v1/runs/{id}", rt.handleCancel)
-	handle("POST /v1/sweeps", rt.handleSweep)
-	handle("POST /v1/batch", rt.handleBatch)
-	handle("GET /v1/cache", rt.handleCache)
-	handle("GET /v1/stats", rt.handleStats)
-	handle("GET /metrics", rt.handleMetrics)
-	return mux
-}
-
-// statusWriter captures the response status for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
+// occamy-served, under the same middleware (service.API).
+func (rt *Router) Handler() http.Handler { return rt.api }
 
 // Job-ID shard encoding
 //
@@ -348,15 +212,13 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 	if ok {
 		return true
 	}
-	rt.mu.Lock()
-	rt.counters.RateLimited++
-	rt.mu.Unlock()
+	rt.count(func(c *Counters) { c.RateLimited++ })
 	secs := int(math.Ceil(retryAfter.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	httpError(w, http.StatusTooManyRequests, "rate limit exceeded for client %q; retry in %ds", clientKey(r), secs)
+	service.HTTPError(w, http.StatusTooManyRequests, "rate limit exceeded for client %q; retry in %ds", clientKey(r), secs)
 	return false
 }
 
@@ -365,6 +227,17 @@ func (rt *Router) count(f func(*Counters)) {
 	rt.mu.Lock()
 	f(&rt.counters)
 	rt.mu.Unlock()
+}
+
+// snapshot copies the router's counters; the sweep submission counts
+// are the sweep ledger's own.
+func (rt *Router) snapshot() Counters {
+	sweeps := rt.jobs.Counters()
+	rt.mu.Lock()
+	c := rt.counters
+	rt.mu.Unlock()
+	c.Sweeps, c.SweepCacheHits = sweeps.Submitted, sweeps.CacheHits
+	return c
 }
 
 // --- worker I/O -------------------------------------------------------
@@ -378,15 +251,17 @@ type workerResponse struct {
 
 // callWorker performs one request against a shard, buffering the body
 // (bounded) and propagating the trace ID so the worker's logs and job
-// ledger carry the router's request identity. Transport errors — the
-// shard is down — come back as an error; HTTP-level failures are the
-// caller's to interpret.
-func (rt *Router) callWorker(shard int, method, path string, body []byte, trace string) (*workerResponse, error) {
+// ledger carry the router's request identity. ctx bounds the call: a
+// proxied request dies with its client, a sweep point with its
+// PointTimeout — a hung shard never hangs the router. Transport errors
+// — the shard is down — come back as an error; HTTP-level failures are
+// the caller's to interpret.
+func (rt *Router) callWorker(ctx context.Context, shard int, method, path string, body []byte, trace string) (*workerResponse, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, rt.workers[shard]+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, rt.workers[shard]+path, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -398,16 +273,23 @@ func (rt *Router) callWorker(shard int, method, path string, body []byte, trace 
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.count(func(c *Counters) { c.WorkerErrors++ })
-		return nil, fmt.Errorf("worker %d (%s) unreachable: %v", shard, rt.workers[shard], err)
+		return nil, rt.workerFailed(ctx, fmt.Errorf("worker %d (%s) unreachable: %w", shard, rt.workers[shard], err))
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
-		rt.count(func(c *Counters) { c.WorkerErrors++ })
-		return nil, fmt.Errorf("worker %d (%s): reading response: %v", shard, rt.workers[shard], err)
+		return nil, rt.workerFailed(ctx, fmt.Errorf("worker %d (%s): reading response: %w", shard, rt.workers[shard], err))
 	}
 	return &workerResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// workerFailed counts a failed shard call against the fleet — unless
+// the caller itself hung up, which says nothing about the worker.
+func (rt *Router) workerFailed(ctx context.Context, err error) error {
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		rt.count(func(c *Counters) { c.WorkerErrors++ })
+	}
+	return err
 }
 
 // relay copies a buffered worker response to the client verbatim,
@@ -422,16 +304,16 @@ func relay(w http.ResponseWriter, resp *workerResponse) {
 	_, _ = w.Write(resp.body)
 }
 
-// reqTrace reads the request's trace ID; the Handler middleware has
-// already ensured it is present and well-formed.
+// reqTrace reads the request's trace ID; the API middleware has already
+// ensured it is present and well-formed.
 func reqTrace(r *http.Request) string { return r.Header.Get(service.TraceHeader) }
 
 // proxyAny forwards a fleet-agnostic read (catalog listing/export) to
 // the first worker that answers.
-func (rt *Router) proxyAny(w http.ResponseWriter, path, trace string) {
+func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, path string) {
 	var lastErr error
 	for shard := range rt.workers {
-		resp, err := rt.callWorker(shard, http.MethodGet, path, nil, trace)
+		resp, err := rt.callWorker(r.Context(), shard, http.MethodGet, path, nil, reqTrace(r))
 		if err != nil {
 			lastErr = err
 			continue
@@ -439,11 +321,11 @@ func (rt *Router) proxyAny(w http.ResponseWriter, path, trace string) {
 		relay(w, resp)
 		return
 	}
-	httpError(w, http.StatusBadGateway, "no worker reachable: %v", lastErr)
+	service.HTTPError(w, http.StatusBadGateway, "no worker reachable: %v", lastErr)
 }
 
 func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	rt.proxyAny(w, "/v1/scenarios", reqTrace(r))
+	rt.proxyAny(w, r, "/v1/scenarios")
 }
 
 func (rt *Router) handleScenarioExport(w http.ResponseWriter, r *http.Request) {
@@ -451,7 +333,7 @@ func (rt *Router) handleScenarioExport(w http.ResponseWriter, r *http.Request) {
 	if scale := r.URL.Query().Get("scale"); scale != "" {
 		path += "?scale=" + scale
 	}
-	rt.proxyAny(w, path, reqTrace(r))
+	rt.proxyAny(w, r, path)
 }
 
 // --- runs -------------------------------------------------------------
@@ -462,12 +344,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, status, err := service.ReadSpec(r)
 	if err != nil {
-		httpError(w, status, "%v", err)
+		service.HTTPError(w, status, "%v", err)
 		return
 	}
 	fp, err := spec.Fingerprint()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		service.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	// The spec's home shard is a pure function of its fingerprint — the
@@ -476,38 +358,39 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	shard := rt.ring.Lookup(fp)
 	body, err := spec.Marshal()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		service.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp, err := rt.callWorker(shard, http.MethodPost, "/v1/runs", body, reqTrace(r))
+	resp, err := rt.callWorker(r.Context(), shard, http.MethodPost, "/v1/runs", body, reqTrace(r))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		service.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	rt.count(func(c *Counters) { c.Routed++ })
-	if resp.status != http.StatusAccepted {
+	rt.relayJob(w, shard, resp, http.StatusAccepted)
+}
+
+// relayJob relays a worker's job document (a status snapshot, with the
+// result once done) under its fleet-routable ID; any reply other than
+// the expected status is relayed verbatim.
+func (rt *Router) relayJob(w http.ResponseWriter, shard int, resp *workerResponse, want int) {
+	if resp.status != want {
 		relay(w, resp)
 		return
 	}
-	var st service.JobStatus
-	if err := json.Unmarshal(resp.body, &st); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %d: undecodable job status: %v", shard, err)
+	var view service.JobView
+	if err := json.Unmarshal(resp.body, &view); err != nil {
+		service.HTTPError(w, http.StatusBadGateway, "worker %d: undecodable job document: %v", shard, err)
 		return
 	}
-	st.ID = routerID(shard, st.ID)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// jobView mirrors the worker's GET /v1/runs/{id} response shape.
-type jobView struct {
-	service.JobStatus
-	Result json.RawMessage `json:"result,omitempty"`
+	view.ID = routerID(shard, view.ID)
+	service.WriteJSON(w, want, view)
 }
 
 func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var runs []service.JobStatus
 	for shard := range rt.workers {
-		resp, err := rt.callWorker(shard, http.MethodGet, "/v1/runs", nil, reqTrace(r))
+		resp, err := rt.callWorker(r.Context(), shard, http.MethodGet, "/v1/runs", nil, reqTrace(r))
 		if err != nil || resp.status != http.StatusOK {
 			continue // a dead shard degrades the listing, not the fleet
 		}
@@ -522,116 +405,63 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 			runs = append(runs, st)
 		}
 	}
-	rt.mu.Lock()
-	for _, id := range rt.order {
-		runs = append(runs, rt.sweeps[id].status())
+	runs = append(runs, rt.jobs.Jobs()...)
+	service.WriteJSON(w, http.StatusOK, map[string]any{"runs": runs})
+}
+
+// proxyRun forwards a per-run request to the shard its ID names; ok is
+// false once the error reply has been written.
+func (rt *Router) proxyRun(w http.ResponseWriter, r *http.Request, method, suffix string) (shard int, resp *workerResponse, ok bool) {
+	id := r.PathValue("id")
+	shard, wid, ok := rt.parseRunID(id)
+	if !ok {
+		service.HTTPError(w, http.StatusNotFound, "no run %s", id)
+		return 0, nil, false
 	}
-	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"runs": runs})
+	resp, err := rt.callWorker(r.Context(), shard, method, "/v1/runs/"+wid+suffix, nil, reqTrace(r))
+	if err != nil {
+		service.HTTPError(w, http.StatusBadGateway, "%v", err)
+		return 0, nil, false
+	}
+	rt.count(func(c *Counters) { c.Proxied++ })
+	return shard, resp, true
 }
 
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if j := rt.sweepByID(id); j != nil {
-		rt.mu.Lock()
-		view := jobView{JobStatus: j.status(), Result: j.result}
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusOK, view)
+	if view, ok := rt.jobs.View(r.PathValue("id")); ok {
+		service.WriteJSON(w, http.StatusOK, view)
 		return
 	}
-	shard, wid, ok := rt.parseRunID(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
-		return
+	if shard, resp, ok := rt.proxyRun(w, r, http.MethodGet, ""); ok {
+		rt.relayJob(w, shard, resp, http.StatusOK)
 	}
-	resp, err := rt.callWorker(shard, http.MethodGet, "/v1/runs/"+wid, nil, reqTrace(r))
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	rt.count(func(c *Counters) { c.Proxied++ })
-	if resp.status != http.StatusOK {
-		relay(w, resp)
-		return
-	}
-	var view jobView
-	if err := json.Unmarshal(resp.body, &view); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %d: undecodable job view: %v", shard, err)
-		return
-	}
-	view.ID = routerID(shard, view.ID)
-	writeJSON(w, http.StatusOK, view)
 }
 
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if j := rt.sweepByID(id); j != nil {
-		httpError(w, http.StatusNotFound, "fleet: job %s is a sweep, not a run", id)
+	if _, ok := rt.jobs.Get(id); ok {
+		service.HTTPError(w, http.StatusNotFound, "fleet: job %s is a sweep, not a run", id)
 		return
 	}
-	shard, wid, ok := rt.parseRunID(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
-		return
-	}
-	path := "/v1/runs/" + wid + "/trace.csv"
+	suffix := "/trace.csv"
 	if stride := r.URL.Query().Get("stride"); stride != "" {
-		path += "?stride=" + stride
+		suffix += "?stride=" + stride
 	}
-	resp, err := rt.callWorker(shard, http.MethodGet, path, nil, reqTrace(r))
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
-		return
+	if _, resp, ok := rt.proxyRun(w, r, http.MethodGet, suffix); ok {
+		relay(w, resp)
 	}
-	rt.count(func(c *Counters) { c.Proxied++ })
-	relay(w, resp)
 }
 
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if j := rt.sweepByID(id); j != nil {
-		rt.mu.Lock()
-		if !j.state.Terminal() {
-			// The aggregator observes the flag between point polls and
-			// finishes the job canceled; already-submitted points keep
-			// running on their shards (their results stay cached — the
-			// fleet loses nothing by letting them land).
-			j.cancel.Store(true)
-		}
-		st := j.status()
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+	// A flagged sweep's aggregator stops between point polls and ends
+	// the job canceled; already-submitted points keep running on their
+	// shards (their results stay cached — the fleet loses nothing by
+	// letting them land).
+	if st, ok := rt.jobs.Cancel(r.PathValue("id")); ok {
+		service.WriteJSON(w, http.StatusOK, st)
 		return
 	}
-	shard, wid, ok := rt.parseRunID(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
-		return
+	if shard, resp, ok := rt.proxyRun(w, r, http.MethodDelete, ""); ok {
+		rt.relayJob(w, shard, resp, http.StatusOK)
 	}
-	resp, err := rt.callWorker(shard, http.MethodDelete, "/v1/runs/"+wid, nil, reqTrace(r))
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	rt.count(func(c *Counters) { c.Proxied++ })
-	if resp.status != http.StatusOK {
-		relay(w, resp)
-		return
-	}
-	var st service.JobStatus
-	if err := json.Unmarshal(resp.body, &st); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %d: undecodable job status: %v", shard, err)
-		return
-	}
-	st.ID = routerID(shard, st.ID)
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (rt *Router) sweepByID(id string) *sweepJob {
-	if !strings.HasPrefix(id, "g") {
-		return nil
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.sweeps[id]
 }

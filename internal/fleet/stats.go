@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"occamy/internal/metrics"
 	"occamy/internal/service"
 )
 
@@ -47,7 +46,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	var workers, weightedUtil float64
 	for shard, url := range rt.workers {
 		fleet[shard].URL = url
-		resp, err := rt.callWorker(shard, http.MethodGet, "/v1/stats", nil, reqTrace(r))
+		resp, err := rt.callWorker(r.Context(), shard, http.MethodGet, "/v1/stats", nil, reqTrace(r))
 		if err != nil {
 			fleet[shard].Error = err.Error()
 			continue
@@ -73,24 +72,16 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Utilization = weightedUtil / workers
 	}
 	st.UptimeSeconds = time.Since(rt.started).Seconds()
-	st.Endpoints = make(map[string]metrics.HistSnapshot, len(rt.endpoints))
-	for pat, h := range rt.endpoints {
-		if h.Count() > 0 {
-			st.Endpoints[pat] = h.Snapshot()
-		}
-	}
-
-	rt.mu.Lock()
+	st.Endpoints = rt.api.Endpoints()
 	st.Router = RouterStats{
 		UptimeSeconds: st.UptimeSeconds,
 		Workers:       len(rt.workers),
-		Counters:      rt.counters,
-		SweepJobs:     len(rt.sweeps),
+		Counters:      rt.snapshot(),
+		SweepJobs:     rt.jobs.Len(),
 		SweepCache:    rt.sweepCache.Stats(),
 	}
-	rt.mu.Unlock()
 	st.Fleet = fleet
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 func addCounters(dst *service.Counters, src service.Counters) {
@@ -133,7 +124,7 @@ func (rt *Router) handleCache(w http.ResponseWriter, r *http.Request) {
 	out := fleetCache{Workers: make([]workerCache, len(rt.workers))}
 	for shard, url := range rt.workers {
 		out.Workers[shard].URL = url
-		resp, err := rt.callWorker(shard, http.MethodGet, "/v1/cache", nil, reqTrace(r))
+		resp, err := rt.callWorker(r.Context(), shard, http.MethodGet, "/v1/cache", nil, reqTrace(r))
 		if err != nil {
 			out.Workers[shard].Error = err.Error()
 			continue
@@ -147,5 +138,5 @@ func (rt *Router) handleCache(w http.ResponseWriter, r *http.Request) {
 		addCache(&out.Fleet, cs)
 	}
 	out.SweepCache = rt.sweepCache.Stats()
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }

@@ -1,10 +1,10 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,278 +14,128 @@ import (
 	"occamy/internal/service"
 )
 
-// maxBodyBytes bounds a submitted request body, matching the worker's
-// spec-size bound.
-const maxBodyBytes = 1 << 20
-
-// sweepRequest mirrors the worker's POST /v1/sweeps wire format, so a
-// client's sweep body is valid against one worker and the fleet alike.
-type sweepRequest struct {
-	Name  string          `json:"name,omitempty"`
-	Scale string          `json:"scale,omitempty"`
-	Spec  json.RawMessage `json:"spec,omitempty"`
-	Axes  []string        `json:"axes"`
-}
-
-// handleSweep expands the grid router-side and fans the points out to
-// their home shards; the aggregate table is byte-identical to what a
-// single worker would have produced for the same sweep (a contract
-// pinned by TestFleetSweepByteIdentity).
+// handleSweep expands the grid router-side (service.ReadSweep — the
+// worker's own reader and grid cap) and submits it to the sweep ledger,
+// whose executor fans the points out to their home shards; the
+// aggregate table is byte-identical to what a single worker would have
+// produced for the same sweep (a contract pinned by
+// TestFleetSweepByteIdentity). A sweep already aggregating is joined
+// instead of fanned out again, and a finished one is served from the
+// aggregated-table cache (the worker-side caches would absorb the
+// repeat points, but the router shouldn't even ask).
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !rt.admit(w, r, 1) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil || len(body) > maxBodyBytes {
-		httpError(w, http.StatusBadRequest, "bad sweep body")
-		return
-	}
-	var req sweepRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing sweep request: %v", err)
-		return
-	}
-	var spec scenario.Spec
-	switch {
-	case len(req.Spec) > 0:
-		spec, err = scenario.ParseSpec(req.Spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	case req.Name != "":
-		spec, err = service.CatalogSpec(req.Name, req.Scale)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-	default:
-		httpError(w, http.StatusBadRequest, "sweep request needs a spec or a catalog name")
-		return
-	}
-	if len(req.Axes) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep request has no axes")
-		return
-	}
-	axes := make([]scenario.SweepAxis, len(req.Axes))
-	for i, a := range req.Axes {
-		ax, err := scenario.ParseSweep(a)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		axes[i] = ax
-	}
-	// The grid cap is checked in O(axes), before expansion, exactly like
-	// the worker's SubmitSweep — overflow-safe against axis products past
-	// 1<<63.
-	points := 1
-	for _, ax := range axes {
-		n := len(ax.Values)
-		if n == 0 {
-			httpError(w, http.StatusBadRequest, "sweep axis %q has no values", ax.Path)
-			return
-		}
-		if points > rt.maxSweep/n {
-			httpError(w, http.StatusBadRequest,
-				"service: sweep grid too large: axes multiply past the %d-point cap", rt.maxSweep)
-			return
-		}
-		points *= n
-	}
-	// Expand now so bad axis paths and invalid point specs are a clean
-	// 400 here, not a failed job discovered by polling.
-	pointSpecs, _, err := scenario.Expand(spec, axes)
+	req, status, err := service.ReadSweep(r, rt.maxSweep)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		service.HTTPError(w, status, "%v", err)
 		return
 	}
-	for _, ps := range pointSpecs {
-		if err := ps.WithDefaults().Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	fp, err := service.SweepFingerprint(spec, axes)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-
-	now := time.Now().UTC()
-	trace := reqTrace(r)
-	rt.mu.Lock()
-	rt.counters.Sweeps++
-	// Same sweep already aggregating? Join it instead of fanning out a
-	// duplicate grid (the worker-side caches would absorb the repeat
-	// points, but the router shouldn't even ask).
-	if j := rt.inflight[fp]; j != nil {
-		st := j.status()
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	if data := rt.sweepCache.Get(fp); data != nil {
-		rt.counters.SweepCacheHits++
-		j := rt.newSweepLocked(spec, axes, fp, now, trace, len(pointSpecs))
-		j.state = service.JobDone
-		j.cached = true
-		j.result = data
-		j.finished = now
-		st := j.status()
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	j := rt.newSweepLocked(spec, axes, fp, now, trace, len(pointSpecs))
-	rt.inflight[fp] = j
-	rt.counters.SweepPoints += int64(len(pointSpecs))
-	st := j.status()
-	rt.mu.Unlock()
-	rt.logSweep(j, "enqueued", "points", len(pointSpecs))
-
-	go rt.runSweep(j, pointSpecs)
-	writeJSON(w, http.StatusAccepted, st)
+	rt.jobs.Accept(w, r, "sweep", req)
 }
 
-// newSweepLocked registers a fresh router sweep job; the caller holds
-// rt.mu.
-func (rt *Router) newSweepLocked(spec scenario.Spec, axes []scenario.SweepAxis, fp string, now time.Time, trace string, points int) *sweepJob {
-	rt.seq++
-	j := &sweepJob{
-		id:          fmt.Sprintf("g%d", rt.seq),
-		spec:        spec,
-		axes:        axes,
-		fingerprint: fp,
-		trace:       trace,
-		pointsTotal: points,
-		state:       service.JobQueued,
-		submitted:   now,
-	}
-	rt.sweeps[j.id] = j
-	rt.order = append(rt.order, j.id)
-	return j
+// startSweep is the sweep ledger's executor hook: the aggregation runs
+// on its own goroutine, owned by the router, until every point has
+// landed, failed or timed out.
+func (rt *Router) startSweep(j *service.Job, points []scenario.Spec) error {
+	go rt.runSweep(j, points)
+	return nil
 }
 
-// logSweep emits one structured sweep-lifecycle record.
-func (rt *Router) logSweep(j *sweepJob, event string, attrs ...any) {
-	base := []any{"job", j.id, "kind", "sweep", "scenario", j.spec.Name, "state", string(j.state)}
-	if j.trace != "" {
-		base = append(base, "trace", j.trace)
-	}
-	rt.logger.Info(event, append(base, attrs...)...)
-}
-
-// errSweepCanceled aborts the aggregation when DELETE flags the job.
-var errSweepCanceled = errors.New("sweep canceled")
+// ErrPointTimeout fails a sweep whose grid point did not produce a
+// result within Config.PointTimeout — a hung or overloaded shard.
+var ErrPointTimeout = errors.New("fleet: sweep point timed out")
 
 // runSweep is the aggregator: every point runs on its fingerprint's
 // home shard (concurrently — each shard's own queue provides the
 // backpressure), and the finished tables re-assemble into the exact
 // rows and bytes a single-process sweep would emit.
-func (rt *Router) runSweep(j *sweepJob, pointSpecs []scenario.Spec) {
-	rt.mu.Lock()
-	j.state = service.JobRunning
-	j.started = time.Now().UTC()
-	rt.mu.Unlock()
-	rt.logSweep(j, "started")
+func (rt *Router) runSweep(j *service.Job, points []scenario.Spec) {
+	if !rt.jobs.Start(j) {
+		return
+	}
+	rt.count(func(c *Counters) { c.SweepPoints += int64(len(points)) })
 
-	tables := make([]scenario.TableDoc, len(pointSpecs))
-	errs := make([]error, len(pointSpecs))
+	tables := make([]scenario.TableDoc, len(points))
+	errs := make([]error, len(points))
+	pointDone := j.SweepProgressFunc()
 	var wg sync.WaitGroup
-	for i, ps := range pointSpecs {
+	for i, ps := range points {
 		wg.Add(1)
 		go func(i int, ps scenario.Spec) {
 			defer wg.Done()
 			tables[i], errs[i] = rt.runPoint(j, i, ps)
 			if errs[i] == nil {
-				j.pointsDone.Add(1)
+				pointDone()
 			}
 		}(i, ps)
 	}
 	wg.Wait()
 
-	canceled := false
+	// A real failure outranks a cancel; a cancel outranks success even
+	// when every point landed before the flag was seen.
 	var failure error
 	for _, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, errSweepCanceled):
-			canceled = true
-		case failure == nil:
+		if err != nil && !errors.Is(err, scenario.ErrCanceled) {
 			failure = err
+			break
 		}
 	}
-	switch {
-	case failure != nil:
-		rt.finishSweep(j, service.JobFailed, nil, failure.Error())
-	case canceled || j.cancel.Load():
-		rt.finishSweep(j, service.JobCanceled, nil, "")
-	default:
-		table, err := scenario.AssembleSweepTable(j.spec, j.axes, tables)
-		if err != nil {
-			rt.finishSweep(j, service.JobFailed, nil, err.Error())
-			return
+	if failure == nil && j.Canceled() {
+		failure = scenario.ErrCanceled
+	}
+	var data []byte
+	if failure == nil {
+		var table scenario.TableDoc
+		if table, failure = scenario.AssembleSweepTable(j.Spec, j.Axes, tables); failure == nil {
+			data, failure = table.Encode()
 		}
-		data, err := table.Encode()
-		if err != nil {
-			rt.finishSweep(j, service.JobFailed, nil, err.Error())
-			return
-		}
-		rt.sweepCache.Put(j.fingerprint, data)
-		rt.finishSweep(j, service.JobDone, data, "")
 	}
-}
-
-func (rt *Router) finishSweep(j *sweepJob, state service.JobState, result []byte, errMsg string) {
-	rt.mu.Lock()
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.finished = time.Now().UTC()
-	if rt.inflight[j.fingerprint] == j {
-		delete(rt.inflight, j.fingerprint)
-	}
-	rt.mu.Unlock()
-	attrs := []any{"queue_wait_ms", durToMs(j.started.Sub(j.submitted)), "run_ms", durToMs(j.finished.Sub(j.started))}
-	if errMsg != "" {
-		attrs = append(attrs, "error", errMsg)
-	}
-	rt.logSweep(j, string(state), attrs...)
+	rt.jobs.Finish(j, data, failure)
 }
 
 // runPoint submits one grid point to its home shard and polls it to a
 // terminal state, returning the point's summary table. Every request it
 // makes — submission and polls alike — carries the sweep trace's ".N"
 // child ID, so the worker-side job for grid point N greps back to the
-// router sweep that spawned it.
-func (rt *Router) runPoint(j *sweepJob, idx int, spec scenario.Spec) (scenario.TableDoc, error) {
-	trace := service.ChildTrace(j.trace, "", idx)
+// router sweep that spawned it. The whole exchange runs under one
+// PointTimeout deadline, so a shard that accepts and never answers
+// fails the point with ErrPointTimeout instead of pinning the sweep.
+func (rt *Router) runPoint(j *service.Job, idx int, spec scenario.Spec) (scenario.TableDoc, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), rt.pointWait)
+	defer cancel()
+	table, err := rt.pollPoint(ctx, j, idx, spec)
+	if err != nil && ctx.Err() != nil {
+		err = fmt.Errorf("point %q: %w (no result within %s): %v", spec.Name, ErrPointTimeout, rt.pointWait, err)
+	}
+	return table, err
+}
+
+// pollPoint is runPoint's exchange with the shard, bounded by ctx.
+func (rt *Router) pollPoint(ctx context.Context, j *service.Job, idx int, spec scenario.Spec) (scenario.TableDoc, error) {
+	trace := service.ChildTrace(j.Trace, "", idx)
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		return scenario.TableDoc{}, err
 	}
 	shard := rt.ring.Lookup(fp)
-	st, err := rt.submitPoint(j, shard, spec, trace)
+	st, err := rt.submitPoint(ctx, j, shard, spec, trace)
 	if err != nil {
 		return scenario.TableDoc{}, err
 	}
-	deadline := time.Now().Add(rt.pointWait)
 	for {
-		if j.cancel.Load() {
-			return scenario.TableDoc{}, errSweepCanceled
+		if j.Canceled() {
+			return scenario.TableDoc{}, scenario.ErrCanceled
 		}
-		resp, err := rt.callWorker(shard, http.MethodGet, "/v1/runs/"+st.ID, nil, trace)
+		resp, err := rt.callWorker(ctx, shard, http.MethodGet, "/v1/runs/"+st.ID, nil, trace)
 		if err != nil {
 			return scenario.TableDoc{}, err
 		}
 		if resp.status != http.StatusOK {
 			return scenario.TableDoc{}, fmt.Errorf("worker %d: polling %s: status %d", shard, st.ID, resp.status)
 		}
-		var view struct {
-			service.JobStatus
-			Result json.RawMessage `json:"result"`
-		}
+		var view service.JobView
 		if err := json.Unmarshal(resp.body, &view); err != nil {
 			return scenario.TableDoc{}, fmt.Errorf("worker %d: undecodable job view: %v", shard, err)
 		}
@@ -306,9 +156,7 @@ func (rt *Router) runPoint(j *sweepJob, idx int, spec scenario.Spec) (scenario.T
 			}
 			return doc.Summary, nil
 		}
-		if time.Now().After(deadline) {
-			return scenario.TableDoc{}, fmt.Errorf("point %q on worker %d: no result within %s", spec.Name, shard, rt.pointWait)
-		}
+		// The next poll fails on ctx once the deadline has passed.
 		time.Sleep(rt.pollEvery)
 	}
 }
@@ -319,17 +167,17 @@ func (rt *Router) runPoint(j *sweepJob, idx int, spec scenario.Spec) (scenario.T
 // down — the sweep fails rather than silently re-homing the point,
 // because a re-homed point would dodge the shard's cache and violate
 // the "equal specs, equal home" invariant.
-func (rt *Router) submitPoint(j *sweepJob, shard int, spec scenario.Spec, trace string) (service.JobStatus, error) {
+func (rt *Router) submitPoint(ctx context.Context, j *service.Job, shard int, spec scenario.Spec, trace string) (service.JobStatus, error) {
 	body, err := spec.Marshal()
 	if err != nil {
 		return service.JobStatus{}, err
 	}
 	const attempts = 4
 	for attempt := 1; ; attempt++ {
-		if j.cancel.Load() {
-			return service.JobStatus{}, errSweepCanceled
+		if j.Canceled() {
+			return service.JobStatus{}, scenario.ErrCanceled
 		}
-		resp, err := rt.callWorker(shard, http.MethodPost, "/v1/runs", body, trace)
+		resp, err := rt.callWorker(ctx, shard, http.MethodPost, "/v1/runs", body, trace)
 		if err != nil {
 			return service.JobStatus{}, err
 		}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"occamy/internal/scenario"
 )
@@ -38,71 +37,26 @@ import (
 // maxSpecBytes bounds a submitted spec body; real specs are a few KB.
 const maxSpecBytes = 1 << 20
 
-// Handler returns the service's HTTP API. Every route is wrapped in a
-// middleware that records handler latency into the per-endpoint
-// histograms GET /v1/stats and GET /metrics report, establishes the
-// X-Occamy-Trace ID (minting one when absent) and echoes it on the
-// response, and emits a debug-level structured request record.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern string, fn http.HandlerFunc) {
-		h := s.endpoints[pattern]
-		if h == nil {
-			// A pattern missing from endpointPatterns is a programming
-			// error; fail loudly in tests rather than silently dropping
-			// its latency series.
-			panic(fmt.Sprintf("service: route %q not in endpointPatterns", pattern))
-		}
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			trace := EnsureTrace(r)
-			w.Header().Set(TraceHeader, trace)
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			fn(sw, r)
-			d := time.Since(start)
-			h.Record(d)
-			s.logger.Debug("http",
-				"method", r.Method, "route", pattern, "status", sw.status,
-				"trace", trace, "dur_ms", durToMs(d))
-		})
-	}
-	handle("GET /v1/scenarios", s.handleScenarios)
-	handle("GET /v1/scenarios/{name}", s.handleScenarioExport)
-	handle("POST /v1/runs", s.handleSubmit)
-	handle("GET /v1/runs", s.handleJobs)
-	handle("GET /v1/runs/{id}", s.handleJob)
-	handle("GET /v1/runs/{id}/trace.csv", s.handleTrace)
-	handle("DELETE /v1/runs/{id}", s.handleCancel)
-	handle("POST /v1/sweeps", s.handleSweep)
-	handle("POST /v1/batch", s.handleBatch)
-	handle("GET /v1/cache", s.handleCache)
-	handle("GET /v1/stats", s.handleStats)
-	handle("GET /metrics", s.handleMetrics)
-	return mux
-}
+// Handler returns the service's HTTP API; see API for the middleware
+// every route runs under.
+func (s *Service) Handler() http.Handler { return s.api }
 
-// statusWriter captures the response status for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeJSON writes v as a JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+// routes registers the API surface; the fleet router serves the same
+// patterns, so clients (curl, occamy-loadgen) are agnostic to whether
+// they talk to one worker or the fleet.
+func (s *Service) routes() {
+	s.api.Handle("GET /v1/scenarios", s.handleScenarios)
+	s.api.Handle("GET /v1/scenarios/{name}", s.handleScenarioExport)
+	s.api.Handle("POST /v1/runs", s.handleSubmit)
+	s.api.Handle("GET /v1/runs", s.handleJobs)
+	s.api.Handle("GET /v1/runs/{id}", s.handleJob)
+	s.api.Handle("GET /v1/runs/{id}/trace.csv", s.handleTrace)
+	s.api.Handle("DELETE /v1/runs/{id}", s.handleCancel)
+	s.api.Handle("POST /v1/sweeps", s.handleSweep)
+	s.api.Handle("POST /v1/batch", s.handleBatch)
+	s.api.Handle("GET /v1/cache", s.handleCache)
+	s.api.Handle("GET /v1/stats", s.handleStats)
+	s.api.Handle("GET /metrics", s.handleMetrics)
 }
 
 // scenarioInfo is one catalog row of GET /v1/scenarios.
@@ -124,7 +78,7 @@ func (s *Service) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, scenarioInfo{Name: name, Title: sc.Spec.Title, Kind: kind})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"scenarios": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"scenarios": out})
 }
 
 // CatalogSpec resolves a catalog entry at a scale; the error messages
@@ -148,12 +102,12 @@ func CatalogSpec(name, scaleStr string) (scenario.Spec, error) {
 func (s *Service) handleScenarioExport(w http.ResponseWriter, r *http.Request) {
 	spec, err := CatalogSpec(r.PathValue("name"), r.URL.Query().Get("scale"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		HTTPError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	data, err := spec.Marshal()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -201,15 +155,21 @@ func ReadSpec(r *http.Request) (scenario.Spec, int, error) {
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, status, err := ReadSpec(r)
 	if err != nil {
-		httpError(w, status, "%v", err)
+		HTTPError(w, status, "%v", err)
 		return
 	}
-	st, err := s.SubmitTraced(spec, r.Header.Get(TraceHeader))
+	s.jobs.Accept(w, r, "run", Request{Spec: spec})
+}
+
+// Accept submits one decoded request under the request's trace ID and
+// writes the reply: 202 with the job's status snapshot, or the refusal.
+func (l *Ledger) Accept(w http.ResponseWriter, r *http.Request, kind string, req Request) {
+	st, err := l.Submit(kind, req, r.Header.Get(TraceHeader))
 	if err != nil {
-		httpError(w, submitStatus(w, err), "%v", err)
+		HTTPError(w, submitStatus(w, err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 // submitStatus maps a Submit/SubmitSweep error to its HTTP status and
@@ -232,28 +192,17 @@ func submitStatus(w http.ResponseWriter, err error) int {
 }
 
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"runs": s.Jobs()})
-}
-
-// jobView is the GET /v1/runs/{id} response: the status snapshot plus,
-// once done, the raw result document.
-type jobView struct {
-	JobStatus
-	Result json.RawMessage `json:"result,omitempty"`
+	WriteJSON(w, http.StatusOK, map[string]any{"runs": s.Jobs()})
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, ok := s.Get(id)
+	view, ok := s.jobs.View(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
+		HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
-	view := jobView{JobStatus: st}
-	if data, ok := s.Result(id); ok {
-		view.Result = data
-	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -262,21 +211,21 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("stride"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "stride must be a positive integer, got %q", v)
+			HTTPError(w, http.StatusBadRequest, "stride must be a positive integer, got %q", v)
 			return
 		}
 		stride = n
 	}
 	doc, err := s.ResultDoc(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		HTTPError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	// Decide the status before committing to a 200 text/csv: a traceless
 	// document (the run had no occupancy sampling) must be a clean 404,
 	// never a JSON error appended to an already-started CSV body.
 	if !doc.HasTrace() {
-		httpError(w, http.StatusNotFound, "scenario %q: result document carries no trace", doc.Name)
+		HTTPError(w, http.StatusNotFound, "scenario %q: result document carries no trace", doc.Name)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
@@ -292,10 +241,10 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Cancel(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
+		HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // sweepRequest is the POST /v1/sweeps body: an inline spec or a catalog
@@ -307,66 +256,61 @@ type sweepRequest struct {
 	Axes  []string        `json:"axes"`
 }
 
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
+// ReadSweep extracts the submission of a POST /v1/sweeps request: the
+// base spec (inline or by catalog name), the parsed axes, and the
+// expanded grid, capped at maxPoints (see ExpandSweep). Like ReadSpec
+// it is the one reader for the worker and the fleet router, so a bad
+// sweep draws the same status and message from either tier.
+func ReadSweep(r *http.Request, maxPoints int) (Request, int, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil || len(body) > maxSpecBytes {
-		httpError(w, http.StatusBadRequest, "bad sweep body")
-		return
+		return Request{}, http.StatusBadRequest, errors.New("bad sweep body")
 	}
 	var req sweepRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing sweep request: %v", err)
-		return
+		return Request{}, http.StatusBadRequest, fmt.Errorf("parsing sweep request: %v", err)
 	}
 	var spec scenario.Spec
 	switch {
 	case len(req.Spec) > 0:
-		spec, err = scenario.ParseSpec(req.Spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+		if spec, err = scenario.ParseSpec(req.Spec); err != nil {
+			return Request{}, http.StatusBadRequest, err
 		}
 	case req.Name != "":
-		spec, err = CatalogSpec(req.Name, req.Scale)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
+		if spec, err = CatalogSpec(req.Name, req.Scale); err != nil {
+			return Request{}, http.StatusNotFound, err
 		}
 	default:
-		httpError(w, http.StatusBadRequest, "sweep request needs a spec or a catalog name")
-		return
+		return Request{}, http.StatusBadRequest, errors.New("sweep request needs a spec or a catalog name")
 	}
 	if len(req.Axes) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep request has no axes")
-		return
+		return Request{}, http.StatusBadRequest, errors.New("sweep request has no axes")
 	}
 	axes := make([]scenario.SweepAxis, len(req.Axes))
 	for i, a := range req.Axes {
-		ax, err := scenario.ParseSweep(a)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+		if axes[i], err = scenario.ParseSweep(a); err != nil {
+			return Request{}, http.StatusBadRequest, err
 		}
-		axes[i] = ax
 	}
-	st, err := s.SubmitSweepTraced(spec, axes, r.Header.Get(TraceHeader))
+	sweep, err := ExpandSweep(spec, axes, maxPoints)
 	if err != nil {
-		// Capacity refusals are retryable (503; draining additionally
-		// carries Retry-After); everything else — including an over-cap
-		// grid — is a client error (400).
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed) {
-			status = submitStatus(w, err)
-		}
-		httpError(w, status, "%v", err)
-		return
+		return Request{}, http.StatusBadRequest, err
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	return sweep, 0, nil
 }
 
-// batchRequest is the POST /v1/batch body: many strict-JSON specs in
+func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
+	req, status, err := ReadSweep(r, s.maxSweepPoints)
+	if err != nil {
+		HTTPError(w, status, "%v", err)
+		return
+	}
+	s.jobs.Accept(w, r, "sweep", req)
+}
+
+// BatchRequest is the POST /v1/batch body: many strict-JSON specs in
 // one submission, with an optional batch-wide scale override.
-type batchRequest struct {
+type BatchRequest struct {
 	Specs []json.RawMessage `json:"specs"`
 	Scale string            `json:"scale,omitempty"`
 }
@@ -384,57 +328,68 @@ type BatchItem struct {
 // applies on top).
 const maxBatchSpecs = 512
 
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
+// ReadBatch extracts the submission of a POST /v1/batch request, for
+// the worker and the fleet router alike. Failures stay per-item so one
+// bad spec doesn't void the rest of the batch: items is the response
+// skeleton in request order, already carrying the error of every spec
+// that did not parse, and specs[i] — with the batch-wide scale applied
+// — is valid wherever items[i].Code is zero.
+func ReadBatch(r *http.Request) (specs []scenario.Spec, items []BatchItem, status int, err error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil || len(body) > maxSpecBytes {
-		httpError(w, http.StatusBadRequest, "bad batch body (max %d bytes)", maxSpecBytes)
-		return
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("bad batch body (max %d bytes)", maxSpecBytes)
 	}
-	var req batchRequest
+	var req BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing batch request: %v", err)
-		return
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("parsing batch request: %v", err)
 	}
 	if len(req.Specs) == 0 {
-		httpError(w, http.StatusBadRequest, "batch request has no specs")
-		return
+		return nil, nil, http.StatusBadRequest, errors.New("batch request has no specs")
 	}
 	if len(req.Specs) > maxBatchSpecs {
-		httpError(w, http.StatusBadRequest, "batch has %d specs (cap %d)", len(req.Specs), maxBatchSpecs)
-		return
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("batch has %d specs (cap %d)", len(req.Specs), maxBatchSpecs)
 	}
 	var scale scenario.Scale
 	if req.Scale != "" {
 		if scale, err = scenario.ParseScale(req.Scale); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil, nil, http.StatusBadRequest, err
 		}
+	}
+	specs = make([]scenario.Spec, len(req.Specs))
+	items = make([]BatchItem, len(req.Specs))
+	for i, raw := range req.Specs {
+		if specs[i], err = scenario.ParseSpec(raw); err != nil {
+			items[i] = BatchItem{Error: err.Error(), Code: http.StatusBadRequest}
+		} else if req.Scale != "" {
+			specs[i].Scale = scale
+		}
+	}
+	return specs, items, 0, nil
+}
+
+func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
+	specs, items, status, err := ReadBatch(r)
+	if err != nil {
+		HTTPError(w, status, "%v", err)
+		return
 	}
 	// One POST, many job IDs: each spec goes through the exact Submit
 	// path a lone POST /v1/runs takes (cache hit / coalesce / enqueue /
-	// refuse), and failures stay per-item so one bad spec doesn't void
-	// the rest of the batch. Each item's job gets a ".N" child of the
-	// batch trace, so the IDs stay distinct per spec yet grep back to
-	// the one submission.
+	// refuse). Each item's job gets a ".N" child of the batch trace, so
+	// the IDs stay distinct per spec yet grep back to the one submission.
 	trace := r.Header.Get(TraceHeader)
-	items := make([]BatchItem, len(req.Specs))
-	for i, raw := range req.Specs {
-		spec, err := scenario.ParseSpec(raw)
-		if err != nil {
-			items[i] = BatchItem{Error: err.Error(), Code: http.StatusBadRequest}
+	for i, spec := range specs {
+		if items[i].Code != 0 {
 			continue
 		}
-		if req.Scale != "" {
-			spec.Scale = scale
-		}
-		st, err := s.SubmitTraced(spec, ChildTrace(trace, "", i))
+		st, err := s.jobs.Submit("run", Request{Spec: spec}, ChildTrace(trace, "", i))
 		if err != nil {
 			items[i] = BatchItem{Error: err.Error(), Code: batchCode(err)}
 			continue
 		}
 		items[i] = BatchItem{Job: &st}
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"runs": items})
+	WriteJSON(w, http.StatusAccepted, map[string]any{"runs": items})
 }
 
 // batchCode is submitStatus without the header side effect (per-item
@@ -447,9 +402,9 @@ func batchCode(err error) int {
 }
 
 func (s *Service) handleCache(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cache.Stats())
+	WriteJSON(w, http.StatusOK, s.cache.Stats())
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -54,11 +54,11 @@ func post(t testing.TB, url, body string, v any) int {
 }
 
 // awaitHTTP polls GET /v1/runs/{id} to a terminal state.
-func awaitHTTP(t testing.TB, base, id string) jobView {
+func awaitHTTP(t testing.TB, base, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		var view jobView
+		var view JobView
 		if code := getJSON(t, base+"/v1/runs/"+id, &view); code != http.StatusOK {
 			t.Fatalf("GET run %s: %d", id, code)
 		}
@@ -68,7 +68,7 @@ func awaitHTTP(t testing.TB, base, id string) jobView {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish over HTTP", id)
-	return jobView{}
+	return JobView{}
 }
 
 // The acceptance path, end to end over real HTTP: export a catalog

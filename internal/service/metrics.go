@@ -21,16 +21,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	var p metrics.Prom
 
-	reqs := make([]metrics.PromSample, 0, len(endpointPatterns))
-	subs := make([]metrics.HistogramSub, 0, len(endpointPatterns))
-	for _, pat := range endpointPatterns {
-		h := s.endpoints[pat]
-		lbl := []metrics.Label{{Name: "endpoint", Value: pat}}
-		reqs = append(reqs, metrics.PromSample{Labels: lbl, Value: float64(h.Count())})
-		subs = append(subs, metrics.HistogramSub{Labels: lbl, H: h})
-	}
-	p.Counter("occamy_requests_total", "HTTP requests served, by route pattern.", reqs...)
-	p.HistogramFamily("occamy_request_duration_seconds", "HTTP handler latency, by route pattern.", subs...)
+	s.api.WriteMetrics(&p)
 
 	c := st.Counters
 	p.Counter("occamy_jobs_submitted_total", "Validated submissions (cache hits + coalesced + enqueued + refused).",

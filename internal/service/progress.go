@@ -73,16 +73,17 @@ func (j *Job) runProgressFunc() scenario.ProgressFunc {
 	}
 }
 
-// sweepProgressFunc builds the pointDone hook a sweep job publishes
-// through. Grid points complete concurrently under experiments.RunGrid;
+// SweepProgressFunc builds the pointDone hook a sweep job publishes
+// through, one call per landed grid point. Points complete concurrently
+// (experiments.RunGrid on a worker, the shard fan-out on the router);
 // the swap loop below keeps the published done-count monotone without a
 // lock.
-func (j *Job) sweepProgressFunc(total int) func() {
+func (j *Job) SweepProgressFunc() func() {
 	started := time.Now()
 	return func() {
 		for {
 			prev := j.progress.Load()
-			next := &progressSample{pointsTotal: total, pointsDone: 1, wall: time.Since(started)}
+			next := &progressSample{pointsTotal: j.points, pointsDone: 1, wall: time.Since(started)}
 			if prev != nil {
 				next.pointsDone = prev.pointsDone + 1
 			}
@@ -93,23 +94,11 @@ func (j *Job) sweepProgressFunc(total int) func() {
 	}
 }
 
-// gridPoints is the sweep grid size: the product of the axis value
-// counts (axes validated and capped at submit time).
-func gridPoints(axes []scenario.SweepAxis) int {
-	points := 1
-	for _, ax := range axes {
-		if len(ax.Values) > 0 {
-			points *= len(ax.Values)
-		}
-	}
-	return points
-}
-
 // progressStatus renders the published sample for a JobStatus; the
-// caller holds s.mu (the sample itself is read atomically — the lock
-// only covers the state/timestamps consulted alongside it). nil until
-// the run first reports, and nil forever for cache hits, which never
-// run.
+// caller holds the ledger lock (the sample itself is read atomically —
+// the lock only covers the state/timestamps consulted alongside it).
+// nil until the run first reports, and nil forever for cache hits,
+// which never run.
 func (j *Job) progressStatus() *Progress {
 	p := j.progress.Load()
 	if p == nil {

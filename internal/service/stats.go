@@ -64,36 +64,20 @@ type Stats struct {
 	Cache CacheStats `json:"cache"`
 }
 
-// endpointPatterns is the instrumented route set; Handler registers
-// exactly these.
-var endpointPatterns = []string{
-	"GET /v1/scenarios",
-	"GET /v1/scenarios/{name}",
-	"POST /v1/runs",
-	"GET /v1/runs",
-	"GET /v1/runs/{id}",
-	"GET /v1/runs/{id}/trace.csv",
-	"DELETE /v1/runs/{id}",
-	"POST /v1/sweeps",
-	"POST /v1/batch",
-	"GET /v1/cache",
-	"GET /v1/stats",
-	"GET /metrics",
-}
-
 // Stats snapshots the service's observability state.
 func (s *Service) Stats() Stats {
 	now := time.Now()
-	s.mu.Lock()
+	l := s.jobs
+	l.mu.Lock()
 	st := Stats{
 		UptimeSeconds: now.Sub(s.started).Seconds(),
 		Workers:       s.workers,
 		QueueLen:      len(s.queue),
 		QueueCap:      cap(s.queue),
-		Counters:      s.counters,
+		Counters:      l.counters,
 	}
-	busy := s.busyNanos
-	for _, j := range s.jobs {
+	busy := l.busyNanos
+	for _, j := range l.jobs {
 		switch j.state {
 		case JobQueued:
 			st.Queued++
@@ -104,17 +88,12 @@ func (s *Service) Stats() Stats {
 			busy += now.Sub(j.started).Nanoseconds()
 		}
 	}
-	s.mu.Unlock()
+	l.mu.Unlock()
 
 	if up := now.Sub(s.started).Nanoseconds(); up > 0 && s.workers > 0 {
 		st.Utilization = math.Min(1, float64(busy)/float64(up*int64(s.workers)))
 	}
-	st.Endpoints = make(map[string]metrics.HistSnapshot, len(s.endpoints))
-	for pat, h := range s.endpoints {
-		if h.Count() > 0 {
-			st.Endpoints[pat] = h.Snapshot()
-		}
-	}
+	st.Endpoints = s.api.Endpoints()
 	st.Cache = s.cache.Stats()
 	return st
 }
