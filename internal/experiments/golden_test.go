@@ -62,3 +62,20 @@ func TestGoldenFig7(t *testing.T) {
 	checkGolden(t, "fig7a_golden.txt", render(bufT))
 	checkGolden(t, "fig7b_golden.txt", render(bwT))
 }
+
+// Pre-port anchors: the quick-scale Fig 12 and Fig 17–23 tables, captured
+// from the imperative runners before they are replaced, so the ported
+// figures can be held to byte identity.
+func TestGoldenFig12(t *testing.T) {
+	checkGolden(t, "fig12_golden.txt", render(Fig12BurstAbsorption()))
+}
+
+func TestGoldenFabricFigs(t *testing.T) {
+	sc := QuickFabric()
+	for _, tab := range []*Table{
+		Fig17LargeScale(sc), Fig18AllToAll(sc), Fig19AllReduce(sc), Fig20QueryLoad(sc),
+		Fig21RoundRobinDrop(sc), Fig22HeavyLoad(sc), Fig23BufferSize(sc),
+	} {
+		checkGolden(t, tab.ID+"_golden.txt", render(tab))
+	}
+}
