@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"occamy/internal/experiments"
 	"occamy/internal/hw"
 )
 
@@ -22,7 +21,7 @@ func main() {
 	ghz := flag.Float64("ghz", 1.0, "traffic manager clock for timing checks")
 	flag.Parse()
 
-	experiments.Table1HardwareCost(*queues, *bits).Fprint(os.Stdout)
+	hw.Table1HardwareCost(*queues, *bits).Fprint(os.Stdout)
 
 	fmt.Println()
 	fmt.Println("Maximum Finder (the circuit classic Pushout needs, Fig 4):")

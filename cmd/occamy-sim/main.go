@@ -22,20 +22,21 @@ import (
 	"time"
 
 	"occamy/internal/experiments"
-	"occamy/internal/sim"
+	"occamy/internal/hw"
+	"occamy/internal/scenario"
 )
 
-func scales(name string) (experiments.DPDKScale, experiments.FabricScale, int) {
+func scales(name string) (scenario.DPDKScale, scenario.FabricScale, int) {
 	switch name {
 	case "quick":
-		return experiments.QuickDPDK(), experiments.QuickFabric(), 8
+		return scenario.QuickDPDK(), scenario.QuickFabric(), 8
 	case "medium":
-		d := experiments.QuickDPDK()
+		d := scenario.QuickDPDK()
 		d.Hosts, d.Queries = 8, 30
 		d.SizeFracs = []float64{0.2, 0.6, 1.0, 1.4}
 		d.Loads = []float64{0.1, 0.3, 0.5}
 		d.Alphas = []float64{0.5, 1, 2, 4, 8}
-		f := experiments.QuickFabric()
+		f := scenario.QuickFabric()
 		f.Queries = 25
 		f.SizeFracs = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 		f.FlowSizes = []int64{16_000, 64_000, 256_000, 1_000_000, 2_000_000}
@@ -43,7 +44,7 @@ func scales(name string) (experiments.DPDKScale, experiments.FabricScale, int) {
 		f.BufferFactors = []float64{3.44, 5.12, 8.0, 9.6}
 		return d, f, 20
 	case "paper":
-		return experiments.PaperDPDK(), experiments.PaperFabric(), 60
+		return scenario.PaperDPDK(), scenario.PaperFabric(), 60
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q (quick|medium|paper)\n", name)
 		os.Exit(2)
@@ -52,78 +53,46 @@ func scales(name string) (experiments.DPDKScale, experiments.FabricScale, int) {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "which experiment: table1, fig3, fig6, fig7, fig11, fig12, fig13..fig23, or all")
+	fig := flag.String("fig", "all", "which experiment: table1, fig3, fig6, fig7, fig11, fig12, fig13..fig23, extras, or all")
 	scale := flag.String("scale", "quick", "quick | medium | paper")
 	jobs := flag.Int("j", 0, "concurrent simulations per sweep (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	experiments.SetParallelism(*jobs)
 	d, f, queries := scales(*scale)
-	runners := map[string]func() []*experiments.Table{
-		"table1": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Table1HardwareCost(64, 20)}
+	figures := map[string]func() scenario.Figure{
+		// Table 1 is the analytic hardware-cost model: a figure with no runs.
+		"table1": func() scenario.Figure {
+			return scenario.Figure{Tables: func([]*scenario.Result) []*scenario.Table {
+				return []*scenario.Table{hw.Table1HardwareCost(64, 20)}
+			}}
 		},
-		"fig3": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig3DTBehavior()}
-		},
-		"fig6": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig6Anomalies(queries, nil)}
-		},
-		"fig7": func() []*experiments.Table {
-			a, b := experiments.Fig7Utilization(f)
-			return []*experiments.Table{a, b}
-		},
-		"fig11": func() []*experiments.Table {
-			return experiments.Fig11QueueEvolution(25 * sim.Microsecond)
-		},
-		"fig12": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig12BurstAbsorption()}
-		},
-		"fig13": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig13SoftwareSwitch(d)}
-		},
-		"fig14": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig14Isolation(d)}
-		},
-		"fig15": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig15BufferChoking(d)}
-		},
-		"fig16": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig16AlphaImpact(d)}
-		},
-		"fig17": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig17LargeScale(f)}
-		},
-		"fig18": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig18AllToAll(f)}
-		},
-		"fig19": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig19AllReduce(f)}
-		},
-		"fig20": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig20QueryLoad(f)}
-		},
-		"fig21": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig21RoundRobinDrop(f)}
-		},
-		"fig22": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig22HeavyLoad(f)}
-		},
-		"fig23": func() []*experiments.Table {
-			return []*experiments.Table{experiments.Fig23BufferSize(f)}
-		},
-		"extras": func() []*experiments.Table {
-			return []*experiments.Table{experiments.ExtrasBakeoff(d)}
-		},
+		"fig3":   scenario.Fig3DTBehavior,
+		"fig6":   func() scenario.Figure { return scenario.Fig6Anomalies(queries, nil) },
+		"fig7":   func() scenario.Figure { return scenario.Fig7Utilization(f) },
+		"fig11":  scenario.Fig11QueueEvolution,
+		"fig12":  scenario.Fig12BurstAbsorption,
+		"fig13":  func() scenario.Figure { return scenario.Fig13SoftwareSwitch(d) },
+		"fig14":  func() scenario.Figure { return scenario.Fig14Isolation(d) },
+		"fig15":  func() scenario.Figure { return scenario.Fig15BufferChoking(d) },
+		"fig16":  func() scenario.Figure { return scenario.Fig16AlphaImpact(d) },
+		"fig17":  func() scenario.Figure { return scenario.Fig17LargeScale(f) },
+		"fig18":  func() scenario.Figure { return scenario.Fig18AllToAll(f) },
+		"fig19":  func() scenario.Figure { return scenario.Fig19AllReduce(f) },
+		"fig20":  func() scenario.Figure { return scenario.Fig20QueryLoad(f) },
+		"fig21":  func() scenario.Figure { return scenario.Fig21RoundRobinDrop(f) },
+		"fig22":  func() scenario.Figure { return scenario.Fig22HeavyLoad(f) },
+		"fig23":  func() scenario.Figure { return scenario.Fig23BufferSize(f) },
+		"extras": func() scenario.Figure { return scenario.ExtrasBakeoff(d) },
 	}
 
 	var names []string
 	if *fig == "all" {
-		for k := range runners {
+		for k := range figures {
 			names = append(names, k)
 		}
 		sort.Strings(names)
-	} else if _, ok := runners[*fig]; ok {
+	} else if _, ok := figures[*fig]; ok {
 		names = []string{*fig}
 	} else {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *fig)
@@ -132,13 +101,23 @@ func main() {
 
 	for _, n := range names {
 		start := time.Now()
-		for _, tab := range runners[n]() {
+		figure := figures[n]()
+		results := figure.Results()
+		for _, tab := range figure.Tables(results) {
 			tab.Fprint(os.Stdout)
 			fmt.Println()
 		}
 		if n == "fig11" {
 			// The queue-evolution figure is a plot; render it as one.
-			fmt.Println(experiments.Fig11Sparklines(5*sim.Microsecond, 72))
+			for _, r := range results {
+				plot, err := r.QueueTracePlot(72, 0)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
+				}
+				fmt.Printf("%s (burst drops %d, expelled %d)\n%s\n",
+					r.Spec.Policy.Label(), r.Workloads[1].Drops, r.Total.DropsExpelled, plot)
+			}
 		}
 		fmt.Printf("(%s took %v)\n\n", n, time.Since(start).Round(time.Millisecond))
 	}

@@ -12,8 +12,8 @@ import (
 	"fmt"
 
 	"occamy/internal/bm"
-	"occamy/internal/core"
 	"occamy/internal/experiments"
+	"occamy/internal/scenario"
 )
 
 func main() {
@@ -48,8 +48,8 @@ func main() {
 	// points across the worker pool with deterministic output order.
 	rows := experiments.RunGrid(alphas, func(a float64) [2]int64 {
 		return [2]int64{
-			experiments.MaxLosslessBurst(experiments.OccamySpec(a, core.RoundRobin), 100_000, 900_000, 50_000),
-			experiments.MaxLosslessBurst(experiments.DTSpec(a), 100_000, 900_000, 50_000),
+			scenario.MaxLosslessBurst(scenario.Policy{Kind: "occamy", Alpha: a}, 100_000, 900_000, 50_000),
+			scenario.MaxLosslessBurst(scenario.Policy{Kind: "dt", Alpha: a}, 100_000, 900_000, 50_000),
 		}
 	})
 	for i, a := range alphas {

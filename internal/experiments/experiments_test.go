@@ -2,339 +2,46 @@ package experiments
 
 import (
 	"bytes"
-	"strconv"
-	"strings"
 	"testing"
 
-	"occamy/internal/core"
 	"occamy/internal/sim"
 )
 
-func TestTable1Format(t *testing.T) {
-	tab := Table1HardwareCost(64, 20)
-	if len(tab.Rows) != 4 { // selector, arbiter, executor, total
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
+// RunGrid must preserve input order regardless of completion order.
+func TestRunGridOrdering(t *testing.T) {
+	defer SetParallelism(0)
+	SetParallelism(8)
+	points := make([]int, 100)
+	for i := range points {
+		points[i] = i
 	}
+	got := RunGrid(points, func(p int) int { return p * p })
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+}
+
+// Fprint aligns every column to its widest cell and trims trailing
+// blanks; F and Ms pick their precision by magnitude.
+func TestTableFormat(t *testing.T) {
+	tab := &Table{ID: "t", Title: "demo", Columns: []string{"name", "v"}}
+	tab.AddRow("long-label", F(0))
+	tab.AddRow("x", F(123.4))
+	tab.AddRow("y", F(1.234))
+	tab.AddRow("z", F(0.01234))
+	tab.AddRow("d", Ms(1500*sim.Microsecond))
 	var buf bytes.Buffer
 	tab.Fprint(&buf)
-	out := buf.String()
-	for _, want := range []string{"Selector", "Arbiter", "Executor", "Total", "LUTs"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig3HealthyVsAnomalous(t *testing.T) {
-	tab := Fig3DTBehavior()
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	healthyDrops, anomalousDrops := tab.Rows[0][2], tab.Rows[1][2]
-	if healthyDrops != "0" {
-		t.Fatalf("healthy case dropped packets: %s", healthyDrops)
-	}
-	if anomalousDrops == "0" {
-		t.Fatal("anomalous case did not drop (should drop before fair share)")
-	}
-}
-
-func TestFig11Traces(t *testing.T) {
-	tables := Fig11QueueEvolution(20 * sim.Microsecond)
-	if len(tables) != 4 {
-		t.Fatalf("tables = %d, want 4 (Occamy/DT × α∈{1,4})", len(tables))
-	}
-	for _, tab := range tables {
-		if len(tab.Rows) < 10 {
-			t.Fatalf("%s: only %d trace points", tab.ID, len(tab.Rows))
-		}
-	}
-}
-
-// The Fig 12 headline shapes: Occamy absorbs at least as much as DT at
-// every α; Occamy improves with α while DT degrades.
-func TestFig12Shapes(t *testing.T) {
-	const lo, hi, step = 200_000, 800_000, 100_000
-	lossless := func(spec PolicySpec) int64 {
-		return MaxLosslessBurst(spec, lo, hi, step)
-	}
-	occ1 := lossless(OccamySpec(1, core.RoundRobin))
-	occ4 := lossless(OccamySpec(4, core.RoundRobin))
-	dt1 := lossless(DTSpec(1))
-	dt4 := lossless(DTSpec(4))
-	t.Logf("lossless burst: occamy α=1 %d, α=4 %d; dt α=1 %d, α=4 %d", occ1, occ4, dt1, dt4)
-	if occ4 <= dt4 {
-		t.Errorf("Occamy(α=4) absorbs %d <= DT(α=4) %d", occ4, dt4)
-	}
-	if occ1 < dt1 {
-		t.Errorf("Occamy(α=1) absorbs %d < DT(α=1) %d", occ1, dt1)
-	}
-	if occ4 < occ1 {
-		t.Errorf("Occamy did not improve with α: %d (α=4) < %d (α=1)", occ4, occ1)
-	}
-	if dt4 > dt1 {
-		t.Errorf("DT improved with α: %d (α=4) > %d (α=1); should degrade", dt4, dt1)
-	}
-}
-
-func TestFig12TableComplete(t *testing.T) {
-	tab := Fig12BurstAbsorption()
-	if len(tab.Rows) != 3*6 {
-		t.Fatalf("rows = %d, want 18", len(tab.Rows))
-	}
-}
-
-// Fig 13 shape: with queries larger than the buffer, Occamy's average
-// QCT beats DT's (the 55% headline, relaxed to "strictly better within
-// noise" at test scale).
-func TestFig13OccamyBeatsDT(t *testing.T) {
-	sc := QuickDPDK()
-	sc.Queries = 12
-	run := func(spec PolicySpec) *DPDKResult {
-		cfg := DPDKConfig{Spec: spec, Hosts: sc.Hosts, Queries: sc.Queries, BgLoad: 0.5, Seed: sc.Seed}
-		cfg.QuerySize = int64(1.2 * float64(cfg.BufferBytes()))
-		return RunDPDK(cfg)
-	}
-	occ := run(OccamySpec(8, core.RoundRobin))
-	dt := run(DTSpec(1))
-	t.Logf("avg QCT: occamy %v (rtos %d), dt %v (rtos %d)",
-		occ.Query.MeanFCT(), occ.Timeouts, dt.Query.MeanFCT(), dt.Timeouts)
-	if occ.Query.Count() == 0 || dt.Query.Count() == 0 {
-		t.Fatal("queries did not complete")
-	}
-	if got, want := occ.Query.MeanFCT(), dt.Query.MeanFCT(); float64(got) > 1.1*float64(want) {
-		t.Errorf("Occamy avg QCT %v worse than DT %v", got, want)
-	}
-}
-
-// Fig 15 shape: low-priority background must not blow up a preemptive
-// BM's high-priority QCT, while DT chokes.
-func TestFig15ChokingMitigated(t *testing.T) {
-	sc := QuickDPDK()
-	sc.Queries = 10
-	run := func(spec PolicySpec, bg float64) *DPDKResult {
-		cfg := DPDKConfig{
-			Spec: spec, Hosts: sc.Hosts, Queries: sc.Queries,
-			Classes: 2, Scheduler: 2, /* SchedSP */
-			QueryPriority: 0, BgPriority: 1,
-			AlphaHP: 8, AlphaLP: 1, BgCubic: true, BgLoad: bg, Seed: sc.Seed,
-		}
-		cfg.QuerySize = int64(2.0 * float64(cfg.BufferBytes()))
-		return RunDPDK(cfg)
-	}
-	occNo := run(OccamySpec(8, core.RoundRobin), 0)
-	occBg := run(OccamySpec(8, core.RoundRobin), 0.5)
-	dtNo := run(DTSpec(1), 0)
-	dtBg := run(DTSpec(1), 0.5)
-	occRatio := float64(occBg.Query.MeanFCT()) / float64(occNo.Query.MeanFCT())
-	dtRatio := float64(dtBg.Query.MeanFCT()) / float64(dtNo.Query.MeanFCT())
-	t.Logf("QCT inflation from LP bg: occamy %.2fx, dt %.2fx", occRatio, dtRatio)
-	if occRatio > dtRatio*1.05 {
-		t.Errorf("Occamy choked more than DT: %.2fx vs %.2fx", occRatio, dtRatio)
-	}
-	if occRatio > 2.5 {
-		t.Errorf("Occamy QCT inflated %.2fx by LP background; choking not mitigated", occRatio)
-	}
-}
-
-// Fig 16 shape: Occamy can run large α without DT's anomalous behavior
-// — at every α its average QCT is at least as good as DT's.
-func TestFig16AlphaShape(t *testing.T) {
-	sc := QuickDPDK()
-	sc.Queries = 10
-	run := func(spec PolicySpec) sim.Duration {
-		cfg := DPDKConfig{
-			Spec: spec, Hosts: sc.Hosts, Queries: sc.Queries,
-			Classes: 2, Scheduler: 1, /* SchedDRR */
-			QueryPriority: 0, BgPriority: 1,
-			BgLoad: 0.5, BgCubic: true, Seed: sc.Seed,
-		}
-		cfg.QuerySize = int64(1.4 * float64(cfg.BufferBytes()))
-		return RunDPDK(cfg).Query.MeanFCT()
-	}
-	for _, alpha := range []float64{1, 4, 8} {
-		occ := run(OccamySpec(alpha, core.RoundRobin))
-		dt := run(DTSpec(alpha))
-		t.Logf("avg QCT at α=%g: occamy %v, dt %v", alpha, occ, dt)
-		if float64(occ) > 1.1*float64(dt) {
-			t.Errorf("Occamy(α=%g) avg %v worse than DT(α=%g) %v", alpha, occ, alpha, dt)
-		}
-	}
-}
-
-func TestFig17Shape(t *testing.T) {
-	sc := QuickFabric()
-	sc.Queries = 8
-	sc.SizeFracs = []float64{0.8}
-	tab := Fig17LargeScale(sc)
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	var occ, dt float64
-	for _, row := range tab.Rows {
-		switch row[1] {
-		case "Occamy":
-			occ = atof(t, row[2])
-		case "DT(a=1)":
-			dt = atof(t, row[2])
-		}
-	}
-	t.Logf("avg QCT slowdown: occamy %.2f, dt %.2f", occ, dt)
-	if occ <= 0 || dt <= 0 {
-		t.Fatal("missing slowdowns")
-	}
-	if occ > dt*1.05 {
-		t.Errorf("Occamy slowdown %.2f worse than DT %.2f", occ, dt)
-	}
-}
-
-func TestFig21RoundRobinCloseToLongest(t *testing.T) {
-	sc := QuickFabric()
-	sc.Queries = 8
-	sc.SizeFracs = []float64{0.8}
-	tab := Fig21RoundRobinDrop(sc)
-	rr := atof(t, tab.Rows[0][2])
-	ld := atof(t, tab.Rows[1][2])
-	t.Logf("avg QCT slowdown: round-robin %.2f, longest %.2f", rr, ld)
-	// The paper reports the two within ~15%; allow 35% at tiny scale.
-	if rr > ld*1.35 || ld > rr*1.35 {
-		t.Errorf("round-robin %.2f vs longest %.2f differ beyond tolerance", rr, ld)
-	}
-}
-
-func TestFig7UtilizationBounds(t *testing.T) {
-	sc := QuickFabric()
-	sc.Queries = 5
-	bufT, bwT := Fig7Utilization(sc)
-	for _, row := range bufT.Rows {
-		for _, cell := range row[1:] {
-			v := atof(t, cell)
-			if v < 0 || v > 100 {
-				t.Fatalf("buffer utilization %v out of [0,100]", v)
-			}
-		}
-	}
-	// DT never fills the buffer at drop time: p99 < 100%.
-	if p99 := atof(t, bufT.Rows[0][4]); p99 >= 99 {
-		t.Errorf("α=0.5 p99 buffer utilization %.1f%%; DT should waste buffer", p99)
-	}
-	if len(bwT.Rows) != 3 {
-		t.Fatalf("bw rows = %d", len(bwT.Rows))
-	}
-}
-
-func TestFig22HeavyLoadRuns(t *testing.T) {
-	sc := QuickFabric()
-	sc.Queries = 5
-	sc.SizeFracs = []float64{0.6}
-	tab := Fig22HeavyLoad(sc)
-	for _, row := range tab.Rows {
-		if atof(t, row[2]) <= 0 {
-			t.Fatalf("no QCT measured under heavy load: %v", row)
-		}
-	}
-}
-
-func TestFig23BufferSweepMonotonicBenefit(t *testing.T) {
-	sc := QuickFabric()
-	sc.Queries = 6
-	tab := Fig23BufferSize(sc)
-	// Occamy must beat or match DT at every buffer size (the "always
-	// brings some benefit" claim).
-	byFactor := map[string]map[string]float64{}
-	for _, row := range tab.Rows {
-		if byFactor[row[0]] == nil {
-			byFactor[row[0]] = map[string]float64{}
-		}
-		byFactor[row[0]][row[1]] = atof(t, row[2])
-	}
-	for factor, m := range byFactor {
-		if m["Occamy"] > m["DT(a=1)"]*1.15 {
-			t.Errorf("factor %s: Occamy %.2f worse than DT %.2f", factor, m["Occamy"], m["DT(a=1)"])
-		}
-	}
-}
-
-func TestFig18Fig19Collectives(t *testing.T) {
-	sc := QuickFabric()
-	sc.Queries = 5
-	sc.FlowSizes = []int64{128_000}
-	for _, tab := range []*Table{Fig18AllToAll(sc), Fig19AllReduce(sc)} {
-		if len(tab.Rows) != 4 {
-			t.Fatalf("%s rows = %d", tab.ID, len(tab.Rows))
-		}
-		for _, row := range tab.Rows {
-			if atof(t, row[2]) <= 0 {
-				t.Fatalf("%s: empty QCT for %s", tab.ID, row[1])
-			}
-		}
-	}
-}
-
-func TestFig20QueryLoadRuns(t *testing.T) {
-	sc := QuickFabric()
-	sc.Queries = 5
-	sc.QueryLoads = []float64{0.2}
-	tab := Fig20QueryLoad(sc)
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}
-
-func TestFig14IsolationRuns(t *testing.T) {
-	sc := QuickDPDK()
-	sc.Queries = 6
-	sc.Loads = []float64{0.4}
-	tab := Fig14Isolation(sc)
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if atof(t, row[2]) <= 0 {
-			t.Fatalf("no QCT for %s", row[1])
-		}
-	}
-}
-
-func atof(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
-	}
-	return v
-}
-
-func TestFig6ChokingMechanism(t *testing.T) {
-	tab := Fig6Anomalies(6, []float64{2.5})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Choking row: the LP companions must fill most of the buffer
-	// (choking pressure) and the HP incast must see drops before
-	// reaching its deserved 1MB.
-	peak := atof(t, tab.Rows[0][6])
-	hpDrops := atof(t, tab.Rows[0][5])
-	t.Logf("choking: peak buffer %.1f%%, HP drops with companions %.0f", peak, hpDrops)
-	if peak < 60 {
-		t.Errorf("LP companions hold only %.1f%% of buffer; no choking pressure", peak)
-	}
-	if hpDrops == 0 {
-		t.Error("no HP drops under choking; anomaly not reproduced")
-	}
-}
-
-func TestExtrasBakeoffRuns(t *testing.T) {
-	sc := QuickDPDK()
-	sc.Queries = 5
-	sc.SizeFracs = []float64{0.8}
-	tab := ExtrasBakeoff(sc)
-	if len(tab.Rows) != 9 { // 4 standard + 5 extras
-		t.Fatalf("rows = %d, want 9", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if atof(t, row[2]) <= 0 {
-			t.Fatalf("policy %s produced no QCT", row[1])
-		}
+	want := "== t: demo ==\n" +
+		"name        v\n" +
+		"long-label  0\n" +
+		"x           123\n" +
+		"y           1.23\n" +
+		"z           0.0123\n" +
+		"d           1.500\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("table rendering drifted:\n--- want\n%s--- got\n%s", want, got)
 	}
 }

@@ -16,10 +16,10 @@ import (
 // one worker or many.
 //
 // Safety rests on run-isolation: a point's closure must not touch
-// anything outside its own simulation (PolicySpec.Make builds fresh
-// policy state per call; engines, networks, and collectors are all
-// per-run). The only cross-run state in the repository is the packet-ID
-// counter, which is atomic and behavior-free.
+// anything outside its own simulation (scenario.Run builds fresh policy
+// state, engines, networks, and collectors per call). The only cross-run
+// state in the repository is the packet-ID counter, which is atomic and
+// behavior-free.
 
 // parallelism is the worker count used by RunGrid; 0 means GOMAXPROCS.
 var parallelism atomic.Int32
@@ -73,13 +73,3 @@ func RunGrid[P, R any](points []P, run func(P) R) []R {
 	wg.Wait()
 	return results
 }
-
-// totalEvents accumulates Engine.Processed() across every completed
-// harness run (RunDPDK, RunFabric, RunQueueTrace), atomically so
-// parallel sweeps can contribute. Benchmarks read the delta to report
-// simulated events per second.
-var totalEvents atomic.Uint64
-
-// EventsProcessed returns the cumulative simulator events executed by
-// all experiment harness runs in this process.
-func EventsProcessed() uint64 { return totalEvents.Load() }

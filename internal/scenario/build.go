@@ -3,10 +3,11 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"occamy/internal/bm"
 	"occamy/internal/core"
-	"occamy/internal/experiments"
 	"occamy/internal/linkfault"
 	"occamy/internal/metrics"
 	"occamy/internal/netsim"
@@ -59,6 +60,12 @@ type Result struct {
 	// FaultLinks holds the per-link fault-injection counters in wiring
 	// order; nil when the spec enabled no fault profile.
 	FaultLinks []linkfault.LinkStats
+	// DropBufUtil / DropMemBWUtil are the buffer and memory-bandwidth
+	// utilization fractions sampled at every non-expulsion drop, on any
+	// switch (Fig 7). Recorded only when Spec.Metrics selects a
+	// drop_*_util_* column.
+	DropBufUtil   []float64
+	DropMemBWUtil []float64
 	// Events is the number of simulator events executed.
 	Events uint64
 }
@@ -107,6 +114,10 @@ func ccFor(w Workload) (func(mss, segs int) transport.CC, error) {
 	return nil, fmt.Errorf("unknown cc %q (dctcp|cubic|reno)", w.CC)
 }
 
+// tdtObserverPeriod is the cadence at which TDT is fed its queue-length
+// observations.
+const tdtObserverPeriod = 10 * sim.Microsecond
+
 // wireClocks connects clock-dependent policies to the engine: EDT gets
 // the virtual clock, TDT a periodic per-queue observer.
 func wireClocks(sw *switchsim.Switch, eng *sim.Engine) *sim.Ticker {
@@ -114,7 +125,7 @@ func wireClocks(sw *switchsim.Switch, eng *sim.Engine) *sim.Ticker {
 	case *bm.EDT:
 		p.Clock = func() int64 { return int64(eng.Now()) }
 	case *bm.TDT:
-		return eng.Every(0, experiments.TDTObserverPeriod, func() {
+		return eng.Every(0, tdtObserverPeriod, func() {
 			for q := 0; q < sw.NumQueues(); q++ {
 				p.Observe(sw, q)
 			}
@@ -220,8 +231,38 @@ func buildNetwork(spec Spec) (*netsim.Network, []*sim.Ticker) {
 	return net, tickers
 }
 
+// dropUtilSampler returns the Fig 7 probe for sw — it appends the
+// switch's buffer and memory-bandwidth utilization to res at every loss
+// that is not an expulsion — or nil unless the spec selects a
+// drop_*_util_* column, so every other run installs nothing.
+func dropUtilSampler(res *Result, sw *switchsim.Switch) func(switchsim.DropReason) {
+	isDropUtil := func(m string) bool { return strings.HasPrefix(m, "drop_") }
+	if !slices.ContainsFunc(res.Spec.Metrics, isDropUtil) {
+		return nil
+	}
+	return func(reason switchsim.DropReason) {
+		if reason == switchsim.DropExpelled {
+			return
+		}
+		res.DropBufUtil = append(res.DropBufUtil, sw.BufferUtilization())
+		res.DropMemBWUtil = append(res.DropMemBWUtil, sw.MemBandwidthUtilization())
+	}
+}
+
+// sparseInterval is the default query spacing: 10× the unloaded QCT,
+// at least 4ms, so a congested query still finishes before the next
+// (the §6.2 1% query load).
+func sparseInterval(querySize int64, t Topology) sim.Duration {
+	ivl := 10 * workload.IdealFCT(querySize, t.LinkBps, oneWayBase(t))
+	if ivl < 4*sim.Millisecond {
+		ivl = 4 * sim.Millisecond
+	}
+	return ivl
+}
+
 // oneWayBase returns the base one-way latency used as the slowdown
-// denominator (matching the experiments harnesses).
+// denominator: both links of a star, or the four links and four MTU
+// serializations of a cross-spine path.
 func oneWayBase(t Topology) sim.Duration {
 	if t.Kind == LeafSpine {
 		ser := sim.Duration(float64(pkt.MTU*8) / t.LinkBps * float64(sim.Second))
@@ -294,6 +335,11 @@ func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Resu
 		Spec:        spec,
 		Workloads:   make([]WorkloadStats, len(spec.Workloads)),
 		BufferBytes: spec.Topology.BufferSize(),
+	}
+	for _, sw := range net.Switches {
+		if sample := dropUtilSampler(res, sw); sample != nil {
+			sw.DropHook = func(_ *pkt.Packet, _ int, r switchsim.DropReason) { sample(r) }
+		}
 	}
 	oneWay := oneWayBase(spec.Topology)
 	nHosts := spec.Topology.NumHosts()
@@ -414,13 +460,7 @@ func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Resu
 				}
 			}
 			if q.Interval == 0 && q.QPS == 0 {
-				// Sparse queries: leave headroom so a congested query still
-				// finishes before the next (the §6.2 1% query load).
-				unloaded := workload.IdealFCT(w.QuerySize, spec.Topology.LinkBps, oneWay)
-				q.Interval = 10 * unloaded
-				if q.Interval < 4*sim.Millisecond {
-					q.Interval = 4 * sim.Millisecond
-				}
+				q.Interval = sparseInterval(w.QuerySize, spec.Topology)
 			}
 			q.Start(spec.Warmup, horizon)
 			running[i] = startStop{
@@ -535,26 +575,30 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		Workloads:   make([]WorkloadStats, len(spec.Workloads)),
 		BufferBytes: t.BufferSize(),
 	}
-	injectors := make([]*experiments.Injector, len(spec.Workloads))
+	injectors := make([]*injector, len(spec.Workloads))
+	sample := dropUtilSampler(res, sw)
 	sw.DropHook = func(p *pkt.Packet, q int, r switchsim.DropReason) {
 		if i := int(p.FlowID) - 1; i >= 0 && i < len(res.Workloads) {
 			res.Workloads[i].Drops++
+		}
+		if sample != nil {
+			sample(r)
 		}
 		pool.Put(p)
 	}
 	horizon := spec.Warmup + spec.Duration
 	for i, w := range spec.Workloads {
 		res.Workloads[i].Kind, res.Workloads[i].Label = w.Kind, w.label(i)
-		in := &experiments.Injector{
-			Eng: eng, Sw: sw, Dst: pkt.NodeID(w.DstPort),
-			Prio: w.Priority, PktSize: w.PktSize, FlowID: uint64(i + 1), Pool: pool,
+		in := &injector{
+			eng: eng, sw: sw, dst: pkt.NodeID(w.DstPort),
+			prio: w.Priority, pktSize: w.PktSize, flowID: uint64(i + 1), pool: pool,
 		}
 		injectors[i] = in
 		switch w.Kind {
 		case WLCBR:
-			in.StartCBR(sim.Time(w.At), w.RateBps)
+			in.startCBR(sim.Time(w.At), w.RateBps)
 		case WLBurst:
-			in.Burst(sim.Time(w.At), w.Bytes, w.RateBps)
+			in.burst(sim.Time(w.At), w.Bytes, w.RateBps)
 		}
 	}
 	recs := newRecorders([]*switchsim.Switch{sw})
@@ -577,13 +621,13 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		eng.RunUntil(step)
 	}
 	for _, in := range injectors {
-		in.Stop()
+		in.stop()
 	}
 	sampler.Stop()
 	eng.Run() // drain the queues: injection has stopped, events are finite
 	for i := range injectors {
-		res.Workloads[i].SentPackets = injectors[i].Sent
-		res.Workloads[i].SentBytes = injectors[i].Bytes
+		res.Workloads[i].SentPackets = injectors[i].sent
+		res.Workloads[i].SentBytes = injectors[i].bytes
 	}
 	finishResult(res, []*switchsim.Switch{sw}, recs, eng)
 	if progress != nil {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"occamy/internal/experiments"
 	"occamy/internal/linkfault"
 	"occamy/internal/sim"
 )
@@ -9,7 +8,8 @@ import (
 // The shipped catalog.
 //
 // The first six entries port the repository's hand-wired programs — the
-// four examples/ and the Fig 6/7 harnesses — onto the declarative layer;
+// four examples/ and the Fig 6/7 figures (figures_*.go) — onto the
+// declarative layer;
 // the rest are at-scale workloads the paper's evaluation does not cover.
 // Sizes are written out as concrete numbers (specs are data): a
 // single-switch buffer defaults to 5.12KB/port/Gbps, so 8×10G ≈ 410KB
@@ -93,33 +93,32 @@ func init() {
 		Duration: 40 * sim.Millisecond,
 	}})
 
-	// --- Ported: Fig 6 harness (bespoke multi-run table) -------------
+	// --- Fig 6 (bespoke multi-run table over specs) ------------------
 	Register(Scenario{
 		Spec: Spec{
 			Name:  "fig6-anomalies",
 			Title: "DT anomalies: incast vs competing traffic (figure harness)",
 		},
-		Tables: func(scale Scale) []*experiments.Table {
+		Tables: func(scale Scale) []*Table {
 			if scale == ScaleQuick {
-				return []*experiments.Table{experiments.Fig6Anomalies(3, []float64{1.5})}
+				return Fig6Anomalies(3, []float64{1.5}).Run()
 			}
-			return []*experiments.Table{experiments.Fig6Anomalies(10, nil)}
+			return Fig6Anomalies(10, nil).Run()
 		},
 	})
 
-	// --- Ported: Fig 7 harness (bespoke multi-run table) -------------
+	// --- Fig 7 (bespoke multi-run tables over specs) -----------------
 	Register(Scenario{
 		Spec: Spec{
 			Name:  "fig7-utilization",
 			Title: "buffer & memory-bandwidth utilization on drop (figure harness)",
 		},
-		Tables: func(scale Scale) []*experiments.Table {
-			sc := experiments.QuickFabric()
+		Tables: func(scale Scale) []*Table {
+			sc := QuickFabric()
 			if scale == ScaleQuick {
 				sc.Queries = 3
 			}
-			a, b := experiments.Fig7Utilization(sc)
-			return []*experiments.Table{a, b}
+			return Fig7Utilization(sc).Run()
 		},
 	})
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"occamy/internal/experiments"
+	"occamy/internal/metrics"
 )
 
 // Metric columns
@@ -235,6 +236,16 @@ var columnFuncs = map[string]func(*Result) string{
 		return r.signedOccPct(float64(min))
 	},
 	"switches": func(r *Result) string { return fmt.Sprint(len(r.PerSwitch)) },
+	// Fig 7: utilization (percent) at the instant of each non-expulsion
+	// drop. Selecting any of these installs the on-drop sampler.
+	"drop_buf_util_p25":   func(r *Result) string { return utilQuantile(r.DropBufUtil, 0.25) },
+	"drop_buf_util_p50":   func(r *Result) string { return utilQuantile(r.DropBufUtil, 0.50) },
+	"drop_buf_util_p75":   func(r *Result) string { return utilQuantile(r.DropBufUtil, 0.75) },
+	"drop_buf_util_p99":   func(r *Result) string { return utilQuantile(r.DropBufUtil, 0.99) },
+	"drop_membw_util_p25": func(r *Result) string { return utilQuantile(r.DropMemBWUtil, 0.25) },
+	"drop_membw_util_p50": func(r *Result) string { return utilQuantile(r.DropMemBWUtil, 0.50) },
+	"drop_membw_util_p75": func(r *Result) string { return utilQuantile(r.DropMemBWUtil, 0.75) },
+	"drop_membw_util_p99": func(r *Result) string { return utilQuantile(r.DropMemBWUtil, 0.99) },
 	"link_drops": func(r *Result) string {
 		if len(r.FaultLinks) == 0 {
 			return "-"
@@ -253,6 +264,12 @@ var columnFuncs = map[string]func(*Result) string{
 		}
 		return fmt.Sprint(r.LinkFaultTotals().Reordered)
 	},
+}
+
+// utilQuantile renders quantile q of an on-drop utilization sample set
+// as a percentage (0 when nothing dropped).
+func utilQuantile(samples []float64, q float64) string {
+	return experiments.F(100 * metrics.Percentile(samples, q))
 }
 
 // MetricNames returns every selectable column, sorted.
@@ -300,6 +317,9 @@ func metricsOf(spec Spec) []string {
 	}
 	return DefaultMetrics(spec)
 }
+
+// cell renders one metric column for this result.
+func (r *Result) cell(metric string) string { return r.Row([]string{metric})[0] }
 
 // Row renders the selected metric cells for this result.
 func (r *Result) Row(metrics []string) []string {

@@ -6,14 +6,19 @@ import (
 	"testing"
 )
 
-// Golden deep-telemetry tables
+// Golden tables
 //
-// The tail-quantile and per-switch breakdowns are byte-identity anchors
-// for the telemetry layer, the same way the Fig 6/7 goldens anchor the
-// experiments harnesses: their quick-scale output for two at-scale
-// catalog entries is committed under testdata/ and diffed exactly. Any
-// change that perturbs sampling instants, quantile math, per-port
-// accounting, or cell formatting shows up here first.
+// Two families of byte-identity anchors, committed under testdata/ and
+// diffed exactly. The tail-quantile and per-switch breakdowns of a few
+// at-scale catalog entries anchor the telemetry layer: any change that
+// perturbs sampling instants, quantile math, per-port accounting, or
+// cell formatting shows up there first. The figure tables anchor the
+// spec builders and everything under them: a change that perturbs
+// simulation behavior — reordered events, a different RNG consumption
+// pattern, a new default — shows up here immediately, even if every
+// shape test still passes. The Fig 7, Fig 12 and Fig 17–23 goldens were
+// captured from the imperative runners the figure specs replaced and
+// carried over unchanged.
 //
 // Regenerate (after an *intentional* behavior change) with:
 //
@@ -100,4 +105,53 @@ func TestGoldenFlakyTorOccamy(t *testing.T) {
 func TestGoldenFlakyTorDT(t *testing.T) {
 	checkGolden(t, "flaky_tor_incast_dt_quick_golden.txt",
 		goldenFaultTables(t, "flaky-tor-incast", &Policy{Kind: "dt", Alpha: 1}))
+}
+
+// The committed small-scale Fig 6/7 configurations (also what the
+// fig6-anomalies / fig7-utilization catalog entries run at quick scale).
+func TestGoldenFig6(t *testing.T) {
+	t.Parallel()
+	checkGolden(t, "fig6_golden.txt", render(Fig6Anomalies(3, []float64{1.5}).Run()))
+}
+
+func TestGoldenFig7(t *testing.T) {
+	t.Parallel()
+	sc := QuickFabric()
+	sc.Queries = 3
+	tabs := Fig7Utilization(sc).Run()
+	checkGolden(t, "fig7a_golden.txt", render(tabs[:1]))
+	checkGolden(t, "fig7b_golden.txt", render(tabs[1:]))
+}
+
+// goldenFigures checks each single-table figure against
+// testdata/<table id>_golden.txt.
+func goldenFigures(t *testing.T, figs ...Figure) {
+	t.Helper()
+	for _, fig := range figs {
+		tabs := fig.Run()
+		checkGolden(t, tabs[0].ID+"_golden.txt", render(tabs))
+	}
+}
+
+func TestGoldenRawFigs(t *testing.T) {
+	t.Parallel()
+	goldenFigures(t, Fig3DTBehavior(), Fig12BurstAbsorption())
+}
+
+// The software-switch figures are pinned at half of quick scale (their
+// quick sweeps are 89 runs): the same specs, fewer queries and sizes.
+func TestGoldenDPDKFigs(t *testing.T) {
+	t.Parallel()
+	sc := QuickDPDK()
+	sc.Queries = 4
+	sc.SizeFracs = []float64{0.4, 1.2}
+	goldenFigures(t, Fig13SoftwareSwitch(sc), Fig14Isolation(sc), Fig15BufferChoking(sc),
+		Fig16AlphaImpact(sc), ExtrasBakeoff(sc))
+}
+
+func TestGoldenFabricFigs(t *testing.T) {
+	t.Parallel()
+	sc := QuickFabric()
+	goldenFigures(t, Fig17LargeScale(sc), Fig18AllToAll(sc), Fig19AllReduce(sc), Fig20QueryLoad(sc),
+		Fig21RoundRobinDrop(sc), Fig22HeavyLoad(sc), Fig23BufferSize(sc))
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"occamy/internal/experiments"
 )
 
 // Scenario is a registry entry: a spec plus optional scale/runner hooks.
@@ -19,11 +17,11 @@ type Scenario struct {
 	// Nil applies the generic growth (≥50 gating queries, ≥200ms
 	// horizon).
 	Paper func(Spec) Spec
-	// Tables, when set, replaces the generic builder: the ported figure
-	// harnesses keep their bespoke multi-run tables (and byte-identical
-	// output, pinned by the golden tests). Tables-backed entries cannot
-	// be swept or exported to JSON.
-	Tables func(scale Scale) []*experiments.Table
+	// Tables, when set, replaces the one-spec summary: the Fig 6/7
+	// entries keep their bespoke multi-run tables (figures_*.go, pinned
+	// by the golden tests). Tables-backed entries cannot be swept or
+	// exported to JSON.
+	Tables func(scale Scale) []*Table
 }
 
 // Name returns the registry key.
@@ -99,7 +97,7 @@ func (s Scenario) SpecAt(scale Scale) Spec {
 // RunTables executes the scenario at the given scale and renders its
 // output tables — the generic one-row summary, or the figure harness's
 // bespoke tables.
-func (s Scenario) RunTables(scale Scale) ([]*experiments.Table, error) {
+func (s Scenario) RunTables(scale Scale) ([]*Table, error) {
 	if s.Tables != nil {
 		return s.Tables(scale), nil
 	}
@@ -107,5 +105,5 @@ func (s Scenario) RunTables(scale Scale) ([]*experiments.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []*experiments.Table{r.Table()}, nil
+	return []*Table{r.Table()}, nil
 }

@@ -5,12 +5,13 @@
 // (netsim, switchsim, transport, workload).
 //
 // Before this layer every new workload was a ~150-line Go program wiring
-// those substrates by hand (each examples/ program and each
-// internal/experiments harness repeats the pattern); with it a workload
-// is a ~20-line Spec literal. Specs are also registrable: the catalog in
-// catalog.go ships the ported example/figure scenarios plus at-scale
-// workloads the paper does not cover, all runnable (and grid-sweepable
-// over any spec field) through cmd/occamy-scenario.
+// those substrates by hand; with it a workload is a ~20-line Spec
+// literal, and Run is the one place a simulation is built. Specs are
+// also registrable: the catalog in catalog.go ships the ported example
+// scenarios plus at-scale workloads the paper does not cover, all
+// runnable (and grid-sweepable over any spec field) through
+// cmd/occamy-scenario. The paper's own figures are grids of Specs too
+// (figures.go).
 package scenario
 
 import (

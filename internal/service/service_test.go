@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -683,5 +684,59 @@ func TestStatsLedgerConsistency(t *testing.T) {
 	}
 	if c.CacheHits+c.Coalesced == 0 {
 		t.Fatal("4 distinct seeds over 12 submissions produced no hits or coalesces")
+	}
+}
+
+// Figure ≡ worker: every paper figure is a grid of specs over
+// scenario.Run, so one of its points submitted as a job returns a
+// ResultDoc whose summary cells are the figure's own row — and
+// resubmitting it is a cache hit.
+func TestFigurePointsAreJobs(t *testing.T) {
+	s := newService(t, Config{Workers: 2})
+	d := scenario.QuickDPDK()
+	d.Queries, d.SizeFracs = 3, []float64{0.6}
+	f := scenario.QuickFabric()
+	f.Queries, f.SizeFracs = 2, []float64{0.4}
+	for _, c := range []struct {
+		fig scenario.Figure
+		// cols maps a figure column to the summary column holding the
+		// same cell.
+		cols map[string]string
+	}{
+		{scenario.Fig13SoftwareSwitch(d), map[string]string{
+			"avg_qct_ms": "qct_avg_ms", "p99_qct_ms": "qct_p99_ms", "bg_avg_fct_ms": "bg_avg_fct_ms"}},
+		{scenario.Fig17LargeScale(f), map[string]string{
+			"qct_avg_slow": "qct_avg_slow", "qct_p99_slow": "qct_p99_slow",
+			"bg_avg_slow": "bg_avg_slow", "small_bg_p99_slow": "small_bg_p99_slow"}},
+	} {
+		table := c.fig.Run()[0]
+		spec := c.fig.Specs[0] // one spec per row in these figures: point 0 is row 0
+		first, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := await(t, s, first.ID); st.State != JobDone {
+			t.Fatalf("%s point ended %s (%s)", table.ID, st.State, st.Error)
+		}
+		doc, err := s.ResultDoc(first.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for figCol, sumCol := range c.cols {
+			i, j := slices.Index(table.Columns, figCol), slices.Index(doc.Summary.Columns, sumCol)
+			if i < 0 || j < 0 {
+				t.Fatalf("%s: column %s/%s missing (figure %v, summary %v)", table.ID, figCol, sumCol, table.Columns, doc.Summary.Columns)
+			}
+			if got, want := doc.Summary.Rows[0][j], table.Rows[0][i]; got != want {
+				t.Errorf("%s %s: worker says %s, figure says %s", table.ID, figCol, got, want)
+			}
+		}
+		second, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !second.Cached || second.State != JobDone {
+			t.Errorf("%s point resubmission not a cache hit: %+v", table.ID, second)
+		}
 	}
 }

@@ -4,7 +4,8 @@ import "math"
 
 // Rand is a small, fast, deterministic PRNG (xoshiro256** seeded via
 // SplitMix64). Experiments construct one per run from an explicit seed so
-// that every figure in EXPERIMENTS.md is exactly reproducible. It
+// that every figure in SCENARIOS.md ("Figures are specs") is exactly
+// reproducible. It
 // deliberately mirrors the subset of math/rand we need without pulling in
 // global locked state.
 type Rand struct {

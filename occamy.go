@@ -21,7 +21,8 @@
 //	})
 //
 // See examples/ for runnable end-to-end scenarios and
-// internal/experiments for the per-figure reproduction harnesses.
+// internal/scenario (figures_*.go, driven by cmd/occamy-sim) for the
+// per-figure reproductions.
 //
 // # Declarative scenarios
 //
