@@ -9,6 +9,7 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -43,8 +44,9 @@ type cacheEntry struct {
 
 // NewCache builds a cache with the given byte budget (<= 0 selects the
 // 256 MB default). dir, when non-empty, enables disk persistence:
-// entries are written as <dir>/<fingerprint-hex>.json and reloaded lazily
-// on miss, so the budget bounds memory while disk keeps everything.
+// entries are written as <dir>/<fingerprint-hex>.json (the fingerprint
+// on a header line, the document after it) and reloaded lazily on miss,
+// so the budget bounds memory while disk keeps everything.
 func NewCache(budget int64, dir string) (*Cache, error) {
 	if budget <= 0 {
 		budget = 256 << 20
@@ -70,7 +72,7 @@ func (c *Cache) fileFor(key string) string {
 
 // Get returns the cached result bytes for the fingerprint, or nil. A
 // memory miss falls back to the persistence directory, re-admitting the
-// entry under the byte budget on success.
+// entry under the byte budget when the file was written for this key.
 func (c *Cache) Get(key string) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -80,22 +82,30 @@ func (c *Cache) Get(key string) []byte {
 		return el.Value.(*cacheEntry).data
 	}
 	if c.dir != "" {
-		if data, err := os.ReadFile(c.fileFor(key)); err == nil {
-			// Writes are atomic (temp + rename), but a foreign or damaged
-			// file must not become a served "result": validate before
-			// re-admitting, and drop anything that is not JSON.
-			if !json.Valid(data) {
-				_ = os.Remove(c.fileFor(key))
-			} else {
+		if file, err := os.ReadFile(c.fileFor(key)); err == nil {
+			// Writes are atomic (temp + rename), but a foreign, damaged or
+			// misplaced file must not become a served "result": re-admit
+			// only a JSON document filed under this key, drop anything else.
+			if data, ok := filedUnder(file, key); ok {
 				c.restored++
 				c.hits++
 				c.admit(key, data)
 				return data
 			}
+			_ = os.Remove(c.fileFor(key))
 		}
 	}
 	c.misses++
 	return nil
+}
+
+// filedUnder splits a persisted file into its header line and document,
+// and reports whether the header is key and the document valid JSON.
+// The header is what ties a file to its name whatever the document's
+// schema: run results embed their fingerprint, sweep tables do not.
+func filedUnder(file []byte, key string) ([]byte, bool) {
+	head, data, ok := bytes.Cut(file, []byte{'\n'})
+	return data, ok && string(head) == key && json.Valid(data)
 }
 
 // Put stores the result bytes under the fingerprint, evicting LRU
@@ -110,7 +120,7 @@ func (c *Cache) Put(key string, data []byte) {
 		// Temp + rename so a crash mid-write can never leave a truncated
 		// file where a restart's Get would find it.
 		tmp := c.fileFor(key) + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err == nil {
+		if err := writeFiled(tmp, key, data); err == nil {
 			_ = os.Rename(tmp, c.fileFor(key))
 		} else {
 			_ = os.Remove(tmp)
@@ -124,6 +134,23 @@ func (c *Cache) Put(key string, data []byte) {
 		return
 	}
 	c.admit(key, data)
+}
+
+// writeFiled writes the key as a header line and the document after it,
+// the layout filedUnder checks on the way back in.
+func writeFiled(path, key string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteString(key + "\n")
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // admit inserts under the budget; the caller holds the lock.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -332,6 +333,85 @@ func TestCacheEvictionAndPersistence(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "dead.json")); err == nil {
 		t.Error("corrupt persisted file not removed")
+	}
+}
+
+// A valid result document sitting under another key's file name (a
+// copied or renamed cache file) is some other spec's answer: it is a
+// miss, the file goes, and the key works normally afterwards.
+func TestCacheRejectsMisplacedDocument(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(fp string) []byte {
+		return []byte(`{"schema":1,"name":"quickstart","fingerprint":"` + fp + `","events":7}` + "\n")
+	}
+	const own, other = "sha256:0123", "sha256:4567"
+	c.Put(own, doc(own))
+	filed, err := os.ReadFile(filepath.Join(dir, "0123.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	misplaced := filepath.Join(dir, "4567.json")
+	if err := os.WriteFile(misplaced, filed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Get(other); got != nil {
+		t.Fatalf("document of %s served under %s: %q", own, other, got)
+	}
+	if _, err := os.Stat(misplaced); err == nil {
+		t.Error("misplaced file not removed")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.Restored != 0 || st.Entries != 1 {
+		t.Errorf("stats after rejecting a misplaced file: %+v", st)
+	}
+	// The right bytes under the key are stored, served, and restored by
+	// a cache that starts over the same directory.
+	c.Put(other, doc(other))
+	if got := c.Get(other); string(got) != string(doc(other)) {
+		t.Errorf("Get after Put = %q", got)
+	}
+	fresh, err := NewCache(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Get(other); string(got) != string(doc(other)) {
+		t.Errorf("restored %q, want the document that was Put", got)
+	}
+}
+
+// Persistence does not depend on the document's schema: a sweep table,
+// which embeds no fingerprint, survives a restart and memory eviction
+// like a run result does.
+func TestCachePersistsSweepTable(t *testing.T) {
+	table, err := json.Marshal(scenario.TableDoc{
+		ID: "sweep", Title: "drops by alpha", Columns: []string{"alpha", "drops"},
+		Rows: [][]string{{"1", "12"}, {"2", "7"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c, err := NewCache(int64(len(table))-1, dir) // too big for memory: disk only
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "sha256:5eeb"
+	c.Put(key, table)
+	if got := c.Get(key); string(got) != string(table) {
+		t.Errorf("over-budget table from disk = %q, want %q", got, table)
+	}
+	fresh, err := NewCache(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Get(key); string(got) != string(table) {
+		t.Errorf("table after restart = %q, want %q", got, table)
+	}
+	if st := fresh.Stats(); st.Restored != 1 {
+		t.Errorf("restored = %d, want 1", st.Restored)
 	}
 }
 

@@ -31,6 +31,54 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	e.Run()
 }
 
+// rearmHandler is the sender's pattern: every time it runs it replaces
+// its long timer (the RTO, which never gets to fire) and schedules its
+// next run.
+type rearmHandler struct {
+	e       *Engine
+	timer   Timer
+	backlog *int // peak Pending() seen by any handler
+}
+
+func nop() {}
+
+func (h *rearmHandler) OnEvent(any) {
+	h.timer.Stop()
+	h.timer = h.e.AfterTimer(Millisecond, nop)
+	h.e.AfterEvent(Microsecond, h, nil)
+	if p := h.e.Pending(); p > *h.backlog {
+		*h.backlog = p
+	}
+}
+
+// timerBacklog starts n staggered rearmHandlers on a fresh engine.
+func timerBacklog(n int) (e *Engine, peak *int) {
+	e, peak = NewEngine(), new(int)
+	for i := 0; i < n; i++ {
+		e.AtEvent(Time(i), &rearmHandler{e: e, backlog: peak}, nil)
+	}
+	return e, peak
+}
+
+// BenchmarkEngineTimerBacklog measures one handler run — a Stop, an
+// AfterTimer and an AfterEvent against a queue of 256 live events and
+// 256 live timers. Every run supersedes a timer 1000 runs of that
+// handler before its deadline, so a queue that kept canceled timers
+// until they expire would carry ~256 000 of them; peak-pending reports
+// what this one carries.
+func BenchmarkEngineTimerBacklog(b *testing.B) {
+	const handlers = 256
+	e, peak := timerBacklog(handlers)
+	e.RunFor(2 * Millisecond) // reach steady state, grow the slices
+	start := e.Processed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for e.Processed()-start < uint64(b.N) {
+		e.RunFor(Microsecond)
+	}
+	b.ReportMetric(float64(*peak), "peak-pending")
+}
+
 type benchHandler struct{ n int }
 
 func (h *benchHandler) OnEvent(any) { h.n++ }

@@ -8,31 +8,42 @@
 //
 // # Engine architecture
 //
-// The event queue is a hand-rolled 4-ary min-heap stored in a flat
-// []event slice of value-type events — no per-event heap allocation and
-// no container/heap interface boxing. A 4-ary layout halves the tree
-// depth of a binary heap, turning pop's cache-missing parent-child
-// pointer chases into mostly-linear scans of four adjacent siblings;
-// push stays O(log4 n). Ordering is (timestamp, seq): seq is a
-// monotonically increasing scheduling counter, so same-timestamp events
-// fire in FIFO scheduling order.
+// The event queue is a hand-rolled 4-ary min-heap that holds live events
+// only and moves no pointers while sifting. An event is split in two:
+//
+//   - Its key — timestamp, seq, payload index, timer slot — is a 24-byte
+//     pointer-free value in the flat heap slice. Sifting copies keys and
+//     nothing else, so there are no write barriers on the hot path and
+//     four siblings span a cache line and a half. Ordering is (timestamp,
+//     seq): seq is a monotonically increasing scheduling counter, bumped
+//     exactly once per schedule call, so same-timestamp events fire in
+//     FIFO scheduling order. A 4-ary layout halves the tree depth of a
+//     binary heap; push stays O(log4 n).
+//   - Its payload — the func() or the Handler plus arg — sits in a slab
+//     cell that never moves while the event is pending. Cells are recycled
+//     through a freelist, so a warmed engine schedules with no allocation.
 //
 // Events come in two flavors:
 //
-//   - Closure events (At/After/AfterTimer/Every): the event carries a
+//   - Closure events (At/After/AfterTimer/Every): the payload is a
 //     func(). Convenient, but each distinct capture allocates a closure
 //     at the call site.
-//   - Typed events (AtEvent/AfterEvent): the event carries a Handler
+//   - Typed events (AtEvent/AfterEvent): the payload is a Handler
 //     interface plus an opaque arg. Hot paths (switch ports, host NICs)
 //     implement Handler once and schedule with zero allocations —
 //     storing a pointer in an `any` does not allocate.
 //
-// Timer cancellation uses generation counters instead of a *bool per
-// timer: the engine keeps a freelist of timer slots, each with a
-// generation that is bumped when the slot's event is consumed. A Timer
-// handle is a value (slot index + generation); Stop is valid only while
-// the generations match, so handles held after firing or slot reuse
-// harmlessly report false. Arming a timer performs no heap allocation.
+// Cancellation is eager. Each armed timer owns a recycled timer slot that
+// records where its key currently sits in the heap (sifting keeps that
+// position up to date), and Timer.Stop removes the key right there in
+// O(log4 live), frees the payload cell and retires the slot. A sender
+// that re-arms its RTO on every ACK therefore keeps one entry in the
+// queue, not one per ACK waiting out its deadline, and Pending counts
+// exactly the events that will still fire. A Timer handle is a value
+// (slot index + generation); retiring a slot — on firing or on Stop —
+// bumps its generation, so handles held after firing, after Stop or
+// across slot reuse harmlessly report false. Arming a timer performs no
+// heap allocation.
 package sim
 
 import (
@@ -115,33 +126,42 @@ type Handler interface {
 	OnEvent(arg any)
 }
 
-// event is a scheduled callback, stored by value in the heap slice. seq
-// breaks ties so that events at the same timestamp run in FIFO
-// scheduling order. Exactly one of fn/h is set. slot is the 1-based
-// timer-slot index for cancelable events, 0 otherwise.
-type event struct {
+// key is one heap entry: the ordering fields of a scheduled event plus
+// the indices of its other parts. It holds no pointers, so sifting is
+// plain 24-byte copies. seq breaks ties so that events at the same
+// timestamp run in FIFO scheduling order. slot is the 1-based timer-slot
+// index for cancelable events, 0 otherwise.
+type key struct {
 	at   Time
 	seq  uint64
-	fn   func()
-	h    Handler
-	arg  any
+	cell int32
 	slot int32
 }
 
-// evLess orders events by (timestamp, scheduling order).
-func evLess(a, b *event) bool {
+// less orders keys by (timestamp, scheduling order).
+func (a key) less(b key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// timerSlot is the engine-side state of one cancelable timer. Slots are
-// recycled through a freelist once their event is consumed; gen
-// invalidates stale Timer handles across reuses.
+// payload is what a pending event runs. Exactly one of fn/h is set. It
+// stays in its slab cell from scheduling until the event fires or is
+// canceled.
+type payload struct {
+	fn  func()
+	h   Handler
+	arg any
+}
+
+// timerSlot is the engine-side state of one armed timer: pos is the
+// heap index of its key. Slots are recycled through a freelist once the
+// timer fires or is stopped; gen invalidates stale Timer handles across
+// reuses.
 type timerSlot struct {
-	gen      uint64
-	canceled bool
+	gen uint64
+	pos int32
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
@@ -151,9 +171,12 @@ type timerSlot struct {
 type Engine struct {
 	now       Time
 	seq       uint64
-	events    []event // 4-ary min-heap
+	heap      []key // 4-ary min-heap of live events
 	processed uint64
 	stopped   bool
+
+	cells     []payload // payload slab, indexed by key.cell
+	freeCells []int32
 
 	slots     []timerSlot
 	freeSlots []int32
@@ -167,106 +190,172 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of scheduled events that have not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of live scheduled events: those that have
+// neither fired nor been canceled.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // --- 4-ary heap ------------------------------------------------------------
 
-// push appends ev and restores the heap property by sifting up.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	s := e.events
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !evLess(&ev, &s[p]) {
-			break
-		}
-		s[i] = s[p]
-		i = p
+// place stores k at heap index i and, for a timer, records the position
+// in its slot.
+func (e *Engine) place(i int, k key) {
+	e.heap[i] = k
+	if k.slot != 0 {
+		e.slots[k.slot-1].pos = int32(i)
 	}
-	s[i] = ev
 }
 
-// pop removes and returns the earliest event.
-func (e *Engine) pop() event {
-	s := e.events
-	root := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = event{} // release fn/h/arg references
-	e.events = s[:n]
-	if n > 0 {
-		// Sift last down from the root: at each level pick the smallest
-		// of up to four adjacent children.
-		s = e.events
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for k := c + 1; k < end; k++ {
-				if evLess(&s[k], &s[m]) {
-					m = k
-				}
-			}
-			if !evLess(&s[m], &last) {
-				break
-			}
-			s[i] = s[m]
-			i = m
+// siftUp seats k at or above the hole at index i.
+func (e *Engine) siftUp(i int, k key) {
+	for i > 0 {
+		p := (i - 1) >> 2
+		pk := e.heap[p]
+		if !k.less(pk) {
+			break
 		}
-		s[i] = last
+		e.place(i, pk)
+		i = p
 	}
+	e.place(i, k)
+}
+
+// siftDown seats k at or below the hole at index i: at each level the
+// smallest of up to four adjacent children moves up.
+func (e *Engine) siftDown(i int, k key) {
+	h := e.heap
+	n := len(h)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(k) {
+			break
+		}
+		e.place(i, h[m])
+		i = m
+	}
+	e.place(i, k)
+}
+
+// push adds k to the heap.
+func (e *Engine) push(k key) {
+	e.heap = append(e.heap, k)
+	e.siftUp(len(e.heap)-1, k)
+}
+
+// pop removes and returns the earliest key.
+func (e *Engine) pop() key {
+	root := e.heap[0]
+	e.remove(0)
 	return root
+}
+
+// remove deletes the key at heap index i by re-seating the last key in
+// its place.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.less(e.heap[(i-1)>>2]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
+	}
 }
 
 // --- Scheduling ------------------------------------------------------------
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past panics: that is always a simulation bug, not a recoverable state.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+// schedule queues p at time at under the next seq. slot is the 1-based
+// timer slot, 0 for a plain event. Scheduling in the past panics: that is
+// always a simulation bug, not a recoverable state — and it is where a
+// now+d that overflowed lands, from whichever entry point it came.
+func (e *Engine) schedule(at Time, p payload, slot int32) {
+	if at < e.now {
+		panicPast(at, e.now)
+	}
+	var c int32
+	if n := len(e.freeCells); n > 0 {
+		c = e.freeCells[n-1]
+		e.freeCells = e.freeCells[:n-1]
+		e.cells[c] = p
+	} else {
+		e.cells = append(e.cells, p)
+		c = int32(len(e.cells) - 1)
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(key{at: at, seq: e.seq, cell: c, slot: slot})
+}
+
+// release empties payload cell c (dropping its fn/h/arg references) and
+// recycles it.
+func (e *Engine) release(c int32) {
+	e.cells[c] = payload{}
+	e.freeCells = append(e.freeCells, c)
+}
+
+// retire invalidates every handle to timer slot si and recycles it.
+func (e *Engine) retire(si int32) {
+	e.slots[si].gen++
+	e.freeSlots = append(e.freeSlots, si)
+}
+
+// The panics live out of line, so the scheduling functions stay free of
+// fmt's escaping arguments and budget 0 in internal/lint/escapes.txt.
+
+//go:noinline
+func panicPast(t, now Time) {
+	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, now))
+}
+
+//go:noinline
+func panicNegative(d Duration) {
+	panic(fmt.Sprintf("sim: negative delay %d", int64(d)))
+}
+
+// At schedules fn to run at absolute virtual time t. Scheduling in the
+// past panics.
+func (e *Engine) At(t Time, fn func()) {
+	e.schedule(t, payload{fn: fn}, 0)
 }
 
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", int64(d)))
+		panicNegative(d)
 	}
-	e.At(e.now+d, fn)
+	e.schedule(e.now+d, payload{fn: fn}, 0)
 }
 
 // AtEvent schedules a typed event: h.OnEvent(arg) runs at absolute time
 // t. Unlike At, no closure is involved — callers that implement Handler
 // schedule without any allocation.
 func (e *Engine) AtEvent(t Time, h Handler, arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h, arg: arg})
+	e.schedule(t, payload{h: h, arg: arg}, 0)
 }
 
 // AfterEvent schedules h.OnEvent(arg) d nanoseconds from now.
 func (e *Engine) AfterEvent(d Duration, h Handler, arg any) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", int64(d)))
+		panicNegative(d)
 	}
-	e.AtEvent(e.now+d, h, arg)
+	e.schedule(e.now+d, payload{h: h, arg: arg}, 0)
 }
 
 // Timer is a cancelable scheduled event. It is a small value: copy it
@@ -278,18 +367,22 @@ type Timer struct {
 	at   Time
 }
 
-// Stop cancels the timer. It is safe to call Stop multiple times and
-// after the timer has fired (in which case it has no effect). It reports
-// whether the call prevented the timer from firing.
+// Stop cancels the timer: its event leaves the queue at once. It is safe
+// to call Stop multiple times and after the timer has fired (in which
+// case it has no effect). It reports whether the call prevented the
+// timer from firing.
 func (t Timer) Stop() bool {
-	if t.e == nil {
+	e := t.e
+	if e == nil {
 		return false
 	}
-	sl := &t.e.slots[t.slot]
-	if sl.gen != t.gen || sl.canceled {
-		return false // fired, or slot reused by a newer timer
+	sl := e.slots[t.slot]
+	if sl.gen != t.gen {
+		return false // fired, stopped, or slot reused by a newer timer
 	}
-	sl.canceled = true
+	e.release(e.heap[sl.pos].cell)
+	e.remove(int(sl.pos))
+	e.retire(t.slot)
 	return true
 }
 
@@ -301,7 +394,7 @@ func (t Timer) Deadline() Time { return t.at }
 // engine slot and the handle is returned by value.
 func (e *Engine) AfterTimer(d Duration, fn func()) Timer {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", int64(d)))
+		panicNegative(d)
 	}
 	var si int32
 	if n := len(e.freeSlots); n > 0 {
@@ -311,13 +404,9 @@ func (e *Engine) AfterTimer(d Duration, fn func()) Timer {
 		e.slots = append(e.slots, timerSlot{})
 		si = int32(len(e.slots) - 1)
 	}
-	sl := &e.slots[si]
-	sl.gen++
-	sl.canceled = false
 	at := e.now + d
-	e.seq++
-	e.push(event{at: at, seq: e.seq, fn: fn, slot: si + 1})
-	return Timer{e: e, slot: si, gen: sl.gen, at: at}
+	e.schedule(at, payload{fn: fn}, si+1)
+	return Timer{e: e, slot: si, gen: e.slots[si].gen, at: at}
 }
 
 // Stop halts Run/RunUntil after the currently executing event returns.
@@ -326,37 +415,34 @@ func (e *Engine) Stop() { e.stopped = true }
 // step executes the earliest pending event. It reports false when the
 // queue is empty or the engine was stopped.
 func (e *Engine) step(limit Time) bool {
-	if e.stopped || len(e.events) == 0 {
+	if e.stopped || len(e.heap) == 0 {
 		return false
 	}
-	if e.events[0].at > limit {
+	if e.heap[0].at > limit {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	if ev.slot > 0 {
-		sl := &e.slots[ev.slot-1]
-		canceled := sl.canceled
-		// Consuming the event retires the slot: bump the generation so a
-		// later Stop (including from inside the callback) reports false,
-		// then recycle the slot.
-		sl.gen++
-		sl.canceled = false
-		e.freeSlots = append(e.freeSlots, ev.slot-1)
-		if canceled {
-			return true // canceled timer: consume silently
-		}
+	k := e.pop()
+	e.now = k.at
+	p := e.cells[k.cell]
+	e.release(k.cell)
+	if k.slot != 0 {
+		// Retire before the callback runs, so a Stop from inside it
+		// reports false.
+		e.retire(k.slot - 1)
 	}
 	e.processed++
-	if ev.h != nil {
-		ev.h.OnEvent(ev.arg)
+	if p.h != nil {
+		p.h.OnEvent(p.arg)
 	} else {
-		ev.fn()
+		p.fn()
 	}
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains or Stop is called. The
+// clock moves only when an event fires: after a drain, Now is the time of
+// the last event that ran, not the deadline of a timer that was stopped
+// later than that.
 func (e *Engine) Run() {
 	for e.step(MaxTime) {
 	}

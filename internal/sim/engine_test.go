@@ -71,6 +71,31 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.Run()
 }
 
+// A delay that overflows now+d lands before now; every relative entry
+// point must refuse it like an absolute time in the past, or the key would
+// sit at the heap root and run the clock backwards.
+func TestEngineOverflowingDelayPanics(t *testing.T) {
+	for name, arm := range map[string]func(*Engine){
+		"After":      func(e *Engine) { e.After(MaxTime, func() {}) },
+		"AfterEvent": func(e *Engine) { e.AfterEvent(MaxTime, nopHandler{}, nil) },
+		"AfterTimer": func(e *Engine) { e.AfterTimer(MaxTime, func() {}) },
+	} {
+		e := NewEngine()
+		e.RunUntil(10)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with an overflowing delay did not panic", name)
+				}
+			}()
+			arm(e)
+		}()
+		if e.Pending() != 0 {
+			t.Errorf("%s: Pending = %d after the panic, want 0", name, e.Pending())
+		}
+	}
+}
+
 func TestRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	fired := false
@@ -104,12 +129,30 @@ func TestTimerStop(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("first Stop returned false")
 	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Stop, want 0: a stopped timer leaves the queue at once", e.Pending())
+	}
 	if tm.Stop() {
 		t.Fatal("second Stop returned true")
 	}
 	e.Run()
 	if fired {
 		t.Fatal("canceled timer fired")
+	}
+	if e.Now() != 0 {
+		t.Fatalf("Now = %v after draining a queue of canceled timers, want 0", e.Now())
+	}
+}
+
+// Superseded timers must not pile up until their deadlines: with every
+// handler re-arming a 1 ms timer each microsecond, the queue holds one
+// event and one timer per handler, however long it runs.
+func TestTimerBacklogStaysLive(t *testing.T) {
+	const handlers = 256
+	e, peak := timerBacklog(handlers)
+	e.RunFor(2 * Millisecond) // past the first deadlines
+	if *peak > 2*handlers {
+		t.Fatalf("peak Pending = %d with %d live handlers and %d live timers", *peak, handlers, handlers)
 	}
 }
 

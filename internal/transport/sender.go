@@ -186,8 +186,7 @@ func (s *Sender) OnPacket(p *pkt.Packet) {
 			s.complete(now)
 			return
 		}
-		s.armTimer()
-		s.trySend()
+		s.trySend() // re-arms the RTO on its way out
 	case p.AckNo == s.sndUna && s.sndNxt > s.sndUna:
 		// With nothing outstanding there is nothing a fast retransmit
 		// could repair; a same-AckNo arrival then is a stale or
