@@ -474,8 +474,8 @@ func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Resu
 
 	// Occupancy recording across all switches: one aligned sampler
 	// drives every recorder, so fabric traces share timestamps.
-	recs := newRecorders(net.Switches)
 	res.SampleEvery = samplePeriod(horizon)
+	recs := newRecorders(net.Switches, horizon, res.SampleEvery)
 	sampler := net.Eng.Every(0, res.SampleEvery, func() {
 		now := net.Eng.Now()
 		for _, rec := range recs {
@@ -601,8 +601,8 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 			in.burst(sim.Time(w.At), w.Bytes, w.RateBps)
 		}
 	}
-	recs := newRecorders([]*switchsim.Switch{sw})
 	res.SampleEvery = samplePeriod(horizon)
+	recs := newRecorders([]*switchsim.Switch{sw}, horizon, res.SampleEvery)
 	sampler := eng.Every(0, res.SampleEvery, func() {
 		recs[0].Sample(eng.Now())
 	})
@@ -649,11 +649,22 @@ func samplePeriod(horizon sim.Duration) sim.Duration {
 	return p
 }
 
-// newRecorders attaches one occupancy recorder per switch.
-func newRecorders(switches []*switchsim.Switch) []*switchsim.Recorder {
+// maxReservedSamples bounds the up-front reservation of a recorder. A
+// spec's Duration is not bounded above and a canceled run must not have
+// paid for its whole horizon first, so the reservation is a hint: every
+// catalog run takes ~1001 samples, and a longer one grows by append.
+const maxReservedSamples = 4096
+
+// newRecorders attaches one occupancy recorder per switch, reserved for
+// the samples a sampler of period every takes over [0, horizon], up to
+// maxReservedSamples. Samples past the reservation — a long horizon, or
+// a gated transport run's straggler deadline — grow the series by append.
+func newRecorders(switches []*switchsim.Switch, horizon, every sim.Duration) []*switchsim.Recorder {
+	n := min(horizon/every+1, maxReservedSamples)
 	recs := make([]*switchsim.Recorder, len(switches))
 	for i, sw := range switches {
 		recs[i] = switchsim.NewRecorder(sw)
+		recs[i].Reserve(int(n))
 	}
 	return recs
 }

@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -32,10 +34,8 @@ func ParseSpec(data []byte) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
-	// Trailing garbage after the spec object is a malformed file, not an
-	// extra document.
-	if dec.More() {
-		return Spec{}, fmt.Errorf("scenario: trailing data after spec object")
+	if err := expectEOF(dec); err != nil {
+		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
 	if s.Name == "" {
 		return Spec{}, fmt.Errorf("scenario: spec has no name")
@@ -47,6 +47,17 @@ func ParseSpec(data []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	return s, nil
+}
+
+// expectEOF fails unless dec has consumed its whole input, whitespace
+// aside: anything after the one JSON value is a malformed file, not an
+// extra document. dec.More cannot make this check — it reports false on
+// a stray closing brace or bracket.
+func expectEOF(dec *json.Decoder) error {
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // LoadSpec reads and validates a JSON spec file.

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"testing"
+
+	"occamy/internal/sim"
 )
 
 // TestRunWithProgressSamples pins the progress-hook contract: samples
@@ -90,5 +92,23 @@ func TestRunWithProgressCancel(t *testing.T) {
 	})
 	if err != ErrCanceled {
 		t.Fatalf("canceled run returned %v, want ErrCanceled", err)
+	}
+}
+
+// TestHugeHorizonCancels pins that a run's up-front cost does not scale
+// with its Duration, which Validate does not bound: a 100-hour spec
+// canceled at the first chunk boundary returns ErrCanceled instead of
+// reserving a recording for the whole horizon first.
+func TestHugeHorizonCancels(t *testing.T) {
+	for _, name := range []string{"quickstart", "leafspine-demo"} {
+		sc, ok := Get(name)
+		if !ok {
+			t.Fatalf("%s scenario missing from registry", name)
+		}
+		spec := sc.SpecAt(ScaleQuick)
+		spec.Duration = 100 * 3600 * sim.Second
+		if _, err := RunWithCancel(spec, func() bool { return true }); err != ErrCanceled {
+			t.Errorf("%s: canceled 100h run returned %v, want ErrCanceled", name, err)
+		}
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"sync"
 
 	"occamy/internal/experiments"
 	"occamy/internal/metrics"
@@ -25,6 +28,15 @@ import (
 // struct definitions, durations use the exact-round-trip string form of
 // sim.Duration, and encoding/json is deterministic, so the same Result
 // always marshals to the same bytes (the cache-identity tests pin it).
+//
+// The encoder is split. encoding/json writes every field but the last,
+// the trace — ~1000 samples of every queue, nine tenths of a document —
+// which traceWriter appends with strconv, spliced in before the closing
+// brace. The contract is byte compatibility: Encode() equals
+// json.Marshal(doc) plus "\n" for every document, and fails exactly when
+// it fails. There is no switch and no fallback to the reflective path;
+// json.Marshal(doc) survives as the oracle of the catalog differential
+// and FuzzTraceEncode.
 
 // Version identifies the result-affecting revision of the simulation
 // code. It is folded into every spec fingerprint, so a persisted result
@@ -77,7 +89,17 @@ func (d *TableDoc) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: marshaling table %q: %w", d.ID, err)
 	}
-	return append(data, '\n'), nil
+	return sealLine(data), nil
+}
+
+// sealLine returns data plus the canonical trailing newline with
+// cap == len: result bytes are retained by service.Cache and the job
+// ledger, so spare capacity is memory held as long as the entry lives.
+func sealLine(data []byte) []byte {
+	out := make([]byte, len(data)+1)
+	copy(out, data)
+	out[len(data)] = '\n'
+	return out
 }
 
 // TailRowDoc is one tail-table line: a labeled sample population with
@@ -338,13 +360,155 @@ func (r *Result) EncodeJSON(withTrace bool) ([]byte, error) {
 	return doc.Encode()
 }
 
-// Encode marshals the document compactly with a trailing newline.
+// Encode marshals the document compactly with a trailing newline, in a
+// slice of exactly that length (see sealLine).
 func (d *ResultDoc) Encode() ([]byte, error) {
-	data, err := json.Marshal(d)
+	head := *d
+	head.Trace = nil
+	data, err := json.Marshal(&head)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: marshaling result %q: %w", d.Name, err)
 	}
-	return append(data, '\n'), nil
+	if d.Trace == nil {
+		return sealLine(data), nil
+	}
+	scratch := encodeScratch.Get().(*[]byte)
+	w := traceWriter{b: *scratch}
+	// Runs after sealLine has copied the result out.
+	defer func() { *scratch = w.b; encodeScratch.Put(scratch) }()
+	if need := len(data) + d.Trace.sizeHint(); cap(w.b) < need {
+		w.b = make([]byte, 0, need)
+	}
+	w.b = append(w.b[:0], data[:len(data)-1]...) // the closing brace moves behind the trace
+	w.raw(`,"trace":`)
+	w.trace(d.Trace)
+	w.raw("}")
+	if w.err != nil {
+		return nil, fmt.Errorf("scenario: marshaling result %q: %w", d.Name, w.err)
+	}
+	return sealLine(w.b), nil
+}
+
+// encodeScratch recycles the buffer a traced document is assembled in.
+// The garbage collector empties the pool between long jobs, so a fresh
+// buffer is sized by sizeHint, not grown by doubling.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// sizeHint estimates the trace section's encoded size at six bytes a
+// value (the catalog averages ~4.5); an underestimate costs one grow.
+func (t *TraceDoc) sizeHint() int {
+	values := 0
+	for i := range t.Switches {
+		values += len(t.Switches[i].Values)
+	}
+	for i := range t.Queues {
+		values += len(t.Queues[i].Occupancy) + len(t.Queues[i].Threshold) + len(t.Queues[i].ECN)
+	}
+	return 14*len(t.Times) + 6*values + 96*(1+len(t.Switches)+len(t.Queues))
+}
+
+// traceWriter appends exactly the bytes encoding/json produces for a
+// TraceDoc, field for field as the struct tags spell them. err is the
+// first value JSON cannot represent.
+type traceWriter struct {
+	b   []byte
+	err error
+}
+
+func (w *traceWriter) raw(s string) { w.b = append(w.b, s...) }
+
+func (w *traceWriter) trace(t *TraceDoc) {
+	w.raw(`{"sample_every":`)
+	w.b = t.SampleEvery.AppendJSON(w.b)
+	w.list(`,"times":`, t.Times == nil, len(t.Times), func(i int) { w.b = t.Times[i].AppendJSON(w.b) })
+	w.list(`,"switches":`, t.Switches == nil, len(t.Switches), func(i int) {
+		w.raw(`{"name":`)
+		w.str(t.Switches[i].Name)
+		w.floats(`,"values":`, t.Switches[i].Values)
+		w.raw("}")
+	})
+	w.list(`,"queues":`, t.Queues == nil, len(t.Queues), func(i int) {
+		q := &t.Queues[i]
+		w.raw(`{"name":`)
+		w.str(q.Name)
+		w.floats(`,"occupancy":`, q.Occupancy)
+		w.floats(`,"threshold":`, q.Threshold)
+		if len(q.ECN) > 0 {
+			w.floats(`,"ecn":`, q.ECN)
+		}
+		w.raw("}")
+	})
+	w.raw("}")
+}
+
+// list appends key and an n-element array whose i-th element elem(i)
+// appends, or null for a nil slice.
+func (w *traceWriter) list(key string, isNil bool, n int, elem func(i int)) {
+	w.raw(key)
+	if isNil {
+		w.raw("null")
+		return
+	}
+	w.raw("[")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			w.raw(",")
+		}
+		elem(i)
+	}
+	w.raw("]")
+}
+
+// str appends s as encoding/json writes a string: printable ASCII free
+// of the characters json escapes is copied between quotes, anything
+// else goes through json.Marshal.
+func (w *traceWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			q, _ := json.Marshal(s)
+			w.b = append(w.b, q...)
+			return
+		}
+	}
+	w.raw(`"`)
+	w.raw(s)
+	w.raw(`"`)
+}
+
+// floats appends key and vs as encoding/json writes a []float64.
+func (w *traceWriter) floats(key string, vs []float64) {
+	w.raw(key)
+	if vs == nil {
+		w.raw("null")
+		return
+	}
+	b := append(w.b, '[')
+	for i, f := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		// A byte or mark count: an integer-valued float below 2^53 prints
+		// in 'f' form as exactly its decimal digits. -0 is "-0".
+		if v := int64(f); f > -1<<53 && f < 1<<53 && float64(v) == f && (v != 0 || !math.Signbit(f)) {
+			b = strconv.AppendInt(b, v, 10)
+			continue
+		}
+		// encoding/json's floatEncoder: ES6 number formatting.
+		if (math.IsNaN(f) || math.IsInf(f, 0)) && w.err == nil {
+			w.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		}
+		format := byte('f')
+		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(b, f, format, -1, 64)
+		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+			b[n-2] = b[n-1] // e-09 is written e-9
+			b = b[:n-1]
+		}
+	}
+	w.b = append(b, ']')
 }
 
 // DecodeResultDoc parses a result document, rejecting unknown fields
@@ -354,6 +518,9 @@ func DecodeResultDoc(data []byte) (*ResultDoc, error) {
 	dec.DisallowUnknownFields()
 	var d ResultDoc
 	if err := dec.Decode(&d); err != nil {
+		return nil, fmt.Errorf("scenario: parsing result document: %w", err)
+	}
+	if err := expectEOF(dec); err != nil {
 		return nil, fmt.Errorf("scenario: parsing result document: %w", err)
 	}
 	if d.Schema != ResultSchemaVersion {

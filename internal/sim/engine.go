@@ -92,11 +92,24 @@ func (t Time) String() string {
 	}
 }
 
+// AppendJSON appends the value's wire form — Go duration syntax in JSON
+// quotes ("150µs", "2ms") — to b. It is the one definition of that form:
+// MarshalJSON returns it and the trace encoder of internal/scenario
+// appends it once per sample. time.Duration.String emits only digits,
+// '.', '-' and unit letters, so nothing needs escaping, and its inlined
+// result is appended without an intermediate heap string.
+func (t Time) AppendJSON(b []byte) []byte {
+	b = append(b, '"')
+	b = append(b, time.Duration(t).String()...)
+	return append(b, '"')
+}
+
 // MarshalJSON renders the value in Go duration syntax ("150µs", "2ms"),
 // so serialized scenario specs stay human-editable. Nanosecond-exact
 // round trip: time.Duration.String always parses back to the same count.
 func (t Time) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(t).String())
+	// 32 bytes hold the longest form, "-2562047h47m16.854775808s" quoted.
+	return t.AppendJSON(make([]byte, 0, 32)), nil
 }
 
 // UnmarshalJSON accepts Go duration syntax ("2ms") or a bare integer

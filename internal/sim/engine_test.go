@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -353,5 +356,46 @@ func TestEngineProcessesAllEvents(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// AppendJSON is the one definition of the duration wire form: it must
+// equal what MarshalJSON used to produce, json.Marshal of the
+// time.Duration string, at every unit boundary and at the extremes, and
+// MarshalJSON must return exactly it in one allocation.
+func TestTimeAppendJSON(t *testing.T) {
+	for _, v := range []Time{
+		0, 1, -1, 999, 1000, 1001, -1000,
+		Millisecond - 1, Millisecond, Millisecond + 1, 1500 * Microsecond,
+		Second - 1, Second, Second + 1, 90 * Second, 3600 * Second,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+	} {
+		want, err := json.Marshal(time.Duration(v).String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.AppendJSON(nil); string(got) != string(want) {
+			t.Errorf("Time(%d).AppendJSON = %s, want %s", int64(v), got, want)
+		}
+		if got := v.AppendJSON([]byte("x:")); string(got) != "x:"+string(want) {
+			t.Errorf("Time(%d).AppendJSON did not append: %s", int64(v), got)
+		}
+		got, err := v.MarshalJSON()
+		if err != nil || string(got) != string(want) {
+			t.Errorf("Time(%d).MarshalJSON = %s, %v; want %s", int64(v), got, err, want)
+		}
+		var back Time
+		if err := json.Unmarshal(got, &back); err != nil || back != v {
+			t.Errorf("Time(%d) round trip = %d, %v", int64(v), int64(back), err)
+		}
+	}
+	v := 1500 * Microsecond
+	var kept []byte // the result must escape, as it does into encoding/json
+	if n := testing.AllocsPerRun(100, func() { kept, _ = v.MarshalJSON() }); n != 1 || len(kept) == 0 {
+		t.Errorf("MarshalJSON allocates %v times, want 1", n)
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = v.AppendJSON(buf[:0]) }); n != 0 {
+		t.Errorf("AppendJSON into a sized buffer allocates %v times, want 0", n)
 	}
 }

@@ -47,7 +47,8 @@ type Recorder struct {
 	n           int
 }
 
-// NewRecorder attaches a recorder to a switch.
+// NewRecorder attaches a recorder to a switch. Its series grow by
+// append; a caller that knows the sample count calls Reserve first.
 func NewRecorder(sw *Switch) *Recorder {
 	r := &Recorder{
 		sw:              sw,
@@ -65,6 +66,32 @@ func NewRecorder(sw *Switch) *Recorder {
 		r.minHeadroom[q] = math.MaxInt
 	}
 	return r
+}
+
+// Reserve sizes a recorder that has not sampled yet for n samples: every
+// series is carved out of one slab (and Times out of one array), so a
+// run whose sample count is known up front — horizon / period + 1 for a
+// fixed-period sampler — records without growing a slice. Each series is
+// a three-index slice capped at its own n slots: sampling past the
+// reservation reallocates that series by append and never writes into
+// its neighbour, so n is a hint and may be less than the run takes.
+func (r *Recorder) Reserve(n int) {
+	r.Times = make([]sim.Time, 0, n)
+	slab := make([]float64, n*(1+len(r.PortSeries)+3*len(r.QueueSeries)))
+	carve := func() []float64 {
+		s := slab[0:0:n]
+		slab = slab[n:]
+		return s
+	}
+	r.Series = carve()
+	for i := range r.PortSeries {
+		r.PortSeries[i] = carve()
+	}
+	for q := range r.QueueSeries {
+		r.QueueSeries[q] = carve()
+		r.ThresholdSeries[q] = carve()
+		r.ECNSeries[q] = carve()
+	}
 }
 
 // Switch returns the recorded switch.

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"reflect"
 	"testing"
 
 	"occamy/internal/bm"
@@ -236,5 +237,138 @@ func TestRecorderQueueSeries(t *testing.T) {
 	}
 	if !sawBacklog {
 		t.Error("no queue ever buffered; the scenario is too gentle to test per-queue sampling")
+	}
+}
+
+// driveRecorders samples every recorder at the same instants of one
+// switch under a seeded load with drops and ECN marks, and returns the
+// number of samples taken.
+func driveRecorders(t *testing.T, recs ...*Recorder) int {
+	t.Helper()
+	sw := recs[0].Switch()
+	eng := sw.eng
+	tick := eng.Every(0, 5*sim.Microsecond, func() {
+		for _, rec := range recs {
+			rec.Sample(eng.Now())
+		}
+	})
+	rng := sim.NewRand(7)
+	for i := 0; i < 300; i++ {
+		sw.Receive(mkpkt(pkt.NodeID(rng.Intn(sw.NumPorts())), 500+rng.Intn(1000), rng.Intn(2)))
+		if i%13 == 0 {
+			eng.RunFor(12 * sim.Microsecond)
+		}
+	}
+	eng.RunFor(sim.Millisecond)
+	tick.Stop()
+	if recs[0].Peak() == 0 || sw.Stats().ECNMarked == 0 {
+		t.Fatal("scenario too gentle: nothing buffered or nothing marked")
+	}
+	return recs[0].Samples()
+}
+
+func recorderTestSwitch(t *testing.T) *Switch {
+	sw, _ := testSwitch(t, sim.NewEngine(), Config{
+		Ports: 3, ClassesPerPort: 2, BufferBytes: 30_000,
+		ECNThresholdBytes: 2_000, Policy: bm.NewDT(1), Scheduler: SchedDRR,
+	}, 1e9)
+	return sw
+}
+
+// everySeries lists a recorder's float series in a fixed order.
+func everySeries(r *Recorder) [][]float64 {
+	all := [][]float64{r.Series}
+	all = append(all, r.PortSeries...)
+	all = append(all, r.QueueSeries...)
+	all = append(all, r.ThresholdSeries...)
+	return append(all, r.ECNSeries...)
+}
+
+// requireSameRecording fails unless two recorders of one switch hold
+// the same times, series and aggregates.
+func requireSameRecording(t *testing.T, what string, got, want *Recorder) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Times, want.Times) || !reflect.DeepEqual(everySeries(got), everySeries(want)) {
+		t.Fatalf("%s: times or series differ from the unreserved recorder's", what)
+	}
+	sw := want.Switch()
+	if got.Samples() != want.Samples() || got.Peak() != want.Peak() || got.Mean() != want.Mean() {
+		t.Errorf("%s: switch aggregates differ", what)
+	}
+	for p := 0; p < sw.NumPorts(); p++ {
+		if got.PortPeak(p) != want.PortPeak(p) || got.PortMean(p) != want.PortMean(p) {
+			t.Errorf("%s: port %d aggregates differ", what, p)
+		}
+	}
+	for q := 0; q < sw.NumQueues(); q++ {
+		if got.QueuePeak(q) != want.QueuePeak(q) || got.QueueMean(q) != want.QueueMean(q) ||
+			got.QueueMinHeadroom(q) != want.QueueMinHeadroom(q) {
+			t.Errorf("%s: queue %d aggregates differ", what, q)
+		}
+	}
+}
+
+// A reservation changes where samples are stored and nothing else: an
+// unreserved recorder (the hand-wired callers' kind), one reserved for
+// exactly the run and one reserved short — it samples past its slab,
+// the gated-transport and capped-reservation case — all hold the same
+// recording. The short one is the three-index guard: growing a series
+// past its reservation must reallocate it, not run on into its
+// neighbour's slots.
+func TestRecorderReserve(t *testing.T) {
+	sw := recorderTestSwitch(t)
+	plain := NewRecorder(sw)
+	n := driveRecorders(t, plain)
+
+	sw = recorderTestSwitch(t)
+	plain = NewRecorder(sw)
+	exact, short := NewRecorder(sw), NewRecorder(sw)
+	exact.Reserve(n)
+	short.Reserve(n / 3)
+	if got := driveRecorders(t, plain, exact, short); got != n {
+		t.Fatalf("second drive took %d samples, first %d", got, n)
+	}
+	if n < 30 || len(plain.Series) != n {
+		t.Fatalf("%d samples, series of %d", n, len(plain.Series))
+	}
+	requireSameRecording(t, "reserved exactly", exact, plain)
+	requireSameRecording(t, "reserved short", short, plain)
+	for i, s := range everySeries(exact) {
+		if cap(s) != n {
+			t.Errorf("exact reservation: series %d has cap %d, want its own %d slots", i, cap(s), n)
+		}
+	}
+}
+
+// BenchmarkRecorderSample is the steady-state cost of one aligned
+// sample of every port and queue: after Reserve it allocates nothing.
+func BenchmarkRecorderSample(b *testing.B) {
+	eng := sim.NewEngine()
+	sw := New("bench", eng, Config{
+		Ports: 8, ClassesPerPort: 2, BufferBytes: 1 << 20, Policy: bm.NewDT(1),
+	})
+	for i := 0; i < 8; i++ {
+		sw.AttachPort(i, 10e9, 0, func(*pkt.Packet) {})
+	}
+	sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
+	for i := 0; i < 64; i++ {
+		sw.Receive(mkpkt(pkt.NodeID(i&7), 1000, i&1))
+	}
+	const window = 1024 // a run's worth of samples; the slab is reused across windows
+	rec := NewRecorder(sw)
+	rec.Reserve(window)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%window == 0 {
+			rec.Times = rec.Times[:0]
+			rec.Series = rec.Series[:0]
+			for _, group := range [][][]float64{rec.PortSeries, rec.QueueSeries, rec.ThresholdSeries, rec.ECNSeries} {
+				for j := range group {
+					group[j] = group[j][:0]
+				}
+			}
+		}
+		rec.Sample(sim.Time(i))
 	}
 }
