@@ -32,9 +32,15 @@ func NewABM(alpha float64) *ABM { return &ABM{Alpha: alpha} }
 // Name implements Policy.
 func (p *ABM) Name() string { return "ABM" }
 
+// ReadsDequeueRate marks ABM as a reader of State.DequeueRate, which
+// makes the switch keep its per-queue drain meters.
+func (*ABM) ReadsDequeueRate() {}
+
 func (p *ABM) alphaFor(prio int) float64 {
-	if a, ok := p.AlphaFor[prio]; ok {
-		return a
+	if len(p.AlphaFor) != 0 {
+		if a, ok := p.AlphaFor[prio]; ok {
+			return a
+		}
 	}
 	return p.Alpha
 }

@@ -26,7 +26,10 @@ type State interface {
 	// highest). Only ABM consults it.
 	QueuePriority(q int) int
 	// DequeueRate is queue q's recent drain rate normalized to its port
-	// capacity, in [0,1]. Only ABM consults it.
+	// capacity, in [0,1]. Only ABM consults it, and a policy that does
+	// must say so with a ReadsDequeueRate() marker method: the switch
+	// keeps the per-queue drain meters only for such a policy and panics
+	// when any other one asks.
 	DequeueRate(q int) float64
 }
 

@@ -30,12 +30,16 @@ func NewDT(alpha float64) *DT { return &DT{Alpha: alpha} }
 // Name implements Policy.
 func (p *DT) Name() string { return "DT" }
 
-// alpha returns the α that applies to queue q.
+// alpha returns the α that applies to queue q. An empty map costs no
+// lookup, which is the uniform-α policy of most runs; nothing is cached,
+// because callers may change the fields between packets.
 func (p *DT) alpha(st State, q int) float64 {
-	if a, ok := p.AlphaFor[q]; ok {
-		return a
+	if len(p.AlphaFor) != 0 {
+		if a, ok := p.AlphaFor[q]; ok {
+			return a
+		}
 	}
-	if p.AlphaByPrio != nil {
+	if len(p.AlphaByPrio) != 0 {
 		if a, ok := p.AlphaByPrio[st.QueuePriority(q)]; ok {
 			return a
 		}

@@ -143,6 +143,7 @@ type Engine struct {
 	tokens     float64
 	lastRefill sim.Time
 	scheduled  bool
+	passFn     func() // e.pass, bound once: scheduling a pass allocates nothing
 
 	stats Stats
 }
@@ -163,6 +164,7 @@ func NewEngine(tm TM, cfg Config) *Engine {
 	if cfg.Victim == LongestQueue {
 		e.finder = hw.NewMaxFinder(n, 32)
 	}
+	e.passFn = e.pass
 	return e
 }
 
@@ -220,15 +222,18 @@ func (e *Engine) Kick() {
 		return
 	}
 	e.scheduled = true
-	e.tm.After(0, e.pass)
+	e.tm.After(0, e.passFn)
 }
 
 // refreshBitmap recomputes the over-allocation bitmap (the comparator
-// bank of Fig 9) and reports whether any bit is set.
+// bank of Fig 9) and reports whether any bit is set. An empty queue is
+// never over-allocated — no policy's threshold is negative — so its bit
+// clears without asking for the threshold.
 func (e *Engine) refreshBitmap() bool {
 	any := false
-	for q := 0; q < e.tm.NumQueues(); q++ {
-		over := e.tm.QueueLen(q) > e.tm.Threshold(q)
+	for q, n := 0, e.tm.NumQueues(); q < n; q++ {
+		qlen := e.tm.QueueLen(q)
+		over := qlen > 0 && qlen > e.tm.Threshold(q)
 		e.bitmap.Assign(q, over)
 		any = any || over
 	}
@@ -284,7 +289,7 @@ func (e *Engine) pass() {
 				wait = 1
 			}
 			e.scheduled = true
-			e.tm.After(wait, e.pass)
+			e.tm.After(wait, e.passFn)
 			return
 		}
 		e.tokens -= float64(cells)
@@ -306,5 +311,5 @@ func (e *Engine) pass() {
 		}
 	}
 	e.scheduled = true
-	e.tm.After(pace, e.pass)
+	e.tm.After(pace, e.passFn)
 }

@@ -209,6 +209,33 @@ func TestEngineThresholdRisesMidway(t *testing.T) {
 	}
 }
 
+// A queue that empties while its bit is set — the scheduler drained it
+// before the pass ran — clears its bit without its threshold being
+// consulted, and nothing further is scheduled.
+func TestEngineEmptiedQueueClearsBit(t *testing.T) {
+	tm := newFakeTM(2)
+	tm.lens = []int{5000, 0}
+	tm.thresholds = []int{2000, 2000}
+	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
+	e.Kick()
+	if !e.bitmap.Get(0) || e.bitmap.Get(1) || tm.eng.Pending() != 1 {
+		t.Fatalf("after Kick: bits %v %v, %d pending; want queue 0 marked and one pass", e.bitmap.Get(0), e.bitmap.Get(1), tm.eng.Pending())
+	}
+	tm.lens[0] = 0
+	tm.thresholds[0] = -1 // an answer that would keep the bit, were it asked for
+	tm.eng.Run()
+	if e.bitmap.Get(0) {
+		t.Error("empty queue 0 still marked over-allocated")
+	}
+	if len(tm.drops) != 0 || e.Stats().Passes != 1 {
+		t.Errorf("drops %v, %d passes; want none and the one pending pass", tm.drops, e.Stats().Passes)
+	}
+	e.Kick()
+	if e.scheduled || tm.eng.Pending() != 0 {
+		t.Errorf("Kick over empty queues scheduled a pass (%d pending)", tm.eng.Pending())
+	}
+}
+
 func TestKickIdempotent(t *testing.T) {
 	tm := newFakeTM(1)
 	tm.lens = []int{3000}

@@ -17,9 +17,9 @@ import (
 //
 // Safety rests on run-isolation: a point's closure must not touch
 // anything outside its own simulation (scenario.Run builds fresh policy
-// state, engines, networks, and collectors per call). The only cross-run
-// state in the repository is the packet-ID counter, which is atomic and
-// behavior-free.
+// state, engines, networks, and collectors per call). No simulation
+// state crosses runs: even packet IDs come from a counter in the run's
+// own packet pool.
 
 // parallelism is the worker count used by RunGrid; 0 means GOMAXPROCS.
 var parallelism atomic.Int32

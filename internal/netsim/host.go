@@ -64,13 +64,16 @@ func (h *Host) AfterTimer(d sim.Duration, fn func()) sim.Timer {
 	return h.eng.AfterTimer(d, fn)
 }
 
-// NewPacket implements transport.Net: a zeroed packet from the network
-// freelist (or the heap when no pool is installed).
+// NewPacket implements transport.Net: a packet from the network
+// freelist, zeroed but for a fresh ID from the counter the run's pool
+// carries. A host outside any network starts a pool of its own.
 func (h *Host) NewPacket() *pkt.Packet {
-	if h.pool != nil {
-		return h.pool.Get()
+	if h.pool == nil {
+		h.pool = pkt.NewPool()
 	}
-	return &pkt.Packet{}
+	p := h.pool.Get()
+	p.ID = h.pool.NextID()
+	return p
 }
 
 // Send implements transport.Net: enqueue on the NIC and serialize.

@@ -13,7 +13,8 @@ package pkt
 // that never reach a consumption point (e.g. switch drops in runs that
 // don't hook losses) simply fall back to the garbage collector.
 type Pool struct {
-	free []*Packet
+	free   []*Packet
+	lastID uint64
 }
 
 // NewPool returns an empty pool.
@@ -28,6 +29,14 @@ func (pl *Pool) Get() *Packet {
 		return p
 	}
 	return &Packet{}
+}
+
+// NextID returns a packet ID no earlier call on this pool returned, never
+// zero. One run owns one pool, so the IDs a run stamps depend on that run
+// alone, whatever else the process is simulating.
+func (pl *Pool) NextID() uint64 {
+	pl.lastID++
+	return pl.lastID
 }
 
 // Put returns p to the pool. The packet is zeroed immediately so stale

@@ -234,12 +234,15 @@ func buildNetwork(spec Spec) (*netsim.Network, []*sim.Ticker) {
 // dropUtilSampler returns the Fig 7 probe for sw — it appends the
 // switch's buffer and memory-bandwidth utilization to res at every loss
 // that is not an expulsion — or nil unless the spec selects a
-// drop_*_util_* column, so every other run installs nothing.
+// drop_*_util_* column, so every other run installs nothing. It is the
+// only reader of the switch's memory-bandwidth meter and switches it on;
+// callers ask before traffic starts.
 func dropUtilSampler(res *Result, sw *switchsim.Switch) func(switchsim.DropReason) {
 	isDropUtil := func(m string) bool { return strings.HasPrefix(m, "drop_") }
 	if !slices.ContainsFunc(res.Spec.Metrics, isDropUtil) {
 		return nil
 	}
+	sw.EnableMemBandwidthMeter()
 	return func(reason switchsim.DropReason) {
 		if reason == switchsim.DropExpelled {
 			return

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -375,6 +376,41 @@ func TestValidateRejectsNonsense(t *testing.T) {
 			t.Errorf("%s: Validate accepted an invalid spec", c.name)
 		} else if !strings.Contains(err.Error(), "scenario") {
 			t.Errorf("%s: unhelpful error %v", c.name, err)
+		}
+	}
+}
+
+// Selecting a drop_*_util_* column switches on the Fig 7 drop probe and
+// the memory-bandwidth meter behind it; both only watch. Every other
+// column of the run reads the same with the probe on as with it off.
+func TestDropUtilProbeObservesOnly(t *testing.T) {
+	t.Parallel()
+	var shared []string
+	for _, m := range MetricNames() {
+		if !strings.HasPrefix(m, "drop_") {
+			shared = append(shared, m)
+		}
+	}
+	for _, name := range []string{"quickstart", "buffer-choking", "leafspine-demo"} {
+		sc, ok := Get(name)
+		if !ok {
+			t.Fatalf("no scenario %q", name)
+		}
+		off := sc.SpecAt(ScaleQuick)
+		off.Metrics = []string{"policy", "drops"}
+		on := off
+		on.Metrics = []string{"policy", "drops", "drop_buf_util_p50", "drop_membw_util_p99"}
+		rOff, rOn := MustRun(off), MustRun(on)
+		if len(rOff.DropMemBWUtil) != 0 || len(rOn.DropMemBWUtil) == 0 {
+			t.Fatalf("%s: %d samples with the probe off, %d with it on; want none and some",
+				name, len(rOff.DropMemBWUtil), len(rOn.DropMemBWUtil))
+		}
+		if got, want := rOn.Row(shared), rOff.Row(shared); !slices.Equal(got, want) {
+			for i := range shared {
+				if got[i] != want[i] {
+					t.Errorf("%s: column %s = %s with the probe on, %s with it off", name, shared[i], got[i], want[i])
+				}
+			}
 		}
 	}
 }

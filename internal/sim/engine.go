@@ -18,7 +18,17 @@
 //     seq): seq is a monotonically increasing scheduling counter, bumped
 //     exactly once per schedule call, so same-timestamp events fire in
 //     FIFO scheduling order. A 4-ary layout halves the tree depth of a
-//     binary heap; push stays O(log4 n).
+//     binary heap; push stays O(log4 n). Which of four siblings is the
+//     smallest is close to a coin toss on the few hundred keys a run
+//     keeps live, so a pop pays for mispredicted compares rather than for
+//     depth; siftDown therefore selects the child of a full node without
+//     branching. (at, seq) is read as one 128-bit unsigned number and
+//     "a before b" is the borrow out of a − b (two bits.Sub64); three
+//     borrows and two masked selects name the minimum. Reading at as
+//     unsigned agrees with less because no key has a negative timestamp:
+//     the clock starts at zero, only moves forward, and schedule refuses
+//     at < now. The partial last node and the exit test against the key
+//     being seated keep ordinary compares.
 //   - Its payload — the func() or the Handler plus arg — sits in a slab
 //     cell that never moves while the event is pending. Cells are recycled
 //     through a freelist, so a warmed engine schedules with no allocation.
@@ -50,6 +60,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -159,6 +170,15 @@ func (a key) less(b key) bool {
 	return a.seq < b.seq
 }
 
+// before is less without a branch: 1 when a orders before b, else 0 —
+// the borrow out of the 128-bit subtraction (a.at, a.seq) − (b.at,
+// b.seq). The package comment says why unsigned is right for at.
+func before(a, b *key) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
+}
+
 // payload is what a pending event runs. Exactly one of fn/h is set. It
 // stays in its slab cell from scheduling until the event fires or is
 // canceled.
@@ -236,7 +256,9 @@ func (e *Engine) siftUp(i int, k key) {
 }
 
 // siftDown seats k at or below the hole at index i: at each level the
-// smallest of up to four adjacent children moves up.
+// smallest of up to four adjacent children moves up. A full node picks
+// it by mask arithmetic over before, so the only data-dependent branch
+// per level is the exit test against k, taken once per call.
 func (e *Engine) siftDown(i int, k key) {
 	h := e.heap
 	n := len(h)
@@ -246,13 +268,17 @@ func (e *Engine) siftDown(i int, k key) {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].less(h[m]) {
-				m = j
+		if c+4 <= n {
+			g := (*[4]key)(h[c : c+4])
+			lo := before(&g[1], &g[0])     // 0 or 1
+			hi := 2 + before(&g[3], &g[2]) // 2 or 3
+			d := before(&g[hi&3], &g[lo&3])
+			m = c + int(lo^((lo^hi)&-d))
+		} else {
+			for j := c + 1; j < n; j++ {
+				if h[j].less(h[m]) {
+					m = j
+				}
 			}
 		}
 		if !h[m].less(k) {

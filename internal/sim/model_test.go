@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -345,9 +346,32 @@ var programSeeds = [][]byte{
 	{opEvery, 0, 0, 2, opEvery, 1, 2, 5, opRun, 4, opStopTicker, 1, opRun, 11},
 }
 
+// heapShapeProgram arms n timers (deadlines spread over 16 ticks with
+// plenty of ties, so both halves of the key order decide), stops two from
+// the middle of the heap, and drains in three steps with a second batch
+// of n/2 armed and one more middle Stop after the first. Draining pops at
+// every live size from n down, so over n = 1..90 the sift meets every
+// n mod 4 with a full and a partial last node on up to four levels.
+func heapShapeProgram(n int) []byte {
+	var prog []byte
+	arm := func(count, salt int) {
+		for i := 0; i < count; i++ {
+			prog = append(prog, opTimer, byte((i*7+salt*3)%16), actNone, 0)
+		}
+	}
+	arm(n, n)
+	prog = append(prog, opStop, byte(n/2), opStop, byte(n/3), opRun, 5)
+	arm(n/2, n+1)
+	prog = append(prog, opStop, byte(n+n/4), opRun, 11, opRun, 11)
+	return prog
+}
+
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	for _, prog := range programSeeds {
 		diffProgram(t, prog)
+	}
+	for n := 1; n <= 90; n++ {
+		diffProgram(t, heapShapeProgram(n))
 	}
 	rng := NewRand(20250928)
 	prog := make([]byte, 400)
@@ -363,10 +387,59 @@ func FuzzEngineProgram(f *testing.F) {
 	for _, prog := range programSeeds {
 		f.Add(prog)
 	}
+	for _, n := range []int{5, 6, 7, 8, 21, 22, 23, 24} {
+		f.Add(heapShapeProgram(n))
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			t.Skip("long programs only repeat short ones")
 		}
 		diffProgram(t, prog)
+	})
+}
+
+// keyOrderCases are the corners of the (at, seq) order: the ends of the
+// timestamp range, equal timestamps decided by seq either way, and seq
+// where the low-word subtraction wraps.
+var keyOrderCases = []struct{ a, b key }{
+	{key{at: 0, seq: 1}, key{at: 0, seq: 2}},
+	{key{at: 0, seq: 2}, key{at: 1, seq: 1}},
+	{key{at: 1, seq: 1}, key{at: MaxTime, seq: 0}},
+	{key{at: 0, seq: math.MaxUint64}, key{at: 1, seq: 0}},
+	{key{at: 0, seq: math.MaxUint64}, key{at: MaxTime, seq: math.MaxUint64 - 1}},
+	{key{at: MaxTime, seq: math.MaxUint64 - 1}, key{at: MaxTime, seq: math.MaxUint64}},
+	{key{at: MaxTime - 1, seq: math.MaxUint64}, key{at: MaxTime, seq: 0}},
+	{key{at: 7, seq: 1 << 63}, key{at: 7, seq: 1<<63 + 1}},
+	{key{at: 7, seq: 0}, key{at: 7, seq: math.MaxUint64}},
+	{key{at: 7, seq: 9}, key{at: 7, seq: 9}},
+}
+
+func checkKeyOrder(t *testing.T, a, b key) {
+	t.Helper()
+	if got, want := before(&a, &b) == 1, a.less(b); got != want {
+		t.Errorf("before(%+v, %+v) = %v, less = %v", a, b, got, want)
+	}
+	if got, want := before(&b, &a) == 1, b.less(a); got != want {
+		t.Errorf("before(%+v, %+v) = %v, less = %v", b, a, got, want)
+	}
+}
+
+func TestKeyOrderMatchesLess(t *testing.T) {
+	for _, c := range keyOrderCases {
+		checkKeyOrder(t, c.a, c.b)
+	}
+}
+
+// FuzzKeyOrder holds the branch-free comparison of siftDown to less over
+// every pair of keys a run can hold: timestamps are never negative.
+func FuzzKeyOrder(f *testing.F) {
+	for _, c := range keyOrderCases {
+		f.Add(int64(c.a.at), c.a.seq, int64(c.b.at), c.b.seq)
+	}
+	f.Fuzz(func(t *testing.T, aAt int64, aSeq uint64, bAt int64, bSeq uint64) {
+		if aAt < 0 || bAt < 0 {
+			t.Skip("schedule refuses at < now, and now starts at zero")
+		}
+		checkKeyOrder(t, key{at: Time(aAt), seq: aSeq}, key{at: Time(bAt), seq: bSeq})
 	})
 }

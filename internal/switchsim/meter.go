@@ -15,8 +15,10 @@ type rateMeter struct {
 	last sim.Time
 }
 
-func newRateMeter(tau sim.Duration) *rateMeter {
-	return &rateMeter{tau: tau.Seconds()}
+// newRateMeter returns a meter with the 20µs time constant both of the
+// switch's meters use.
+func newRateMeter() *rateMeter {
+	return &rateMeter{tau: (20 * sim.Microsecond).Seconds()}
 }
 
 func (m *rateMeter) decayTo(now sim.Time) {

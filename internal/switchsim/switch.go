@@ -119,7 +119,10 @@ type QueueStats struct {
 func (s QueueStats) Drops() int64 { return s.DropsAdmission + s.DropsNoMemory }
 
 // classQueue is one traffic-class queue: the PD-list in cell memory plus
-// the in-lockstep packet metadata and the ABM drain-rate estimator.
+// the in-lockstep packet metadata. drain, the queue's drain-rate
+// estimator, exists only when the policy declares that it reads
+// DequeueRate (bm.ABM's ReadsDequeueRate marker, checked once in New);
+// under every other policy nothing would read it.
 type classQueue struct {
 	cells *cellmem.Queue
 	meta  fifo[*pkt.Packet]
@@ -174,7 +177,8 @@ type Switch struct {
 	queueStats []QueueStats // indexed port*ClassesPerPort+class
 
 	// Memory-bandwidth meter: cell operations (reads+writes) per second,
-	// for the Fig 7(b) utilization measurement.
+	// for the Fig 7(b) utilization measurement. Nil until its one reader
+	// (scenario's dropUtilSampler) calls EnableMemBandwidthMeter.
 	memBW *rateMeter
 
 	// DropHook, when set, observes every loss (arrival drops and
@@ -209,8 +213,8 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 			NumCells: (cfg.BufferBytes + cfg.CellBytes - 1) / cfg.CellBytes,
 		}),
 		policy: cfg.Policy,
-		memBW:  newRateMeter(20 * sim.Microsecond),
 	}
+	_, readsDrain := cfg.Policy.(interface{ ReadsDequeueRate() })
 	if p, ok := cfg.Policy.(core.Preemptor); ok {
 		s.preempt = p
 	}
@@ -224,10 +228,9 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 		pt := &port{id: i, sw: s, sched: newScheduler(cfg.Scheduler, cfg.ClassesPerPort, cfg.DRRQuantum)}
 		pt.classes = make([]*classQueue, cfg.ClassesPerPort)
 		for c := range pt.classes {
-			cq := &classQueue{
-				cells: cellmem.NewQueue(s.pool),
-				prio:  c,
-				drain: newRateMeter(20 * sim.Microsecond),
+			cq := &classQueue{cells: cellmem.NewQueue(s.pool), prio: c}
+			if readsDrain {
+				cq.drain = newRateMeter()
 			}
 			pt.classes[c] = cq
 			s.flat = append(s.flat, cq)
@@ -357,14 +360,20 @@ func (s *Switch) QueueLen(q int) int { return s.flat[q].cells.Len() }
 func (s *Switch) QueuePriority(q int) int { return s.flat[q].prio }
 
 // DequeueRate implements bm.State: the queue's recent drain rate
-// normalized to its port capacity.
+// normalized to its port capacity. The drain meters exist only under a
+// policy with the ReadsDequeueRate marker; any other caller panics
+// rather than read a history that was never kept.
 func (s *Switch) DequeueRate(q int) float64 {
 	portID := q / s.cfg.ClassesPerPort
 	p := s.ports[portID]
 	if p.rateBps <= 0 {
 		return 0
 	}
-	return s.flat[q].drain.rate(s.eng.Now()) * 8 / p.rateBps
+	drain := s.flat[q].drain
+	if drain == nil {
+		panic("switchsim: DequeueRate without drain meters: the policy must declare ReadsDequeueRate()")
+	}
+	return drain.rate(s.eng.Now()) * 8 / p.rateBps
 }
 
 // --- core.TM implementation ---------------------------------------------
@@ -401,7 +410,9 @@ func (s *Switch) HeadDrop(q int) (int, int, bool) {
 	s.stats.DropsExpelled++
 	s.portStats[q/s.cfg.ClassesPerPort].DropsExpelled++
 	s.queueStats[q].DropsExpelled++
-	s.memBW.add(s.eng.Now(), cells) // pointer-path bandwidth only
+	if s.memBW != nil {
+		s.memBW.add(s.eng.Now(), cells) // pointer-path bandwidth only
+	}
 	if s.DropHook != nil {
 		s.DropHook(p, q, DropExpelled)
 	}
@@ -473,7 +484,9 @@ func (s *Switch) Receive(p *pkt.Packet) {
 	cq.cells.Enqueue(ref)
 	cq.meta.push(p)
 	s.totalBytes += p.Size
-	s.memBW.add(s.eng.Now(), s.pool.CellsFor(p.Size)) // cell writes
+	if s.memBW != nil {
+		s.memBW.add(s.eng.Now(), s.pool.CellsFor(p.Size)) // cell writes
+	}
 
 	if s.occ != nil {
 		// An enqueue shrinks the free buffer and can push any queue over
@@ -524,8 +537,12 @@ func (s *Switch) tryTransmit(pt *port) {
 	s.totalBytes -= p.Size
 	now := s.eng.Now()
 	cells := s.pool.CellsFor(p.Size)
-	cq.drain.add(now, p.Size)
-	s.memBW.add(now, 2*cells) // pointer reads + cell-data reads
+	if cq.drain != nil {
+		cq.drain.add(now, p.Size)
+	}
+	if s.memBW != nil {
+		s.memBW.add(now, 2*cells) // pointer reads + cell-data reads
+	}
 	if s.occ != nil {
 		s.occ.OnTransmit(cells) // the scheduler always wins the bandwidth
 	}
@@ -549,10 +566,24 @@ func (s *Switch) tryTransmit(pt *port) {
 	s.eng.AfterEvent(txTime+pt.prop, pt, p)
 }
 
+// EnableMemBandwidthMeter makes the switch meter its cell operations, so
+// that MemBandwidthUtilization has a history to answer from. Call it
+// before traffic: a meter that missed packets would report another rate.
+func (s *Switch) EnableMemBandwidthMeter() {
+	if s.stats.RxPackets != 0 {
+		panic("switchsim: EnableMemBandwidthMeter after traffic arrived")
+	}
+	s.memBW = newRateMeter()
+}
+
 // MemBandwidthUtilization returns the fraction of the switch's aggregate
 // memory bandwidth currently consumed (Fig 7(b)). The overall bandwidth
 // is 2× the aggregate port rate (simultaneous full-rate writes + reads).
+// It panics on a switch whose meter was never enabled.
 func (s *Switch) MemBandwidthUtilization() float64 {
+	if s.memBW == nil {
+		panic("switchsim: MemBandwidthUtilization without EnableMemBandwidthMeter")
+	}
 	total := 0.0
 	for _, pt := range s.ports {
 		total += pt.rateBps

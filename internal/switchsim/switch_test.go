@@ -300,6 +300,7 @@ func TestMemBandwidthUtilizationBounded(t *testing.T) {
 	sw, _ := testSwitch(t, eng, Config{
 		Ports: 1, ClassesPerPort: 1, BufferBytes: 1 << 20, Policy: bm.NewDT(8),
 	}, 1e9)
+	sw.EnableMemBandwidthMeter()
 	for i := 0; i < 100; i++ {
 		sw.Receive(mkpkt(0, 1500, 0))
 	}

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sync/atomic"
-
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
 )
@@ -14,8 +12,11 @@ type Net interface {
 	Now() sim.Time
 	After(d sim.Duration, fn func())
 	AfterTimer(d sim.Duration, fn func()) sim.Timer
-	// NewPacket returns a zeroed packet, typically from the network's
-	// freelist so the per-packet allocation disappears from the hot path.
+	// NewPacket returns a packet that is zeroed but for its ID, typically
+	// from the network's freelist so the per-packet allocation disappears
+	// from the hot path. The ID is nonzero and unique within the run: the
+	// endpoints shed a link-level duplicate by seeing the same ID twice in
+	// a row, and the switch checks its two queue structures against it.
 	NewPacket() *pkt.Packet
 	Send(p *pkt.Packet)
 }
@@ -70,16 +71,4 @@ func (o Options) WithDefaults() Options {
 		o.MaxRTO = sim.Second
 	}
 	return o
-}
-
-// nextPktID hands out globally unique packet IDs. It is atomic so that
-// independent engines may run concurrently (the parallel sweep runner);
-// IDs only need to be unique, they never influence simulation behavior.
-//
-//occamy:concurrent global ID counter shared across engines; IDs are unique-only, never ordered on
-var nextPktID atomic.Uint64
-
-func newPktID() uint64 {
-	//occamy:concurrent same seam: IDs are unique-only, never ordered on
-	return nextPktID.Add(1)
 }

@@ -66,7 +66,6 @@ func (r *Receiver) OnPacket(p *pkt.Packet) {
 	}
 	// ACK every data packet; echo this packet's CE mark.
 	ack := r.net.NewPacket()
-	ack.ID = newPktID()
 	ack.FlowID = r.spec.ID
 	ack.Src = r.spec.Dst
 	ack.Dst = r.spec.Src

@@ -76,7 +76,6 @@ func (s *Sender) segment(seq int64) *pkt.Packet {
 		payload = rem
 	}
 	p := s.net.NewPacket()
-	p.ID = newPktID()
 	p.FlowID = s.spec.ID
 	p.Src = s.spec.Src
 	p.Dst = s.spec.Dst

@@ -17,6 +17,7 @@ type chanNet struct {
 	dup      func(p *pkt.Packet) bool // deliver a link-level copy (same ID) too
 	handlers map[pkt.NodeID]Handler
 	sent     int
+	nextID   uint64
 }
 
 func newChanNet(delay sim.Duration) *chanNet {
@@ -30,7 +31,10 @@ func newChanNet(delay sim.Duration) *chanNet {
 func (n *chanNet) Now() sim.Time                                  { return n.eng.Now() }
 func (n *chanNet) After(d sim.Duration, fn func())                { n.eng.After(d, fn) }
 func (n *chanNet) AfterTimer(d sim.Duration, fn func()) sim.Timer { return n.eng.AfterTimer(d, fn) }
-func (n *chanNet) NewPacket() *pkt.Packet                         { return &pkt.Packet{} }
+func (n *chanNet) NewPacket() *pkt.Packet {
+	n.nextID++
+	return &pkt.Packet{ID: n.nextID}
+}
 
 func (n *chanNet) Send(p *pkt.Packet) {
 	n.sent++
