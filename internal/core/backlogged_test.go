@@ -1,0 +1,187 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"occamy/internal/bm"
+	"occamy/internal/hw"
+	"occamy/internal/sim"
+)
+
+// Differential for the scans that visit the backlogged set: each is held
+// to the full 0..n scan it replaced, over seeded queue-length programs —
+// the same over-allocation bits, the same victims in the same order.
+
+// refOver is the comparator bank as a full scan.
+func refOver(f *fakeTM) []bool {
+	over := make([]bool, len(f.lens))
+	for q, l := range f.lens {
+		over[q] = l > 0 && l > f.thresholds[q]
+	}
+	return over
+}
+
+// refLongest is the Fig 21 victim as a full scan: every queue's row entry
+// written, a fresh row and tree per call.
+func refLongest(f *fakeTM, over []bool) (int, bool) {
+	vals := make([]int, len(f.lens))
+	for q := range vals {
+		if over[q] {
+			vals[q] = f.lens[q]
+		}
+	}
+	if !slices.Contains(over, true) {
+		return 0, false
+	}
+	return hw.NewMaxFinder(len(vals), 32).Find(vals), true
+}
+
+// refMakeRoom is Pushout's eviction loop as a full scan per eviction.
+func refMakeRoom(f *fakeTM, st bm.State, size int) bool {
+	for bm.FreeBuffer(st) < size {
+		if slices.Max(f.lens) == 0 {
+			return false
+		}
+		longest := hw.NewMaxFinder(len(f.lens), 32).Find(f.lens)
+		if _, _, ok := f.HeadDrop(longest); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// refQPO is QPO's eviction loop, the register re-seeded by a full scan.
+func refQPO(reg *int, f *fakeTM, st bm.State, size int) bool {
+	for bm.FreeBuffer(st) < size {
+		if *reg < 0 || f.lens[*reg] == 0 {
+			best, bestLen := -1, 0
+			for q, l := range f.lens {
+				if l > bestLen {
+					best, bestLen = q, l
+				}
+			}
+			if best < 0 {
+				return false
+			}
+			*reg = best
+		}
+		if _, _, ok := f.HeadDrop(*reg); !ok {
+			*reg = -1
+		}
+	}
+	return true
+}
+
+// randomLens fills lens with mostly-empty queues, whole packets in the
+// rest, from few enough distinct lengths that ties are the rule.
+func randomLens(r *sim.Rand, lens []int, pktBytes int) {
+	for q := range lens {
+		lens[q] = 0
+		if r.Intn(3) == 0 {
+			lens[q] = pktBytes * (1 + r.Intn(4))
+		}
+	}
+}
+
+var backloggedSizes = []int{1, 2, 7, 63, 64, 65, 130}
+
+func TestExpulsionScansMatchFullScan(t *testing.T) {
+	for _, n := range backloggedSizes {
+		for _, policy := range []VictimPolicy{RoundRobin, LongestQueue} {
+			t.Run(fmt.Sprintf("%s/%d", policy, n), func(t *testing.T) {
+				r := sim.NewRand(uint64(1000*n) + uint64(policy))
+				f := newFakeTM(n)
+				e := NewEngine(f, Config{Victim: policy})
+				refArbiter := hw.NewRoundRobinArbiter(n)
+				for step := 0; step < 400; step++ {
+					if step%8 == 0 {
+						randomLens(r, f.lens, f.pktBytes)
+						for q := range f.thresholds {
+							f.thresholds[q] = f.pktBytes * r.Intn(4)
+						}
+					}
+					over := refOver(f)
+					if got, want := e.refreshBitmap(), slices.Contains(over, true); got != want {
+						t.Fatalf("step %d: refreshBitmap = %v, full scan %v (lens %v thresholds %v)", step, got, want, f.lens, f.thresholds)
+					}
+					for q, want := range over {
+						if e.bitmap.Get(q) != want {
+							t.Fatalf("step %d: over-allocation bit %d = %v, full scan %v (len %d threshold %d)", step, q, !want, want, f.lens[q], f.thresholds[q])
+						}
+					}
+					if r.Intn(4) == 0 {
+						// The scheduler drains a marked queue between the
+						// refresh and the grant: its bit stays set.
+						if q := e.bitmap.Next(r.Intn(n)); q >= 0 {
+							f.lens[q] = 0
+						}
+					}
+					var want int
+					var wantOK bool
+					if policy == LongestQueue {
+						want, wantOK = refLongest(f, over)
+					} else {
+						refBits := hw.NewBitmap(n)
+						for q, o := range over {
+							refBits.Assign(q, o)
+						}
+						want, wantOK = refArbiter.Grant(refBits)
+					}
+					got, ok := e.victim()
+					if got != want || ok != wantOK {
+						t.Fatalf("step %d: victim = %d,%v, full scan %d,%v (lens %v over %v)", step, got, ok, want, wantOK, f.lens, over)
+					}
+					if ok {
+						f.HeadDrop(got)
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestPreemptorScansMatchFullScan(t *testing.T) {
+	for _, n := range backloggedSizes {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			r := sim.NewRand(uint64(77 * n))
+			got, want := newFakeTM(n), newFakeTM(n)
+			pushout, pot, qpo := NewPushout(), NewPOT(0.5), NewQPO()
+			refReg := -1
+			for step := 0; step < 300; step++ {
+				randomLens(r, got.lens, got.pktBytes)
+				copy(want.lens, got.lens)
+				got.drops, want.drops = got.drops[:0], want.drops[:0]
+				// Between nothing free and a third of what is buffered; past
+				// the capacity now and then, so that the buffer has to empty.
+				capacity := got.Occupancy() + r.Intn(2)*got.pktBytes
+				size := 1 + r.Intn(got.Occupancy()/3+2*got.pktBytes)
+				gotSt, wantSt := &lenState{capacity, got.lens}, &lenState{capacity, want.lens}
+				arriving := r.Intn(n)
+
+				var gotOK, wantOK bool
+				switch step % 3 {
+				case 0:
+					gotOK, wantOK = pushout.MakeRoom(got, gotSt, size), refMakeRoom(want, wantSt, size)
+				case 1:
+					gotOK = pot.MakeRoomFor(got, gotSt, arriving, size)
+					if want.lens[arriving] < pot.Threshold(wantSt, arriving) {
+						wantOK = refMakeRoom(want, wantSt, size)
+					}
+				case 2:
+					// The admission that precedes it moves the register.
+					qpo.Admit(gotSt, arriving, size)
+					if refReg < 0 || want.lens[arriving] > want.lens[refReg] {
+						refReg = arriving
+					}
+					gotOK, wantOK = qpo.MakeRoomFor(got, gotSt, arriving, size), refQPO(&refReg, want, wantSt, size)
+				}
+				if gotOK != wantOK || !slices.Equal(got.drops, want.drops) || !slices.Equal(got.lens, want.lens) {
+					t.Fatalf("step %d (kind %d, size %d, capacity %d): ok %v, victims %v, lens %v\nfull scan: ok %v, victims %v, lens %v",
+						step, step%3, size, capacity, gotOK, got.drops, got.lens, wantOK, want.drops, want.lens)
+				}
+			}
+		})
+	}
+}

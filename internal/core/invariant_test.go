@@ -18,6 +18,7 @@ import (
 
 	"occamy/internal/bm"
 	"occamy/internal/core"
+	"occamy/internal/hw"
 	"occamy/internal/sim"
 )
 
@@ -51,7 +52,13 @@ func newMockTM(t *testing.T, cap int, queues [][]int, thresholds []int) *mockTM 
 	return &mockTM{t: t, cap: cap, queues: queues, thresholds: thresholds, cellSize: 200}
 }
 
-func (m *mockTM) NumQueues() int { return len(m.queues) }
+func (m *mockTM) Backlogged() *hw.Bitmap {
+	b := hw.NewBitmap(len(m.queues))
+	for q := range m.queues {
+		b.Assign(q, m.QueueLen(q) > 0)
+	}
+	return b
+}
 func (m *mockTM) QueueLen(q int) int {
 	total := 0
 	for _, s := range m.queues[q] {
@@ -105,7 +112,8 @@ func (m *mockTM) pump(maxEvents int) int {
 }
 
 // bm.State for the Pushout-family tests.
-func (m *mockTM) Capacity() int { return m.cap }
+func (m *mockTM) NumQueues() int { return len(m.queues) }
+func (m *mockTM) Capacity() int  { return m.cap }
 func (m *mockTM) Occupancy() int {
 	total := 0
 	for q := range m.queues {

@@ -48,8 +48,11 @@ func (v VictimPolicy) String() string {
 // TM is the traffic-manager interface the expulsion engine drives. It is
 // implemented by internal/switchsim.
 type TM interface {
-	// NumQueues returns the number of queues sharing the buffer.
-	NumQueues() int
+	// Backlogged returns the set of queues holding at least one byte, kept
+	// current by the traffic manager and read-only here; its Size is the
+	// number of queues sharing the buffer. Every scan — the comparator
+	// bank, the longest-queue searches — visits these and not the rest.
+	Backlogged() *hw.Bitmap
 	// QueueLen returns queue q's length in bytes.
 	QueueLen(q int) int
 	// Threshold returns the admission policy's current limit for q.
@@ -139,6 +142,7 @@ type Engine struct {
 	bitmap  *hw.Bitmap
 	arbiter *hw.RoundRobinArbiter
 	finder  *hw.MaxFinder // only for the LongestQueue ablation
+	vals    []int         // its input row: lengths of over-allocated queues, 0 elsewhere
 
 	tokens     float64
 	lastRefill sim.Time
@@ -150,7 +154,7 @@ type Engine struct {
 
 // NewEngine wires an expulsion engine to a traffic manager.
 func NewEngine(tm TM, cfg Config) *Engine {
-	n := tm.NumQueues()
+	n := tm.Backlogged().Size()
 	if cfg.TokenBurst == 0 {
 		cfg.TokenBurst = 64
 	}
@@ -162,7 +166,7 @@ func NewEngine(tm TM, cfg Config) *Engine {
 		tokens:  cfg.TokenBurst,
 	}
 	if cfg.Victim == LongestQueue {
-		e.finder = hw.NewMaxFinder(n, 32)
+		e.finder, e.vals = hw.NewMaxFinder(n, 32), make([]int, n)
 	}
 	e.passFn = e.pass
 	return e
@@ -227,15 +231,17 @@ func (e *Engine) Kick() {
 
 // refreshBitmap recomputes the over-allocation bitmap (the comparator
 // bank of Fig 9) and reports whether any bit is set. An empty queue is
-// never over-allocated — no policy's threshold is negative — so its bit
-// clears without asking for the threshold.
+// never over-allocated — no policy's threshold is negative — so only the
+// backlogged queues are compared with their thresholds.
 func (e *Engine) refreshBitmap() bool {
+	e.bitmap.Reset()
 	any := false
-	for q, n := 0, e.tm.NumQueues(); q < n; q++ {
-		qlen := e.tm.QueueLen(q)
-		over := qlen > 0 && qlen > e.tm.Threshold(q)
-		e.bitmap.Assign(q, over)
-		any = any || over
+	bl := e.tm.Backlogged()
+	for q := bl.Next(0); q >= 0; q = bl.Next(q + 1) {
+		if e.tm.QueueLen(q) > e.tm.Threshold(q) {
+			e.bitmap.Set(q)
+			any = true
+		}
 	}
 	return any
 }
@@ -244,18 +250,14 @@ func (e *Engine) refreshBitmap() bool {
 func (e *Engine) victim() (int, bool) {
 	if e.cfg.Victim == LongestQueue {
 		// Longest among over-allocated queues, via the comparator tree.
-		vals := make([]int, e.tm.NumQueues())
-		anySet := false
-		for q := range vals {
-			if e.bitmap.Get(q) {
-				vals[q] = e.tm.QueueLen(q)
-				anySet = true
-			}
-		}
-		if !anySet {
+		if !e.bitmap.Any() {
 			return 0, false
 		}
-		return e.finder.Find(vals), true
+		clear(e.vals)
+		for q := e.bitmap.Next(0); q >= 0; q = e.bitmap.Next(q + 1) {
+			e.vals[q] = e.tm.QueueLen(q)
+		}
+		return e.finder.Find(e.vals), true
 	}
 	return e.arbiter.Grant(e.bitmap)
 }

@@ -4,8 +4,19 @@ import (
 	"testing"
 
 	"occamy/internal/bm"
+	"occamy/internal/hw"
 	"occamy/internal/sim"
 )
+
+// backloggedOf derives the set a traffic manager would keep from a
+// snapshot of its queue lengths.
+func backloggedOf(lens []int) *hw.Bitmap {
+	b := hw.NewBitmap(len(lens))
+	for q, l := range lens {
+		b.Assign(q, l > 0)
+	}
+	return b
+}
 
 // fakeTM is a minimal traffic manager for engine unit tests: queues are
 // byte counters with a per-queue packet size, thresholds are settable.
@@ -28,7 +39,7 @@ func newFakeTM(n int) *fakeTM {
 	}
 }
 
-func (f *fakeTM) NumQueues() int                  { return len(f.lens) }
+func (f *fakeTM) Backlogged() *hw.Bitmap          { return backloggedOf(f.lens) }
 func (f *fakeTM) QueueLen(q int) int              { return f.lens[q] }
 func (f *fakeTM) Threshold(q int) int             { return f.thresholds[q] }
 func (f *fakeTM) Now() sim.Time                   { return f.eng.Now() }
@@ -55,7 +66,8 @@ func (f *fakeTM) HeadDrop(q int) (int, int, bool) {
 }
 
 // bm.State view over the fake, for Pushout tests.
-func (f *fakeTM) Capacity() int { return 1 << 20 }
+func (f *fakeTM) NumQueues() int { return len(f.lens) }
+func (f *fakeTM) Capacity() int  { return 1 << 20 }
 func (f *fakeTM) Occupancy() int {
 	t := 0
 	for _, l := range f.lens {

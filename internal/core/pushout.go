@@ -16,6 +16,7 @@ import (
 // paper compares against.
 type Pushout struct {
 	finder *hw.MaxFinder
+	vals   []int // the finder's input row: every queue's length
 }
 
 // NewPushout returns the Pushout policy.
@@ -37,28 +38,38 @@ func (*Pushout) Threshold(st bm.State, q int) int { return bm.Unlimited(st) }
 // fit or nothing remains to expel. The switch calls it when an arrival
 // finds the buffer full. It reports whether enough room was freed.
 func (p *Pushout) MakeRoom(tm TM, st bm.State, size int) bool {
-	n := tm.NumQueues()
-	if p.finder == nil || p.finder.Comparators() != n-1 {
-		p.finder = hw.NewMaxFinder(n, 32)
+	if bm.FreeBuffer(st) >= size {
+		return true
 	}
-	vals := make([]int, n)
+	bl := tm.Backlogged()
+	if bl.Size() != len(p.vals) {
+		p.resize(bl.Size())
+	}
+	// Only an eviction changes a length from here on, and only its
+	// victim's: fill the row once and keep that one entry current.
+	clear(p.vals)
+	for q := bl.Next(0); q >= 0; q = bl.Next(q + 1) {
+		p.vals[q] = tm.QueueLen(q)
+	}
 	for bm.FreeBuffer(st) < size {
-		longest, max := 0, 0
-		for q := 0; q < n; q++ {
-			vals[q] = tm.QueueLen(q)
-			if vals[q] > max {
-				max = vals[q]
-			}
-		}
-		if max == 0 {
+		longest := p.finder.Find(p.vals)
+		if p.vals[longest] == 0 {
 			return false // nothing buffered anywhere
 		}
-		longest = p.finder.Find(vals)
 		if _, _, ok := tm.HeadDrop(longest); !ok {
 			return false
 		}
+		p.vals[longest] = tm.QueueLen(longest)
 	}
 	return true
+}
+
+// resize builds the comparator tree and its input row for n queues, out
+// of line so that MakeRoom itself has no allocation site.
+//
+//go:noinline
+func (p *Pushout) resize(n int) {
+	p.finder, p.vals = hw.NewMaxFinder(n, 32), make([]int, n)
 }
 
 // Preemptor is implemented by policies that can evict buffered packets

@@ -83,7 +83,8 @@ func (p *QPO) MakeRoomFor(tm TM, st bm.State, q, size int) bool {
 		if !p.haveReg || tm.QueueLen(p.regQueue) == 0 {
 			// Re-seed the register with a linear scan.
 			best, bestLen := -1, 0
-			for i := 0; i < tm.NumQueues(); i++ {
+			bl := tm.Backlogged()
+			for i := bl.Next(0); i >= 0; i = bl.Next(i + 1) {
 				if l := tm.QueueLen(i); l > bestLen {
 					best, bestLen = i, l
 				}

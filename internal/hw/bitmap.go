@@ -34,9 +34,15 @@ func (b *Bitmap) Size() int { return b.n }
 
 func (b *Bitmap) check(i int) {
 	if i < 0 || i >= b.n {
-		panic("hw: bitmap index out of range")
+		panicIndex()
 	}
 }
+
+// The panic lives out of line, so that callers which inline Set, Clear
+// and Get (the switch datapath) take no heap-escape diagnostic from it.
+//
+//go:noinline
+func panicIndex() { panic("hw: bitmap index out of range") }
 
 // Set marks queue i.
 func (b *Bitmap) Set(i int) {
@@ -85,37 +91,38 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
+// Reset unmarks every queue.
+func (b *Bitmap) Reset() { clear(b.words) }
+
+// Next returns the first marked index >= from, or -1 when there is none.
+// It does not wrap: `for q := b.Next(0); q >= 0; q = b.Next(q + 1)` visits
+// the marked queues in ascending order.
+func (b *Bitmap) Next(from int) int {
+	if from < 0 || from >= b.n {
+		return -1
+	}
+	// No bit at or above n is ever set, so no word needs a high mask.
+	w := from >> 6
+	if m := b.words[w] >> (uint(from) & 63); m != 0 {
+		return from + bits.TrailingZeros64(m)
+	}
+	for w++; w < len(b.words); w++ {
+		if m := b.words[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
 // NextSet returns the first marked index >= from, searching cyclically
 // through all n positions. It reports false when the bitmap is empty.
 func (b *Bitmap) NextSet(from int) (int, bool) {
-	if from < 0 || b.n == 0 {
+	if from < 0 {
 		return 0, false
 	}
-	from %= b.n
-	// Search [from, n), then wrap to [0, from).
-	if i, ok := b.scan(from, b.n); ok {
-		return i, true
+	i := b.Next(from % b.n)
+	if i < 0 {
+		i = b.Next(0) // nothing in [from, n): wrap to [0, from)
 	}
-	return b.scan(0, from)
-}
-
-func (b *Bitmap) scan(lo, hi int) (int, bool) {
-	for i := lo >> 6; i <= (hi-1)>>6 && i < len(b.words); i++ {
-		w := b.words[i]
-		if w == 0 {
-			continue
-		}
-		// Mask bits below lo in the first word and >= hi in the last.
-		if i == lo>>6 {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		for w != 0 {
-			bit := i<<6 + bits.TrailingZeros64(w)
-			if bit >= hi {
-				break
-			}
-			return bit, true
-		}
-	}
-	return 0, false
+	return max(i, 0), i >= 0
 }

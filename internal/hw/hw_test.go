@@ -98,6 +98,52 @@ func TestBitmapNextSetVisitsAll(t *testing.T) {
 	}
 }
 
+// Next and NextSet against a bit-by-bit scan, and Reset, at sizes around
+// the word boundaries: from every position, over an empty, a sparse, a
+// dense and a full bitmap.
+func TestBitmapNextMatchesLinearScan(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		for _, stride := range []int{0, 61, 7, 2, 1} {
+			b := NewBitmap(n)
+			for i := n - 1; stride > 0 && i >= 0; i -= stride {
+				b.Set(i)
+			}
+			for from := -1; from <= n+1; from++ {
+				want := -1
+				for i := max(from, 0); from >= 0 && i < n; i++ {
+					if b.Get(i) {
+						want = i
+						break
+					}
+				}
+				if got := b.Next(from); got != want {
+					t.Fatalf("n=%d stride=%d: Next(%d) = %d, want %d", n, stride, from, got, want)
+				}
+				if from < 0 {
+					continue
+				}
+				// Cyclic: the first set bit at or after from mod n, else the
+				// first one before it.
+				wantSet, wantOK := b.Next(from%n), b.Any()
+				if wantSet < 0 {
+					wantSet = max(b.Next(0), 0)
+				}
+				if got, ok := b.NextSet(from); got != wantSet || ok != wantOK {
+					t.Fatalf("n=%d stride=%d: NextSet(%d) = %d,%v, want %d,%v", n, stride, from, got, ok, wantSet, wantOK)
+				}
+			}
+			b.Reset()
+			if b.Any() || b.Count() != 0 || b.Next(0) != -1 || b.Size() != n {
+				t.Fatalf("n=%d stride=%d: Reset left Count %d, Next(0) %d, Size %d", n, stride, b.Count(), b.Next(0), b.Size())
+			}
+			b.Set(n - 1)
+			if b.Next(0) != n-1 {
+				t.Fatalf("n=%d: bitmap unusable after Reset", n)
+			}
+		}
+	}
+}
+
 func TestRoundRobinFairness(t *testing.T) {
 	b := NewBitmap(4)
 	b.Set(0)
@@ -179,6 +225,29 @@ func TestMaxFinderFindsMax(t *testing.T) {
 	vals[6] = 99
 	if got := m.Find(vals); got != 6 {
 		t.Fatalf("Find = %d, want 6", got)
+	}
+}
+
+// Find folds the tree over one working row kept in the finder: a call
+// allocates nothing, and nothing of one call's row leaks into the next
+// (odd sizes carry their last input up unpaired, level after level).
+func TestMaxFinderReusesItsRow(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 130} {
+		m := NewMaxFinder(n, 16)
+		vals := make([]int, n)
+		for round := 0; round < 3*n; round++ {
+			clear(vals)
+			hi := round % n
+			vals[hi] = 9
+			vals[(hi+n/2)%n] = 9 // a tie: the later index has to win
+			want := max(hi, (hi+n/2)%n)
+			if got := m.Find(vals); got != want {
+				t.Fatalf("n=%d round %d: Find = %d, want %d", n, round, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { m.Find(vals) }); a != 0 {
+			t.Fatalf("n=%d: Find allocates %v times per call", n, a)
+		}
 	}
 }
 

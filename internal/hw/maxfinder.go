@@ -10,46 +10,51 @@ import "math"
 // fine, but O(log₂k · log₂N) delay cannot keep up with per-cycle queue
 // length changes.
 type MaxFinder struct {
-	n int
-	k int // bit width of each compared value
+	n   int
+	k   int    // bit width of each compared value
+	row []cand // Find's working row
 }
+
+// cand is one value travelling up the tree with the input it came from.
+type cand struct{ idx, v int }
 
 // NewMaxFinder returns a comparator tree over n inputs of k bits each.
 func NewMaxFinder(n, k int) *MaxFinder {
 	if n <= 0 || k <= 0 {
 		panic("hw: max finder needs positive n and k")
 	}
-	return &MaxFinder{n: n, k: k}
+	return &MaxFinder{n: n, k: k, row: make([]cand, n)}
 }
 
 // Find returns the index of the maximum value, evaluated exactly as the
 // binary comparator tree would: pairwise a>b muxes, later index on ties.
+// Each level is folded over the front of the one working row — pair i
+// lands at i/2, behind the read position — so a call allocates nothing.
 func (m *MaxFinder) Find(values []int) int {
 	if len(values) != m.n {
-		panic("hw: max finder input size mismatch")
+		panicSize()
 	}
-	type cand struct{ idx, v int }
-	level := make([]cand, len(values))
+	row := m.row
 	for i, v := range values {
-		level[i] = cand{i, v}
+		row[i] = cand{i, v}
 	}
-	for len(level) > 1 {
-		next := make([]cand, 0, (len(level)+1)/2)
-		for i := 0; i+1 < len(level); i += 2 {
-			a, b := level[i], level[i+1]
+	for n := len(row); n > 1; n = (n + 1) / 2 {
+		for i := 0; i+1 < n; i += 2 {
+			a, b := row[i], row[i+1]
 			if a.v > b.v { // mux selects a only on strict greater
-				next = append(next, a)
-			} else {
-				next = append(next, b)
+				b = a
 			}
+			row[i/2] = b
 		}
-		if len(level)%2 == 1 {
-			next = append(next, level[len(level)-1])
+		if n%2 == 1 {
+			row[n/2] = row[n-1]
 		}
-		level = next
 	}
-	return level[0].idx
+	return row[0].idx
 }
+
+//go:noinline
+func panicSize() { panic("hw: max finder input size mismatch") }
 
 // Levels returns the comparator-tree depth ⌈log₂N⌉.
 func (m *MaxFinder) Levels() int {

@@ -8,30 +8,49 @@
 //
 // # Engine architecture
 //
-// The event queue is a hand-rolled 4-ary min-heap that holds live events
-// only and moves no pointers while sifting. An event is split in two:
+// A pending event is split in two. Its payload — the func() or the Handler
+// plus arg — sits in a slab cell that never moves while the event is
+// pending; cells are recycled through a freelist, so a warmed engine
+// schedules with no allocation. Its ordering fields, (timestamp, seq), go
+// to one of two sources, each kept in that order, and step fires the
+// earlier of the two fronts. seq is bumped exactly once per schedule call
+// whichever source takes the event, so what fires is what one queue sorted
+// by (at, seq) would fire — same-timestamp events in FIFO scheduling
+// order, across the sources as within them — which is the order the
+// reference scheduler in model_test.go defines.
 //
-//   - Its key — timestamp, seq, payload index, timer slot — is a 24-byte
-//     pointer-free value in the flat heap slice. Sifting copies keys and
-//     nothing else, so there are no write barriers on the hot path and
-//     four siblings span a cache line and a half. Ordering is (timestamp,
-//     seq): seq is a monotonically increasing scheduling counter, bumped
-//     exactly once per schedule call, so same-timestamp events fire in
-//     FIFO scheduling order. A 4-ary layout halves the tree depth of a
-//     binary heap; push stays O(log4 n). Which of four siblings is the
-//     smallest is close to a coin toss on the few hundred keys a run
-//     keeps live, so a pop pays for mispredicted compares rather than for
-//     depth; siftDown therefore selects the child of a full node without
-//     branching. (at, seq) is read as one 128-bit unsigned number and
-//     "a before b" is the borrow out of a − b (two bits.Sub64); three
-//     borrows and two masked selects name the minimum. Reading at as
-//     unsigned agrees with less because no key has a negative timestamp:
-//     the clock starts at zero, only moves forward, and schedule refuses
-//     at < now. The partial last node and the exit test against the key
-//     being seated keep ordinary compares.
-//   - Its payload — the func() or the Handler plus arg — sits in a slab
-//     cell that never moves while the event is pending. Cells are recycled
-//     through a freelist, so a warmed engine schedules with no allocation.
+//   - The near-future lane takes what a packet simulation schedules all
+//     day, a serialisation or propagation delay tens of ns to tens of µs
+//     ahead, in O(1): a ring of laneBuckets buckets of 2^laneShift ns
+//     after the active one, each a list threaded through the payload
+//     cells' indices (lane[c] holds at, seq and next for cell c), plus a
+//     bitmap of the non-empty ones for TrailingZeros64 to search. A list
+//     runs latest first: a key due no earlier than those filed before it,
+//     the usual case, goes in at the head, one a little out of order a
+//     few links in, and no bucket is ever sorted. Activating a bucket
+//     reverses its list into firing order and detaches it from the ring;
+//     from then on it is only drained.
+//   - The 4-ary min-heap takes everything else: what is due inside the
+//     active bucket's window or beyond the ring's horizon, a key whose
+//     place is more than laneWalk links into a crowded bucket, and every
+//     cancelable key — Timer.Stop must find its key, and a timer slot can
+//     follow a heap index through the sifts but not a place in a list;
+//     nearly all of them are RTO timers, milliseconds out and stopped
+//     long before. Keys are 24-byte pointer-free values, so sifting has
+//     no write barriers and four siblings span a cache line and a half.
+//     Which of four siblings is smallest is a coin toss, so siftDown
+//     picks the child of a full node without branching: (at, seq) is read
+//     as one 128-bit unsigned number and "a before b" is the borrow out
+//     of a − b (two bits.Sub64). Unsigned agrees with less because no
+//     timestamp is negative: the clock starts at zero, only moves
+//     forward, and schedule refuses at < now.
+//
+// While the lane is empty its window follows the clock, or timers that
+// alone carried the clock on would leave every later delay beyond the
+// horizon. The ring's index array and the per-cell array are separate
+// pointer-free allocations: inline, they make Engine 4 KB the collector
+// scans for a dozen pointers, which doubled the resident memory of a
+// process building many short-lived engines.
 //
 // Events come in two flavors:
 //
@@ -213,11 +232,40 @@ type Engine struct {
 
 	slots     []timerSlot
 	freeSlots []int32
+
+	// The near-future lane. cur is the active bucket's number (at >>
+	// laneShift) and act the 1-based cell at the front of its detached
+	// list, 0 once drained. Ring slot b&(laneBuckets-1) holds bucket b,
+	// cur < b <= cur+laneBuckets, as the 1-based cell of its latest
+	// entry; bits marks the non-empty slots. laneN counts the lane's
+	// events.
+	cur   int64
+	act   int32
+	laneN int
+	bits  [laneBuckets / 64]uint64
+	heads []int32    // laneBuckets entries
+	lane  []laneCell // parallel to cells
 }
+
+// Lane geometry: 1024 buckets of 32 ns, a 32.8 µs horizon; filing walks
+// at most 32 links.
+const laneShift, laneBuckets, laneWalk = 5, 1024, 32
+
+// laneCell is the lane's part of a payload cell: the ordering fields of
+// the event filed there and the 1-based cell after it in its bucket.
+type laneCell struct {
+	at   Time
+	seq  uint64
+	next int32
+}
+
+// before reports whether l fires ahead of heap key k: the same (at, seq)
+// order on both sides of the merge.
+func (l laneCell) before(k key) bool { return key{at: l.at, seq: l.seq}.less(k) }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{heads: make([]int32, laneBuckets)}
 }
 
 // Now returns the current virtual time.
@@ -225,7 +273,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of live scheduled events: those that have
 // neither fired nor been canceled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + e.laneN }
 
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -333,19 +381,80 @@ func (e *Engine) schedule(at Time, p payload, slot int32) {
 	if n := len(e.freeCells); n > 0 {
 		c = e.freeCells[n-1]
 		e.freeCells = e.freeCells[:n-1]
-		e.cells[c] = p
+		cl := &e.cells[c]
+		cl.fn, cl.h, cl.arg = p.fn, p.h, p.arg
 	} else {
 		e.cells = append(e.cells, p)
+		e.lane = append(e.lane, laneCell{})
 		c = int32(len(e.cells) - 1)
 	}
 	e.seq++
+	if b := int64(at) >> laneShift; slot == 0 && uint64(b-e.cur-1) < laneBuckets && e.file(b, at, c) {
+		return
+	}
 	e.push(key{at: at, seq: e.seq, cell: c, slot: slot})
 }
 
+// file links cell c, due at time at under the seq just issued, into
+// bucket b of the lane. A bucket's list runs latest first, so that the
+// usual key — due no earlier than everything filed before it — goes in at
+// the head, and one a little out of order a few links in; seq only grows,
+// so among equal timestamps the new key is the latest. A key more than
+// laneWalk links from the head is left to the heap.
+func (e *Engine) file(b int64, at Time, c int32) bool {
+	i := b & (laneBuckets - 1)
+	prev, next := int32(0), e.heads[i]
+	for n := 0; next != 0 && e.lane[next-1].at > at; n++ {
+		if n == laneWalk {
+			return false
+		}
+		prev, next = next, e.lane[next-1].next
+	}
+	e.lane[c] = laneCell{at: at, seq: e.seq, next: next}
+	if prev != 0 {
+		e.lane[prev-1].next = c + 1
+	} else {
+		e.heads[i] = c + 1
+		e.bits[i>>6] |= 1 << (i & 63)
+	}
+	e.laneN++
+	return true
+}
+
+// advance makes the next non-empty bucket the active one: its list
+// leaves the ring, reversed into firing order. The active list must be
+// drained and the ring must hold an event.
+func (e *Engine) advance() {
+	b := e.cur + 1
+	for {
+		// The rest of b's word; then whole words, ending — a full lap
+		// later — with the low bits of the first.
+		i := b & (laneBuckets - 1)
+		if m := e.bits[i>>6] >> (i & 63); m != 0 {
+			b += int64(bits.TrailingZeros64(m))
+			break
+		}
+		b = (b | 63) + 1
+	}
+	i := b & (laneBuckets - 1)
+	for n := e.heads[i]; n != 0; {
+		l := &e.lane[n-1]
+		n, l.next, e.act = l.next, e.act, n
+	}
+	e.cur, e.heads[i] = b, 0
+	e.bits[i>>6] &^= 1 << (i & 63)
+}
+
 // release empties payload cell c (dropping its fn/h/arg references) and
-// recycles it.
+// recycles it. Here and in schedule a cell is written field by field, not
+// as one struct value: while the collector is marking, a whole-struct
+// store goes through the bulk barrier (wbZero/wbMove look up the span and
+// walk the type's pointer map, several times the price of the event), and
+// a field store through the buffered one, so an event costs about the
+// same whichever phase the collector is in.
 func (e *Engine) release(c int32) {
-	e.cells[c] = payload{}
+	cl := &e.cells[c]
+	cl.fn, cl.h, cl.arg = nil, nil, nil
 	e.freeCells = append(e.freeCells, c)
 }
 
@@ -454,21 +563,38 @@ func (e *Engine) Stop() { e.stopped = true }
 // step executes the earliest pending event. It reports false when the
 // queue is empty or the engine was stopped.
 func (e *Engine) step(limit Time) bool {
-	if e.stopped || len(e.heap) == 0 {
+	if e.stopped {
 		return false
 	}
-	if e.heap[0].at > limit {
-		return false
+	if e.act == 0 && e.laneN != 0 {
+		e.advance()
 	}
-	k := e.pop()
-	e.now = k.at
-	p := e.cells[k.cell]
-	e.release(k.cell)
-	if k.slot != 0 {
-		// Retire before the callback runs, so a Stop from inside it
-		// reports false.
-		e.retire(k.slot - 1)
+	var c int32
+	if a := e.act; a != 0 && (len(e.heap) == 0 || e.lane[a-1].before(e.heap[0])) {
+		l := &e.lane[a-1]
+		if l.at > limit {
+			return false
+		}
+		e.act = l.next
+		e.laneN--
+		e.now, c = l.at, a-1
+	} else {
+		if len(e.heap) == 0 || e.heap[0].at > limit {
+			return false
+		}
+		k := e.pop()
+		e.now, c = k.at, k.cell
+		if k.slot != 0 {
+			// Retire before the callback runs, so a Stop from inside it
+			// reports false.
+			e.retire(k.slot - 1)
+		}
+		if e.laneN == 0 {
+			e.cur = int64(k.at) >> laneShift // the empty lane's window follows the clock
+		}
 	}
+	p := e.cells[c]
+	e.release(c)
 	e.processed++
 	if p.h != nil {
 		p.h.OnEvent(p.arg)

@@ -148,13 +148,14 @@ func (r refSched) every(start, period Duration, fn func()) func() {
 
 // Program encoding: an op byte (mod numOps) followed by its operand
 // bytes; missing operands read as 0. Every callback carries an act byte
-// (mod numActs) and an arg byte saying what it does when it fires.
+// (mod numActs) and an arg byte saying what it does when it fires. A
+// delay operand d means delay(d).
 const (
-	opAt         = iota // d act arg: At(now+d%16)
-	opAtEvent           // d: AtEvent(now+d%16)
-	opTimer             // d act arg: AfterTimer(d%16), handle kept forever
+	opAt         = iota // d act arg: At(now+d)
+	opAtEvent           // d: AtEvent(now+d)
+	opTimer             // d act arg: AfterTimer(d), handle kept forever
 	opStop              // i: Stop handle i%len, whatever state it is in
-	opRun               // d: RunUntil(now+d%12)
+	opRun               // d: RunUntil(now+d)
 	opEvery             // start period limit: ticker that stops itself at its limit-th tick
 	opStopTicker        // i: stop ticker i%len from outside
 	opStorm             // n d: n%16+2 times over, stop the newest handle and arm its successor
@@ -165,11 +166,48 @@ const (
 	actNone      = iota
 	actStopSelf  // a timer stops its own handle from inside its callback
 	actStopOther // stop handle arg%len
-	actArm       // arm a timer arg%8 ahead
-	actAt        // schedule a plain event arg%8 ahead (0: same timestamp)
+	actArm       // arm a timer arg ahead
+	actAt        // schedule a plain event arg ahead (0: same timestamp)
 	actRearm     // the sender's ACK: stop the newest handle, arm its successor
 	numActs
 )
+
+// Delay units. The high nibble of a delay byte picks a row {base, step},
+// the low nibble counts steps, so one byte reaches every route a key can
+// take through the engine: the active bucket (heap), the buckets after it,
+// the middle and the far end of the ring, the first bucket past the
+// horizon (heap again), and — once the clock has moved by a horizon —
+// ring slots that have wrapped. Row 0 is the plain nanoseconds the older
+// seeds were written in.
+const (
+	laneWidth   = Duration(1) << laneShift
+	laneHorizon = laneWidth * laneBuckets
+
+	dNs   = 0x00 // lo ns: inside one bucket
+	dBkt  = 0x10 // lo buckets ahead
+	dSkew = 0x20 // lo × (a bit over a quarter bucket): neighbours in one bucket, any order
+	dMid  = 0x30 // half the ring, + lo buckets
+	dEdge = 0x40 // lo buckets around the horizon: 7 is the last bucket inside, 8 the first past it
+	dFine = 0x50 // the same edge, ns by ns
+	dRing = 0x60 // lo eighths of the ring
+	dFar  = 0x70 // lo × 3 horizons: only the heap reaches, and the clock gets there
+)
+
+var delayRows = [8]struct{ base, step Duration }{
+	{0, 1},
+	{0, laneWidth},
+	{0, laneWidth/4 + 1},
+	{laneHorizon / 2, laneWidth},
+	{laneHorizon - 7*laneWidth, laneWidth},
+	{laneHorizon + laneWidth - 8, 1},
+	{0, laneHorizon / 8},
+	{0, 3 * laneHorizon},
+}
+
+func delay(d byte) Duration {
+	r := delayRows[d>>4&7]
+	return r.base + Duration(d&15)*r.step
+}
 
 // obs is one observation. Every scheduler state a caller can read is in
 // it, so equal logs mean equal firing order, Stop results and counters
@@ -230,11 +268,11 @@ func (m *machine) callback(act, arg byte, self int) func() {
 		case actStopOther:
 			m.stop(int(arg))
 		case actArm:
-			m.arm(Duration(arg%8), actNone, 0)
+			m.arm(delay(arg), actNone, 0)
 		case actAt:
-			m.s.At(m.s.Now()+Time(arg%8), m.callback(actNone, 0, -1))
+			m.s.At(m.s.Now()+delay(arg), m.callback(actNone, 0, -1))
 		case actRearm:
-			m.rearm(1 + Duration(arg%8))
+			m.rearm(1 + delay(arg))
 		}
 	}
 }
@@ -255,21 +293,21 @@ func runProgram(s sched, prog []byte) []obs {
 		switch op {
 		case opAt:
 			d, act, arg := next(), next(), next()
-			s.At(s.Now()+Time(d%16), m.callback(act, arg, -1))
+			s.At(s.Now()+delay(d), m.callback(act, arg, -1))
 		case opAtEvent:
-			s.AtEvent(s.Now()+Time(next()%16), m, m.id())
+			s.AtEvent(s.Now()+delay(next()), m, m.id())
 		case opTimer:
 			d, act, arg := next(), next(), next()
-			m.arm(Duration(d%16), act, arg)
+			m.arm(delay(d), act, arg)
 		case opStop:
 			m.stop(int(next()))
 		case opRun:
-			s.RunUntil(s.Now() + Time(next()%12))
+			s.RunUntil(s.Now() + delay(next()))
 		case opEvery:
 			start, period, limit := next(), next(), next()
 			id, ticks := m.id(), 0
 			var stop func()
-			stop = s.every(Duration(start%4), 1+Duration(period%5), func() {
+			stop = s.every(delay(start), 1+delay(period), func() {
 				m.note('t', id, false)
 				if ticks++; ticks > int(limit%6) {
 					stop()
@@ -283,7 +321,7 @@ func runProgram(s sched, prog []byte) []obs {
 		case opStorm:
 			n, d := next(), next()
 			for i := 0; i < int(n%16)+2; i++ {
-				m.rearm(1 + Duration(d%8))
+				m.rearm(1 + delay(d))
 			}
 		}
 		m.note('o', int(op), false)
@@ -344,6 +382,46 @@ var programSeeds = [][]byte{
 		opAt, 3, 0, 0, opAt, 4, 0, 0, opAt, 4, 0, 0, opAt, 9, 0, 0, opStop, 0, opRun, 11},
 	// Tickers: one stops itself, one is stopped from outside mid-run.
 	{opEvery, 0, 0, 2, opEvery, 1, 2, 5, opRun, 4, opStopTicker, 1, opRun, 11},
+
+	// The lane. One key on every route — the active bucket, the next one,
+	// mid-ring, the last bucket inside the horizon, the first one past it
+	// and far beyond — scheduled latest first, with timers (always heap)
+	// between them, one of which is stopped.
+	{opAt, dFar | 1, 0, 0, opAt, dEdge | 8, 0, 0, opTimer, dEdge | 7, 0, 0, opAt, dEdge | 7, 0, 0, opAt, dMid | 3, 0, 0,
+		opTimer, dMid | 3, 0, 0, opAt, dBkt | 1, 0, 0, opAt, dNs | 5, 0, 0, opStop, 1, opRun, dRing | 9, opRun, dFar | 2},
+	// One timestamp, alternately in the lane and (the timers) on the heap:
+	// FIFO by seq has to hold across the two, and for what a callback adds
+	// at that same timestamp from inside a lane event.
+	{opAt, dBkt | 2, 0, 0, opTimer, dBkt | 2, 0, 0, opAtEvent, dBkt | 2, opTimer, dBkt | 2, actAt, 0, opAt, dBkt | 2, actAt, 0,
+		opTimer, dBkt | 2, 0, 0, opAt, dBkt | 2, actArm, 0, opAtEvent, dBkt | 2, opRun, dBkt | 2},
+	// One bucket filled out of order (126, 99, 117, 99 again, 96 ns at
+	// the 32 ns geometry: each but the first some links into the list,
+	// one of them a tie), a timer between two of them, and its neighbours
+	// filled in order.
+	{opAt, dSkew | 14, 0, 0, opAt, dSkew | 11, 0, 0, opTimer, dSkew | 12, 0, 0, opAt, dSkew | 13, 0, 0, opAt, dSkew | 11, 0, 0,
+		opAt, dBkt | 3, 0, 0, opAt, dBkt | 2, 0, 0, opAt, dBkt | 4, 0, 0, opAt, dSkew | 15, 0, 0, opRun, dBkt | 5},
+	// A key earlier than everything in its bucket (108, then 99), and one
+	// that ties with the earliest (99 again: it fires after the older 99).
+	// Then two more to the front, one after the other, and a tie with the
+	// latest.
+	{opAt, dSkew | 12, 0, 0, opAt, dSkew | 11, 0, 0, opAt, dSkew | 11, 0, 0, opRun, dBkt | 4,
+		opAt, dSkew | 12, 0, 0, opAt, dSkew | 11, 0, 0, opAt, dBkt | 3, actNone, 0, opAt, dNs | 3, 0, 0, opAt, dSkew | 12, 0, 0, opRun, dBkt | 5},
+	// RunUntil stops inside an active bucket with keys on both sides of
+	// the limit; what is scheduled then lands in the active bucket's window
+	// (heap) ahead of the keys still listed there, and after them.
+	{opAt, dSkew | 11, 0, 0, opAt, dSkew | 12, 0, 0, opAt, dSkew | 13, 0, 0, opAt, dSkew | 14, 0, 0, opRun, dSkew | 12,
+		opAt, dNs | 3, 0, 0, opAt, dNs | 12, 0, 0, opAtEvent, dNs | 9, opRun, dNs | 4, opAt, dNs | 5, actAt, 0, opRun, dBkt | 1},
+	// The ring wraps: the clock crosses several horizons with the lane in
+	// use the whole way, each run ending mid-ring.
+	{opEvery, 1, dRing | 3, 5, opAt, dRing | 7, actAt, dRing | 7, opRun, dRing | 5, opAt, dEdge | 7, actAt, dEdge | 7, opRun, dRing | 13,
+		opAt, dRing | 6, actRearm, dRing | 2, opAt, dEdge | 9, actAt, dMid | 1, opRun, dRing | 11, opAt, dBkt | 9, 0, 0, opRun, dRing | 15},
+	// Timers alone carry the clock many horizons on while the lane is
+	// empty; the plain events after that must be found where they belong.
+	{opTimer, dFar | 5, actAt, dBkt | 3, opTimer, dFar | 9, actArm, dMid | 2, opRun, dFar | 10, opAt, dBkt | 2, 0, 0, opAt, dSkew | 9, 0, 0,
+		opAt, dSkew | 7, 0, 0, opRun, dBkt | 1},
+	// A re-arm storm (heap) under a lane that is draining.
+	{opAt, dBkt | 1, actRearm, dBkt | 4, opAt, dBkt | 2, actRearm, dMid | 0, opAt, dBkt | 3, actStopOther, 0, opStorm, 6, dRing | 2,
+		opAt, dSkew | 13, actRearm, dNs | 1, opRun, dBkt | 2, opStorm, 3, dBkt | 1, opRun, dRing | 3},
 }
 
 // heapShapeProgram arms n timers (deadlines spread over 16 ticks with
@@ -366,12 +444,29 @@ func heapShapeProgram(n int) []byte {
 	return prog
 }
 
+// bucketShapeProgram schedules n keys into two neighbouring buckets, four
+// timestamps each, cycling so that keys belong at every depth of a
+// bucket's list — past laneWalk links, where they take the heap, once n
+// is large — among ties within the lane and across the two sources, with a
+// timer at one of the timestamps after every seventh.
+func bucketShapeProgram(n int) []byte {
+	var prog []byte
+	for i := 0; i < n; i++ {
+		prog = append(prog, opAt, dSkew|byte(8+i*5%8), actNone, 0)
+		if i%7 == 6 {
+			prog = append(prog, opTimer, dSkew|byte(8+i%8), actNone, 0)
+		}
+	}
+	return append(prog, opRun, dSkew|12, opRun, dBkt|5)
+}
+
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	for _, prog := range programSeeds {
 		diffProgram(t, prog)
 	}
 	for n := 1; n <= 90; n++ {
 		diffProgram(t, heapShapeProgram(n))
+		diffProgram(t, bucketShapeProgram(n))
 	}
 	rng := NewRand(20250928)
 	prog := make([]byte, 400)
@@ -383,12 +478,57 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// TestLaneRoutes pins which source a key is filed in, so that the delay
+// units above keep reaching what they are named for, and the two ways the
+// window could be left behind: a clock that timers alone moved, and a key
+// at the end of time.
+func TestLaneRoutes(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	route := func(name string, wantLane bool, schedule func()) {
+		t.Helper()
+		lane, heap := e.laneN, len(e.heap)
+		schedule()
+		if gotLane := e.laneN == lane+1; gotLane != wantLane || e.laneN+len(e.heap) != lane+heap+1 {
+			t.Fatalf("%s: lane %d -> %d, heap %d -> %d, want lane = %v", name, lane, e.laneN, heap, len(e.heap), wantLane)
+		}
+	}
+	routes := func() {
+		t.Helper()
+		route("active bucket", false, func() { e.After(delay(dNs|5), nop) })
+		route("next bucket", true, func() { e.After(delay(dBkt|1), nop) })
+		route("mid-ring", true, func() { e.After(delay(dMid|3), nop) })
+		route("last bucket inside the horizon", true, func() { e.After(delay(dEdge|7), nop) })
+		route("first bucket past the horizon", false, func() { e.After(delay(dEdge|8), nop) })
+		route("far", false, func() { e.After(delay(dFar|1), nop) })
+		route("timer", false, func() { e.AfterTimer(delay(dBkt|1), nop) })
+		route("end of time", false, func() { e.At(MaxTime, nop) })
+	}
+	routes()
+	e.RunUntil(e.Now() + delay(dFar|2))
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d with only the end of time left", e.Pending())
+	}
+	// The lane is empty and a timer takes the clock 27 horizons on: the
+	// same delays must find the same routes from there.
+	e.AfterTimer(delay(dFar|9), nop)
+	e.RunUntil(e.Now() + delay(dFar|9))
+	routes()
+	e.Run()
+	if e.Now() != MaxTime || e.Pending() != 0 {
+		t.Fatalf("drained to Now = %v, Pending = %d", e.Now(), e.Pending())
+	}
+}
+
 func FuzzEngineProgram(f *testing.F) {
 	for _, prog := range programSeeds {
 		f.Add(prog)
 	}
 	for _, n := range []int{5, 6, 7, 8, 21, 22, 23, 24} {
 		f.Add(heapShapeProgram(n))
+	}
+	for _, n := range []int{3, 12, 13, 90} {
+		f.Add(bucketShapeProgram(n))
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {

@@ -39,10 +39,24 @@ func allPolicies(eng *sim.Engine) []struct {
 	}
 }
 
+// checkBacklogged holds the switch's backlogged set to its definition.
+func checkBacklogged(t *testing.T, sw *Switch, after string) {
+	t.Helper()
+	for q := 0; q < sw.NumQueues(); q++ {
+		if got, want := sw.Backlogged().Get(q), sw.QueueLen(q) > 0; got != want {
+			t.Fatalf("after %s: queue %d holds %d bytes, backlogged bit %v", after, q, sw.QueueLen(q), got)
+		}
+	}
+}
+
 // TestAllPoliciesSoak pushes randomized traffic through every policy and
 // checks the system invariants that must hold regardless of scheme:
-// packet conservation, cell conservation, and non-negative queues.
+// packet conservation, cell conservation, and non-negative queues — and,
+// after every operation that moves a queue's length (an enqueue, a
+// dequeue, a head-drop) or declines to (an admission or no-memory drop),
+// that the backlogged set is exactly the queues holding bytes.
 func TestAllPoliciesSoak(t *testing.T) {
+	var dropped [3]int // by DropReason, over every policy and seed
 	for seed := uint64(1); seed <= 3; seed++ {
 		eng := sim.NewEngine()
 		for _, pc := range allPolicies(eng) {
@@ -69,13 +83,23 @@ func TestAllPoliciesSoak(t *testing.T) {
 				}
 				sw := New("soak", eng, Config{
 					Ports: 4, ClassesPerPort: 2, BufferBytes: 64_000,
-					Policy: policy, Occamy: pc.occ,
+					// 200-byte cells run out before the bytes do (no-memory
+					// drops, and nothing for a preemptive policy to do);
+					// small cells let the byte limit bind (expulsions).
+					CellBytes: []int{200, 64, 16}[seed-1],
+					Policy:    policy, Occamy: pc.occ,
 					Scheduler: SchedKind(int(seed) % 3), ECNThresholdBytes: 16_000,
 				})
 				for i := 0; i < 4; i++ {
-					sw.AttachPort(i, 1e9, 0, func(*pkt.Packet) {})
+					// With no propagation delay a delivery runs right behind
+					// the tx-done that dequeued the next packet.
+					sw.AttachPort(i, 1e9, 0, func(*pkt.Packet) { checkBacklogged(t, sw, "a dequeue") })
 				}
 				sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
+				sw.DropHook = func(_ *pkt.Packet, _ int, reason DropReason) {
+					dropped[reason]++
+					checkBacklogged(t, sw, "a drop ("+reason.String()+")")
+				}
 
 				r := sim.NewRand(seed * 77)
 				var id uint64
@@ -91,10 +115,14 @@ func TestAllPoliciesSoak(t *testing.T) {
 							Priority:   r.Intn(2),
 							ECNCapable: r.Intn(2) == 0,
 						})
+						checkBacklogged(t, sw, "Receive")
 					})
 				}
 				eng.Run()
 				sw.Pool().CheckInvariants()
+				if sw.Backlogged().Any() {
+					t.Fatalf("%d queues still marked backlogged after the drain", sw.Backlogged().Count())
+				}
 				st := sw.Stats()
 				if st.TxPackets+st.Drops()+st.DropsExpelled != st.RxPackets {
 					t.Fatalf("packet conservation: %+v", st)
@@ -108,6 +136,11 @@ func TestAllPoliciesSoak(t *testing.T) {
 					t.Fatalf("occupancy %d after drain", sw.Occupancy())
 				}
 			})
+		}
+	}
+	for reason, n := range dropped {
+		if n == 0 {
+			t.Errorf("no %s drop in the whole soak: that path of the backlogged check never ran", DropReason(reason))
 		}
 	}
 }

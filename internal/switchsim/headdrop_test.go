@@ -42,3 +42,27 @@ func TestHeadDropSurvivesRecyclingHook(t *testing.T) {
 		t.Fatalf("HeadDrop reported %d cells, want %d", cells, want)
 	}
 }
+
+// TestHeadDropEmptiesBackloggedBit: head-drops that take a queue's last
+// packet clear its backlogged bit — the soak's expulsions hit long queues
+// and never get that far — and a zero-length packet, which occupies a cell
+// but no bytes, never sets it.
+func TestHeadDropEmptiesBackloggedBit(t *testing.T) {
+	sw := New("hd", sim.NewEngine(), Config{Ports: 2, ClassesPerPort: 1, BufferBytes: 64_000, Policy: core.NewPushout()})
+	sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
+	// No port is attached, so nothing transmits: only HeadDrop dequeues.
+	sw.Receive(&pkt.Packet{ID: 1, Dst: 1, Size: 0})
+	checkBacklogged(t, sw, "a zero-length enqueue")
+	sw.Receive(&pkt.Packet{ID: 2, Dst: 0, Size: 700})
+	sw.Receive(&pkt.Packet{ID: 3, Dst: 0, Size: 300})
+	checkBacklogged(t, sw, "two enqueues")
+	for want := 1; want >= 0; want-- {
+		if _, _, ok := sw.HeadDrop(0); !ok {
+			t.Fatal("HeadDrop failed on a backlogged queue")
+		}
+		checkBacklogged(t, sw, "a head-drop")
+		if got := sw.Backlogged().Count(); got != want {
+			t.Fatalf("%d queues backlogged, want %d", got, want)
+		}
+	}
+}

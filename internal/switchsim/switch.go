@@ -12,6 +12,7 @@ import (
 	"occamy/internal/bm"
 	"occamy/internal/cellmem"
 	"occamy/internal/core"
+	"occamy/internal/hw"
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
 )
@@ -171,6 +172,12 @@ type Switch struct {
 	occ      *core.Engine        // non-nil when Occamy expulsion is enabled
 	router   Router
 
+	// backlogged marks the queues holding at least one byte. Every change
+	// to a queue's length re-derives its bit on the spot (enqueue, transmit,
+	// head-drop), so the preemptive policies scan these queues instead of
+	// asking all of them for their length (core.TM.Backlogged).
+	backlogged *hw.Bitmap
+
 	totalBytes int // sum of queue lengths (packet bytes, not cell-rounded)
 	stats      Stats
 	portStats  []PortStats
@@ -212,7 +219,8 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 			CellSize: cfg.CellBytes,
 			NumCells: (cfg.BufferBytes + cfg.CellBytes - 1) / cfg.CellBytes,
 		}),
-		policy: cfg.Policy,
+		policy:     cfg.Policy,
+		backlogged: hw.NewBitmap(cfg.Ports * cfg.ClassesPerPort),
 	}
 	_, readsDrain := cfg.Policy.(interface{ ReadsDequeueRate() })
 	if p, ok := cfg.Policy.(core.Preemptor); ok {
@@ -350,7 +358,7 @@ func (s *Switch) Capacity() int { return s.cfg.BufferBytes }
 // Occupancy implements bm.State.
 func (s *Switch) Occupancy() int { return s.totalBytes }
 
-// NumQueues implements bm.State and core.TM.
+// NumQueues implements bm.State.
 func (s *Switch) NumQueues() int { return len(s.flat) }
 
 // QueueLen implements bm.State and core.TM.
@@ -377,6 +385,9 @@ func (s *Switch) DequeueRate(q int) float64 {
 }
 
 // --- core.TM implementation ---------------------------------------------
+
+// Backlogged implements core.TM.
+func (s *Switch) Backlogged() *hw.Bitmap { return s.backlogged }
 
 // Threshold implements core.TM: the admission policy's current limit.
 func (s *Switch) Threshold(q int) int { return s.policy.Threshold(s, q) }
@@ -406,6 +417,7 @@ func (s *Switch) HeadDrop(q int) (int, int, bool) {
 	if !ok || id != p.ID || n != size {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on head-drop: got (%d,%d), want (%d,%d)", n, id, size, p.ID))
 	}
+	s.backlogged.Assign(q, cq.cells.Len() > 0)
 	s.totalBytes -= size
 	s.stats.DropsExpelled++
 	s.portStats[q/s.cfg.ClassesPerPort].DropsExpelled++
@@ -483,6 +495,7 @@ func (s *Switch) Receive(p *pkt.Packet) {
 	}
 	cq.cells.Enqueue(ref)
 	cq.meta.push(p)
+	s.backlogged.Assign(q, cq.cells.Len() > 0)
 	s.totalBytes += p.Size
 	if s.memBW != nil {
 		s.memBW.add(s.eng.Now(), s.pool.CellsFor(p.Size)) // cell writes
@@ -534,6 +547,8 @@ func (s *Switch) tryTransmit(pt *port) {
 	if !ok || id != p.ID || n != p.Size {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on dequeue: got (%d,%d), want (%d,%d)", n, id, p.Size, p.ID))
 	}
+	q := s.qindex(pt.id, class)
+	s.backlogged.Assign(q, cq.cells.Len() > 0)
 	s.totalBytes -= p.Size
 	now := s.eng.Now()
 	cells := s.pool.CellsFor(p.Size)
@@ -551,7 +566,7 @@ func (s *Switch) tryTransmit(pt *port) {
 	ps := &s.portStats[pt.id]
 	ps.TxPackets++
 	ps.TxBytes += int64(p.Size)
-	qs := &s.queueStats[s.qindex(pt.id, class)]
+	qs := &s.queueStats[q]
 	qs.TxPackets++
 	qs.TxBytes += int64(p.Size)
 
