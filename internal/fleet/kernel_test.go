@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,6 +65,176 @@ func TestTierParity(t *testing.T) {
 		}
 		if worker["error"] == "" || worker["error"] != router["error"] {
 			t.Errorf("%s: error strings differ:\nworker: %q\nrouter: %q", tc.name, worker["error"], router["error"])
+		}
+	}
+
+	// Reads: the router forwards scale, stride and part escaped again, so
+	// a value that decodes to "8&x" is the worker's 400 through either
+	// tier and cannot smuggle a second parameter; ?part=head serves the
+	// same traceless result from both, and a sweep — worker-run or
+	// router-aggregated — has no parts.
+	var run, wsweep, gsweep service.JobStatus
+	if code := post(t, f.router.URL+"/v1/runs", string(spec), &run); code != http.StatusAccepted {
+		t.Fatalf("run POST: status %d", code)
+	}
+	await(t, f.router.URL, run.ID)
+	_, wid, _ := f.rt.parseRunID(run.ID)
+	const sweepBody = `{"name":"quickstart","scale":"quick","axes":["policy.kind=dt,occamy"]}`
+	if code := post(t, f.workers[0].URL+"/v1/sweeps", sweepBody, &wsweep); code != http.StatusAccepted {
+		t.Fatalf("worker sweep POST: status %d", code)
+	}
+	if code := post(t, f.router.URL+"/v1/sweeps", sweepBody, &gsweep); code != http.StatusAccepted {
+		t.Fatalf("router sweep POST: status %d", code)
+	}
+	await(t, f.workers[0].URL, wsweep.ID)
+	await(t, f.router.URL, gsweep.ID)
+	for _, tc := range []struct {
+		name, worker, router string
+		status               int
+	}{
+		{"export: scale smuggling a name", "/v1/scenarios/quickstart?scale=quick%26name%3Dx", "", http.StatusNotFound},
+		{"export: escaped scale", "/v1/scenarios/quickstart?scale=qu%69ck", "", http.StatusOK},
+		{"export: name smuggling a query", "/v1/scenarios/quickstart%3Fscale=galactic", "", http.StatusNotFound},
+		{"trace: stride with an ampersand", "/v1/runs/" + wid + "/trace.csv?stride=8%26x", "/v1/runs/" + run.ID + "/trace.csv?stride=8%26x", http.StatusBadRequest},
+		{"trace: stride smuggling a stride", "/v1/runs/" + wid + "/trace.csv?stride=x%26stride%3D8", "/v1/runs/" + run.ID + "/trace.csv?stride=x%26stride%3D8", http.StatusBadRequest},
+		{"trace: escaped stride", "/v1/runs/" + wid + "/trace.csv?stride=%38", "/v1/runs/" + run.ID + "/trace.csv?stride=%38", http.StatusOK},
+		{"run: id smuggling a part", "/v1/runs/" + wid + "%3Fpart=bogus", "/v1/runs/" + run.ID + "%3Fpart=bogus", http.StatusNotFound},
+		{"run: part=head", "/v1/runs/" + wid + "?part=head", "/v1/runs/" + run.ID + "?part=head", http.StatusOK},
+		{"run: part=bogus", "/v1/runs/" + wid + "?part=bogus", "/v1/runs/" + run.ID + "?part=bogus", http.StatusBadRequest},
+		{"run: part with an ampersand", "/v1/runs/" + wid + "?part=head%26x", "/v1/runs/" + run.ID + "?part=head%26x", http.StatusBadRequest},
+		{"sweep: part=head", "/v1/runs/" + wsweep.ID + "?part=head", "/v1/runs/" + gsweep.ID + "?part=head", http.StatusOK},
+		{"sweep: part=bogus", "/v1/runs/" + wsweep.ID + "?part=bogus", "/v1/runs/" + gsweep.ID + "?part=bogus", http.StatusBadRequest},
+	} {
+		if tc.router == "" {
+			tc.router = tc.worker
+		}
+		wcode, wbody := get(t, f.workers[0].URL+tc.worker)
+		rcode, rbody := get(t, f.router.URL+tc.router)
+		if wcode != tc.status || rcode != tc.status {
+			t.Errorf("%s: worker %d, router %d, want %d", tc.name, wcode, rcode, tc.status)
+			continue
+		}
+		// What must agree: a job view's result (ids and timestamps are
+		// each tier's own), any other body — error, export, CSV — whole.
+		comparable := func(body []byte) string {
+			var view struct {
+				Result json.RawMessage `json:"result"`
+			}
+			if json.Unmarshal(body, &view) == nil && len(view.Result) > 0 {
+				return string(view.Result)
+			}
+			return string(body)
+		}
+		if comparable(wbody) != comparable(rbody) {
+			t.Errorf("%s: replies differ:\nworker: %.200s\nrouter: %.200s", tc.name, wbody, rbody)
+		}
+		if strings.Contains(tc.name, "part=head") {
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(comparable(rbody)), &doc); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			_, trace := doc["trace"]
+			_, summary := doc["summary"]
+			if isRun := strings.HasPrefix(tc.name, "run"); trace || summary != isRun {
+				t.Errorf("%s: result has trace=%v summary=%v", tc.name, trace, summary)
+			}
+		}
+	}
+}
+
+// get fetches a URL and returns its status and body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: reading body: %v", url, err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestRelayRejectsWhatIsNotAJobDocument pins the relay's one check: the
+// router rewrites a worker's job document without parsing it, so a reply
+// with the expected status that does not open with the id and close
+// like a document is a 502, never relayed — through GET, POST and DELETE
+// alike. A reply cut short of its Content-Length never gets that far.
+func TestRelayRejectsWhatIsNotAJobDocument(t *testing.T) {
+	var reply func(w http.ResponseWriter)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusAccepted)
+		}
+		reply(w)
+	}))
+	defer worker.Close()
+	rt, err := NewRouter(Config{Workers: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+	spec, err := quickSpec(t, "quickstart").Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const good = `{"id":"r1","kind":"run","state":"done","result":{"schema":1}}` + "\n"
+	body := func(s string) func(http.ResponseWriter) {
+		return func(w http.ResponseWriter) { _, _ = io.WriteString(w, s) }
+	}
+	for _, tc := range []struct {
+		name   string
+		reply  func(http.ResponseWriter)
+		status int
+	}{
+		{"a job document", body(good), 0},
+		{"garbage", body("<html>it works</html>\n"), http.StatusBadGateway},
+		{"nothing", body(""), http.StatusBadGateway},
+		{"a bare array", body(`[{"id":"r1"}]` + "\n"), http.StatusBadGateway},
+		{"another first field", body(`{"kind":"run","id":"r1"}` + "\n"), http.StatusBadGateway},
+		{"a document cut short", body(good[:len(good)/2]), http.StatusBadGateway},
+		{"a document without its newline", body(good[:len(good)-1]), http.StatusBadGateway},
+		{"a body short of its Content-Length", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(good)))
+			_, _ = io.WriteString(w, good[:len(good)/2])
+		}, http.StatusBadGateway},
+	} {
+		reply = tc.reply
+		for _, call := range []struct{ method, path, body string }{
+			{http.MethodGet, "/v1/runs/w0.r1", ""},
+			{http.MethodGet, "/v1/runs/w0.r1?part=head", ""},
+			{http.MethodPost, "/v1/runs", string(spec)},
+			{http.MethodDelete, "/v1/runs/w0.r1", ""},
+		} {
+			req, err := http.NewRequest(call.method, router.URL+call.path, strings.NewReader(call.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := tc.status
+			if want == 0 { // relayed under its own status, with the routed id
+				want = http.StatusOK
+				if call.method == http.MethodPost {
+					want = http.StatusAccepted
+				}
+				if routed := `{"id":"w0.r1",` + good[len(`{"id":"r1",`):]; string(got) != routed {
+					t.Errorf("%s %s: relayed %q, want %q", call.method, call.path, got, routed)
+				}
+			} else if !strings.Contains(string(got), `"error":"worker 0`) {
+				t.Errorf("%s, %s %s: body %.120q does not name the worker", tc.name, call.method, call.path, got)
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s, %s %s: status %d, want %d (body %.120q)", tc.name, call.method, call.path, resp.StatusCode, want, got)
+			}
 		}
 	}
 }
@@ -242,5 +415,78 @@ func TestRouterStatsCountSweeps(t *testing.T) {
 	}
 	if c := st.Router.Counters; c.Sweeps != 2 || c.SweepCacheHits != 1 || c.SweepPoints != 2 || st.Router.SweepJobs != 2 {
 		t.Fatalf("router ledger after a sweep and its repeat: %+v (sweep_jobs %d), want 2 sweeps, 1 cache hit, 2 points, 2 jobs", c, st.Router.SweepJobs)
+	}
+}
+
+// countingTransport records how many body bytes each worker reply to a
+// GET /v1/runs/{id} poll carried.
+type countingTransport struct {
+	mu    sync.Mutex
+	polls []int
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.Method != http.MethodGet || !strings.HasPrefix(req.URL.Path, "/v1/runs/") {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.polls = append(c.polls, len(body))
+	c.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestSweepPointsPollTheHeadOnly pins what the aggregator moves: a sweep
+// point keeps one summary row, so every poll of it — the one that finds
+// it done included — reads the head of the result (under 16 KB), never
+// the ~115 KB document with its trace; the table it assembles is the
+// one TestFleetSweepByteIdentity pins, and the full document is still
+// on its home shard for a client that asks.
+func TestSweepPointsPollTheHeadOnly(t *testing.T) {
+	counter := &countingTransport{}
+	f := startFleet(t, 2, func(cfg *Config) { cfg.Client = &http.Client{Transport: counter} })
+	var st service.JobStatus
+	if code := post(t, f.router.URL+"/v1/sweeps", `{"name":"burst-absorb","scale":"quick","axes":["policy.kind=dt,occamy","seed=1,2"]}`, &st); code != http.StatusAccepted {
+		t.Fatalf("sweep POST: status %d", code)
+	}
+	if view := await(t, f.router.URL, st.ID); view.State != service.JobDone {
+		t.Fatalf("sweep ended %s: %s", view.State, view.Error)
+	}
+	counter.mu.Lock()
+	polls := append([]int(nil), counter.polls...)
+	counter.mu.Unlock()
+	if len(polls) < 4 {
+		t.Fatalf("a 4-point sweep made %d polls", len(polls))
+	}
+	for _, n := range polls {
+		if n >= 16<<10 {
+			t.Errorf("a sweep point's poll read %d bytes; the head of a result is under 16 KB (all polls: %v)", n, polls)
+			break
+		}
+	}
+	// The documents the points left behind are whole.
+	whole := 0
+	for _, w := range f.workers {
+		var page struct {
+			Runs []service.JobStatus `json:"runs"`
+		}
+		_, body := get(t, w.URL+"/v1/runs")
+		if err := json.Unmarshal(body, &page); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range page.Runs {
+			if _, doc := get(t, w.URL+"/v1/runs/"+run.ID); len(doc) > 64<<10 && bytes.Contains(doc, []byte(`,"trace":{"sample_every":`)) {
+				whole++
+			}
+		}
+	}
+	if whole != 4 {
+		t.Errorf("%d of the 4 points' full documents are on the shards", whole)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -329,11 +330,18 @@ func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleScenarioExport(w http.ResponseWriter, r *http.Request) {
-	path := "/v1/scenarios/" + r.PathValue("name")
-	if scale := r.URL.Query().Get("scale"); scale != "" {
-		path += "?scale=" + scale
+	rt.proxyAny(w, r, "/v1/scenarios/"+url.PathEscape(r.PathValue("name"))+forwardQuery(r, "scale"))
+}
+
+// forwardQuery renders one parameter of a request's query for the
+// worker URL it is forwarded to, escaped again: pasted in as decoded, a
+// value could end its own parameter and start another.
+func forwardQuery(r *http.Request, name string) string {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return ""
 	}
-	rt.proxyAny(w, r, path)
+	return "?" + name + "=" + url.QueryEscape(v)
 }
 
 // --- runs -------------------------------------------------------------
@@ -372,19 +380,26 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // relayJob relays a worker's job document (a status snapshot, with the
 // result once done) under its fleet-routable ID; any reply other than
-// the expected status is relayed verbatim.
+// the expected status is relayed verbatim. A job document opens with
+// its id (JobStatus's first field, a bare "r<seq>"), so the router
+// writes the routed prefix and the rest of the worker's bytes as they
+// are; a body that does not open and close like one is a 502.
 func (rt *Router) relayJob(w http.ResponseWriter, shard int, resp *workerResponse, want int) {
 	if resp.status != want {
 		relay(w, resp)
 		return
 	}
-	var view service.JobView
-	if err := json.Unmarshal(resp.body, &view); err != nil {
-		service.HTTPError(w, http.StatusBadGateway, "worker %d: undecodable job document: %v", shard, err)
+	rest, ok := bytes.CutPrefix(resp.body, []byte(`{"id":"`))
+	if !ok || !bytes.HasSuffix(rest, []byte("}\n")) {
+		service.HTTPError(w, http.StatusBadGateway, "worker %d: undecodable job document: not a {\"id\":…} object", shard)
 		return
 	}
-	view.ID = routerID(shard, view.ID)
-	service.WriteJSON(w, want, view)
+	id := `{"id":"` + routerID(shard, "")
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(id)+len(rest)))
+	w.WriteHeader(want)
+	_, _ = io.WriteString(w, id)
+	_, _ = w.Write(rest)
 }
 
 func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -418,7 +433,7 @@ func (rt *Router) proxyRun(w http.ResponseWriter, r *http.Request, method, suffi
 		service.HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return 0, nil, false
 	}
-	resp, err := rt.callWorker(r.Context(), shard, method, "/v1/runs/"+wid+suffix, nil, reqTrace(r))
+	resp, err := rt.callWorker(r.Context(), shard, method, "/v1/runs/"+url.PathEscape(wid)+suffix, nil, reqTrace(r))
 	if err != nil {
 		service.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return 0, nil, false
@@ -429,10 +444,10 @@ func (rt *Router) proxyRun(w http.ResponseWriter, r *http.Request, method, suffi
 
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	if view, ok := rt.jobs.View(r.PathValue("id")); ok {
-		service.WriteJSON(w, http.StatusOK, view)
+		service.WriteJobView(w, r, view)
 		return
 	}
-	if shard, resp, ok := rt.proxyRun(w, r, http.MethodGet, ""); ok {
+	if shard, resp, ok := rt.proxyRun(w, r, http.MethodGet, forwardQuery(r, "part")); ok {
 		rt.relayJob(w, shard, resp, http.StatusOK)
 	}
 }
@@ -443,11 +458,7 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 		service.HTTPError(w, http.StatusNotFound, "fleet: job %s is a sweep, not a run", id)
 		return
 	}
-	suffix := "/trace.csv"
-	if stride := r.URL.Query().Get("stride"); stride != "" {
-		suffix += "?stride=" + stride
-	}
-	if _, resp, ok := rt.proxyRun(w, r, http.MethodGet, suffix); ok {
+	if _, resp, ok := rt.proxyRun(w, r, http.MethodGet, "/trace.csv"+forwardQuery(r, "stride")); ok {
 		relay(w, resp)
 	}
 }

@@ -128,14 +128,22 @@ func (rt *Router) pollPoint(ctx context.Context, j *service.Job, idx int, spec s
 		if j.Canceled() {
 			return scenario.TableDoc{}, scenario.ErrCanceled
 		}
-		resp, err := rt.callWorker(ctx, shard, http.MethodGet, "/v1/runs/"+st.ID, nil, trace)
+		// Only the summary row participates in the aggregate, so ask for
+		// the head: the full document, trace and all, stays on (and is
+		// served by) its home shard.
+		resp, err := rt.callWorker(ctx, shard, http.MethodGet, "/v1/runs/"+st.ID+"?part=head", nil, trace)
 		if err != nil {
 			return scenario.TableDoc{}, err
 		}
 		if resp.status != http.StatusOK {
 			return scenario.TableDoc{}, fmt.Errorf("worker %d: polling %s: status %d", shard, st.ID, resp.status)
 		}
-		var view service.JobView
+		var view struct {
+			service.JobStatus
+			Result struct {
+				Summary scenario.TableDoc `json:"summary"`
+			} `json:"result"`
+		}
 		if err := json.Unmarshal(resp.body, &view); err != nil {
 			return scenario.TableDoc{}, fmt.Errorf("worker %d: undecodable job view: %v", shard, err)
 		}
@@ -146,15 +154,7 @@ func (rt *Router) pollPoint(ctx context.Context, j *service.Job, idx int, spec s
 				}
 				return scenario.TableDoc{}, fmt.Errorf("point %q on worker %d ended %s", spec.Name, shard, view.State)
 			}
-			// Only the summary row participates in the aggregate; the full
-			// result document stays on (and is served by) its home shard.
-			var doc struct {
-				Summary scenario.TableDoc `json:"summary"`
-			}
-			if err := json.Unmarshal(view.Result, &doc); err != nil {
-				return scenario.TableDoc{}, fmt.Errorf("point %q: undecodable result: %v", spec.Name, err)
-			}
-			return doc.Summary, nil
+			return view.Result.Summary, nil
 		}
 		// The next poll fails on ctx once the deadline has passed.
 		time.Sleep(rt.pollEvery)

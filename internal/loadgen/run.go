@@ -174,7 +174,8 @@ func postJSON(ctx context.Context, client *http.Client, url string, body []byte)
 }
 
 func getJob(ctx context.Context, client *http.Client, target, id string) (jobStatus, int, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/v1/runs/"+id, nil)
+	// Only state and cached are read: leave the trace on the server.
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/v1/runs/"+id+"?part=head", nil)
 	if err != nil {
 		return jobStatus{}, 0, err
 	}

@@ -28,13 +28,8 @@ import (
 // written (defaults are resolved inside Run), so Parse∘Save is the
 // identity on specs that came from files.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
-	}
-	if err := expectEOF(dec); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
 	if s.Name == "" {
@@ -49,11 +44,17 @@ func ParseSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// expectEOF fails unless dec has consumed its whole input, whitespace
-// aside: anything after the one JSON value is a malformed file, not an
-// extra document. dec.More cannot make this check — it reports false on
-// a stray closing brace or bracket.
-func expectEOF(dec *json.Decoder) error {
+// decodeStrict parses data into v the way every file format here is
+// read: unknown fields are errors, and so is anything but whitespace
+// after the one JSON value — a malformed file, not an extra document.
+// dec.More cannot make that check: it reports false on a stray closing
+// brace or bracket.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
 	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after the JSON value")
 	}

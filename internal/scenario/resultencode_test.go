@@ -191,6 +191,8 @@ func (s *fuzzSrc) floats() []float64 {
 var fuzzNames = []string{
 	"", "sw0", "leaf1:p3q0", `a"b`, `back\slash`, "<tag>&amp;", "<", ">", "&", "tab\there", "nul\x00", "del\x7f",
 	"µs", "line\u2028sep\u2029", "bad\xffutf8", "\xc3", "日本", "q\r\n",
+	// What SplitTrace searches for and cuts at, inside a name.
+	traceKey + traceOpen, `{"a":[1,{}]}`, "}}\n",
 }
 
 func (s *fuzzSrc) name() string {

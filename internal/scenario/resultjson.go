@@ -37,6 +37,14 @@ import (
 // it fails. There is no switch and no fallback to the reflective path;
 // json.Marshal(doc) survives as the oracle of the catalog differential
 // and FuzzTraceEncode.
+//
+// The splice leaves a seam, and SplitTrace finds it again in the encoded
+// bytes, so the tiers that store and relay a document hand out its head
+// (3–14 KB of a 0.1–2 MB catalog document) or its trace without parsing
+// either. The forward byte search is exact: inside a JSON string every
+// quote is written \", so the seam's bare quotes cannot occur in a name,
+// and outside one only a "trace" field opening with "sample_every" spells
+// it — the TraceDoc, the document's last field and its only one.
 
 // Version identifies the result-affecting revision of the simulation
 // code. It is folded into every spec fingerprint, so a persisted result
@@ -360,6 +368,23 @@ func (r *Result) EncodeJSON(withTrace bool) ([]byte, error) {
 	return doc.Encode()
 }
 
+// The seam: what Encode puts between the head and the trace section's
+// first value.
+const traceKey, traceOpen = `,"trace":`, `{"sample_every":`
+
+// SplitTrace is Encode's splice run backwards, on its bytes: doc is
+// head + traceKey + trace + "}\n", where head + "}\n" is what
+// Doc(false) encodes to and trace what json.Marshal(doc.Trace) gives.
+// A document without a trace section (a traceless run, a sweep table)
+// comes back whole, with a nil trace.
+func SplitTrace(doc []byte) (head, trace []byte) {
+	i := bytes.Index(doc, []byte(traceKey+traceOpen))
+	if i < 0 || !bytes.HasSuffix(doc, []byte("}}\n")) {
+		return doc, nil
+	}
+	return doc[:i], doc[i+len(traceKey) : len(doc)-len("}\n")]
+}
+
 // Encode marshals the document compactly with a trailing newline, in a
 // slice of exactly that length (see sealLine).
 func (d *ResultDoc) Encode() ([]byte, error) {
@@ -380,7 +405,7 @@ func (d *ResultDoc) Encode() ([]byte, error) {
 		w.b = make([]byte, 0, need)
 	}
 	w.b = append(w.b[:0], data[:len(data)-1]...) // the closing brace moves behind the trace
-	w.raw(`,"trace":`)
+	w.raw(traceKey)
 	w.trace(d.Trace)
 	w.raw("}")
 	if w.err != nil {
@@ -418,7 +443,7 @@ type traceWriter struct {
 func (w *traceWriter) raw(s string) { w.b = append(w.b, s...) }
 
 func (w *traceWriter) trace(t *TraceDoc) {
-	w.raw(`{"sample_every":`)
+	w.raw(traceOpen)
 	w.b = t.SampleEvery.AppendJSON(w.b)
 	w.list(`,"times":`, t.Times == nil, len(t.Times), func(i int) { w.b = t.Times[i].AppendJSON(w.b) })
 	w.list(`,"switches":`, t.Switches == nil, len(t.Switches), func(i int) {
@@ -514,19 +539,29 @@ func (w *traceWriter) floats(key string, vs []float64) {
 // DecodeResultDoc parses a result document, rejecting unknown fields
 // and foreign schema versions (the strictness mirror of ParseSpec).
 func DecodeResultDoc(data []byte) (*ResultDoc, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var d ResultDoc
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("scenario: parsing result document: %w", err)
-	}
-	if err := expectEOF(dec); err != nil {
+	if err := decodeStrict(data, &d); err != nil {
 		return nil, fmt.Errorf("scenario: parsing result document: %w", err)
 	}
 	if d.Schema != ResultSchemaVersion {
 		return nil, fmt.Errorf("scenario: result document has schema %d, this build reads %d", d.Schema, ResultSchemaVersion)
 	}
 	return &d, nil
+}
+
+// DecodeTrace parses only the trace section of an encoded result
+// document, as strictly as DecodeResultDoc parses the whole; it is what
+// trace.csv reads. A document without a trace section yields nil.
+func DecodeTrace(doc []byte) (*TraceDoc, error) {
+	_, section := SplitTrace(doc)
+	if section == nil {
+		return nil, nil
+	}
+	var t TraceDoc
+	if err := decodeStrict(section, &t); err != nil {
+		return nil, fmt.Errorf("scenario: parsing trace section: %w", err)
+	}
+	return &t, nil
 }
 
 // HasTrace reports whether the document carries an occupancy trace —

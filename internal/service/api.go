@@ -1,13 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 
 	"occamy/internal/metrics"
+	"occamy/internal/scenario"
 )
 
 // API is the HTTP kernel both tiers serve through: an instrumented
@@ -108,6 +112,43 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// WriteJobView answers GET /v1/runs/{id} with, byte for byte,
+// json.NewEncoder(w).Encode(view) — but only the status envelope goes
+// through encoding/json. The result is canonical already (Encode made
+// it, or a cache restore checked it) and is written as stored, in
+// pieces under a Content-Length: never re-compacted, never copied into
+// one buffer. ?part=head leaves out the result's trace section, if it
+// has one (scenario.SplitTrace); any other part is a 400.
+func WriteJobView(w http.ResponseWriter, r *http.Request, view JobView) {
+	result, closer := bytes.TrimSuffix(view.Result, []byte("\n")), "}\n"
+	switch part := r.URL.Query().Get("part"); part {
+	case "":
+	case "head":
+		if head, trace := scenario.SplitTrace(view.Result); trace != nil {
+			result, closer = head, "}}\n"
+		}
+	default:
+		HTTPError(w, http.StatusBadRequest, "unknown part %q: the only part is head", part)
+		return
+	}
+	env, err := json.Marshal(view.JobStatus)
+	if err != nil {
+		HTTPError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	if len(result) == 0 {
+		closer = "\n" // no result yet: the envelope is the document
+	} else {
+		env = append(env[:len(env)-1], `,"result":`...)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(env)+len(result)+len(closer)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(env)
+	_, _ = w.Write(result)
+	_, _ = io.WriteString(w, closer)
 }
 
 // durToMs renders a duration in milliseconds with µs precision, the

@@ -100,12 +100,20 @@ func (c *Cache) Get(key string) []byte {
 }
 
 // filedUnder splits a persisted file into its header line and document,
-// and reports whether the header is key and the document valid JSON.
-// The header is what ties a file to its name whatever the document's
-// schema: run results embed their fingerprint, sweep tables do not.
+// and reports whether the header is key and the document canonical. The
+// header is what ties a file to its name whatever the document's schema:
+// run results embed their fingerprint, sweep tables do not. Canonical
+// means a fixed point of encoding/json's compaction plus the newline:
+// the form Encode writes, and the only one a GET may splice into a job
+// view unexamined (WriteJobView), so anything else is damage. This is
+// the one pass over a restored document; no GET repeats it.
 func filedUnder(file []byte, key string) ([]byte, bool) {
 	head, data, ok := bytes.Cut(file, []byte{'\n'})
-	return data, ok && string(head) == key && json.Valid(data)
+	if !ok || string(head) != key {
+		return nil, false
+	}
+	canon, err := json.Marshal(json.RawMessage(data))
+	return data, err == nil && bytes.Equal(append(canon, '\n'), data)
 }
 
 // Put stores the result bytes under the fingerprint, evicting LRU

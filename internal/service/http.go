@@ -1,13 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"occamy/internal/scenario"
 )
@@ -21,6 +21,7 @@ import (
 //	                                  empty body) -> 202 {id, cached}
 //	GET    /v1/runs                   list jobs
 //	GET    /v1/runs/{id}              status + result document when done
+//	                                  (?part=head: without its trace)
 //	GET    /v1/runs/{id}/trace.csv    occupancy trace CSV (?stride=N)
 //	DELETE /v1/runs/{id}              cancel
 //	POST   /v1/sweeps                 {spec|name, axes: ["path=v1,v2"]}
@@ -127,7 +128,7 @@ func ReadSpec(r *http.Request) (scenario.Spec, int, error) {
 	if len(body) > maxSpecBytes {
 		return scenario.Spec{}, http.StatusRequestEntityTooLarge, fmt.Errorf("spec body over %d bytes", maxSpecBytes)
 	}
-	if len(strings.TrimSpace(string(body))) == 0 {
+	if len(bytes.TrimSpace(body)) == 0 {
 		name := r.URL.Query().Get("name")
 		if name == "" {
 			return scenario.Spec{}, http.StatusBadRequest, fmt.Errorf("empty body and no ?name= catalog entry")
@@ -202,7 +203,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
-	WriteJSON(w, http.StatusOK, view)
+	WriteJobView(w, r, view)
 }
 
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -216,7 +217,21 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		stride = n
 	}
-	doc, err := s.ResultDoc(id)
+	// The trace section of the stored bytes is decoded per request and
+	// not kept: what finished jobs hold stays bounded by the cache budget.
+	view, ok := s.jobs.View(id)
+	var trace *scenario.TraceDoc
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("service: no job %s", id)
+	case view.State != JobDone:
+		err = fmt.Errorf("service: job %s is %s, not done", id, view.State)
+	case view.Kind != "run":
+		err = fmt.Errorf("service: job %s is a %s, not a run", id, view.Kind)
+	default:
+		trace, err = scenario.DecodeTrace(view.Result)
+	}
 	if err != nil {
 		HTTPError(w, http.StatusNotFound, "%v", err)
 		return
@@ -224,6 +239,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Decide the status before committing to a 200 text/csv: a traceless
 	// document (the run had no occupancy sampling) must be a clean 404,
 	// never a JSON error appended to an already-started CSV body.
+	doc := scenario.ResultDoc{Name: view.Scenario, Trace: trace}
 	if !doc.HasTrace() {
 		HTTPError(w, http.StatusNotFound, "scenario %q: result document carries no trace", doc.Name)
 		return

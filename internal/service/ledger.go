@@ -65,8 +65,7 @@ type Job struct {
 	state  JobState
 	cached bool
 	errMsg string
-	result []byte              // canonical JSON (ResultDoc or TableDoc)
-	doc    *scenario.ResultDoc // decoded result, run jobs only
+	result []byte // canonical JSON (ResultDoc or TableDoc)
 	cancel atomic.Bool
 	// progress is the latest live-progress snapshot, published by the
 	// running executor (engine chunk boundaries, landed sweep points) and

@@ -181,49 +181,6 @@ func (s *Service) Result(id string) ([]byte, bool) {
 	return view.Result, ok && view.State == JobDone
 }
 
-// ResultDoc returns a done run job's decoded result document (cache
-// hits decode lazily, once). The decode itself — megabytes of trace
-// series for paper-scale runs — happens outside the ledger lock so a
-// trace request never stalls submissions and status polls.
-func (s *Service) ResultDoc(id string) (*scenario.ResultDoc, error) {
-	l := s.jobs
-	l.mu.Lock()
-	j, ok := l.jobs[id]
-	var data []byte
-	switch {
-	case !ok:
-		l.mu.Unlock()
-		return nil, fmt.Errorf("service: no job %s", id)
-	case j.state != JobDone:
-		state := j.state
-		l.mu.Unlock()
-		return nil, fmt.Errorf("service: job %s is %s, not done", id, state)
-	case j.Kind != "run":
-		kind := j.Kind
-		l.mu.Unlock()
-		return nil, fmt.Errorf("service: job %s is a %s, not a run", id, kind)
-	case j.doc != nil:
-		doc := j.doc
-		l.mu.Unlock()
-		return doc, nil
-	}
-	data = j.result // terminal: immutable from here on
-	l.mu.Unlock()
-
-	doc, err := scenario.DecodeResultDoc(data)
-	if err != nil {
-		return nil, fmt.Errorf("service: job %s: %w", id, err)
-	}
-	l.mu.Lock()
-	if j.doc == nil {
-		j.doc = doc
-	} else {
-		doc = j.doc // another request decoded first; share its copy
-	}
-	l.mu.Unlock()
-	return doc, nil
-}
-
 // worker drains the queue until Close.
 func (s *Service) worker() {
 	defer s.wg.Done()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -264,14 +263,15 @@ func TestSweepJob(t *testing.T) {
 // Get refreshes recency, and persisted entries survive eviction and
 // process restarts.
 func TestCacheEvictionAndPersistence(t *testing.T) {
-	// Valid-JSON payloads of exact size n (disk restores are validated).
+	// Canonical payloads of exact size n (disk restores admit only the
+	// compact, newline-terminated form Encode writes).
 	val := func(n int, c byte) []byte {
-		const overhead = len(`{"v":""}`)
+		const overhead = len(`{"v":""}` + "\n")
 		fill := make([]byte, n-overhead)
 		for i := range fill {
 			fill[i] = c
 		}
-		return []byte(`{"v":"` + string(fill) + `"}`)
+		return []byte(`{"v":"` + string(fill) + `"}` + "\n")
 	}
 	c, err := NewCache(100, "")
 	if err != nil {
@@ -386,10 +386,10 @@ func TestCacheRejectsMisplacedDocument(t *testing.T) {
 // which embeds no fingerprint, survives a restart and memory eviction
 // like a run result does.
 func TestCachePersistsSweepTable(t *testing.T) {
-	table, err := json.Marshal(scenario.TableDoc{
+	table, err := (&scenario.TableDoc{
 		ID: "sweep", Title: "drops by alpha", Columns: []string{"alpha", "drops"},
 		Rows: [][]string{{"1", "12"}, {"2", "7"}},
-	})
+	}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,7 +798,8 @@ func TestFigurePointsAreJobs(t *testing.T) {
 		if st := await(t, s, first.ID); st.State != JobDone {
 			t.Fatalf("%s point ended %s (%s)", table.ID, st.State, st.Error)
 		}
-		doc, err := s.ResultDoc(first.ID)
+		data, _ := s.Result(first.ID)
+		doc, err := scenario.DecodeResultDoc(data)
 		if err != nil {
 			t.Fatal(err)
 		}
