@@ -3,27 +3,27 @@
 // specs through scenario.Run) at a bounded scale and reports ns/op,
 // allocs/op, and the simulated-events-per-second the engine sustained;
 // `go test -bench=. -benchmem` regenerates every row the paper's
-// evaluation reports (at reduced scale — cmd/occamy-sim runs paper
-// scale). cmd/occamy-bench snapshots the whole suite to JSON.
+// evaluation reports (at reduced scale — `occamy-scenario run <fig>
+// -scale paper` runs paper scale). cmd/occamy-bench snapshots the whole
+// suite to JSON.
 package occamy_test
 
 import (
 	"testing"
 
 	"occamy"
-	"occamy/internal/hw"
 	"occamy/internal/scenario"
 )
 
 // benchDPDK is the fixed sweep scale for the Fig 13–16 benchmarks.
 func benchDPDK() scenario.DPDKScale {
-	sc := scenario.QuickDPDK()
+	sc, _, _ := scenario.FigureScales(scenario.ScaleQuick)
 	sc.Queries = 10
 	return sc
 }
 
 func benchFabric() scenario.FabricScale {
-	sc := scenario.QuickFabric()
+	_, sc, _ := scenario.FigureScales(scenario.ScaleQuick)
 	sc.Queries = 6
 	return sc
 }
@@ -65,9 +65,15 @@ func benchFigure(b *testing.B, fig scenario.Figure, rows ...int) {
 	})
 }
 
+// BenchmarkTable1HardwareCost runs the table1 catalog entry: Table 1,
+// the Maximum Finder and the Fig 10 pipeline rows.
 func BenchmarkTable1HardwareCost(b *testing.B) {
+	sc, ok := scenario.Get("table1")
+	if !ok {
+		b.Fatal("table1 not registered")
+	}
 	benchLoop(b, func() uint64 {
-		if tab := hw.Table1HardwareCost(64, 20); len(tab.Rows) != 4 {
+		if tabs := sc.Tables(scenario.ScaleQuick); len(tabs) != 3 || len(tabs[0].Rows) != 4 {
 			b.Fatal("bad table")
 		}
 		return 0

@@ -1,11 +1,14 @@
 // occamy-scenario lists, exports, and runs the declarative scenario
-// catalog — and any spec saved as a JSON file.
+// catalog — the paper's tables and figures among it — and any spec
+// saved as a JSON file.
 //
 // Usage:
 //
 //	occamy-scenario list
 //	occamy-scenario run quickstart
 //	occamy-scenario run all -scale quick
+//	occamy-scenario run fig13 -scale full -j 8
+//	occamy-scenario run fig17 -scale paper    # the 128-host fabric (slow)
 //	occamy-scenario run incast-storm-256 -scale paper
 //	occamy-scenario run leafspine-demo -sweep policy.kind=dt,abm,occamy,pushout
 //	occamy-scenario run burst-absorb -sweep policy.alpha=1,2,4 \
@@ -181,8 +184,8 @@ func run(args []string) {
 
 	names := []string{name}
 	if name == "all" {
-		if len(sweeps) > 0 || len(sets) > 0 {
-			fmt.Fprintln(os.Stderr, "-sweep/-set need a single scenario, not all")
+		if len(sweeps) > 0 || len(sets) > 0 || *jsonOut {
+			fmt.Fprintln(os.Stderr, "-sweep/-set/-json need a single scenario, not all")
 			os.Exit(2)
 		}
 		names = scenario.Names()

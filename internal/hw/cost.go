@@ -1,11 +1,6 @@
 package hw
 
-import (
-	"fmt"
-	"math"
-
-	"occamy/internal/experiments"
-)
+import "math"
 
 // Cost is one row of Table 1: FPGA resource use plus 45nm ASIC
 // synthesis results for a component.
@@ -101,22 +96,6 @@ func TotalCost(rows []Cost) Cost {
 	}
 	t.AreaMM2 = round5(t.AreaMM2)
 	t.PowerMW = round3(t.PowerMW)
-	return t
-}
-
-// Table1HardwareCost renders Table 1 (the three modules plus their
-// total) in table form.
-func Table1HardwareCost(nQueues, qlenBits int) *experiments.Table {
-	t := &experiments.Table{
-		ID:      "table1",
-		Title:   fmt.Sprintf("hardware cost (%d queues, %d-bit lengths)", nQueues, qlenBits),
-		Columns: []string{"module", "LUTs", "FFs", "timing_ns", "area_mm2", "power_mW"},
-	}
-	rows := Table1(nQueues, qlenBits)
-	for _, c := range append(rows, TotalCost(rows)) {
-		t.AddRow(c.Module, fmt.Sprint(c.LUTs), fmt.Sprint(c.FlipFlops),
-			experiments.F(c.TimingNs), fmt.Sprintf("%.5f", c.AreaMM2), experiments.F(c.PowerMW))
-	}
 	return t
 }
 

@@ -1,8 +1,6 @@
 package hw
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -376,20 +374,5 @@ func TestSelectorCostScalesWithQueues(t *testing.T) {
 	big := SelectorCost(512, 20)
 	if big.LUTs <= small.LUTs || big.TimingNs <= small.TimingNs {
 		t.Fatal("selector cost does not grow with queue count")
-	}
-}
-
-func TestTable1Format(t *testing.T) {
-	tab := Table1HardwareCost(64, 20)
-	if len(tab.Rows) != 4 { // selector, arbiter, executor, total
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
-	}
-	var buf bytes.Buffer
-	tab.Fprint(&buf)
-	out := buf.String()
-	for _, want := range []string{"Selector", "Arbiter", "Executor", "Total", "LUTs"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
 	}
 }

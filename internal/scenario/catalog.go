@@ -7,10 +7,10 @@ import (
 
 // The shipped catalog.
 //
-// The first six entries port the repository's hand-wired programs — the
-// four examples/ and the Fig 6/7 figures (figures_*.go) — onto the
-// declarative layer;
-// the rest are at-scale workloads the paper's evaluation does not cover.
+// The first four entries port the repository's examples/ onto the
+// declarative layer; the rest are at-scale workloads the paper's
+// evaluation does not cover. The paper's own tables and figures are
+// catalog entries too, under their paper ids (paperFigures).
 // Sizes are written out as concrete numbers (specs are data): a
 // single-switch buffer defaults to 5.12KB/port/Gbps, so 8×10G ≈ 410KB
 // and 32×10G ≈ 1.6MB.
@@ -92,35 +92,6 @@ func init() {
 		Warmup:   10 * sim.Millisecond,
 		Duration: 40 * sim.Millisecond,
 	}})
-
-	// --- Fig 6 (bespoke multi-run table over specs) ------------------
-	Register(Scenario{
-		Spec: Spec{
-			Name:  "fig6-anomalies",
-			Title: "DT anomalies: incast vs competing traffic (figure harness)",
-		},
-		Tables: func(scale Scale) []*Table {
-			if scale == ScaleQuick {
-				return Fig6Anomalies(3, []float64{1.5}).Run()
-			}
-			return Fig6Anomalies(10, nil).Run()
-		},
-	})
-
-	// --- Fig 7 (bespoke multi-run tables over specs) -----------------
-	Register(Scenario{
-		Spec: Spec{
-			Name:  "fig7-utilization",
-			Title: "buffer & memory-bandwidth utilization on drop (figure harness)",
-		},
-		Tables: func(scale Scale) []*Table {
-			sc := QuickFabric()
-			if scale == ScaleQuick {
-				sc.Queries = 3
-			}
-			return Fig7Utilization(sc).Run()
-		},
-	})
 
 	// --- New: 256-way incast storm -----------------------------------
 	// Far beyond the paper's incast degree 40: 256 synchronized response

@@ -87,6 +87,7 @@ func checkCrossLayerAccounting(t *testing.T, res *Result) {
 // books balance to zero, and the link/switch packet budgets agree
 // exactly.
 func TestLossSweepCompletes(t *testing.T) {
+	t.Parallel()
 	for _, loss := range []float64{0.001, 0.01, 0.1} {
 		spec := lossSpec(loss)
 		budget := int64(spec.Workloads[0].Queries)
@@ -131,6 +132,7 @@ func TestLossSweepCompletes(t *testing.T) {
 // gate for the non-loss fault modes, straight from the catalog entries
 // that exercise them.
 func TestDuplicationAndReorderComplete(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"duplicate-storm", "jittery-allreduce"} {
 		sc, ok := Get(name)
 		if !ok {
@@ -174,6 +176,7 @@ func TestDuplicationAndReorderComplete(t *testing.T) {
 // and per-row conservation (the run has drained, so in-flight is the
 // only slack and must be zero or show up as offered-minus-delivered).
 func TestFaultTableBalances(t *testing.T) {
+	t.Parallel()
 	res := MustRun(lossSpec(0.02))
 	tab := res.FaultTable()
 	if len(tab.Rows) < 2 {
@@ -191,6 +194,7 @@ func TestFaultTableBalances(t *testing.T) {
 // TestFaultColumnsInSummary: specs with a faults block grow the
 // link_drops/link_dups/link_reorders summary columns.
 func TestFaultColumnsInSummary(t *testing.T) {
+	t.Parallel()
 	res := MustRun(lossSpec(0.05))
 	tab := Summarize("x", "x", []string{"p"}, []*Result{res}, metricsOf(res.Spec))
 	header := strings.Join(tab.Columns, " ")
@@ -205,6 +209,7 @@ func TestFaultColumnsInSummary(t *testing.T) {
 // tables AND byte-identical exported result documents, fault counters
 // included.
 func TestFlakyTorIncastDeterministic(t *testing.T) {
+	t.Parallel()
 	sc, ok := Get("flaky-tor-incast")
 	if !ok {
 		t.Fatal("flaky-tor-incast not registered")
@@ -261,6 +266,7 @@ func TestFaultSweepParallelismInvariant(t *testing.T) {
 // loss point must actually drop packets while the zero point stays
 // ideal.
 func TestFaultSweepAllocatesBlock(t *testing.T) {
+	t.Parallel()
 	base := lossSpec(0)
 	base.Faults = nil
 	specs, _, err := Expand(base, []SweepAxis{{Path: "faults.host-leaf.loss_prob", Values: []string{"0", "0.05"}}})

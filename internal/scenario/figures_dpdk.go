@@ -5,8 +5,7 @@ import (
 	"occamy/internal/sim"
 )
 
-// DPDKScale bounds the runtime of the Fig 13–16 sweeps: tests use a few
-// queries and sizes, benches and the CLI more.
+// DPDKScale bounds the runtime of the Fig 13–16 sweeps (FigureScales).
 type DPDKScale struct {
 	Hosts   int
 	Queries int
@@ -17,30 +16,6 @@ type DPDKScale struct {
 	// Alphas are the Fig 16 sweep values.
 	Alphas []float64
 	Seed   uint64
-}
-
-// QuickDPDK is the test-scale configuration.
-func QuickDPDK() DPDKScale {
-	return DPDKScale{
-		Hosts:     6,
-		Queries:   8,
-		SizeFracs: []float64{0.4, 0.8, 1.2},
-		Loads:     []float64{0.2, 0.5},
-		Alphas:    []float64{0.5, 2, 8},
-		Seed:      42,
-	}
-}
-
-// PaperDPDK approximates the paper-scale configuration.
-func PaperDPDK() DPDKScale {
-	return DPDKScale{
-		Hosts:     8,
-		Queries:   60,
-		SizeFracs: []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4},
-		Loads:     []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
-		Alphas:    []float64{0.5, 1, 2, 4, 8},
-		Seed:      42,
-	}
 }
 
 // testbedSpec completes a software-switch spec whose last workload is

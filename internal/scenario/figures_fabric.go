@@ -5,7 +5,8 @@ import (
 	"occamy/internal/sim"
 )
 
-// FabricScale bounds the Fig 7/17–23 sweeps.
+// FabricScale bounds the Fig 7/17–23 sweeps (FigureScales; the paper's
+// 128-host fabric is `occamy-scenario run <fig> -scale paper`, and slow).
 type FabricScale struct {
 	Spines, Leaves, HostsPerLeaf int
 	Queries                      int
@@ -14,33 +15,6 @@ type FabricScale struct {
 	QueryLoads                   []float64 // Fig 20 sweep
 	BufferFactors                []float64 // Fig 23 sweep (KB/port/Gbps)
 	Seed                         uint64
-}
-
-// QuickFabric is the test-scale configuration (8 hosts, 10G links).
-func QuickFabric() FabricScale {
-	return FabricScale{
-		Spines: 2, Leaves: 2, HostsPerLeaf: 4,
-		Queries:       8,
-		SizeFracs:     []float64{0.4, 0.8},
-		FlowSizes:     []int64{64_000, 512_000},
-		QueryLoads:    []float64{0.1, 0.4},
-		BufferFactors: []float64{3.44, 9.6},
-		Seed:          7,
-	}
-}
-
-// PaperFabric approximates the paper's 128-host fabric (slow: use via
-// cmd/occamy-sim).
-func PaperFabric() FabricScale {
-	return FabricScale{
-		Spines: 8, Leaves: 8, HostsPerLeaf: 16,
-		Queries:       100,
-		SizeFracs:     []float64{0.2, 0.4, 0.6, 0.8, 1.0},
-		FlowSizes:     []int64{16_000, 32_000, 64_000, 128_000, 256_000, 512_000, 1_000_000, 2_000_000},
-		QueryLoads:    []float64{0.1, 0.2, 0.4, 0.6, 0.8},
-		BufferFactors: []float64{3.44, 5.12, 6.5, 8.0, 9.6},
-		Seed:          7,
-	}
 }
 
 // slowdownMetrics are the four columns the §6.4 figures share.

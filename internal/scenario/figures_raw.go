@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"occamy/internal/bm"
 	"occamy/internal/experiments"
 	"occamy/internal/sim"
 )
@@ -127,15 +128,67 @@ func Fig12BurstAbsorption() Figure {
 		})
 }
 
+// burstGrid is the Fig 12 scenario under p at every burst size lo..hi.
+func burstGrid(p Policy, lo, hi, step int64) []Spec {
+	var specs []Spec
+	for size := lo; size <= hi; size += step {
+		specs = append(specs, burstSpec(p, size, 100e9))
+	}
+	return specs
+}
+
+// maxLossless reduces a burst grid's results to the largest burst
+// absorbed without loss.
+func maxLossless(results []*Result) int64 {
+	best := int64(0)
+	for _, r := range results {
+		if r.Workloads[1].Drops == 0 {
+			best = r.Spec.Workloads[1].Bytes
+		}
+	}
+	return best
+}
+
 // MaxLosslessBurst searches the sweep grid lo..hi for the largest burst
 // a policy absorbs without loss — the burst-absorption headline (§6.1's
 // "57% more").
 func MaxLosslessBurst(p Policy, lo, hi, step int64) int64 {
-	best := int64(0)
-	for size := lo; size <= hi; size += step {
-		if r := MustRun(burstSpec(p, size, 100e9)); r.Workloads[1].Drops == 0 {
-			best = size
-		}
+	return maxLossless(Figure{Specs: burstGrid(p, lo, hi, step)}.Results())
+}
+
+// alphaSweep explores the α design space: the Eq. 2 buffer reservation
+// and the Eq. 4 fairness bound, then the largest burst Occamy and DT
+// absorb without loss (100–900KB in the Fig 12 scenario) at α up to 2
+// at quick scale and up to 8 otherwise.
+func alphaSweep(s Scale) Figure {
+	alphas := []float64{1, 2, 4, 8}
+	if s == ScaleQuick {
+		alphas = alphas[:2]
 	}
-	return best
+	var rows []figRow
+	for _, a := range alphas {
+		rows = append(rows, figRow{label: []string{fmt.Sprint(a)}, specs: append(
+			burstGrid(Policy{Kind: "occamy", Alpha: a}, 100_000, 900_000, 50_000),
+			burstGrid(Policy{Kind: "dt", Alpha: a}, 100_000, 900_000, 50_000)...)})
+	}
+	measured := tableFigure("alpha-sweep", "measured maximum lossless burst (Fig 12 scenario, 1.2MB buffer)",
+		[]string{"alpha", "occamy_KB", "dt_KB"}, rows, func(rs []*Result) []string {
+			n := len(rs) / 2
+			return []string{fmt.Sprint(maxLossless(rs[:n]) / 1000), fmt.Sprint(maxLossless(rs[n:]) / 1000)}
+		})
+	return Figure{Specs: measured.Specs, Tables: func(results []*Result) []*Table {
+		eq2 := &Table{ID: "alpha-sweep/eq2", Title: "Eq.2 steady-state free-buffer reservation F/B = 1/(1+alpha*n), n=1",
+			Columns: []string{"alpha", "reserved", "queue_occ_pct"}}
+		for a := 0.25; a <= 16; a *= 2 {
+			eq2.AddRow(fmt.Sprint(a), fmt.Sprintf("%.4f", bm.ReservedFraction(a, 1)),
+				fmt.Sprintf("%.1f", float64(bm.SteadyStateQueueLen(a, 1, 1_000_000))/1e6*100))
+		}
+		eq4 := &Table{ID: "alpha-sweep/eq4", Title: "Eq.4 fairness bound: largest (R/V-1)*M - N that 1/alpha must cover",
+			Columns: []string{"R/V", "bound", "any_alpha_fair"}}
+		for _, rv := range []float64{1.0, 1.5, 2.0, 3.0, 4.0} {
+			b := bm.FairExpulsionAlphaBound(rv, 1, 1, 1)
+			eq4.AddRow(fmt.Sprintf("%.1f", rv), fmt.Sprintf("%.2f", b), fmt.Sprint(b <= 0))
+		}
+		return append([]*Table{eq2, eq4}, measured.Tables(results)...)
+	}}
 }

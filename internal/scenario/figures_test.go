@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"occamy/internal/experiments"
@@ -42,6 +43,27 @@ func meanQCT(t *testing.T, s Spec) sim.Duration {
 		t.Fatal("queries did not complete")
 	}
 	return q.Col.MeanFCT()
+}
+
+func TestTable1Format(t *testing.T) {
+	t.Parallel()
+	sc, ok := Get("table1")
+	if !ok {
+		t.Fatal("table1 not registered")
+	}
+	tabs := sc.Tables(ScaleQuick)
+	if len(tabs) != 3 { // cost, Maximum Finder, pipeline
+		t.Fatalf("tables = %d, want 3", len(tabs))
+	}
+	if len(tabs[0].Rows) != 4 { // selector, arbiter, executor, total
+		t.Fatalf("cost rows = %d, want 4", len(tabs[0].Rows))
+	}
+	out := render(tabs)
+	for _, want := range []string{"Selector", "Arbiter", "Executor", "Total", "LUTs", "comparators", "expulsion_Mpps"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestFig3HealthyVsAnomalous(t *testing.T) {
@@ -107,7 +129,7 @@ func TestFig12Shapes(t *testing.T) {
 // noise" at test scale).
 func TestFig13OccamyBeatsDT(t *testing.T) {
 	t.Parallel()
-	sc := QuickDPDK()
+	sc, _, _ := FigureScales(ScaleQuick)
 	sc.Queries = 12
 	occ := meanQCT(t, sc.spec(Policy{Kind: "occamy", Alpha: 8}, "", 0.5, 1.2))
 	dt := meanQCT(t, sc.spec(Policy{Kind: "dt", Alpha: 1}, "", 0.5, 1.2))
@@ -121,7 +143,7 @@ func TestFig13OccamyBeatsDT(t *testing.T) {
 // BM's high-priority QCT, while DT chokes.
 func TestFig15ChokingMitigated(t *testing.T) {
 	t.Parallel()
-	sc := QuickDPDK()
+	sc, _, _ := FigureScales(ScaleQuick)
 	sc.Queries = 10
 	inflation := func(p Policy) float64 {
 		p.AlphaHP, p.AlphaLP = 8, 1
@@ -144,7 +166,7 @@ func TestFig15ChokingMitigated(t *testing.T) {
 // — at every α its average QCT is at least as good as DT's.
 func TestFig16AlphaShape(t *testing.T) {
 	t.Parallel()
-	sc := QuickDPDK()
+	sc, _, _ := FigureScales(ScaleQuick)
 	sc.Queries = 10
 	for _, alpha := range []float64{1, 4, 8} {
 		occ := meanQCT(t, sc.spec(Policy{Kind: "occamy", Alpha: alpha}, "drr", 0.5, 1.4))
@@ -158,7 +180,7 @@ func TestFig16AlphaShape(t *testing.T) {
 
 func TestFig17Shape(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.SizeFracs = []float64{0.8}
 	tab := oneTable(t, Fig17LargeScale(sc))
 	if len(tab.Rows) != 4 {
@@ -184,7 +206,7 @@ func TestFig17Shape(t *testing.T) {
 
 func TestFig21RoundRobinCloseToLongest(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.SizeFracs = []float64{0.8}
 	tab := oneTable(t, Fig21RoundRobinDrop(sc))
 	if tab.Rows[0][1] != "Occamy" || tab.Rows[1][1] != "Occamy-LD" {
@@ -201,7 +223,7 @@ func TestFig21RoundRobinCloseToLongest(t *testing.T) {
 
 func TestFig7UtilizationBounds(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 5
 	tabs := Fig7Utilization(sc).Run()
 	if len(tabs) != 2 {
@@ -230,7 +252,7 @@ func TestFig7UtilizationBounds(t *testing.T) {
 // sampling does not perturb the simulation.
 func TestDropUtilSamplerOnlyWhenSelected(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 3
 	probed := Fig7Utilization(sc).Specs[1] // DT α=1, the point that drops at this scale
 	plain := probed
@@ -252,7 +274,7 @@ func TestDropUtilSamplerOnlyWhenSelected(t *testing.T) {
 
 func TestFig22HeavyLoadRuns(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 5
 	sc.SizeFracs = []float64{0.6}
 	for _, row := range oneTable(t, Fig22HeavyLoad(sc)).Rows {
@@ -264,7 +286,7 @@ func TestFig22HeavyLoadRuns(t *testing.T) {
 
 func TestFig23BufferSweepMonotonicBenefit(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 6
 	tab := oneTable(t, Fig23BufferSize(sc))
 	// Occamy must beat or match DT at every buffer size (the "always
@@ -285,7 +307,7 @@ func TestFig23BufferSweepMonotonicBenefit(t *testing.T) {
 
 func TestFig18Fig19Collectives(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 5
 	sc.FlowSizes = []int64{128_000}
 	for _, fig := range []Figure{Fig18AllToAll(sc), Fig19AllReduce(sc)} {
@@ -303,7 +325,7 @@ func TestFig18Fig19Collectives(t *testing.T) {
 
 func TestFig20QueryLoadRuns(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 5
 	sc.QueryLoads = []float64{0.2}
 	if tab := oneTable(t, Fig20QueryLoad(sc)); len(tab.Rows) != 4 {
@@ -313,7 +335,7 @@ func TestFig20QueryLoadRuns(t *testing.T) {
 
 func TestFig14IsolationRuns(t *testing.T) {
 	t.Parallel()
-	sc := QuickDPDK()
+	sc, _, _ := FigureScales(ScaleQuick)
 	sc.Queries = 6
 	sc.Loads = []float64{0.4}
 	tab := oneTable(t, Fig14Isolation(sc))
@@ -365,7 +387,7 @@ func TestFig6HPDropsAreClassZero(t *testing.T) {
 
 func TestExtrasBakeoffRuns(t *testing.T) {
 	t.Parallel()
-	sc := QuickDPDK()
+	sc, _, _ := FigureScales(ScaleQuick)
 	sc.Queries = 5
 	sc.SizeFracs = []float64{0.8}
 	tab := oneTable(t, ExtrasBakeoff(sc))
@@ -381,14 +403,14 @@ func TestExtrasBakeoffRuns(t *testing.T) {
 
 // tinyDPDK keeps the determinism runs to a few hundred milliseconds.
 func tinyDPDK() DPDKScale {
-	sc := QuickDPDK()
+	sc, _, _ := FigureScales(ScaleQuick)
 	sc.Queries = 3
 	sc.SizeFracs = []float64{0.6}
 	return sc
 }
 
 func tinyFabric() FabricScale {
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 2
 	sc.SizeFracs = []float64{0.4}
 	return sc
@@ -430,18 +452,27 @@ func TestGridParallelismInvariance(t *testing.T) {
 	}
 }
 
-// quickFigures is every figure at the scale `occamy-sim -scale quick`
-// runs it.
-func quickFigures() map[string]Figure {
-	d, f := QuickDPDK(), QuickFabric()
-	return map[string]Figure{
-		"fig3": Fig3DTBehavior(), "fig6": Fig6Anomalies(8, nil), "fig7": Fig7Utilization(f),
-		"fig11": Fig11QueueEvolution(), "fig12": Fig12BurstAbsorption(),
-		"fig13": Fig13SoftwareSwitch(d), "fig14": Fig14Isolation(d),
-		"fig15": Fig15BufferChoking(d), "fig16": Fig16AlphaImpact(d), "extras": ExtrasBakeoff(d),
-		"fig17": Fig17LargeScale(f), "fig18": Fig18AllToAll(f), "fig19": Fig19AllReduce(f),
-		"fig20": Fig20QueryLoad(f), "fig21": Fig21RoundRobinDrop(f),
-		"fig22": Fig22HeavyLoad(f), "fig23": Fig23BufferSize(f),
+// Every catalog figure follows -scale: its grid's total hosts × gating
+// queries (raw specs count one) never shrinks from quick to full to
+// paper, and is larger at paper than at quick unless the paper fixes
+// the grid. The specs are built, not run.
+func TestFigureScalesGrow(t *testing.T) {
+	t.Parallel()
+	fixed := map[string]bool{"table1": true, "fig3": true, "fig11": true, "fig12": true}
+	for _, fig := range paperFigures {
+		var size [3]int
+		for i, s := range []Scale{ScaleQuick, ScaleFull, ScalePaper} {
+			for _, spec := range fig.at(s).Specs {
+				queries := 1
+				if g := spec.gatingIncast(); g >= 0 {
+					queries = spec.Workloads[g].Queries
+				}
+				size[i] += spec.Topology.NumHosts() * queries
+			}
+		}
+		if size[0] > size[1] || size[1] > size[2] || !fixed[fig.id] && size[2] <= size[0] {
+			t.Errorf("%s: hosts × queries at quick, full, paper = %v", fig.id, size)
+		}
 	}
 }
 
@@ -453,8 +484,9 @@ func quickFigures() map[string]Figure {
 func TestFigureSpecsRoundTrip(t *testing.T) {
 	t.Parallel()
 	n := 0
-	for name, fig := range quickFigures() {
-		for i, s := range fig.Specs {
+	for _, fig := range paperFigures {
+		name := fig.id
+		for i, s := range fig.at(ScaleQuick).Specs {
 			n++
 			if err := s.WithDefaults().Validate(); err != nil {
 				t.Errorf("%s spec %d: %v", name, i, err)

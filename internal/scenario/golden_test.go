@@ -80,35 +80,42 @@ func goldenFaultTables(t *testing.T, name string, policy *Policy) string {
 }
 
 func TestGoldenIncastStorm(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "incast_storm_256_quick_golden.txt", goldenDeepTables(t, "incast-storm-256"))
 }
 
 func TestGoldenMixedLoad(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "mixed_load_90_quick_golden.txt", goldenDeepTables(t, "mixed-load-90"))
 }
 
 func TestGoldenWanDegradedOccamy(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "wan_degraded_leafspine_quick_golden.txt",
 		goldenFaultTables(t, "wan-degraded-leafspine", nil))
 }
 
 func TestGoldenWanDegradedDT(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "wan_degraded_leafspine_dt_quick_golden.txt",
 		goldenFaultTables(t, "wan-degraded-leafspine", &Policy{Kind: "dt", Alpha: 1}))
 }
 
 func TestGoldenFlakyTorOccamy(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "flaky_tor_incast_quick_golden.txt",
 		goldenFaultTables(t, "flaky-tor-incast", nil))
 }
 
 func TestGoldenFlakyTorDT(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "flaky_tor_incast_dt_quick_golden.txt",
 		goldenFaultTables(t, "flaky-tor-incast", &Policy{Kind: "dt", Alpha: 1}))
 }
 
-// The committed small-scale Fig 6/7 configurations (also what the
-// fig6-anomalies / fig7-utilization catalog entries run at quick scale).
+// The committed small-scale Fig 6/7 configurations: fewer queries (and,
+// for Fig 6, one query size) than the fig6/fig7 catalog entries run at
+// quick scale.
 func TestGoldenFig6(t *testing.T) {
 	t.Parallel()
 	checkGolden(t, "fig6_golden.txt", render(Fig6Anomalies(3, []float64{1.5}).Run()))
@@ -116,7 +123,7 @@ func TestGoldenFig6(t *testing.T) {
 
 func TestGoldenFig7(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	sc.Queries = 3
 	tabs := Fig7Utilization(sc).Run()
 	checkGolden(t, "fig7a_golden.txt", render(tabs[:1]))
@@ -142,7 +149,7 @@ func TestGoldenRawFigs(t *testing.T) {
 // quick sweeps are 89 runs): the same specs, fewer queries and sizes.
 func TestGoldenDPDKFigs(t *testing.T) {
 	t.Parallel()
-	sc := QuickDPDK()
+	sc, _, _ := FigureScales(ScaleQuick)
 	sc.Queries = 4
 	sc.SizeFracs = []float64{0.4, 1.2}
 	goldenFigures(t, Fig13SoftwareSwitch(sc), Fig14Isolation(sc), Fig15BufferChoking(sc),
@@ -151,7 +158,7 @@ func TestGoldenDPDKFigs(t *testing.T) {
 
 func TestGoldenFabricFigs(t *testing.T) {
 	t.Parallel()
-	sc := QuickFabric()
+	_, sc, _ := FigureScales(ScaleQuick)
 	goldenFigures(t, Fig17LargeScale(sc), Fig18AllToAll(sc), Fig19AllReduce(sc), Fig20QueryLoad(sc),
 		Fig21RoundRobinDrop(sc), Fig22HeavyLoad(sc), Fig23BufferSize(sc))
 }

@@ -30,6 +30,7 @@ func exportableNames(t *testing.T) []string {
 // spec back from JSON, and a byte-identical re-serialization (so
 // exported templates are canonical, not drifting per round trip).
 func TestSpecRoundTrip(t *testing.T) {
+	t.Parallel()
 	for _, name := range exportableNames(t) {
 		for _, scale := range []Scale{ScaleQuick, ScaleFull, ScalePaper} {
 			sc, _ := Get(name)
@@ -62,6 +63,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // columns, same cells. Any serialization loss (a dropped field, a
 // duration rounding, a default resolved differently) shows up here.
 func TestFileSpecDifferential(t *testing.T) {
+	t.Parallel()
 	for _, name := range exportableNames(t) {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -95,6 +97,7 @@ func TestFileSpecDifferential(t *testing.T) {
 // The spec file parser is strict: unknown fields, malformed JSON, and
 // trailing garbage are errors, not silent acceptance.
 func TestParseSpecStrict(t *testing.T) {
+	t.Parallel()
 	valid := `{"name":"x","topology":{"kind":"single-switch"},"policy":{"kind":"dt"},` +
 		`"workloads":[{"kind":"background","load":0.5}]}`
 	if _, err := ParseSpec([]byte(valid)); err != nil {
@@ -120,6 +123,7 @@ func TestParseSpecStrict(t *testing.T) {
 // A spec's Scale field is honored by Run itself (the preset travels
 // with the file): quick shrinks the gating query budget.
 func TestSpecScaleField(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("mixed-load-90")
 	spec := sc.Spec
 	spec.Scale = ScaleQuick

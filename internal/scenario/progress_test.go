@@ -12,6 +12,7 @@ import (
 // and it arrives last — all without perturbing the result (the hook run
 // must stay byte-identical to a hookless run).
 func TestRunWithProgressSamples(t *testing.T) {
+	t.Parallel()
 	sc, ok := Get("quickstart")
 	if !ok {
 		t.Fatal("quickstart scenario missing from registry")
@@ -79,6 +80,7 @@ func TestRunWithProgressSamples(t *testing.T) {
 // Final sample — the CLI and service rely on that to distinguish "done"
 // from "stopped".
 func TestRunWithProgressCancel(t *testing.T) {
+	t.Parallel()
 	sc, ok := Get("quickstart")
 	if !ok {
 		t.Fatal("quickstart scenario missing from registry")
@@ -100,6 +102,7 @@ func TestRunWithProgressCancel(t *testing.T) {
 // canceled at the first chunk boundary returns ErrCanceled instead of
 // reserving a recording for the whole horizon first.
 func TestHugeHorizonCancels(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"quickstart", "leafspine-demo"} {
 		sc, ok := Get(name)
 		if !ok {

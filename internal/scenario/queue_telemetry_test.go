@@ -12,6 +12,7 @@ import (
 // every catalog entry, single-switch and fabric, every scheduler and
 // class count.
 func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
+	t.Parallel()
 	for _, name := range exportableNames(t) {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -96,6 +97,7 @@ func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
 // least two distinct classes of some port see traffic, so the per-queue
 // telemetry separates backlogs the per-port view blurs together.
 func TestMultiClassScenariosFillMultipleClasses(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"priority-inversion-8", "mixed-class-incast", "multiclass-fabric-drr"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -159,11 +161,13 @@ func goldenQueueTrace(t *testing.T, spec Spec) string {
 }
 
 func TestGoldenQueueTraceOccamy(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("mixed-class-incast")
 	checkGolden(t, "mixed_class_incast_queue_trace_golden.txt", goldenQueueTrace(t, sc.SpecAt(ScaleQuick)))
 }
 
 func TestGoldenQueueTraceDT(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("mixed-class-incast")
 	spec := sc.SpecAt(ScaleQuick)
 	spec.Policy = Policy{Kind: "dt", Alpha: 1}

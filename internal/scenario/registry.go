@@ -17,8 +17,8 @@ type Scenario struct {
 	// Nil applies the generic growth (≥50 gating queries, ≥200ms
 	// horizon).
 	Paper func(Spec) Spec
-	// Tables, when set, replaces the one-spec summary: the Fig 6/7
-	// entries keep their bespoke multi-run tables (figures_*.go, pinned
+	// Tables, when set, replaces the one-spec summary: the paper's
+	// figure entries render their multi-run tables (figures_*.go, pinned
 	// by the golden tests). Tables-backed entries cannot be swept or
 	// exported to JSON.
 	Tables func(scale Scale) []*Table
@@ -32,15 +32,16 @@ var (
 	registry = map[string]Scenario{}
 )
 
-// Register adds a scenario; duplicate names panic (catalog bugs should
-// fail loudly at init).
+// Register adds a scenario; duplicate names, paper figure ids included,
+// panic (catalog bugs should fail loudly at init).
 func Register(s Scenario) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if s.Spec.Name == "" {
 		panic("scenario: Register with empty name")
 	}
-	if _, dup := registry[s.Spec.Name]; dup {
+	_, fig := figureEntry(s.Spec.Name)
+	if _, dup := registry[s.Spec.Name]; dup || fig {
 		panic(fmt.Sprintf("scenario: duplicate registration of %q", s.Spec.Name))
 	}
 	if s.Tables == nil {
@@ -51,21 +52,27 @@ func Register(s Scenario) {
 	registry[s.Spec.Name] = s
 }
 
-// Get looks a scenario up by name.
+// Get looks a scenario up by name: a registered one or a paper figure.
 func Get(name string) (Scenario, bool) {
 	regMu.Lock()
-	defer regMu.Unlock()
 	s, ok := registry[name]
+	regMu.Unlock()
+	if !ok {
+		return figureEntry(name)
+	}
 	return s, ok
 }
 
-// Names returns all registered scenario names, sorted.
+// Names returns every catalog name, paper figures included, sorted.
 func Names() []string {
 	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
+	names := make([]string, 0, len(registry)+len(paperFigures))
 	for n := range registry {
 		names = append(names, n)
+	}
+	regMu.Unlock()
+	for _, fig := range paperFigures {
+		names = append(names, fig.id)
 	}
 	sort.Strings(names)
 	return names

@@ -54,6 +54,7 @@ func clip(b []byte) string {
 // job, a cached result and a CLI -json dump carry are the reflective
 // encoder's, and they decode back to a document that encodes to them.
 func TestEncodeMatchesReflectCatalog(t *testing.T) {
+	t.Parallel()
 	for _, name := range exportableNames(t) {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -87,6 +88,7 @@ func TestEncodeMatchesReflectCatalog(t *testing.T) {
 // Sweep tables are cached and relayed like run documents, so they get
 // the same exact-capacity bytes.
 func TestTableDocEncodeExact(t *testing.T) {
+	t.Parallel()
 	d := TableDoc{ID: "t", Title: "a <b> & c", Columns: []string{"x"}, Rows: [][]string{{"1"}, {"2"}}}
 	got, err := d.Encode()
 	if err != nil {
@@ -106,6 +108,7 @@ func TestTableDocEncodeExact(t *testing.T) {
 // the stray closer dec.More() is blind to, which is what a mis-spliced
 // brace in the encoder would look like — is an error.
 func TestTrailingDataRejected(t *testing.T) {
+	t.Parallel()
 	spec := `{"name":"x","topology":{"kind":"single-switch"},"policy":{"kind":"dt"},` +
 		`"workloads":[{"kind":"background","load":0.5}]}`
 	sc, _ := Get("quickstart")

@@ -12,6 +12,7 @@ import (
 // run hash equal (explicit defaults vs omitted ones), and any field
 // that changes the run changes the hash.
 func TestFingerprintCanonical(t *testing.T) {
+	t.Parallel()
 	base := Spec{
 		Name:     "fp-test",
 		Topology: Topology{Kind: SingleSwitch},
@@ -86,6 +87,7 @@ func TestFingerprintCanonical(t *testing.T) {
 // the content-addressed cache rests on), reproduce the summary table
 // cell-for-cell, and regenerate the exact trace CSV the Result writes.
 func TestResultDocRoundTrip(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("mixed-class-incast")
 	spec := sc.SpecAt(ScaleQuick)
 	res, err := Run(spec)
@@ -174,6 +176,7 @@ func TestResultDocRoundTrip(t *testing.T) {
 // identity test in internal/service depends on, pinned at the layer
 // that provides it.
 func TestResultEncodingDeterministic(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("burst-absorb")
 	spec := sc.SpecAt(ScaleQuick)
 	enc := func() string {
@@ -196,6 +199,7 @@ func TestResultEncodingDeterministic(t *testing.T) {
 // rows, real samples with their exact timestamps (the stride=1 goldens
 // elsewhere pin that full resolution is unchanged).
 func TestTraceStride(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("quickstart")
 	res, err := Run(sc.SpecAt(ScaleQuick))
 	if err != nil {

@@ -22,11 +22,18 @@ func render(tabs []*experiments.Table) string {
 // Every registered scenario must run at test scale with sane output:
 // traffic actually delivered, the packet-accounting books closed, and a
 // non-empty table. This is the smoke gate new catalog entries buy into
-// by calling Register.
+// by calling Register. Figure entries only build and validate their
+// quick grids (the golden tests run them at reduced size); the run-free
+// table1 and the 2ms fig3 also go through Tables to cover the wiring.
 func TestCatalogSmoke(t *testing.T) {
+	t.Parallel()
 	names := Names()
 	if len(names) < 8 {
 		t.Fatalf("catalog has %d scenarios, want >= 8", len(names))
+	}
+	figures := map[string]func(Scale) Figure{}
+	for _, fig := range paperFigures {
+		figures[fig.id] = fig.at
 	}
 	for _, name := range names {
 		name := name
@@ -36,6 +43,18 @@ func TestCatalogSmoke(t *testing.T) {
 				t.Fatalf("Get(%q) failed", name)
 			}
 			if sc.Tables != nil {
+				at, ok := figures[name]
+				if !ok {
+					t.Fatal("figure entry missing from paperFigures")
+				}
+				for i, s := range at(ScaleQuick).Specs {
+					if err := s.WithDefaults().Validate(); err != nil {
+						t.Errorf("spec %d: %v", i, err)
+					}
+				}
+				if name != "table1" && name != "fig3" {
+					return
+				}
 				tabs := sc.Tables(ScaleQuick)
 				if len(tabs) == 0 {
 					t.Fatal("figure scenario produced no tables")
@@ -77,6 +96,7 @@ func TestCatalogSmoke(t *testing.T) {
 // Identical specs must give byte-identical tables: scenarios inherit the
 // engine's determinism guarantees.
 func TestScenarioDeterministic(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("leafspine-demo")
 	run := func() string {
 		tabs, err := sc.RunTables(ScaleQuick)
@@ -135,6 +155,7 @@ func TestSweepAcrossPolicies(t *testing.T) {
 }
 
 func TestSetFieldPaths(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("leafspine-demo")
 	spec := sc.Spec
 	spec.Workloads = append([]Workload(nil), spec.Workloads...)
@@ -177,6 +198,7 @@ func TestSetFieldPaths(t *testing.T) {
 // permutation load on a degraded fabric delivers less than on a healthy
 // one within the same horizon.
 func TestDegradedPortsBite(t *testing.T) {
+	t.Parallel()
 	base := Spec{
 		Name:  "degrade-check",
 		Title: "degrade check",
@@ -201,6 +223,7 @@ func TestDegradedPortsBite(t *testing.T) {
 // Stateful policies must get per-switch instances on a fabric (a shared
 // TDT/EDT map across switches would corrupt state silently).
 func TestStatefulPolicyOnFabric(t *testing.T) {
+	t.Parallel()
 	spec := Spec{
 		Name:  "tdt-fabric",
 		Title: "tdt on fabric",
@@ -226,6 +249,7 @@ func TestStatefulPolicyOnFabric(t *testing.T) {
 // must leave the other classes on the base α — a zero entry in the
 // per-priority map would read as threshold 0 and starve that class.
 func TestHalfSpecifiedPrioAlpha(t *testing.T) {
+	t.Parallel()
 	for _, classes := range []int{2, 4} {
 		p, _, err := (Policy{Kind: "dt", Alpha: 2, AlphaHP: 8}).Build(classes)
 		if err != nil {
@@ -261,6 +285,7 @@ func TestHalfSpecifiedPrioAlpha(t *testing.T) {
 // OnTime exactly must not fire a round inside the off window (the
 // generators' inclusive `until` is pulled back 1ns by startRounds).
 func TestPhaseBoundaryExcluded(t *testing.T) {
+	t.Parallel()
 	// FlowSize 1MB at load 0.8 on 10G → round interval exactly 1ms.
 	spec := Spec{
 		Name:     "phase-edge",
@@ -300,6 +325,7 @@ type probeAt struct {
 func (s probeAt) QueuePriority(int) int { return s.prio }
 
 func TestValidateRejectsNonsense(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		name string
 		mut  func(*Spec)

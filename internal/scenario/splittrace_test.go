@@ -71,6 +71,7 @@ func checkSplitTrace(t *testing.T, doc *ResultDoc) {
 // serves is the traceless document, and the section trace.csv decodes
 // is the trace.
 func TestSplitTraceCatalog(t *testing.T) {
+	t.Parallel()
 	for _, name := range exportableNames(t) {
 		sc, _ := Get(name)
 		res, err := Run(sc.SpecAt(ScaleQuick))
@@ -98,6 +99,7 @@ func TestSplitTraceCatalog(t *testing.T) {
 // JSON, a seam without the document's closing bytes, nothing at all.
 // And DecodeTrace is as strict as DecodeResultDoc.
 func TestSplitTraceLeavesOtherDocumentsWhole(t *testing.T) {
+	t.Parallel()
 	table, err := (&TableDoc{ID: "t", Title: traceKey + traceOpen, Columns: []string{"x"}, Rows: [][]string{{"1"}}}).Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 // the whole book must close (rx = tx + drops + expelled + buffered) —
 // on every catalog scenario, single-switch and fabric alike.
 func TestTelemetrySumsToGlobalTotals(t *testing.T) {
+	t.Parallel()
 	for _, name := range exportableNames(t) {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -116,6 +117,7 @@ var deepColumns = []string{
 }
 
 func TestDeepColumnsSelectableEverywhere(t *testing.T) {
+	t.Parallel()
 	for _, m := range deepColumns {
 		if _, ok := columnFuncs[m]; !ok {
 			t.Fatalf("column %q not registered", m)
@@ -145,6 +147,7 @@ func TestDeepColumnsSelectableEverywhere(t *testing.T) {
 // p50 on a real run's collectors (the scenario-level echo of the
 // metrics property tests).
 func TestTailColumnsOrdered(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("mixed-load-90")
 	res, err := Run(sc.SpecAt(ScaleQuick))
 	if err != nil {
@@ -167,6 +170,7 @@ func TestTailColumnsOrdered(t *testing.T) {
 // per switch plus an occupancy/threshold column pair per queue, and the
 // sparkline plots name every switch and overlay queue.
 func TestTraceOutputs(t *testing.T) {
+	t.Parallel()
 	sc, _ := Get("degraded-leafspine")
 	res, err := Run(sc.SpecAt(ScaleQuick))
 	if err != nil {

@@ -200,7 +200,7 @@ func TestHTTPCatalogSubmit(t *testing.T) {
 		t.Errorf("empty body, no name: %d, want 400", code)
 	}
 	// Figure harnesses have no spec to run.
-	if code := post(t, srv.URL+"/v1/runs?name=fig6-anomalies", "", nil); code != http.StatusNotFound {
+	if code := post(t, srv.URL+"/v1/runs?name=fig6", "", nil); code != http.StatusNotFound {
 		t.Errorf("figure harness submit: %d, want 404", code)
 	}
 }

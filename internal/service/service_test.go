@@ -773,9 +773,8 @@ func TestStatsLedgerConsistency(t *testing.T) {
 // resubmitting it is a cache hit.
 func TestFigurePointsAreJobs(t *testing.T) {
 	s := newService(t, Config{Workers: 2})
-	d := scenario.QuickDPDK()
+	d, f, _ := scenario.FigureScales(scenario.ScaleQuick)
 	d.Queries, d.SizeFracs = 3, []float64{0.6}
-	f := scenario.QuickFabric()
 	f.Queries, f.SizeFracs = 2, []float64{0.4}
 	for _, c := range []struct {
 		fig scenario.Figure

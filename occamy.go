@@ -21,8 +21,8 @@
 //	})
 //
 // See examples/ for runnable end-to-end scenarios and
-// internal/scenario (figures_*.go, driven by cmd/occamy-sim) for the
-// per-figure reproductions.
+// internal/scenario (figures_*.go, catalog entries run by
+// `occamy-scenario run <fig>`) for the per-figure reproductions.
 //
 // # Declarative scenarios
 //
