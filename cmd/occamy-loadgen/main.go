@@ -17,7 +17,7 @@
 //	    [-sweep-every 0] [-report FILE]
 //
 // -route=hash places each request on the consistent-hash home shard of
-// its fingerprint (the same ring occamy-router uses), so driving N
+// its fingerprint (the same ring occamy-served -shards uses), so driving N
 // workers directly reproduces a fronting router's placement; the report
 // then carries a per-target breakdown of the shard skew.
 //
@@ -52,7 +52,7 @@ func main() {
 func run(argv []string) error {
 	fs := flag.NewFlagSet("occamy-loadgen", flag.ExitOnError)
 	targets := fs.String("targets", "http://localhost:8080", "comma-separated occamy-served base URLs")
-	route := fs.String("route", "rr", "target placement: rr (round-robin) | hash (consistent hash by spec fingerprint, the occamy-router ring)")
+	route := fs.String("route", "rr", "target placement: rr (round-robin) | hash (consistent hash by spec fingerprint, the occamy-served -shards ring)")
 	n := fs.Int("n", 300, "total requests to schedule")
 	rate := fs.Float64("rate", 50, "arrival rate, requests/second")
 	process := fs.String("process", "poisson", "arrival process: poisson|uniform")

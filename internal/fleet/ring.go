@@ -1,5 +1,5 @@
 // Package fleet shards the scenario service horizontally: a
-// consistent-hash router (cmd/occamy-router) in front of N occamy-served
+// consistent-hash router (occamy-served -shards) in front of N occamy-served
 // workers routes every submission by scenario.Spec.Fingerprint(), so an
 // identical or equivalent spec always lands on the same worker — the
 // content-addressed result cache becomes a fleet-wide sharded tier for

@@ -26,9 +26,6 @@ type Config struct {
 	// unique, in any order (the ring hashes their names, not their
 	// positions).
 	Workers []string
-	// Replicas is the virtual-node count per worker (default
-	// DefaultReplicas).
-	Replicas int
 	// MaxSweepPoints caps one sweep's expanded grid, checked in O(axes)
 	// before expansion exactly like the worker-side cap (default 256).
 	MaxSweepPoints int
@@ -48,7 +45,7 @@ type Config struct {
 	// Client overrides the HTTP client used to reach workers.
 	Client *http.Client
 	// Logger receives structured request and sweep-lifecycle records
-	// (occamy-router wires a JSON handler behind -log-level). nil
+	// (occamy-served -shards wires a JSON handler behind -log-level). nil
 	// discards everything.
 	Logger *slog.Logger
 }
@@ -104,7 +101,7 @@ type Router struct {
 
 // NewRouter builds a router over the worker fleet.
 func NewRouter(cfg Config) (*Router, error) {
-	ring, err := NewRing(cfg.Workers, cfg.Replicas)
+	ring, err := NewRing(cfg.Workers, 0)
 	if err != nil {
 		return nil, err
 	}

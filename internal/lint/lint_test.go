@@ -48,7 +48,6 @@ func TestPackageScoping(t *testing.T) {
 		{"occamy/internal/fleet", false, false},
 		{"occamy/internal/loadgen", false, false},
 		{"occamy/internal/metrics", false, false},
-		{"occamy/internal/obs", false, false},
 		{"edge", false, false},
 	}
 	for _, c := range cases {

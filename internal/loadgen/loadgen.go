@@ -51,7 +51,7 @@ const (
 	// RouteRR round-robins requests across the targets (default).
 	RouteRR = "rr"
 	// RouteHash places each request on the consistent-hash home shard of
-	// its content fingerprint — the same ring occamy-router uses — so
+	// its content fingerprint — the same ring occamy-served -shards uses — so
 	// driving N workers directly exercises the exact placement a fronting
 	// router would produce (repeat specs land where their cache entry
 	// lives).
