@@ -7,7 +7,7 @@ package bm
 //
 //	T_i(t) = α_p / n_p(t) · (B − ΣQ(t)) · μ_i(t)
 //
-// where n_p is the number of congested queues in priority class p and
+// where n_p ≥ 1 counts the congested (non-empty) queues in class p and
 // μ_i ∈ [0,1] is queue i's dequeue rate relative to its port capacity.
 // Slow-draining queues therefore get small thresholds, which bounds
 // buffer drain time — but the scheme remains non-preemptive: it cannot
@@ -18,9 +18,6 @@ type ABM struct {
 	Alpha float64
 	// AlphaFor optionally overrides α per priority class.
 	AlphaFor map[int]float64
-	// CongestionEpsilon is the queue length (bytes) above which a queue
-	// counts as congested for n_p. Zero means any non-empty queue.
-	CongestionEpsilon int
 	// MinRate floors μ_i so that a paused queue still gets a sliver of
 	// buffer and can restart. Default 0.01 when zero.
 	MinRate float64
@@ -52,25 +49,10 @@ func (p *ABM) minRate() float64 {
 	return p.MinRate
 }
 
-// congestedInClass counts queues in q's priority class whose length
-// exceeds the congestion epsilon.
-func (p *ABM) congestedInClass(st State, prio int) int {
-	n := 0
-	for i := 0; i < st.NumQueues(); i++ {
-		if st.QueuePriority(i) == prio && st.QueueLen(i) > p.CongestionEpsilon {
-			n++
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Threshold implements Policy.
 func (p *ABM) Threshold(st State, q int) int {
 	prio := st.QueuePriority(q)
-	np := p.congestedInClass(st, prio)
+	np := max(st.BackloggedInClass(prio), 1)
 	mu := st.DequeueRate(q)
 	if mu < p.minRate() {
 		mu = p.minRate()

@@ -25,6 +25,10 @@ type State interface {
 	// QueuePriority is the service priority class of queue q (0 =
 	// highest). Only ABM consults it.
 	QueuePriority(q int) int
+	// BackloggedInClass is the number of non-empty queues of priority c,
+	// kept by the traffic manager as queues fill and empty. Only ABM
+	// consults it (as n_p).
+	BackloggedInClass(c int) int
 	// DequeueRate is queue q's recent drain rate normalized to its port
 	// capacity, in [0,1]. Only ABM consults it, and a policy that does
 	// must say so with a ReadsDequeueRate() marker method: the switch

@@ -37,6 +37,17 @@ func (s *fakeState) DequeueRate(q int) float64 {
 	return s.rates[q]
 }
 
+// BackloggedInClass counts by definition what the switch keeps.
+func (s *fakeState) BackloggedInClass(c int) int {
+	n := 0
+	for q := range s.lens {
+		if s.QueueLen(q) > 0 && s.QueuePriority(q) == c {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCompleteSharing(t *testing.T) {
 	st := &fakeState{capacity: 1000, lens: []int{900, 0}}
 	cs := CompleteSharing{}

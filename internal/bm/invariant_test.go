@@ -55,6 +55,17 @@ func (s *fakeState) DequeueRate(q int) float64 {
 	return s.rates[q]
 }
 
+// BackloggedInClass counts by definition what the switch keeps.
+func (s *fakeState) BackloggedInClass(c int) int {
+	n := 0
+	for q := range s.queues {
+		if s.QueueLen(q) > 0 && s.QueuePriority(q) == c {
+			n++
+		}
+	}
+	return n
+}
+
 type policyCase struct {
 	name string
 	mk   func() bm.Policy

@@ -123,6 +123,12 @@ func (m *mockTM) Occupancy() int {
 }
 func (m *mockTM) QueuePriority(q int) int   { return 0 }
 func (m *mockTM) DequeueRate(q int) float64 { return 1 }
+func (m *mockTM) BackloggedInClass(c int) int {
+	if c != 0 { // every queue is class 0
+		return 0
+	}
+	return m.Backlogged().Count()
+}
 
 func packets(n, size int) []int {
 	out := make([]int, n)

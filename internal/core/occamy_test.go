@@ -18,6 +18,15 @@ func backloggedOf(lens []int) *hw.Bitmap {
 	return b
 }
 
+// inClass0 is bm.State.BackloggedInClass for a fake whose every queue
+// has priority 0, given its backlogged set.
+func inClass0(c int, backlogged *hw.Bitmap) int {
+	if c != 0 {
+		return 0
+	}
+	return backlogged.Count()
+}
+
 // fakeTM is a minimal traffic manager for engine unit tests: queues are
 // byte counters with a per-queue packet size, thresholds are settable.
 type fakeTM struct {
@@ -75,8 +84,9 @@ func (f *fakeTM) Occupancy() int {
 	}
 	return t
 }
-func (f *fakeTM) QueuePriority(q int) int   { return 0 }
-func (f *fakeTM) DequeueRate(q int) float64 { return 1 }
+func (f *fakeTM) QueuePriority(q int) int     { return 0 }
+func (f *fakeTM) DequeueRate(q int) float64   { return 1 }
+func (f *fakeTM) BackloggedInClass(c int) int { return inClass0(c, f.Backlogged()) }
 
 func TestEngineExpelsOverAllocated(t *testing.T) {
 	tm := newFakeTM(4)
@@ -303,6 +313,9 @@ func (s *lenState) NumQueues() int            { return len(s.lens) }
 func (s *lenState) QueueLen(q int) int        { return s.lens[q] }
 func (s *lenState) QueuePriority(q int) int   { return 0 }
 func (s *lenState) DequeueRate(q int) float64 { return 1 }
+func (s *lenState) BackloggedInClass(c int) int {
+	return inClass0(c, backloggedOf(s.lens))
+}
 
 func TestPushoutAdmitsWhileSpace(t *testing.T) {
 	p := NewPushout()

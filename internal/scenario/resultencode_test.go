@@ -167,14 +167,20 @@ var fuzzFloats = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1),
 }
 
-func (s *fuzzSrc) float() float64 {
+// fuzzRepeat and above, as a value's first byte, repeat the previous
+// value: a run, as most of a recorded trace is.
+const fuzzRepeat = 224
+
+func (s *fuzzSrc) float(prev float64) float64 {
 	switch k := int(s.byte()); {
 	case k < len(fuzzFloats):
 		return fuzzFloats[k]
 	case k < 160:
 		return float64(int(s.byte())<<8 | int(s.byte())) // a byte count, the common case
-	default:
+	case k < fuzzRepeat:
 		return math.Float64frombits(s.bits())
+	default:
+		return prev
 	}
 }
 
@@ -185,8 +191,10 @@ func (s *fuzzSrc) floats() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
+	prev := 0.0
 	for i := range out {
-		out[i] = s.float()
+		out[i] = s.float(prev)
+		prev = out[i]
 	}
 	return out
 }
@@ -236,7 +244,8 @@ func (s *fuzzSrc) trace() *TraceDoc {
 // FuzzTraceEncode holds the append encoder to encoding/json over trace
 // sections no run would produce: signed zeros, the 2^53 and 1e21 / 1e-6
 // format boundaries, subnormals, NaN and infinities (both must fail),
-// nil versus empty slices, and names that need every kind of escaping.
+// runs of one value (the encoder copies a repeat's bytes), nil versus
+// empty slices, and names that need every kind of escaping.
 func FuzzTraceEncode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
@@ -259,6 +268,26 @@ func FuzzTraceEncode(f *testing.F) {
 			seed = append(seed, 5)
 		}
 		f.Add(seed)
+	}
+	// Side by side in one series, then repeated: neighbours whose bytes
+	// differ though == holds (0, -0), and repeats the encoder may copy
+	// (1e21, and NaN, whose copy must still fail).
+	at := func(v float64) byte {
+		for k, f := range fuzzFloats {
+			if math.Float64bits(f) == math.Float64bits(v) {
+				return byte(k)
+			}
+		}
+		panic("not a fuzzFloats value")
+	}
+	negZero := math.Copysign(0, -1)
+	for _, pair := range [][2]float64{{0, negZero}, {negZero, 0}, {1e21, 1e21}, {math.NaN(), math.NaN()}} {
+		f.Add([]byte{
+			1, 0xe8, 3, 0, 0, 0, 0, 0, 0, // name sw0, sample_every 1µs
+			0,                                             // no times
+			1, 1, 3, at(pair[0]), at(pair[1]), fuzzRepeat, // one switch: the pair, then a repeat
+			3, // no queues
+		})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &fuzzSrc{data: data}

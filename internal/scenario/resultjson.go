@@ -509,10 +509,22 @@ func (w *traceWriter) floats(key string, vs []float64) {
 		return
 	}
 	b := append(w.b, '[')
+	var prev uint64 // the previous element's bits, printed from b[from]
+	var from int
 	for i, f := range vs {
+		bits := math.Float64bits(f)
 		if i > 0 {
 			b = append(b, ',')
+			// Most of a trace repeats its previous sample. Bits, not ==,
+			// decide a repeat: 0 and -0 print differently.
+			if bits == prev {
+				n := len(b)
+				b = append(b, b[from:n-1]...)
+				from = n
+				continue
+			}
 		}
+		prev, from = bits, len(b)
 		// A byte or mark count: an integer-valued float below 2^53 prints
 		// in 'f' form as exactly its decimal digits. -0 is "-0".
 		if v := int64(f); f > -1<<53 && f < 1<<53 && float64(v) == f && (v != 0 || !math.Signbit(f)) {

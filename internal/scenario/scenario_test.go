@@ -308,12 +308,13 @@ func TestPhaseBoundaryExcluded(t *testing.T) {
 // probeState is an empty-buffer bm.State where queue q has priority q.
 type probeState struct{ cap, n int }
 
-func (s *probeState) Capacity() int           { return s.cap }
-func (s *probeState) Occupancy() int          { return 0 }
-func (s *probeState) NumQueues() int          { return s.n }
-func (s *probeState) QueueLen(int) int        { return 0 }
-func (s *probeState) QueuePriority(q int) int { return q }
-func (s *probeState) DequeueRate(int) float64 { return 1 }
+func (s *probeState) Capacity() int             { return s.cap }
+func (s *probeState) Occupancy() int            { return 0 }
+func (s *probeState) NumQueues() int            { return s.n }
+func (s *probeState) QueueLen(int) int          { return 0 }
+func (s *probeState) QueuePriority(q int) int   { return q }
+func (s *probeState) DequeueRate(int) float64   { return 1 }
+func (s *probeState) BackloggedInClass(int) int { return 0 }
 
 // probeAt reuses probeState but reports the wrapped priority for any
 // queried queue (so Threshold(q) sees priority class prio).

@@ -39,12 +39,22 @@ func allPolicies(eng *sim.Engine) []struct {
 	}
 }
 
-// checkBacklogged holds the switch's backlogged set to its definition.
+// checkBacklogged holds the switch's backlogged set, and its per-class
+// counts, to their definitions.
 func checkBacklogged(t *testing.T, sw *Switch, after string) {
 	t.Helper()
+	inClass := make([]int, sw.ClassesPerPort())
 	for q := 0; q < sw.NumQueues(); q++ {
 		if got, want := sw.Backlogged().Get(q), sw.QueueLen(q) > 0; got != want {
 			t.Fatalf("after %s: queue %d holds %d bytes, backlogged bit %v", after, q, sw.QueueLen(q), got)
+		}
+		if sw.QueueLen(q) > 0 {
+			inClass[sw.QueuePriority(q)]++
+		}
+	}
+	for c, want := range inClass {
+		if got := sw.BackloggedInClass(c); got != want {
+			t.Fatalf("after %s: class %d has %d non-empty queues, BackloggedInClass says %d", after, c, want, got)
 		}
 	}
 }
@@ -54,7 +64,8 @@ func checkBacklogged(t *testing.T, sw *Switch, after string) {
 // packet conservation, cell conservation, and non-negative queues — and,
 // after every operation that moves a queue's length (an enqueue, a
 // dequeue, a head-drop) or declines to (an admission or no-memory drop),
-// that the backlogged set is exactly the queues holding bytes.
+// that the backlogged set is exactly the queues holding bytes and each
+// class's count is exactly its share of them.
 func TestAllPoliciesSoak(t *testing.T) {
 	var dropped [3]int // by DropReason, over every policy and seed
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -120,6 +131,7 @@ func TestAllPoliciesSoak(t *testing.T) {
 				}
 				eng.Run()
 				sw.Pool().CheckInvariants()
+				checkBacklogged(t, sw, "the drain")
 				if sw.Backlogged().Any() {
 					t.Fatalf("%d queues still marked backlogged after the drain", sw.Backlogged().Count())
 				}

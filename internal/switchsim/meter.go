@@ -13,6 +13,9 @@ type rateMeter struct {
 	tau  float64 // seconds
 	val  float64 // current rate estimate
 	last sim.Time
+	// dt and factor are the last decay interval and its exp(-dt/τ).
+	dt     sim.Duration
+	factor float64
 }
 
 // newRateMeter returns a meter with the 20µs time constant both of the
@@ -21,9 +24,16 @@ func newRateMeter() *rateMeter {
 	return &rateMeter{tau: (20 * sim.Microsecond).Seconds()}
 }
 
+// decayTo ages the estimate to now. A zero estimate skips Exp, and a
+// repeated interval reuses its factor: neither changes a bit.
 func (m *rateMeter) decayTo(now sim.Time) {
 	if now > m.last {
-		m.val *= math.Exp(-(now - m.last).Seconds() / m.tau)
+		if m.val != 0 {
+			if dt := now - m.last; dt != m.dt {
+				m.dt, m.factor = dt, math.Exp(-dt.Seconds()/m.tau)
+			}
+			m.val *= m.factor
+		}
 		m.last = now
 	}
 }

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,6 +107,66 @@ func TestMetersObserveNeverSteer(t *testing.T) {
 	bare := meterProgram(bm.NewDT(1), nil, false)
 	if got := meterProgram(drainMeteredDT{bm.NewDT(1)}, nil, true); !reflect.DeepEqual(got, bare) {
 		t.Errorf("the drain meters changed the run:\n metered %+v\n bare    %+v", got.stats, bare.stats)
+	}
+}
+
+// refMeter is rateMeter in closed form: every decay is val·exp(−dt/τ)
+// with its own Exp call.
+type refMeter struct {
+	tau, val float64
+	last     sim.Time
+}
+
+func (m *refMeter) rate(now sim.Time) float64 {
+	if now > m.last {
+		m.val *= math.Exp(-(now - m.last).Seconds() / m.tau)
+		m.last = now
+	}
+	return m.val
+}
+
+// The meter's shortcuts — no Exp on a zero estimate, the last factor
+// again on a repeated interval — change no bit of what it reports, over
+// back-to-back impulses, fresh intervals, reads at one instant and idle
+// gaps long enough for the estimate to underflow to zero.
+func TestRateMeterMatchesClosedForm(t *testing.T) {
+	var repeats, underflows int
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := sim.NewRand(seed)
+		m := newRateMeter()
+		ref := &refMeter{tau: m.tau}
+		var now sim.Time
+		interval := sim.Duration(1 + r.Intn(2000))
+		for i := 0; i < 2000; i++ {
+			switch k := r.Intn(10); {
+			case k < 5: // back to back: the interval repeats
+				now += interval
+				repeats++
+			case k < 8:
+				interval = sim.Duration(1 + r.Intn(int(50*sim.Microsecond)))
+				now += interval
+			case k < 9: // the same instant again
+			default: // idle: exp(−gap/τ) underflows
+				now += sim.Duration(int(10*sim.Millisecond) + r.Intn(int(100*sim.Millisecond)))
+			}
+			before := ref.val
+			want := ref.rate(now)
+			if before != 0 && want == 0 {
+				underflows++
+			}
+			if r.Intn(3) != 0 {
+				n := r.Intn(1500)
+				m.add(now, n)
+				ref.val += float64(n) / ref.tau
+				want = ref.val
+			}
+			if got := m.rate(now); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d at %v: rate %v, closed form %v", seed, i, now, got, want)
+			}
+		}
+	}
+	if repeats == 0 || underflows == 0 {
+		t.Fatalf("schedule is no test: %d repeated intervals, %d underflows to zero", repeats, underflows)
 	}
 }
 

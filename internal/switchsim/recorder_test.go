@@ -341,34 +341,46 @@ func TestRecorderReserve(t *testing.T) {
 }
 
 // BenchmarkRecorderSample is the steady-state cost of one aligned
-// sample of every port and queue: after Reserve it allocates nothing.
+// sample of every port and queue, under DT and under ABM, whose
+// threshold reads a class count and a drain meter per queue: after
+// Reserve it allocates nothing.
 func BenchmarkRecorderSample(b *testing.B) {
-	eng := sim.NewEngine()
-	sw := New("bench", eng, Config{
-		Ports: 8, ClassesPerPort: 2, BufferBytes: 1 << 20, Policy: bm.NewDT(1),
-	})
-	for i := 0; i < 8; i++ {
-		sw.AttachPort(i, 10e9, 0, func(*pkt.Packet) {})
-	}
-	sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
-	for i := 0; i < 64; i++ {
-		sw.Receive(mkpkt(pkt.NodeID(i&7), 1000, i&1))
-	}
-	const window = 1024 // a run's worth of samples; the slab is reused across windows
-	rec := NewRecorder(sw)
-	rec.Reserve(window)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%window == 0 {
-			rec.Times = rec.Times[:0]
-			rec.Series = rec.Series[:0]
-			for _, group := range [][][]float64{rec.PortSeries, rec.QueueSeries, rec.ThresholdSeries, rec.ECNSeries} {
-				for j := range group {
-					group[j] = group[j][:0]
-				}
+	for _, c := range []struct {
+		name   string
+		policy bm.Policy
+	}{
+		{"DT", bm.NewDT(1)},
+		{"ABM", bm.NewABM(2)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			eng := sim.NewEngine()
+			sw := New("bench", eng, Config{
+				Ports: 8, ClassesPerPort: 2, BufferBytes: 1 << 20, Policy: c.policy,
+			})
+			for i := 0; i < 8; i++ {
+				sw.AttachPort(i, 10e9, 0, func(*pkt.Packet) {})
 			}
-		}
-		rec.Sample(sim.Time(i))
+			sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
+			for i := 0; i < 64; i++ {
+				sw.Receive(mkpkt(pkt.NodeID(i&7), 1000, i&1))
+			}
+			const window = 1024 // a run's worth of samples; the slab is reused across windows
+			rec := NewRecorder(sw)
+			rec.Reserve(window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%window == 0 {
+					rec.Times = rec.Times[:0]
+					rec.Series = rec.Series[:0]
+					for _, group := range [][][]float64{rec.PortSeries, rec.QueueSeries, rec.ThresholdSeries, rec.ECNSeries} {
+						for j := range group {
+							group[j] = group[j][:0]
+						}
+					}
+				}
+				rec.Sample(sim.Time(i))
+			}
+		})
 	}
 }

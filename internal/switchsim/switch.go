@@ -172,11 +172,13 @@ type Switch struct {
 	occ      *core.Engine        // non-nil when Occamy expulsion is enabled
 	router   Router
 
-	// backlogged marks the queues holding at least one byte. Every change
-	// to a queue's length re-derives its bit on the spot (enqueue, transmit,
-	// head-drop), so the preemptive policies scan these queues instead of
-	// asking all of them for their length (core.TM.Backlogged).
+	// backlogged marks the queues holding at least one byte, and inClass[c]
+	// counts those of class c. Every change to a queue's length re-derives
+	// both on the spot (setBacklogged), so the preemptive policies scan
+	// these queues instead of asking all of them for their length
+	// (core.TM.Backlogged), and ABM reads n_p without a scan.
 	backlogged *hw.Bitmap
+	inClass    []int
 
 	totalBytes int // sum of queue lengths (packet bytes, not cell-rounded)
 	stats      Stats
@@ -221,6 +223,7 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 		}),
 		policy:     cfg.Policy,
 		backlogged: hw.NewBitmap(cfg.Ports * cfg.ClassesPerPort),
+		inClass:    make([]int, cfg.ClassesPerPort),
 	}
 	_, readsDrain := cfg.Policy.(interface{ ReadsDequeueRate() })
 	if p, ok := cfg.Policy.(core.Preemptor); ok {
@@ -367,6 +370,9 @@ func (s *Switch) QueueLen(q int) int { return s.flat[q].cells.Len() }
 // QueuePriority implements bm.State.
 func (s *Switch) QueuePriority(q int) int { return s.flat[q].prio }
 
+// BackloggedInClass implements bm.State.
+func (s *Switch) BackloggedInClass(c int) int { return s.inClass[c] }
+
 // DequeueRate implements bm.State: the queue's recent drain rate
 // normalized to its port capacity. The drain meters exist only under a
 // policy with the ReadsDequeueRate marker; any other caller panics
@@ -388,6 +394,20 @@ func (s *Switch) DequeueRate(q int) float64 {
 
 // Backlogged implements core.TM.
 func (s *Switch) Backlogged() *hw.Bitmap { return s.backlogged }
+
+// setBacklogged re-derives queue q's backlogged bit, and its class's
+// count, from the queue's length.
+func (s *Switch) setBacklogged(q int) {
+	cq := s.flat[q]
+	if on := cq.cells.Len() > 0; on != s.backlogged.Get(q) {
+		s.backlogged.Assign(q, on)
+		if on {
+			s.inClass[cq.prio]++
+		} else {
+			s.inClass[cq.prio]--
+		}
+	}
+}
 
 // Threshold implements core.TM: the admission policy's current limit.
 func (s *Switch) Threshold(q int) int { return s.policy.Threshold(s, q) }
@@ -417,7 +437,7 @@ func (s *Switch) HeadDrop(q int) (int, int, bool) {
 	if !ok || id != p.ID || n != size {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on head-drop: got (%d,%d), want (%d,%d)", n, id, size, p.ID))
 	}
-	s.backlogged.Assign(q, cq.cells.Len() > 0)
+	s.setBacklogged(q)
 	s.totalBytes -= size
 	s.stats.DropsExpelled++
 	s.portStats[q/s.cfg.ClassesPerPort].DropsExpelled++
@@ -495,7 +515,7 @@ func (s *Switch) Receive(p *pkt.Packet) {
 	}
 	cq.cells.Enqueue(ref)
 	cq.meta.push(p)
-	s.backlogged.Assign(q, cq.cells.Len() > 0)
+	s.setBacklogged(q)
 	s.totalBytes += p.Size
 	if s.memBW != nil {
 		s.memBW.add(s.eng.Now(), s.pool.CellsFor(p.Size)) // cell writes
@@ -548,7 +568,7 @@ func (s *Switch) tryTransmit(pt *port) {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on dequeue: got (%d,%d), want (%d,%d)", n, id, p.Size, p.ID))
 	}
 	q := s.qindex(pt.id, class)
-	s.backlogged.Assign(q, cq.cells.Len() > 0)
+	s.setBacklogged(q)
 	s.totalBytes -= p.Size
 	now := s.eng.Now()
 	cells := s.pool.CellsFor(p.Size)

@@ -129,7 +129,8 @@ type PolicyState = bm.State
 func NewDT(alpha float64) *bm.DT { return bm.NewDT(alpha) }
 
 // NewABM returns Active Buffer Management (SIGCOMM'22), the strongest
-// non-preemptive baseline.
+// non-preemptive baseline. Its knobs are Alpha, AlphaFor and MinRate; a
+// queue counts toward n_p while it holds any byte, a count the switch keeps.
 func NewABM(alpha float64) *bm.ABM { return bm.NewABM(alpha) }
 
 // CompleteSharing admits any packet that physically fits.
