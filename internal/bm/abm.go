@@ -16,8 +16,8 @@ package bm
 type ABM struct {
 	// Alpha is α_p for every priority class unless overridden.
 	Alpha float64
-	// AlphaFor optionally overrides α per priority class.
-	AlphaFor map[int]float64
+	// AlphaByPrio optionally overrides α per priority class.
+	AlphaByPrio map[int]float64
 	// MinRate floors μ_i so that a paused queue still gets a sliver of
 	// buffer and can restart. Default 0.01 when zero.
 	MinRate float64
@@ -32,15 +32,6 @@ func (p *ABM) Name() string { return "ABM" }
 // ReadsDequeueRate marks ABM as a reader of State.DequeueRate, which
 // makes the switch keep its per-queue drain meters.
 func (*ABM) ReadsDequeueRate() {}
-
-func (p *ABM) alphaFor(prio int) float64 {
-	if len(p.AlphaFor) != 0 {
-		if a, ok := p.AlphaFor[prio]; ok {
-			return a
-		}
-	}
-	return p.Alpha
-}
 
 func (p *ABM) minRate() float64 {
 	if p.MinRate == 0 {
@@ -60,7 +51,7 @@ func (p *ABM) Threshold(st State, q int) int {
 	if mu > 1 {
 		mu = 1
 	}
-	t := p.alphaFor(prio) / float64(np) * float64(FreeBuffer(st)) * mu
+	t := alphaOf(prio, p.Alpha, p.AlphaByPrio) / float64(np) * float64(FreeBuffer(st)) * mu
 	return clampInt(t)
 }
 

@@ -23,7 +23,7 @@ type State interface {
 	// QueueLen is the length of queue q in bytes.
 	QueueLen(q int) int
 	// QueuePriority is the service priority class of queue q (0 =
-	// highest). Only ABM consults it.
+	// highest).
 	QueuePriority(q int) int
 	// BackloggedInClass is the number of non-empty queues of priority c,
 	// kept by the traffic manager as queues fill and empty. Only ABM
@@ -48,6 +48,15 @@ type Policy interface {
 	// applies to queue q, in bytes. Policies without a meaningful
 	// threshold return Capacity.
 	Threshold(st State, q int) int
+}
+
+// ClassPolicy is a Policy whose limit depends only on a queue's class and
+// the switch state: Threshold(st, q) is ClassThreshold(st,
+// st.QueuePriority(q)). The switch asks such a policy once per class, not
+// once per queue (Occamy's comparator bank, the occupancy recorder).
+type ClassPolicy interface {
+	Policy
+	ClassThreshold(st State, class int) int
 }
 
 // Unlimited is the threshold value meaning "no limit beyond physical
@@ -88,7 +97,12 @@ func (CompleteSharing) Admit(st State, q, size int) bool {
 }
 
 // Threshold implements Policy.
-func (CompleteSharing) Threshold(st State, q int) int { return Unlimited(st) }
+func (p CompleteSharing) Threshold(st State, q int) int {
+	return p.ClassThreshold(st, st.QueuePriority(q))
+}
+
+// ClassThreshold implements ClassPolicy.
+func (CompleteSharing) ClassThreshold(st State, class int) int { return Unlimited(st) }
 
 // StaticThreshold limits every queue to a fixed byte count (SMXQ-style).
 type StaticThreshold struct {
@@ -108,4 +122,9 @@ func (p StaticThreshold) Admit(st State, q, size int) bool {
 }
 
 // Threshold implements Policy.
-func (p StaticThreshold) Threshold(st State, q int) int { return p.Limit }
+func (p StaticThreshold) Threshold(st State, q int) int {
+	return p.ClassThreshold(st, st.QueuePriority(q))
+}
+
+// ClassThreshold implements ClassPolicy.
+func (p StaticThreshold) ClassThreshold(st State, class int) int { return p.Limit }

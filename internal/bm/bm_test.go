@@ -103,14 +103,16 @@ func TestDTAdmission(t *testing.T) {
 	}
 }
 
-func TestDTPerQueueAlpha(t *testing.T) {
-	st := &fakeState{capacity: 900, lens: []int{0, 0}}
-	dt := &DT{Alpha: 1, AlphaFor: map[int]float64{0: 8}}
-	if got := dt.Threshold(st, 0); got != 7200 {
-		t.Fatalf("HP threshold = %d, want 7200", got)
-	}
-	if got := dt.Threshold(st, 1); got != 900 {
-		t.Fatalf("LP threshold = %d, want 900", got)
+func TestDTPerClassAlpha(t *testing.T) {
+	st := &fakeState{capacity: 900, lens: []int{0, 0, 0}, prios: []int{0, 1, 1}}
+	dt := &DT{Alpha: 1, AlphaByPrio: map[int]float64{0: 8}}
+	for q, want := range []int{7200, 900, 900} {
+		if got := dt.Threshold(st, q); got != want {
+			t.Fatalf("queue %d (class %d) threshold = %d, want %d", q, st.prios[q], got, want)
+		}
+		if got := dt.ClassThreshold(st, st.prios[q]); got != want {
+			t.Fatalf("class %d threshold = %d, want %d", st.prios[q], got, want)
+		}
 	}
 }
 

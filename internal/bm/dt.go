@@ -16,11 +16,9 @@ type DT struct {
 	// Alpha is the control parameter α. Commodity chips use powers of
 	// two; the paper evaluates 0.5–8.
 	Alpha float64
-	// AlphaFor optionally overrides α per queue index.
-	AlphaFor map[int]float64
 	// AlphaByPrio optionally overrides α per service-priority class
 	// (e.g. Fig 15 gives the high-priority class α=8 and low-priority
-	// classes α=1). AlphaFor takes precedence.
+	// classes α=1).
 	AlphaByPrio map[int]float64
 }
 
@@ -30,26 +28,24 @@ func NewDT(alpha float64) *DT { return &DT{Alpha: alpha} }
 // Name implements Policy.
 func (p *DT) Name() string { return "DT" }
 
-// alpha returns the α that applies to queue q. An empty map costs no
-// lookup, which is the uniform-α policy of most runs; nothing is cached,
-// because callers may change the fields between packets.
-func (p *DT) alpha(st State, q int) float64 {
-	if len(p.AlphaFor) != 0 {
-		if a, ok := p.AlphaFor[q]; ok {
-			return a
-		}
-	}
-	if len(p.AlphaByPrio) != 0 {
-		if a, ok := p.AlphaByPrio[st.QueuePriority(q)]; ok {
-			return a
-		}
-	}
-	return p.Alpha
+// Threshold implements Policy: T(t) = α·(B − Q(t)).
+func (p *DT) Threshold(st State, q int) int { return p.ClassThreshold(st, st.QueuePriority(q)) }
+
+// ClassThreshold implements ClassPolicy with the α of the class. Nothing
+// is cached: callers may change the fields between packets.
+func (p *DT) ClassThreshold(st State, class int) int {
+	return clampInt(alphaOf(class, p.Alpha, p.AlphaByPrio) * float64(FreeBuffer(st)))
 }
 
-// Threshold implements Policy: T(t) = α·(B − Q(t)).
-func (p *DT) Threshold(st State, q int) int {
-	return clampInt(p.alpha(st, q) * float64(FreeBuffer(st)))
+// alphaOf returns the α that byPrio gives class c, or alpha. An empty map
+// costs no lookup, which is the uniform-α policy of most runs.
+func alphaOf(c int, alpha float64, byPrio map[int]float64) float64 {
+	if len(byPrio) != 0 {
+		if a, ok := byPrio[c]; ok {
+			return a
+		}
+	}
+	return alpha
 }
 
 // Admit implements Policy: accept while the queue is under threshold and

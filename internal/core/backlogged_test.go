@@ -14,11 +14,12 @@ import (
 // to the full 0..n scan it replaced, over seeded queue-length programs —
 // the same over-allocation bits, the same victims in the same order.
 
-// refOver is the comparator bank as a full scan.
+// refOver is the comparator bank as a full scan, asking each queue's
+// class for its threshold.
 func refOver(f *fakeTM) []bool {
 	over := make([]bool, len(f.lens))
 	for q, l := range f.lens {
-		over[q] = l > 0 && l > f.thresholds[q]
+		over[q] = l > 0 && l > f.thresholds[q%len(f.thresholds)]
 	}
 	return over
 }
@@ -93,6 +94,7 @@ func TestExpulsionScansMatchFullScan(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d", policy, n), func(t *testing.T) {
 				r := sim.NewRand(uint64(1000*n) + uint64(policy))
 				f := newFakeTM(n)
+				f.thresholds = make([]int, 1+n%3) // classes
 				e := NewEngine(f, Config{Victim: policy})
 				refArbiter := hw.NewRoundRobinArbiter(n)
 				for step := 0; step < 400; step++ {
@@ -108,7 +110,7 @@ func TestExpulsionScansMatchFullScan(t *testing.T) {
 					}
 					for q, want := range over {
 						if e.bitmap.Get(q) != want {
-							t.Fatalf("step %d: over-allocation bit %d = %v, full scan %v (len %d threshold %d)", step, q, !want, want, f.lens[q], f.thresholds[q])
+							t.Fatalf("step %d: over-allocation bit %d = %v, full scan %v (len %d threshold %d)", step, q, !want, want, f.lens[q], f.thresholds[q%len(f.thresholds)])
 						}
 					}
 					if r.Intn(4) == 0 {

@@ -23,12 +23,14 @@ import (
 )
 
 // mockTM is a scripted traffic manager and bm.State: per-queue packet
-// size lists, fixed thresholds, and a manually pumped event queue.
+// size lists, fixed thresholds per class (queue q is of class q mod
+// len(thresholds); every queue is of class 0 without them), and a
+// manually pumped event queue.
 type mockTM struct {
 	t          *testing.T
 	cap        int
 	queues     [][]int // per-queue packet sizes, head first
-	thresholds []int
+	thresholds []int   // per class
 	cellSize   int
 
 	now    sim.Time
@@ -66,12 +68,16 @@ func (m *mockTM) QueueLen(q int) int {
 	}
 	return total
 }
-func (m *mockTM) Threshold(q int) int {
+func (m *mockTM) ClassesPerPort() int { return max(len(m.thresholds), 1) }
+func (m *mockTM) Threshold(c int) int {
 	if m.thresholds == nil {
 		return m.cap
 	}
-	return m.thresholds[q]
+	return m.thresholds[c]
 }
+
+// limit is queue q's threshold, its class's.
+func (m *mockTM) limit(q int) int { return m.Threshold(m.QueuePriority(q)) }
 func (m *mockTM) HeadPacketCells(q int) int {
 	if len(m.queues[q]) == 0 {
 		return 0
@@ -82,7 +88,7 @@ func (m *mockTM) HeadDrop(q int) (int, int, bool) {
 	if len(m.queues[q]) == 0 {
 		return 0, 0, false
 	}
-	m.drops = append(m.drops, mockDrop{queue: q, lenBefore: m.QueueLen(q), threshold: m.Threshold(q)})
+	m.drops = append(m.drops, mockDrop{queue: q, lenBefore: m.QueueLen(q), threshold: m.limit(q)})
 	size := m.queues[q][0]
 	m.queues[q] = m.queues[q][1:]
 	return size, (size + m.cellSize - 1) / m.cellSize, true
@@ -121,13 +127,16 @@ func (m *mockTM) Occupancy() int {
 	}
 	return total
 }
-func (m *mockTM) QueuePriority(q int) int   { return 0 }
+func (m *mockTM) QueuePriority(q int) int   { return q % m.ClassesPerPort() }
 func (m *mockTM) DequeueRate(q int) float64 { return 1 }
 func (m *mockTM) BackloggedInClass(c int) int {
-	if c != 0 { // every queue is class 0
-		return 0
+	n := 0
+	for q := range m.queues {
+		if m.QueueLen(q) > 0 && m.QueuePriority(q) == c {
+			n++
+		}
 	}
-	return m.Backlogged().Count()
+	return n
 }
 
 func packets(n, size int) []int {
@@ -153,7 +162,7 @@ func TestOccamyEngineNeverExpelsBelowThreshold(t *testing.T) {
 					packets(80, 500),  // 40KB, threshold 39.9KB: over
 					nil,               // empty
 				},
-				[]int{10_000, 10_000, 39_900, 10_000})
+				[]int{10_000, 10_000, 39_900}) // queue 3 is of class 0 again
 			eng := core.NewEngine(tm, core.Config{Alpha: 8, Victim: victim})
 			eng.Kick()
 			tm.pump(10_000)
@@ -168,9 +177,9 @@ func TestOccamyEngineNeverExpelsBelowThreshold(t *testing.T) {
 			}
 			// Convergence: afterwards no queue is over its threshold...
 			for q := range tm.queues {
-				if tm.QueueLen(q) > tm.Threshold(q) {
+				if tm.QueueLen(q) > tm.limit(q) {
 					t.Errorf("queue %d still over threshold after convergence: %d > %d",
-						q, tm.QueueLen(q), tm.Threshold(q))
+						q, tm.QueueLen(q), tm.limit(q))
 				}
 			}
 			// ...and the protected queue was never touched.
@@ -190,7 +199,7 @@ func TestOccamyEngineNeverExpelsBelowThreshold(t *testing.T) {
 func TestOccamyEngineIdleWhenFair(t *testing.T) {
 	tm := newMockTM(t, 1<<20,
 		[][]int{packets(5, 1000), packets(3, 1000)},
-		[]int{10_000, 10_000})
+		[]int{10_000})
 	eng := core.NewEngine(tm, core.Config{Alpha: 8})
 	eng.Kick()
 	if n := tm.pump(10); n != 0 {

@@ -55,8 +55,11 @@ type TM interface {
 	Backlogged() *hw.Bitmap
 	// QueueLen returns queue q's length in bytes.
 	QueueLen(q int) int
-	// Threshold returns the admission policy's current limit for q.
-	Threshold(q int) int
+	// ClassesPerPort is the number of classes; queue q is of class q mod it.
+	ClassesPerPort() int
+	// Threshold returns the admission policy's current limit for every
+	// queue of class c.
+	Threshold(c int) int
 	// HeadPacketCells returns the buffer cells occupied by q's head
 	// packet, or 0 when q is empty.
 	HeadPacketCells(q int) int
@@ -73,8 +76,6 @@ type TM interface {
 type Config struct {
 	// Alpha is the DT admission α (§4.2). The paper recommends 8.
 	Alpha float64
-	// AlphaFor optionally overrides admission α per queue.
-	AlphaFor map[int]float64
 	// AlphaByPrio optionally overrides admission α per priority class
 	// (the Fig 15 buffer-choking configuration).
 	AlphaByPrio map[int]float64
@@ -107,7 +108,7 @@ func New(cfg Config) *Occamy {
 		cfg.Alpha = DefaultAlpha
 	}
 	return &Occamy{
-		DT:  &bm.DT{Alpha: cfg.Alpha, AlphaFor: cfg.AlphaFor, AlphaByPrio: cfg.AlphaByPrio},
+		DT:  &bm.DT{Alpha: cfg.Alpha, AlphaByPrio: cfg.AlphaByPrio},
 		cfg: cfg,
 	}
 }
@@ -140,6 +141,7 @@ type Engine struct {
 	cfg Config
 
 	bitmap  *hw.Bitmap
+	thr     []int // the comparator bank's other input: one threshold per class
 	arbiter *hw.RoundRobinArbiter
 	finder  *hw.MaxFinder // only for the LongestQueue ablation
 	vals    []int         // its input row: lengths of over-allocated queues, 0 elsewhere
@@ -162,6 +164,7 @@ func NewEngine(tm TM, cfg Config) *Engine {
 		tm:      tm,
 		cfg:     cfg,
 		bitmap:  hw.NewBitmap(n),
+		thr:     make([]int, tm.ClassesPerPort()),
 		arbiter: hw.NewRoundRobinArbiter(n),
 		tokens:  cfg.TokenBurst,
 	}
@@ -232,18 +235,28 @@ func (e *Engine) Kick() {
 // refreshBitmap recomputes the over-allocation bitmap (the comparator
 // bank of Fig 9) and reports whether any bit is set. An empty queue is
 // never over-allocated — no policy's threshold is negative — so only the
-// backlogged queues are compared with their thresholds.
+// backlogged queues are compared with their class's threshold.
 func (e *Engine) refreshBitmap() bool {
 	e.bitmap.Reset()
+	for c := range e.thr {
+		e.thr[c] = e.tm.Threshold(c)
+	}
 	any := false
 	bl := e.tm.Backlogged()
 	for q := bl.Next(0); q >= 0; q = bl.Next(q + 1) {
-		if e.tm.QueueLen(q) > e.tm.Threshold(q) {
+		if e.tm.QueueLen(q) > e.thr[q%len(e.thr)] {
 			e.bitmap.Set(q)
 			any = true
 		}
 	}
 	return any
+}
+
+// OverAllocated refreshes the comparator bank and returns its bitmap, which
+// the engine refreshes before every use: a look changes nothing.
+func (e *Engine) OverAllocated() *hw.Bitmap {
+	e.refreshBitmap()
+	return e.bitmap
 }
 
 // victim picks the queue to drop from per the configured policy.

@@ -28,12 +28,13 @@ func inClass0(c int, backlogged *hw.Bitmap) int {
 }
 
 // fakeTM is a minimal traffic manager for engine unit tests: queues are
-// byte counters with a per-queue packet size, thresholds are settable.
+// byte counters with a per-queue packet size, thresholds are settable
+// per class, and queue q is of class q mod len(thresholds).
 type fakeTM struct {
 	eng        *sim.Engine
 	lens       []int
-	thresholds []int
-	pktBytes   int // every buffered packet is this size
+	thresholds []int // per class
+	pktBytes   int   // every buffered packet is this size
 	cellSize   int
 	drops      []int // victim queue of each head-drop, in order
 }
@@ -42,7 +43,7 @@ func newFakeTM(n int) *fakeTM {
 	return &fakeTM{
 		eng:        sim.NewEngine(),
 		lens:       make([]int, n),
-		thresholds: make([]int, n),
+		thresholds: make([]int, 1),
 		pktBytes:   1000,
 		cellSize:   200,
 	}
@@ -50,7 +51,8 @@ func newFakeTM(n int) *fakeTM {
 
 func (f *fakeTM) Backlogged() *hw.Bitmap          { return backloggedOf(f.lens) }
 func (f *fakeTM) QueueLen(q int) int              { return f.lens[q] }
-func (f *fakeTM) Threshold(q int) int             { return f.thresholds[q] }
+func (f *fakeTM) ClassesPerPort() int             { return len(f.thresholds) }
+func (f *fakeTM) Threshold(c int) int             { return f.thresholds[c] }
 func (f *fakeTM) Now() sim.Time                   { return f.eng.Now() }
 func (f *fakeTM) After(d sim.Duration, fn func()) { f.eng.After(d, fn) }
 
@@ -91,7 +93,7 @@ func (f *fakeTM) BackloggedInClass(c int) int { return inClass0(c, f.Backlogged(
 func TestEngineExpelsOverAllocated(t *testing.T) {
 	tm := newFakeTM(4)
 	tm.lens = []int{5000, 1000, 0, 0}
-	tm.thresholds = []int{2000, 2000, 2000, 2000}
+	tm.thresholds = []int{2000}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
 	e.Kick()
 	tm.eng.Run()
@@ -110,7 +112,7 @@ func TestEngineExpelsOverAllocated(t *testing.T) {
 func TestEngineRoundRobinAcrossQueues(t *testing.T) {
 	tm := newFakeTM(3)
 	tm.lens = []int{4000, 4000, 4000}
-	tm.thresholds = []int{1000, 1000, 1000}
+	tm.thresholds = []int{1000}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
 	e.Kick()
 	tm.eng.Run()
@@ -132,7 +134,7 @@ func TestEngineRoundRobinAcrossQueues(t *testing.T) {
 func TestEngineLongestQueueVariant(t *testing.T) {
 	tm := newFakeTM(3)
 	tm.lens = []int{3000, 9000, 3000}
-	tm.thresholds = []int{1000, 1000, 1000}
+	tm.thresholds = []int{1000}
 	e := NewEngine(tm, Config{Victim: LongestQueue, TokenRate: 1e9, TokenBurst: 1000})
 	e.Kick()
 	tm.eng.Run()
@@ -192,7 +194,7 @@ func TestEngineStallsWhenTransmitConsumesBandwidth(t *testing.T) {
 func TestEngineUnlimitedWhenRateZero(t *testing.T) {
 	tm := newFakeTM(2)
 	tm.lens = []int{100000, 100000}
-	tm.thresholds = []int{0, 0}
+	tm.thresholds = []int{0}
 	e := NewEngine(tm, Config{}) // TokenRate 0: ablation, no gate
 	e.Kick()
 	tm.eng.Run()
@@ -207,7 +209,7 @@ func TestEngineUnlimitedWhenRateZero(t *testing.T) {
 func TestEngineStopsWhenFair(t *testing.T) {
 	tm := newFakeTM(2)
 	tm.lens = []int{1500, 1500}
-	tm.thresholds = []int{2000, 2000}
+	tm.thresholds = []int{2000}
 	e := NewEngine(tm, Config{TokenRate: 1e9})
 	e.Kick()
 	tm.eng.Run()
@@ -232,19 +234,19 @@ func TestEngineThresholdRisesMidway(t *testing.T) {
 }
 
 // A queue that empties while its bit is set — the scheduler drained it
-// before the pass ran — clears its bit without its threshold being
-// consulted, and nothing further is scheduled.
+// before the pass ran — clears its bit whatever its class's threshold
+// says, and nothing further is scheduled.
 func TestEngineEmptiedQueueClearsBit(t *testing.T) {
 	tm := newFakeTM(2)
 	tm.lens = []int{5000, 0}
-	tm.thresholds = []int{2000, 2000}
+	tm.thresholds = []int{2000}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
 	e.Kick()
 	if !e.bitmap.Get(0) || e.bitmap.Get(1) || tm.eng.Pending() != 1 {
 		t.Fatalf("after Kick: bits %v %v, %d pending; want queue 0 marked and one pass", e.bitmap.Get(0), e.bitmap.Get(1), tm.eng.Pending())
 	}
 	tm.lens[0] = 0
-	tm.thresholds[0] = -1 // an answer that would keep the bit, were it asked for
+	tm.thresholds[0] = -1 // an answer that would keep the bit, were it compared
 	tm.eng.Run()
 	if e.bitmap.Get(0) {
 		t.Error("empty queue 0 still marked over-allocated")

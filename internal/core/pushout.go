@@ -32,7 +32,10 @@ func (*Pushout) Admit(st bm.State, q, size int) bool {
 }
 
 // Threshold implements bm.Policy: Pushout imposes no per-queue limit.
-func (*Pushout) Threshold(st bm.State, q int) int { return bm.Unlimited(st) }
+func (p *Pushout) Threshold(st bm.State, q int) int { return p.ClassThreshold(st, st.QueuePriority(q)) }
+
+// ClassThreshold implements bm.ClassPolicy.
+func (*Pushout) ClassThreshold(st bm.State, class int) int { return bm.Unlimited(st) }
 
 // MakeRoom expels head packets from the longest queue until `size` bytes
 // fit or nothing remains to expel. The switch calls it when an arrival
@@ -80,5 +83,5 @@ type Preemptor interface {
 }
 
 var _ Preemptor = (*Pushout)(nil)
-var _ bm.Policy = (*Pushout)(nil)
-var _ bm.Policy = (*Occamy)(nil)
+var _ bm.ClassPolicy = (*Pushout)(nil)
+var _ bm.ClassPolicy = (*Occamy)(nil)

@@ -31,7 +31,10 @@ func (p *POT) Admit(st bm.State, q, size int) bool {
 }
 
 // Threshold implements bm.Policy: the pushout-eligibility threshold.
-func (p *POT) Threshold(st bm.State, q int) int {
+func (p *POT) Threshold(st bm.State, q int) int { return p.ClassThreshold(st, st.QueuePriority(q)) }
+
+// ClassThreshold implements bm.ClassPolicy.
+func (p *POT) ClassThreshold(st bm.State, class int) int {
 	return int(p.Fraction * float64(st.Capacity()))
 }
 
@@ -72,7 +75,10 @@ func (p *QPO) Admit(st bm.State, q, size int) bool {
 }
 
 // Threshold implements bm.Policy.
-func (p *QPO) Threshold(st bm.State, q int) int { return bm.Unlimited(st) }
+func (p *QPO) Threshold(st bm.State, q int) int { return p.ClassThreshold(st, st.QueuePriority(q)) }
+
+// ClassThreshold implements bm.ClassPolicy.
+func (p *QPO) ClassThreshold(st bm.State, class int) int { return bm.Unlimited(st) }
 
 // MakeRoomFor implements QueuePreemptor: evict from the quasi-longest
 // queue until the packet fits or the register queue empties (the
@@ -108,7 +114,7 @@ type QueuePreemptor interface {
 	MakeRoomFor(tm TM, st bm.State, q, size int) bool
 }
 
-var _ bm.Policy = (*POT)(nil)
-var _ bm.Policy = (*QPO)(nil)
+var _ bm.ClassPolicy = (*POT)(nil)
+var _ bm.ClassPolicy = (*QPO)(nil)
 var _ QueuePreemptor = (*POT)(nil)
 var _ QueuePreemptor = (*QPO)(nil)

@@ -108,9 +108,7 @@ func (p Policy) Build(classes int) (bm.Policy, *core.Config, error) {
 		return dt, nil, nil
 	case "abm":
 		abm := bm.NewABM(p.alpha())
-		if byPrio != nil {
-			abm.AlphaFor = byPrio
-		}
+		abm.AlphaByPrio = byPrio
 		return abm, nil, nil
 	case "edt":
 		return bm.NewEDT(p.alpha(), nil), nil, nil

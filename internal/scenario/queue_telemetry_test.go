@@ -6,9 +6,9 @@ import (
 )
 
 // The occupancy-decomposition property, at full depth: at every sample
-// instant, the per-queue series of a switch must sum to its per-port
-// series, the per-port series to the whole-switch series — and the
-// threshold series must be aligned sample-for-sample. Checked across
+// instant, the per-queue series of a switch must sum to the whole-switch
+// series, and each port's sums must have the port's peak and mean — and
+// the threshold series must be aligned sample-for-sample. Checked across
 // every catalog entry, single-switch and fabric, every scheduler and
 // class count.
 func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
@@ -27,17 +27,12 @@ func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
 				if nSamples == 0 {
 					t.Fatalf("switch %s recorded no samples", tel.Name)
 				}
-				if got := len(tel.PortSeries); got != len(tel.Ports) {
-					t.Fatalf("switch %s: %d port series for %d ports", tel.Name, got, len(tel.Ports))
+				if got := len(tel.PortPeak); got != len(tel.Ports) {
+					t.Fatalf("switch %s: %d port peaks for %d ports", tel.Name, got, len(tel.Ports))
 				}
 				if got := len(tel.Queues); got != len(tel.Ports)*tel.Classes {
 					t.Fatalf("switch %s: %d queue entries for %d ports x %d classes",
 						tel.Name, got, len(tel.Ports), tel.Classes)
-				}
-				for p, ps := range tel.PortSeries {
-					if len(ps) != nSamples {
-						t.Fatalf("switch %s port %d: %d samples, switch has %d", tel.Name, p, len(ps), nSamples)
-					}
 				}
 				for q := range tel.Queues {
 					qt := &tel.Queues[q]
@@ -46,22 +41,27 @@ func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
 							tel.Name, qt.Label(), len(qt.Series), len(qt.Threshold), nSamples)
 					}
 				}
+				portPeak, portSum := make([]float64, len(tel.Ports)), make([]float64, len(tel.Ports))
 				for s := 0; s < nSamples; s++ {
 					swSum := 0.0
-					for p := range tel.PortSeries {
-						portSum := 0.0
+					for p := range tel.Ports {
+						occ := 0.0
 						for c := 0; c < tel.Classes; c++ {
-							portSum += tel.Queues[p*tel.Classes+c].Series[s]
+							occ += tel.Queues[p*tel.Classes+c].Series[s]
 						}
-						if portSum != tel.PortSeries[p][s] {
-							t.Fatalf("switch %s port %d sample %d: queue sum %g != port series %g",
-								tel.Name, p, s, portSum, tel.PortSeries[p][s])
-						}
-						swSum += tel.PortSeries[p][s]
+						portPeak[p] = max(portPeak[p], occ)
+						portSum[p] += occ
+						swSum += occ
 					}
 					if swSum != tel.Series[s] {
-						t.Fatalf("switch %s sample %d: port sum %g != switch series %g",
+						t.Fatalf("switch %s sample %d: queue sum %g != switch series %g",
 							tel.Name, s, swSum, tel.Series[s])
+					}
+				}
+				for p := range tel.Ports {
+					if mean := portSum[p] / float64(nSamples); int(portPeak[p]) != tel.PortPeak[p] || mean != tel.PortMean[p] {
+						t.Fatalf("switch %s port %d: peak %d / mean %g, queue sums %g / %g",
+							tel.Name, p, tel.PortPeak[p], tel.PortMean[p], portPeak[p], mean)
 					}
 				}
 				// Peaks/means/min-headroom must match their own series.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,8 +139,14 @@ func TestTrailingDataRejected(t *testing.T) {
 	}
 }
 
-// fuzzSrc deals a fuzz input out as the parts of a TraceDoc.
-type fuzzSrc struct{ data []byte }
+// fuzzSrc deals a fuzz input out as the parts of a TraceDoc. made holds
+// every series it dealt, for later ones to alias, and zero is the one
+// zero series its aliases share, as a recorder's idle queues do.
+type fuzzSrc struct {
+	data []byte
+	made [][]float64
+	zero [4]float64
+}
 
 func (s *fuzzSrc) byte() byte {
 	if len(s.data) == 0 {
@@ -184,9 +191,30 @@ func (s *fuzzSrc) float(prev float64) float64 {
 	}
 }
 
-// floats yields nil, empty and short slices.
+// fuzzAlias and above, as a series' first byte, deal a series that
+// shares its backing array with another: one dealt before, whole or
+// shortened, or the zero series at some length. fuzzAlias+3 deals a copy
+// of one dealt before instead: equal contents at another address.
+const fuzzAlias = 240
+
+// floats yields nil, empty and short slices, and aliases.
 func (s *fuzzSrc) floats() []float64 {
-	n := int(s.byte() % 6)
+	k := s.byte()
+	if k >= fuzzAlias {
+		n := int(s.byte())
+		if len(s.made) == 0 || k%4 == 0 {
+			return s.zero[:n%(len(s.zero)+1)]
+		}
+		prior := s.made[n%len(s.made)]
+		switch k % 4 {
+		case 1:
+			return prior
+		case 2:
+			return prior[:len(prior)/2]
+		}
+		return slices.Clone(prior)
+	}
+	n := int(k % 6)
 	if n == 5 {
 		return nil
 	}
@@ -196,6 +224,7 @@ func (s *fuzzSrc) floats() []float64 {
 		out[i] = s.float(prev)
 		prev = out[i]
 	}
+	s.made = append(s.made, out)
 	return out
 }
 
@@ -289,6 +318,22 @@ func FuzzTraceEncode(f *testing.F) {
 			3, // no queues
 		})
 	}
+	// Series that share backing arrays, as a recorder's do: a threshold
+	// aliasing another series, one zero series in several fields, a shorter
+	// view of a series written before, and an equal copy at another
+	// address — beside a series of the same length and other values.
+	f.Add([]byte{
+		// Name sw0, sample_every 1µs, no times.
+		1, 0xe8, 3, 0, 0, 0, 0, 0, 0, 0,
+		// One switch, whose values are 258, 2^20, 2^20 (dealt series 0).
+		1, 1, 3, 40, 1, 2, 5, fuzzRepeat,
+		// Two queues. The first: occupancy 7, 0.5, 1 (dealt series 1),
+		// threshold series 0 again, ecn three zeros.
+		2, 2, 3, 41, 0, 7, 6, 2, fuzzAlias + 1, 0, fuzzAlias, 3,
+		// The second: occupancy the same three zeros, threshold series 1
+		// halved, ecn a copy of series 1.
+		3, fuzzAlias, 3, fuzzAlias + 2, 1, fuzzAlias + 3, 1,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &fuzzSrc{data: data}
 		doc := &ResultDoc{Schema: ResultSchemaVersion, Name: src.name(), Trace: src.trace()}

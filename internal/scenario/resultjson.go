@@ -397,10 +397,10 @@ func (d *ResultDoc) Encode() ([]byte, error) {
 	if d.Trace == nil {
 		return sealLine(data), nil
 	}
-	scratch := encodeScratch.Get().(*[]byte)
-	w := traceWriter{b: *scratch}
-	// Runs after sealLine has copied the result out.
-	defer func() { *scratch = w.b; encodeScratch.Put(scratch) }()
+	w := encodeScratch.Get().(*traceWriter)
+	// Runs after sealLine has copied the result out. The pooled writer
+	// keeps no pointer into this document.
+	defer func() { w.err = nil; clear(w.wrote); encodeScratch.Put(w) }()
 	if need := len(data) + d.Trace.sizeHint(); cap(w.b) < need {
 		w.b = make([]byte, 0, need)
 	}
@@ -414,10 +414,10 @@ func (d *ResultDoc) Encode() ([]byte, error) {
 	return sealLine(w.b), nil
 }
 
-// encodeScratch recycles the buffer a traced document is assembled in.
-// The garbage collector empties the pool between long jobs, so a fresh
-// buffer is sized by sizeHint, not grown by doubling.
-var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+// encodeScratch recycles the writer, and the buffer, a traced document
+// is assembled in. The garbage collector empties the pool between long
+// jobs, so a fresh buffer is sized by sizeHint, not grown by doubling.
+var encodeScratch = sync.Pool{New: func() any { return &traceWriter{wrote: map[*float64][3]int{}} }}
 
 // sizeHint estimates the trace section's encoded size at six bytes a
 // value (the catalog averages ~4.5); an underestimate costs one grow.
@@ -438,6 +438,10 @@ func (t *TraceDoc) sizeHint() int {
 type traceWriter struct {
 	b   []byte
 	err error
+	// wrote maps the first element of each non-empty series written to its
+	// length and its bytes in b: a run's queues share series (a class's
+	// threshold, an idle queue's zeros), and a repeat copies those bytes.
+	wrote map[*float64][3]int
 }
 
 func (w *traceWriter) raw(s string) { w.b = append(w.b, s...) }
@@ -508,6 +512,13 @@ func (w *traceWriter) floats(key string, vs []float64) {
 		w.raw("null")
 		return
 	}
+	start := len(w.b)
+	if len(vs) > 0 {
+		if at, ok := w.wrote[&vs[0]]; ok && at[0] == len(vs) {
+			w.b = append(w.b, w.b[at[1]:at[2]]...)
+			return
+		}
+	}
 	b := append(w.b, '[')
 	var prev uint64 // the previous element's bits, printed from b[from]
 	var from int
@@ -546,6 +557,9 @@ func (w *traceWriter) floats(key string, vs []float64) {
 		}
 	}
 	w.b = append(b, ']')
+	if len(vs) > 0 {
+		w.wrote[&vs[0]] = [3]int{len(vs), start, len(w.b)}
+	}
 }
 
 // DecodeResultDoc parses a result document, rejecting unknown fields

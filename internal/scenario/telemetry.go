@@ -47,7 +47,9 @@ type QueueTelemetry struct {
 	Series    []float64
 	Threshold []float64
 	// ECNMarks is the queue's cumulative ECN-mark counter at the same
-	// instants — the marking dynamics driving DCTCP's feedback loop.
+	// instants — the marking dynamics driving DCTCP's feedback loop. The
+	// three series are read-only: queues share equal ones (every queue of
+	// a class its threshold, every idle queue one series of zeros).
 	ECNMarks []float64
 }
 
@@ -55,8 +57,8 @@ type QueueTelemetry struct {
 func (q *QueueTelemetry) Label() string { return fmt.Sprintf("p%dq%d", q.Port, q.Class) }
 
 // SwitchTelemetry is one switch's recorded dynamics: egress counters
-// per port plus the sampled occupancy series and its per-port and
-// per-queue breakdowns.
+// per port plus the sampled occupancy series and its per-queue
+// breakdown.
 type SwitchTelemetry struct {
 	Name string
 	// Classes is the number of traffic-class queues per port.
@@ -71,9 +73,8 @@ type SwitchTelemetry struct {
 	PortPeak []int
 	PortMean []float64
 	// Series is the sampled whole-switch occupancy in bytes, one entry
-	// per SampleEvery tick; PortSeries the per-port equivalent.
-	Series     []float64
-	PortSeries [][]float64
+	// per SampleEvery tick.
+	Series []float64
 	// Queues holds the per-(port,class) series with thresholds, indexed
 	// port*Classes+class.
 	Queues []QueueTelemetry
@@ -82,16 +83,15 @@ type SwitchTelemetry struct {
 // newTelemetry distills a recorder into the result's telemetry entry.
 func newTelemetry(sw *switchsim.Switch, rec *switchsim.Recorder) SwitchTelemetry {
 	t := SwitchTelemetry{
-		Name:       sw.Name(),
-		Classes:    sw.ClassesPerPort(),
-		Ports:      make([]switchsim.PortStats, sw.NumPorts()),
-		PeakOcc:    rec.Peak(),
-		MeanOcc:    rec.Mean(),
-		PortPeak:   make([]int, sw.NumPorts()),
-		PortMean:   make([]float64, sw.NumPorts()),
-		Series:     rec.Series,
-		PortSeries: rec.PortSeries,
-		Queues:     make([]QueueTelemetry, sw.NumQueues()),
+		Name:     sw.Name(),
+		Classes:  sw.ClassesPerPort(),
+		Ports:    make([]switchsim.PortStats, sw.NumPorts()),
+		PeakOcc:  rec.Peak(),
+		MeanOcc:  rec.Mean(),
+		PortPeak: make([]int, sw.NumPorts()),
+		PortMean: make([]float64, sw.NumPorts()),
+		Series:   rec.Series,
+		Queues:   make([]QueueTelemetry, sw.NumQueues()),
 	}
 	for i := 0; i < sw.NumPorts(); i++ {
 		t.Ports[i] = sw.PortStats(i)
@@ -106,9 +106,9 @@ func newTelemetry(sw *switchsim.Switch, rec *switchsim.Recorder) SwitchTelemetry
 			Peak:        rec.QueuePeak(q),
 			Mean:        rec.QueueMean(q),
 			MinHeadroom: rec.QueueMinHeadroom(q),
-			Series:      rec.QueueSeries[q],
-			Threshold:   rec.ThresholdSeries[q],
-			ECNMarks:    rec.ECNSeries[q],
+			Series:      rec.QueueSeries(q),
+			Threshold:   rec.ThresholdSeries(q),
+			ECNMarks:    rec.ECNSeries(q),
 		}
 	}
 	return t

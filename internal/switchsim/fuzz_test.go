@@ -6,19 +6,22 @@ import (
 
 	"occamy/internal/bm"
 	"occamy/internal/core"
+	"occamy/internal/hw"
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
 )
 
 // allPolicies builds one instance of every BM scheme in the repository,
-// wired for a switch with the given engine.
+// wired for a switch with the given engine. The DT family gives class 1
+// its own α, so that a queue's class decides its threshold.
 func allPolicies(eng *sim.Engine) []struct {
 	name   string
 	policy bm.Policy
 	occ    *core.Config
 } {
-	occCfg := core.Config{Alpha: 8}
-	occLD := core.Config{Alpha: 8, Victim: core.LongestQueue}
+	byPrio := map[int]float64{1: 1}
+	occCfg := core.Config{Alpha: 8, AlphaByPrio: byPrio}
+	occLD := core.Config{Alpha: 8, AlphaByPrio: byPrio, Victim: core.LongestQueue}
 	edt := bm.NewEDT(1, func() int64 { return int64(eng.Now()) })
 	return []struct {
 		name   string
@@ -27,7 +30,7 @@ func allPolicies(eng *sim.Engine) []struct {
 	}{
 		{"CS", bm.CompleteSharing{}, nil},
 		{"ST", bm.StaticThreshold{Limit: 100_000}, nil},
-		{"DT", bm.NewDT(1), nil},
+		{"DT", &bm.DT{Alpha: 2, AlphaByPrio: byPrio}, nil},
 		{"ABM", bm.NewABM(2), nil},
 		{"EDT", edt, nil},
 		{"TDT", bm.NewTDT(1), nil},
@@ -39,17 +42,30 @@ func allPolicies(eng *sim.Engine) []struct {
 	}
 }
 
-// checkBacklogged holds the switch's backlogged set, and its per-class
-// counts, to their definitions.
+// checkBacklogged holds the switch's backlogged set, its per-class
+// counts and, once an expulsion engine runs, the comparator bank's
+// bitmap to their definitions: the scan over every queue, asking the
+// policy for each queue's own threshold, is the oracle.
 func checkBacklogged(t *testing.T, sw *Switch, after string) {
 	t.Helper()
 	inClass := make([]int, sw.ClassesPerPort())
+	var over *hw.Bitmap
+	if sw.occ != nil {
+		over = sw.occ.OverAllocated()
+	}
 	for q := 0; q < sw.NumQueues(); q++ {
 		if got, want := sw.Backlogged().Get(q), sw.QueueLen(q) > 0; got != want {
 			t.Fatalf("after %s: queue %d holds %d bytes, backlogged bit %v", after, q, sw.QueueLen(q), got)
 		}
 		if sw.QueueLen(q) > 0 {
 			inClass[sw.QueuePriority(q)]++
+		}
+		if over == nil {
+			continue
+		}
+		l, thr := sw.QueueLen(q), sw.policy.Threshold(sw, q)
+		if got, want := over.Get(q), l > 0 && l > thr; got != want {
+			t.Fatalf("after %s: queue %d holds %d bytes against threshold %d, over-allocation bit %v", after, q, l, thr, got)
 		}
 	}
 	for c, want := range inClass {
@@ -64,8 +80,10 @@ func checkBacklogged(t *testing.T, sw *Switch, after string) {
 // packet conservation, cell conservation, and non-negative queues — and,
 // after every operation that moves a queue's length (an enqueue, a
 // dequeue, a head-drop) or declines to (an admission or no-memory drop),
-// that the backlogged set is exactly the queues holding bytes and each
-// class's count is exactly its share of them.
+// that the backlogged set is exactly the queues holding bytes, each
+// class's count is exactly its share of them, and under Occamy the
+// comparator bank marks exactly the backlogged queues over their
+// threshold.
 func TestAllPoliciesSoak(t *testing.T) {
 	var dropped [3]int // by DropReason, over every policy and seed
 	for seed := uint64(1); seed <= 3; seed++ {

@@ -1,16 +1,20 @@
 package switchsim
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"occamy/internal/bm"
+	"occamy/internal/core"
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
 )
 
 // Per-port accounting: the per-port egress counters must sum to the
-// switch-level stats exactly, and per-port occupancy must sum to the
+// switch-level stats exactly, and queue lengths must sum to the
 // whole-switch occupancy at any instant.
 func TestPortStatsSumToSwitchStats(t *testing.T) {
 	eng := sim.NewEngine()
@@ -24,13 +28,13 @@ func TestPortStatsSumToSwitchStats(t *testing.T) {
 		if i%50 == 0 {
 			eng.RunFor(20 * sim.Microsecond)
 		}
-		// Mid-run: occupancy decomposes over ports.
+		// Mid-run: occupancy decomposes over queues.
 		sum := 0
-		for p := 0; p < sw.NumPorts(); p++ {
-			sum += sw.PortOccupancy(p)
+		for q := 0; q < sw.NumQueues(); q++ {
+			sum += sw.QueueLen(q)
 		}
 		if sum != sw.Occupancy() {
-			t.Fatalf("port occupancies sum to %d, switch reports %d", sum, sw.Occupancy())
+			t.Fatalf("queue lengths sum to %d, switch reports %d", sum, sw.Occupancy())
 		}
 	}
 	eng.Run()
@@ -161,10 +165,10 @@ func TestRecorderAggregates(t *testing.T) {
 	}
 }
 
-// Per-queue sampling: at every instant the queue series of a port sum
-// to its port series and the port series to the switch series; the
-// threshold is sampled alongside, clamped to capacity; and the queue
-// aggregates match their own series.
+// Per-queue sampling: at every instant the queue series sum to the
+// switch series, and the per-port sums of the queue series have the
+// recorder's port peaks and means; the threshold is sampled alongside,
+// clamped to capacity; and the queue aggregates match their own series.
 func TestRecorderQueueSeries(t *testing.T) {
 	eng := sim.NewEngine()
 	sw, _ := testSwitch(t, eng, Config{
@@ -188,32 +192,38 @@ func TestRecorderQueueSeries(t *testing.T) {
 		t.Fatal("no samples")
 	}
 	classes := sw.ClassesPerPort()
+	portPeak, portSum := make([]float64, sw.NumPorts()), make([]float64, sw.NumPorts())
 	for s := 0; s < n; s++ {
 		swSum := 0.0
 		for p := 0; p < sw.NumPorts(); p++ {
-			portSum := 0.0
+			occ := 0.0
 			for c := 0; c < classes; c++ {
-				portSum += rec.QueueSeries[p*classes+c][s]
+				occ += rec.QueueSeries(p*classes + c)[s]
 			}
-			if portSum != rec.PortSeries[p][s] {
-				t.Fatalf("sample %d port %d: queue sum %g != port series %g", s, p, portSum, rec.PortSeries[p][s])
-			}
-			swSum += rec.PortSeries[p][s]
+			portPeak[p] = max(portPeak[p], occ)
+			portSum[p] += occ
+			swSum += occ
 		}
 		if swSum != rec.Series[s] {
-			t.Fatalf("sample %d: port sum %g != switch series %g", s, swSum, rec.Series[s])
+			t.Fatalf("sample %d: queue sum %g != switch series %g", s, swSum, rec.Series[s])
+		}
+	}
+	for p := 0; p < sw.NumPorts(); p++ {
+		if int(portPeak[p]) != rec.PortPeak(p) || portSum[p]/float64(n) != rec.PortMean(p) {
+			t.Errorf("port %d: PortPeak %d / PortMean %g, queue sums %g / %g",
+				p, rec.PortPeak(p), rec.PortMean(p), portPeak[p], portSum[p]/float64(n))
 		}
 	}
 	sawBacklog := false
 	for q := 0; q < sw.NumQueues(); q++ {
 		peak, sum := 0.0, 0.0
-		minHead := rec.ThresholdSeries[q][0] - rec.QueueSeries[q][0]
+		minHead := rec.ThresholdSeries(q)[0] - rec.QueueSeries(q)[0]
 		for s := 0; s < n; s++ {
-			thr := rec.ThresholdSeries[q][s]
+			thr := rec.ThresholdSeries(q)[s]
 			if thr < 0 || thr > float64(sw.Capacity()) {
 				t.Fatalf("queue %d sample %d: threshold %g outside [0, capacity]", q, s, thr)
 			}
-			v := rec.QueueSeries[q][s]
+			v := rec.QueueSeries(q)[s]
 			if v > peak {
 				peak = v
 			}
@@ -245,7 +255,7 @@ func TestRecorderQueueSeries(t *testing.T) {
 // number of samples taken.
 func driveRecorders(t *testing.T, recs ...*Recorder) int {
 	t.Helper()
-	sw := recs[0].Switch()
+	sw := recs[0].sw
 	eng := sw.eng
 	tick := eng.Every(0, 5*sim.Microsecond, func() {
 		for _, rec := range recs {
@@ -278,10 +288,10 @@ func recorderTestSwitch(t *testing.T) *Switch {
 // everySeries lists a recorder's float series in a fixed order.
 func everySeries(r *Recorder) [][]float64 {
 	all := [][]float64{r.Series}
-	all = append(all, r.PortSeries...)
-	all = append(all, r.QueueSeries...)
-	all = append(all, r.ThresholdSeries...)
-	return append(all, r.ECNSeries...)
+	for q := range r.queue {
+		all = append(all, r.QueueSeries(q), r.ThresholdSeries(q), r.ECNSeries(q))
+	}
+	return all
 }
 
 // requireSameRecording fails unless two recorders of one switch hold
@@ -291,7 +301,7 @@ func requireSameRecording(t *testing.T, what string, got, want *Recorder) {
 	if !reflect.DeepEqual(got.Times, want.Times) || !reflect.DeepEqual(everySeries(got), everySeries(want)) {
 		t.Fatalf("%s: times or series differ from the unreserved recorder's", what)
 	}
-	sw := want.Switch()
+	sw := want.sw
 	if got.Samples() != want.Samples() || got.Peak() != want.Peak() || got.Mean() != want.Mean() {
 		t.Errorf("%s: switch aggregates differ", what)
 	}
@@ -340,17 +350,134 @@ func TestRecorderReserve(t *testing.T) {
 	}
 }
 
+// refRecorder is the recorder by its definition: at every sample, each
+// queue's length, its own capacity-clamped threshold and its ECN-mark
+// count, and each port's sum of lengths, every series stored in full.
+type refRecorder struct {
+	sw            *Switch
+	occ, thr, ecn [][]float64 // per queue
+	port          [][]float64 // per port
+}
+
+func newRefRecorder(sw *Switch) *refRecorder {
+	return &refRecorder{
+		sw:   sw,
+		occ:  make([][]float64, sw.NumQueues()),
+		thr:  make([][]float64, sw.NumQueues()),
+		ecn:  make([][]float64, sw.NumQueues()),
+		port: make([][]float64, sw.NumPorts()),
+	}
+}
+
+func (r *refRecorder) sample() {
+	sw := r.sw
+	for p := range r.port {
+		r.port[p] = append(r.port[p], 0)
+	}
+	for q := range r.occ {
+		l := sw.QueueLen(q)
+		r.occ[q] = append(r.occ[q], float64(l))
+		r.thr[q] = append(r.thr[q], float64(min(sw.Policy().Threshold(sw, q), sw.Capacity())))
+		r.ecn[q] = append(r.ecn[q], float64(sw.QueueStats(q).ECNMarked))
+		p := r.port[q/sw.ClassesPerPort()]
+		p[len(p)-1] += float64(l)
+	}
+}
+
+// peakMean is a series' maximum and its mean, summed in sample order.
+func peakMean(s []float64) (int, float64) {
+	peak, sum := 0.0, 0.0
+	for _, v := range s {
+		peak = max(peak, v)
+		sum += v
+	}
+	return int(peak), sum / float64(len(s))
+}
+
+// The recorder keeps each distinct series once — a class policy's
+// threshold per class, a queue's occupancy and ECN series from their
+// first non-zero value — and reads back exactly what a recorder storing
+// every series in full records, bit for bit: under every policy, with
+// ECN marking on and off, with a port no packet is sent to, and sampling
+// past a short reservation. The reference asks each policy for each
+// queue's own threshold at the same instant as the recorder; the side
+// effects of Threshold (EDT's activation time, ABM's meter decay) give
+// the same answer when asked twice at one instant.
+func TestRecorderMatchesDefinition(t *testing.T) {
+	for i, pc := range allPolicies(nil) {
+		for _, ecn := range []int{0, 8_000} {
+			t.Run(fmt.Sprintf("%s/ecn%d", pc.name, ecn), func(t *testing.T) {
+				eng := sim.NewEngine()
+				pc := allPolicies(eng)[i]
+				sw, _ := testSwitch(t, eng, Config{
+					Ports: 4, ClassesPerPort: 2, BufferBytes: 64_000, CellBytes: 64,
+					Policy: pc.policy, Occamy: pc.occ, Scheduler: SchedDRR, ECNThresholdBytes: ecn,
+				}, 1e9)
+				rec, ref := NewRecorder(sw), newRefRecorder(sw)
+				rec.Reserve(50)
+				tick := eng.Every(0, 20*sim.Microsecond, func() {
+					rec.Sample(eng.Now())
+					ref.sample()
+				})
+				r := sim.NewRand(uint64(31 + i))
+				for k := 0; k < 1500; k++ {
+					eng.At(sim.Time(r.Intn(int(3*sim.Millisecond))), func() {
+						sw.Receive(mkpkt(pkt.NodeID(r.Intn(3)), 40+r.Intn(1460), r.Intn(2))) // port 3 idle
+					})
+				}
+				eng.RunUntil(4 * sim.Millisecond)
+				tick.Stop()
+
+				n := rec.Samples()
+				if n <= 50 || len(ref.occ[0]) != n {
+					t.Fatalf("%d samples, reference %d: the reservation is not outgrown", n, len(ref.occ[0]))
+				}
+				var marked bool
+				for q := range ref.occ {
+					if !slices.Equal(rec.QueueSeries(q), ref.occ[q]) || !slices.Equal(rec.ThresholdSeries(q), ref.thr[q]) ||
+						!slices.Equal(rec.ECNSeries(q), ref.ecn[q]) {
+						t.Fatalf("queue %d: occupancy, threshold or ECN series differs from the definition", q)
+					}
+					peak, mean := peakMean(ref.occ[q])
+					minHead := math.MaxInt
+					for s := range ref.occ[q] {
+						minHead = min(minHead, int(ref.thr[q][s]-ref.occ[q][s]))
+					}
+					if rec.QueuePeak(q) != peak || rec.QueueMean(q) != mean || rec.QueueMinHeadroom(q) != minHead {
+						t.Errorf("queue %d: peak %d mean %g headroom %d, definition %d %g %d",
+							q, rec.QueuePeak(q), rec.QueueMean(q), rec.QueueMinHeadroom(q), peak, mean, minHead)
+					}
+					marked = marked || ref.ecn[q][n-1] > 0
+				}
+				for p := range ref.port {
+					if peak, mean := peakMean(ref.port[p]); rec.PortPeak(p) != peak || rec.PortMean(p) != mean {
+						t.Errorf("port %d: peak %d mean %g, definition %d %g", p, rec.PortPeak(p), rec.PortMean(p), peak, mean)
+					}
+				}
+				if _, idle := peakMean(ref.port[3]); idle != 0 || rec.Peak() == 0 || marked != (ecn > 0) {
+					t.Fatalf("program is no test: idle port mean %g, peak %d, marks %v", idle, rec.Peak(), marked)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkRecorderSample is the steady-state cost of one aligned
-// sample of every port and queue, under DT and under ABM, whose
-// threshold reads a class count and a drain meter per queue: after
-// Reserve it allocates nothing.
+// sample of every port and queue of an 8-port, 2-class switch: under DT
+// and Pushout, whose thresholds are asked once per class, with traffic
+// on every port and on two (the idle queues read as the zero series);
+// and under ABM, whose threshold reads a class count and a drain meter
+// per queue. After Reserve it allocates nothing.
 func BenchmarkRecorderSample(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		policy bm.Policy
+		ports  int // how many ports the traffic is spread over
 	}{
-		{"DT", bm.NewDT(1)},
-		{"ABM", bm.NewABM(2)},
+		{"DT", bm.NewDT(1), 8},
+		{"DT-idle", bm.NewDT(1), 2},
+		{"Pushout", core.NewPushout(), 8},
+		{"ABM", bm.NewABM(2), 8},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			eng := sim.NewEngine()
@@ -362,7 +489,7 @@ func BenchmarkRecorderSample(b *testing.B) {
 			}
 			sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
 			for i := 0; i < 64; i++ {
-				sw.Receive(mkpkt(pkt.NodeID(i&7), 1000, i&1))
+				sw.Receive(mkpkt(pkt.NodeID(i%c.ports), 1000, i&1))
 			}
 			const window = 1024 // a run's worth of samples; the slab is reused across windows
 			rec := NewRecorder(sw)
@@ -371,16 +498,24 @@ func BenchmarkRecorderSample(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%window == 0 {
-					rec.Times = rec.Times[:0]
-					rec.Series = rec.Series[:0]
-					for _, group := range [][][]float64{rec.PortSeries, rec.QueueSeries, rec.ThresholdSeries, rec.ECNSeries} {
-						for j := range group {
-							group[j] = group[j][:0]
-						}
-					}
+					rec.rewind()
 				}
 				rec.Sample(sim.Time(i))
 			}
 		})
 	}
+}
+
+// rewind empties every series, keeping its storage, for the next window
+// of a benchmark.
+func (r *Recorder) rewind() {
+	r.Times, r.Series, r.zero = r.Times[:0], r.Series[:0], r.zero[:0]
+	for _, group := range [][][]float64{r.queue, r.ecn, r.thr} {
+		for j := range group {
+			if group[j] != nil {
+				group[j] = group[j][:0]
+			}
+		}
+	}
+	r.n = 0
 }

@@ -61,7 +61,8 @@ type Config struct {
 	Policy bm.Policy
 	// Occamy, when non-nil, enables the reactive expulsion engine with
 	// this configuration. TokenRate 0 is replaced by the switch's
-	// aggregate memory bandwidth in cells/second.
+	// aggregate memory bandwidth in cells/second. Policy must then be a
+	// bm.ClassPolicy, as core.New's is.
 	Occamy *core.Config
 	// ECNThresholdBytes enables ECN marking when a queue exceeds this
 	// length at enqueue. 0 disables marking.
@@ -167,6 +168,7 @@ type Switch struct {
 	ports    []*port
 	flat     []*classQueue // all queues, indexed port*ClassesPerPort+class
 	policy   bm.Policy
+	classPol bm.ClassPolicy      // policy, when its limit is per class
 	preempt  core.Preemptor      // non-nil when policy can make room at admission
 	preemptQ core.QueuePreemptor // arrival-queue-aware variant (POT, QPO)
 	occ      *core.Engine        // non-nil when Occamy expulsion is enabled
@@ -226,6 +228,10 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 		inClass:    make([]int, cfg.ClassesPerPort),
 	}
 	_, readsDrain := cfg.Policy.(interface{ ReadsDequeueRate() })
+	s.classPol, _ = cfg.Policy.(bm.ClassPolicy)
+	if cfg.Occamy != nil && s.classPol == nil {
+		panic(fmt.Sprintf("switchsim: Occamy expulsion needs a per-class threshold, and %s has none", cfg.Policy.Name()))
+	}
 	if p, ok := cfg.Policy.(core.Preemptor); ok {
 		s.preempt = p
 	}
@@ -314,16 +320,6 @@ func (s *Switch) PortStats(i int) PortStats { return s.portStats[i] }
 // reproduce that port's PortStats tx/drop/mark fields exactly.
 func (s *Switch) QueueStats(q int) QueueStats { return s.queueStats[q] }
 
-// PortOccupancy returns the bytes currently buffered for egress port i
-// across all its traffic classes.
-func (s *Switch) PortOccupancy(i int) int {
-	n := 0
-	for _, cq := range s.ports[i].classes {
-		n += cq.cells.Len()
-	}
-	return n
-}
-
 // BufferedPackets returns the number of packets currently buffered across
 // all queues. Together with Stats it closes the packet-accounting books:
 // RxPackets == TxPackets + Drops() + DropsExpelled + BufferedPackets()
@@ -409,8 +405,9 @@ func (s *Switch) setBacklogged(q int) {
 	}
 }
 
-// Threshold implements core.TM: the admission policy's current limit.
-func (s *Switch) Threshold(q int) int { return s.policy.Threshold(s, q) }
+// Threshold implements core.TM: the admission policy's current limit for
+// the queues of class c, under a bm.ClassPolicy.
+func (s *Switch) Threshold(c int) int { return s.classPol.ClassThreshold(s, c) }
 
 // HeadPacketCells implements core.TM.
 func (s *Switch) HeadPacketCells(q int) int {

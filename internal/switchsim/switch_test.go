@@ -215,6 +215,17 @@ func TestOccamyExpelsSlowQueue(t *testing.T) {
 	eng.Run()
 }
 
+// The expulsion engine compares every queue with its class's threshold,
+// so a policy with per-queue thresholds cannot drive it.
+func TestOccamyNeedsClassPolicy(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted Occamy expulsion under ABM")
+		}
+	}()
+	New("sw", sim.NewEngine(), Config{Ports: 1, ClassesPerPort: 1, BufferBytes: 1000, Policy: bm.NewABM(2), Occamy: &core.Config{}})
+}
+
 func TestOccamyDoesNotExpelFairAllocations(t *testing.T) {
 	eng := sim.NewEngine()
 	sw, _ := testSwitch(t, eng, Config{

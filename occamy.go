@@ -129,7 +129,7 @@ type PolicyState = bm.State
 func NewDT(alpha float64) *bm.DT { return bm.NewDT(alpha) }
 
 // NewABM returns Active Buffer Management (SIGCOMM'22), the strongest
-// non-preemptive baseline. Its knobs are Alpha, AlphaFor and MinRate; a
+// non-preemptive baseline. Its knobs are Alpha, AlphaByPrio and MinRate; a
 // queue counts toward n_p while it holds any byte, a count the switch keeps.
 func NewABM(alpha float64) *bm.ABM { return bm.NewABM(alpha) }
 
