@@ -15,7 +15,10 @@
 // let tests assert exactly that.
 package cellmem
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // nilIdx marks the end of every linked list in the pool.
 const nilIdx int32 = -1
@@ -31,10 +34,6 @@ type Config struct {
 	// NumPDs is the number of packet descriptors. Zero means one PD per
 	// cell (a packet occupies at least one cell, so this never limits).
 	NumPDs int
-	// PointerSublists models the paper's parallel cell-pointer sub-lists
-	// (§2.1): the number of cell pointers readable per clock cycle.
-	// Zero means 1.
-	PointerSublists int
 }
 
 // DefaultConfig mirrors the DPDK prototype: 200B cells.
@@ -88,7 +87,12 @@ type Pool struct {
 	meters Meters
 }
 
-// New builds a pool with all cells and PDs free.
+// spare is the last recycled pool, emptied but for its memories, unless
+// they outgrew 2^15 PDs, more than a full-scale raw catalog run needs.
+var spare atomic.Pointer[Pool]
+
+// New builds a pool with all cells and PDs free, in the memories of the
+// last recycled pool if they are large enough.
 func New(cfg Config) *Pool {
 	if cfg.CellSize <= 0 {
 		panic("cellmem: CellSize must be positive")
@@ -99,28 +103,34 @@ func New(cfg Config) *Pool {
 	if cfg.NumPDs == 0 {
 		cfg.NumPDs = cfg.NumCells
 	}
-	if cfg.PointerSublists == 0 {
-		cfg.PointerSublists = 1
-	}
-	p := &Pool{
-		cfg:      cfg,
-		nextCell: make([]int32, cfg.NumCells),
-		pds:      make([]PD, cfg.NumPDs),
+	p := &Pool{cfg: cfg}
+	if s := spare.Swap(nil); s != nil && cap(s.nextCell) >= cfg.NumCells && cap(s.pds) >= cfg.NumPDs {
+		p.nextCell, p.pds = s.nextCell[:cfg.NumCells], s.pds[:cfg.NumPDs]
+		*s = Pool{} // the old owner keeps no way into the memories
+	} else {
+		p.nextCell, p.pds = make([]int32, cfg.NumCells), make([]PD, cfg.NumPDs)
 	}
 	for i := 0; i < cfg.NumCells-1; i++ {
 		p.nextCell[i] = int32(i + 1)
 	}
 	p.nextCell[cfg.NumCells-1] = nilIdx
-	p.freeCell = 0
 	p.freeCnt = int32(cfg.NumCells)
 
-	for i := 0; i < cfg.NumPDs-1; i++ {
-		p.pds[i].next = int32(i + 1)
+	for i := range p.pds {
+		p.pds[i] = PD{next: int32(i + 1)}
 	}
 	p.pds[cfg.NumPDs-1].next = nilIdx
-	p.freePD = 0
 	p.pdFree = int32(cfg.NumPDs)
 	return p
+}
+
+// Recycle drops every buffered packet and parks the memories for the next
+// New. Alloc, Release and queue operations on p panic from then on.
+func (p *Pool) Recycle() {
+	*p = Pool{nextCell: p.nextCell[:0], pds: p.pds[:0]}
+	if cap(p.pds) <= 1<<15 {
+		spare.Store(p)
+	}
 }
 
 // Config returns the pool's configuration.

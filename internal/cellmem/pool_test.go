@@ -266,3 +266,55 @@ func TestDefaultConfig(t *testing.T) {
 		t.Fatalf("CellSize = %d, want 200", cfg.CellSize)
 	}
 }
+
+// TestRecycledPoolStartsClean: a pool recycled with packets buffered and
+// its free lists out of order hands its memories to the next New, which
+// starts with every cell and PD free and never-allocated. Alloc on the
+// recycled pool panics, before and after the memories move on.
+func TestRecycledPoolStartsClean(t *testing.T) {
+	old := testPool(t, 64)
+	q := NewQueue(old)
+	var refs []PDRef
+	for i := 0; i < 20; i++ {
+		refs = append(refs, old.Alloc(150+50*i%450, uint64(i+1)))
+	}
+	for i, ref := range refs {
+		if i%3 == 0 {
+			old.Release(ref, false)
+		} else {
+			q.Enqueue(ref)
+		}
+	}
+	pds := &old.pds[0]
+	old.Recycle()
+	mustPanic(t, "Alloc on a recycled pool", func() { old.Alloc(100, 99) })
+
+	p := New(Config{CellSize: 200, NumCells: 48})
+	if &p.pds[0] != pds {
+		t.Fatal("New did not take the recycled memories")
+	}
+	mustPanic(t, "Alloc on the pool the memories left", func() { old.Alloc(100, 99) })
+	mustPanic(t, "Release of a never-allocated PD", func() { p.Release(PDRef(5), true) })
+	p.CheckInvariants()
+	seen := map[PDRef]bool{}
+	for i := 0; i < 48; i++ {
+		ref := p.Alloc(200, uint64(i))
+		if ref == NilPD || seen[ref] {
+			t.Fatalf("Alloc %d of 48 one-cell packets gave %d", i, ref)
+		}
+		seen[ref] = true
+	}
+	if p.Alloc(1, 0) != NilPD || p.FreeCells() != 0 || p.FreePDs() != 0 {
+		t.Fatalf("after 48 one-cell packets: %d cells, %d PDs free", p.FreeCells(), p.FreePDs())
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}

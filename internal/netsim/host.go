@@ -26,7 +26,7 @@ type Host struct {
 
 	// The NIC serves strict-priority transmit queues (priority 0
 	// first), mirroring the multi-queue hosts of the paper's testbed.
-	txq      [maxHostPrios]fifoPkt
+	txq      [maxHostPrios]pkt.FIFO
 	busy     bool
 	handlers map[uint64]transport.Handler
 }
@@ -88,7 +88,7 @@ func (h *Host) Send(p *pkt.Packet) {
 	if prio >= maxHostPrios {
 		prio = maxHostPrios - 1
 	}
-	h.txq[prio].push(p)
+	h.txq[prio].Push(p)
 	h.trySend()
 }
 
@@ -98,7 +98,7 @@ func (h *Host) trySend() {
 	}
 	q := -1
 	for i := range h.txq {
-		if h.txq[i].len() > 0 {
+		if h.txq[i].Len() > 0 {
 			q = i
 			break
 		}
@@ -106,7 +106,7 @@ func (h *Host) trySend() {
 	if q < 0 {
 		return
 	}
-	p := h.txq[q].pop()
+	p := h.txq[q].Pop()
 	tx := sim.Duration(float64(p.Size*8) / h.rateBps * float64(sim.Second))
 	if tx < 1 {
 		tx = 1
@@ -151,25 +151,3 @@ func (h *Host) Register(flowID uint64, hd transport.Handler) {
 func (h *Host) Unregister(flowID uint64) { delete(h.handlers, flowID) }
 
 var _ transport.Net = (*Host)(nil)
-
-// fifoPkt is a slice-backed packet queue (same shape as switchsim's).
-type fifoPkt struct {
-	buf  []*pkt.Packet
-	head int
-}
-
-func (f *fifoPkt) len() int { return len(f.buf) - f.head }
-
-func (f *fifoPkt) push(p *pkt.Packet) { f.buf = append(f.buf, p) }
-
-func (f *fifoPkt) pop() *pkt.Packet {
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	return p
-}

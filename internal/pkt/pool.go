@@ -1,5 +1,7 @@
 package pkt
 
+import "sync/atomic"
+
 // Pool is a freelist of Packets for a single simulation engine. The hot
 // paths of the simulator (transport senders/receivers, raw injectors)
 // allocate millions of packets per run; recycling them through a Pool
@@ -7,18 +9,36 @@ package pkt
 //
 // A Pool is intentionally not synchronized: each Engine is
 // single-threaded, so each run owns exactly one Pool (parallel sweeps
-// use one Pool per engine). Ownership is linear — a packet must be Put
-// back only once, by whichever component consumes it (a host delivering
-// it to its flow handler, or an experiment's sink/drop hook). Packets
-// that never reach a consumption point (e.g. switch drops in runs that
-// don't hook losses) simply fall back to the garbage collector.
+// use one Pool per engine). Ownership is linear: a packet is Put back
+// once, by whichever component consumes it (a host delivering it to its
+// flow handler, a lossy link, a switch's sink or drop hook), and nothing
+// holds it after that, for Recycle hands the free list to the next run.
+// Packets still in flight when a run ends fall back to the collector.
 type Pool struct {
 	free   []*Packet
 	lastID uint64
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
+// spare is the last recycled pool, its free list cut to 4096 packets.
+var spare atomic.Pointer[Pool]
+
+// NewPool returns a pool whose IDs start at 1, with the free packets of the
+// last recycled pool.
+func NewPool() *Pool {
+	p := &Pool{}
+	if s := spare.Swap(nil); s != nil {
+		p.free, s.free = s.free, nil
+	}
+	return p
+}
+
+// Recycle parks the free packets for the next NewPool; pl is done with.
+func (pl *Pool) Recycle() {
+	n := min(len(pl.free), 4096)
+	clear(pl.free[n:])
+	pl.free = pl.free[:n]
+	spare.Store(pl)
+}
 
 // Get returns a zeroed packet, recycling a freed one when available.
 func (pl *Pool) Get() *Packet {

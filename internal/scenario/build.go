@@ -233,14 +233,14 @@ func buildNetwork(spec Spec) (*netsim.Network, []*sim.Ticker) {
 
 // dropUtilSampler returns the Fig 7 probe for sw — it appends the
 // switch's buffer and memory-bandwidth utilization to res at every loss
-// that is not an expulsion — or nil unless the spec selects a
-// drop_*_util_* column, so every other run installs nothing. It is the
+// that is not an expulsion — or a no-op unless the spec selects a
+// drop_*_util_* column, so every other run meters nothing. It is the
 // only reader of the switch's memory-bandwidth meter and switches it on;
 // callers ask before traffic starts.
 func dropUtilSampler(res *Result, sw *switchsim.Switch) func(switchsim.DropReason) {
 	isDropUtil := func(m string) bool { return strings.HasPrefix(m, "drop_") }
 	if !slices.ContainsFunc(res.Spec.Metrics, isDropUtil) {
-		return nil
+		return func(switchsim.DropReason) {}
 	}
 	sw.EnableMemBandwidthMeter()
 	return func(reason switchsim.DropReason) {
@@ -334,14 +334,17 @@ func startRounds(w Workload, horizon sim.Duration,
 // runTransport executes a spec whose workloads ride the transport stack.
 func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, error) {
 	net, tickers := buildNetwork(spec)
+	defer recycle(net.Eng, net.Switches, net.Pool)
 	res := &Result{
 		Spec:        spec,
 		Workloads:   make([]WorkloadStats, len(spec.Workloads)),
 		BufferBytes: spec.Topology.BufferSize(),
 	}
 	for _, sw := range net.Switches {
-		if sample := dropUtilSampler(res, sw); sample != nil {
-			sw.DropHook = func(_ *pkt.Packet, _ int, r switchsim.DropReason) { sample(r) }
+		sample := dropUtilSampler(res, sw)
+		sw.DropHook = func(p *pkt.Packet, _ int, r switchsim.DropReason) {
+			sample(r)
+			net.Pool.Put(p)
 		}
 	}
 	oneWay := oneWayBase(spec.Topology)
@@ -565,6 +568,7 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		DRRQuantum:        t.DRRQuantum,
 	})
 	pool := pkt.NewPool()
+	defer recycle(eng, []*switchsim.Switch{sw}, pool)
 	for i := 0; i < t.Hosts; i++ {
 		sw.AttachPort(i, t.hostRate(i), 0, pool.Put)
 	}
@@ -584,9 +588,7 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		if i := int(p.FlowID) - 1; i >= 0 && i < len(res.Workloads) {
 			res.Workloads[i].Drops++
 		}
-		if sample != nil {
-			sample(r)
-		}
+		sample(r)
 		pool.Put(p)
 	}
 	horizon := spec.Warmup + spec.Duration
@@ -637,6 +639,15 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		progress(RunProgress{SimNow: eng.Now(), SimHorizon: horizon, Events: eng.Processed(), Final: true})
 	}
 	return res, nil
+}
+
+// recycle hands the next run what a run built and its Result does not hold.
+func recycle(eng *sim.Engine, switches []*switchsim.Switch, pool *pkt.Pool) {
+	for _, sw := range switches {
+		sw.Recycle()
+	}
+	eng.Recycle()
+	pool.Recycle()
 }
 
 // samplePeriod adapts occupancy sampling to the run length: ~1000

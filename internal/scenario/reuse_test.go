@@ -1,0 +1,141 @@
+package scenario
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// reuseSpecs are the catalog specs a run hands its substrate between: the
+// two raw-injection entries, and transport runs on one switch and on a
+// fabric, with and without link faults.
+var reuseSpecs = []string{"quickstart", "burst-absorb", "duplicate-storm", "flaky-tor-incast", "leafspine-demo"}
+
+// reuseSequence runs every reuse spec at quick scale under dt, abm, occamy
+// and pushout, twice each, in an order shuffled by seed, with a transport
+// run canceled after its first engine chunk between the two passes. Each
+// run takes the engine slabs, cell and PD memories, packet free list and
+// queue rings of whichever run finished before it; its document must be
+// the one the same spec gave the first time.
+func reuseSequence(t *testing.T, seed int64) {
+	type job struct {
+		name   string
+		policy string
+	}
+	var jobs []job
+	for _, name := range reuseSpecs {
+		for _, p := range []string{"dt", "abm", "occamy", "pushout"} {
+			jobs = append(jobs, job{name, p})
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	first := map[job][]byte{}
+	run := func(j job) []byte {
+		sc, ok := Get(j.name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", j.name)
+		}
+		spec := sc.SpecAt(ScaleQuick)
+		spec.Policy.Kind = j.policy
+		doc, err := MustRun(spec).EncodeJSON(true)
+		if err != nil {
+			t.Fatalf("%s under %s: %v", j.name, j.policy, err)
+		}
+		return doc
+	}
+	for pass := 0; pass < 2; pass++ {
+		rng.Shuffle(len(jobs), func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
+		for _, j := range jobs {
+			doc := run(j)
+			if pass == 0 {
+				first[j] = doc
+			} else if !bytes.Equal(doc, first[j]) {
+				t.Errorf("%s under %s: the second run's document differs from the first", j.name, j.policy)
+			}
+		}
+		if pass == 0 {
+			sc, _ := Get("leafspine-demo")
+			chunks := 0
+			_, err := RunWithCancel(sc.SpecAt(ScaleQuick), func() bool { chunks++; return chunks > 1 })
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("canceled run returned %v, want ErrCanceled", err)
+			}
+		}
+	}
+}
+
+// TestReuseLeavesNoTrace: what one run hands the next changes no byte of
+// the next run's document, whatever ran before it, a canceled run
+// included.
+func TestReuseLeavesNoTrace(t *testing.T) { reuseSequence(t, 1) }
+
+// TestReuseLeavesNoTraceParallel is the same with two sequences contending
+// for the spares at once; under -race it also checks the handoff.
+func TestReuseLeavesNoTraceParallel(t *testing.T) {
+	t.Parallel()
+	for seed := int64(2); seed <= 3; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			reuseSequence(t, seed)
+		})
+	}
+}
+
+// TestRunAllocBudget pins what a warm process allocates per job of the
+// benchmark's short simulations: parse, run and encode burst-absorb at
+// full scale. The returned document is ~117 KB of the budget; the rest is
+// the recorder, the result and what the run builds that no earlier run
+// could hand it.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	sc, _ := Get("burst-absorb")
+	body, err := json.Marshal(sc.SpecAt(ScaleFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() {
+		spec, err := ParseSpec(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MustRun(spec).EncodeJSON(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job() // warm-up: the first run has no predecessor to reuse
+	// The least of three jobs: two collections in a row may empty the
+	// encoder's sync.Pool, and the job that follows pays for its buffer.
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		job()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	const budget = 280 << 10
+	if got > budget {
+		t.Errorf("a warm burst-absorb job allocated %d bytes, budget %d", got, budget)
+	} else {
+		t.Logf("a warm burst-absorb job allocated %d bytes", got)
+	}
+}
+
+// BenchmarkRunRaw is one warm quickstart run, the raw-injection path the
+// short simulations take, with its allocations.
+func BenchmarkRunRaw(b *testing.B) {
+	sc, _ := Get("quickstart")
+	spec := sc.SpecAt(ScaleFull)
+	MustRun(spec) // warm-up, outside the timer
+	b.ReportAllocs()
+	for b.Loop() {
+		MustRun(spec)
+	}
+}

@@ -8,12 +8,12 @@
 //
 // # Engine architecture
 //
-// A pending event is split in two. Its payload — the func() or the Handler
-// plus arg — sits in a slab cell that never moves while the event is
-// pending; cells are recycled through a freelist, so a warmed engine
-// schedules with no allocation. Its ordering fields, (timestamp, seq), go
-// to one of two sources, each kept in that order, and step fires the
-// earlier of the two fronts. seq is bumped exactly once per schedule call
+// A pending event is split in two. Its payload — a Handler plus arg — sits
+// in a slab cell that never moves while the event is pending; cells are
+// recycled through a freelist, so a warmed engine schedules with no
+// allocation. Its ordering fields, (timestamp, seq), go to one of two
+// sources, each kept in that order, and step fires the earlier of the two
+// fronts. seq is bumped exactly once per schedule call
 // whichever source takes the event, so what fires is what one queue sorted
 // by (at, seq) would fire — same-timestamp events in FIFO scheduling
 // order, across the sources as within them — which is the order the
@@ -52,15 +52,15 @@
 // scans for a dozen pointers, which doubled the resident memory of a
 // process building many short-lived engines.
 //
-// Events come in two flavors:
+// Events come in two flavors, with one payload shape:
 //
-//   - Closure events (At/After/AfterTimer/Every): the payload is a
-//     func(). Convenient, but each distinct capture allocates a closure
-//     at the call site.
-//   - Typed events (AtEvent/AfterEvent): the payload is a Handler
-//     interface plus an opaque arg. Hot paths (switch ports, host NICs)
-//     implement Handler once and schedule with zero allocations —
-//     storing a pointer in an `any` does not allocate.
+//   - Closure events (At/After/AfterTimer/Every): a func(), stored as a
+//     funcHandler, which costs nothing (a func value is pointer-shaped),
+//     but each distinct capture allocates a closure at the call site.
+//   - Typed events (AtEvent/AfterEvent): a Handler plus an opaque arg. Hot
+//     paths (switch ports, host NICs) implement Handler once and schedule
+//     with zero allocations — storing a pointer in an `any` does not
+//     allocate.
 //
 // Cancellation is eager. Each armed timer owns a recycled timer slot that
 // records where its key currently sits in the heap (sifting keeps that
@@ -80,6 +80,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 	"time"
 )
 
@@ -198,14 +199,17 @@ func before(a, b *key) uint64 {
 	return borrow
 }
 
-// payload is what a pending event runs. Exactly one of fn/h is set. It
-// stays in its slab cell from scheduling until the event fires or is
-// canceled.
+// payload is what a pending event runs: h.OnEvent(arg). It stays in its
+// slab cell from scheduling until the event fires or is canceled.
 type payload struct {
-	fn  func()
 	h   Handler
 	arg any
 }
+
+// funcHandler is the Handler of a closure event.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(any) { f() }
 
 // timerSlot is the engine-side state of one armed timer: pos is the
 // heap index of its key. Slots are recycled through a freelist once the
@@ -263,9 +267,31 @@ type laneCell struct {
 // order on both sides of the merge.
 func (l laneCell) before(k key) bool { return key{at: l.at, seq: l.seq}.less(k) }
 
-// NewEngine returns an engine with the clock at zero and no pending events.
+// spare is the last recycled engine, emptied but for its slabs, unless they
+// outgrew 2^14 cells, more than a full-scale raw catalog run needs.
+var spare atomic.Pointer[Engine] //occamy:concurrent a handoff between runs, never touched inside one
+
+// NewEngine returns an engine with the clock at zero and no pending events,
+// on the slabs of the last recycled engine if there is one.
 func NewEngine() *Engine {
+	if s := spare.Swap(nil); s != nil { //occamy:concurrent see spare
+		e := *s
+		*s = Engine{} // the old owner keeps no way into the slabs
+		return &e
+	}
 	return &Engine{heads: make([]int32, laneBuckets)}
+}
+
+// Recycle drops every pending event and parks the slabs for the next
+// NewEngine. A Timer of e panics from then on.
+func (e *Engine) Recycle() {
+	clear(e.cells) // they must not keep the run alive
+	clear(e.heads)
+	*e = Engine{heap: e.heap[:0], cells: e.cells[:0], freeCells: e.freeCells[:0],
+		slots: e.slots[:0], freeSlots: e.freeSlots[:0], heads: e.heads, lane: e.lane[:0]}
+	if cap(e.cells) <= 1<<14 {
+		spare.Store(e) //occamy:concurrent see spare
+	}
 }
 
 // Now returns the current virtual time.
@@ -382,7 +408,7 @@ func (e *Engine) schedule(at Time, p payload, slot int32) {
 		c = e.freeCells[n-1]
 		e.freeCells = e.freeCells[:n-1]
 		cl := &e.cells[c]
-		cl.fn, cl.h, cl.arg = p.fn, p.h, p.arg
+		cl.h, cl.arg = p.h, p.arg
 	} else {
 		e.cells = append(e.cells, p)
 		e.lane = append(e.lane, laneCell{})
@@ -445,7 +471,7 @@ func (e *Engine) advance() {
 	e.bits[i>>6] &^= 1 << (i & 63)
 }
 
-// release empties payload cell c (dropping its fn/h/arg references) and
+// release empties payload cell c (dropping its h/arg references) and
 // recycles it. Here and in schedule a cell is written field by field, not
 // as one struct value: while the collector is marking, a whole-struct
 // store goes through the bulk barrier (wbZero/wbMove look up the span and
@@ -454,7 +480,7 @@ func (e *Engine) advance() {
 // same whichever phase the collector is in.
 func (e *Engine) release(c int32) {
 	cl := &e.cells[c]
-	cl.fn, cl.h, cl.arg = nil, nil, nil
+	cl.h, cl.arg = nil, nil
 	e.freeCells = append(e.freeCells, c)
 }
 
@@ -479,17 +505,10 @@ func panicNegative(d Duration) {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics.
-func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, payload{fn: fn}, 0)
-}
+func (e *Engine) At(t Time, fn func()) { e.AtEvent(t, funcHandler(fn), nil) }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) {
-	if d < 0 {
-		panicNegative(d)
-	}
-	e.schedule(e.now+d, payload{fn: fn}, 0)
-}
+func (e *Engine) After(d Duration, fn func()) { e.AfterEvent(d, funcHandler(fn), nil) }
 
 // AtEvent schedules a typed event: h.OnEvent(arg) runs at absolute time
 // t. Unlike At, no closure is involved — callers that implement Handler
@@ -553,7 +572,7 @@ func (e *Engine) AfterTimer(d Duration, fn func()) Timer {
 		si = int32(len(e.slots) - 1)
 	}
 	at := e.now + d
-	e.schedule(at, payload{fn: fn}, si+1)
+	e.schedule(at, payload{h: funcHandler(fn)}, si+1)
 	return Timer{e: e, slot: si, gen: e.slots[si].gen, at: at}
 }
 
@@ -596,11 +615,7 @@ func (e *Engine) step(limit Time) bool {
 	p := e.cells[c]
 	e.release(c)
 	e.processed++
-	if p.h != nil {
-		p.h.OnEvent(p.arg)
-	} else {
-		p.fn()
-	}
+	p.h.OnEvent(p.arg)
 	return true
 }
 

@@ -583,3 +583,52 @@ func FuzzKeyOrder(f *testing.F) {
 		checkKeyOrder(t, key{at: Time(aAt), seq: aSeq}, key{at: Time(bAt), seq: bSeq})
 	})
 }
+
+// TestRecycledEngineStartsClean: an engine recycled with events pending in
+// the lane, on the heap and in timer slots hands its slabs to the next
+// NewEngine, which then runs every seed program as the reference does. A
+// Timer of the recycled engine panics on Stop, before and after the slabs
+// move on, and never cancels an event of the engine that holds them now.
+func TestRecycledEngineStartsClean(t *testing.T) {
+	for _, prog := range programSeeds {
+		old := NewEngine()
+		nop := func() {}
+		for _, d := range []byte{dBkt | 1, dMid | 3, dEdge | 7, dFar | 1, dSkew | 12} {
+			old.After(delay(d), nop)
+		}
+		stale := old.AfterTimer(delay(dBkt|2), nop)
+		old.RunUntil(delay(dSkew | 11))
+		if old.laneN == 0 || len(old.heap) == 0 {
+			t.Fatalf("nothing pending at Recycle: lane %d, heap %d", old.laneN, len(old.heap))
+		}
+		heads := &old.heads[0]
+		old.Recycle()
+		mustPanic(t, "Stop on a recycled engine's Timer", func() { stale.Stop() })
+
+		e := NewEngine()
+		if &e.heads[0] != heads {
+			t.Fatal("NewEngine did not take the recycled slabs")
+		}
+		fresh := e.AfterTimer(delay(dBkt|2), nop) // the stale timer's slot and generation
+		mustPanic(t, "Stop on a Timer of the engine the slabs left", func() { stale.Stop() })
+		if !fresh.Stop() {
+			t.Fatal("the stale Timer canceled the new engine's timer")
+		}
+		got := runProgram(engineSched{e}, prog)
+		want := runProgram(refSched{&refEngine{}}, prog)
+		if !slices.Equal(got, want) {
+			t.Fatalf("program %v on recycled slabs:\n engine    %v\n reference %v", prog, got, want)
+		}
+		e.Recycle()
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}

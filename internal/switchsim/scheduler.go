@@ -55,7 +55,7 @@ func (s *rrSched) next(classes []*classQueue) int {
 	n := len(classes)
 	for i := 0; i < n; i++ {
 		c := (s.cur + i) % n
-		if classes[c].meta.len() > 0 {
+		if classes[c].meta.Len() > 0 {
 			s.cur = (c + 1) % n
 			return c
 		}
@@ -68,7 +68,7 @@ type spSched struct{}
 
 func (spSched) next(classes []*classQueue) int {
 	for c, q := range classes {
-		if q.meta.len() > 0 {
+		if q.meta.Len() > 0 {
 			return c
 		}
 	}
@@ -89,7 +89,7 @@ func (s *drrSched) next(classes []*classQueue) int {
 	n := len(classes)
 	backlogged := false
 	for _, q := range classes {
-		if q.meta.len() > 0 {
+		if q.meta.Len() > 0 {
 			backlogged = true
 			break
 		}
@@ -104,7 +104,7 @@ func (s *drrSched) next(classes []*classQueue) int {
 	maxIter := n * (2 + pktMTU/s.quantum)
 	for i := 0; i < maxIter; i++ {
 		q := classes[s.cur]
-		if q.meta.len() == 0 {
+		if q.meta.Len() == 0 {
 			s.deficit[s.cur] = 0
 			s.inVisit = false
 			s.cur = (s.cur + 1) % n
@@ -114,7 +114,7 @@ func (s *drrSched) next(classes []*classQueue) int {
 			s.deficit[s.cur] += s.quantum
 			s.inVisit = true
 		}
-		if head := q.meta.peek().Size; s.deficit[s.cur] >= head {
+		if head := q.meta.Peek().Size; s.deficit[s.cur] >= head {
 			s.deficit[s.cur] -= head
 			return s.cur
 		}
@@ -126,7 +126,7 @@ func (s *drrSched) next(classes []*classQueue) int {
 	// backlogged class so forwarding never stalls.
 	for i := 0; i < n; i++ {
 		c := (s.cur + i) % n
-		if classes[c].meta.len() > 0 {
+		if classes[c].meta.Len() > 0 {
 			return c
 		}
 	}

@@ -8,6 +8,8 @@ package switchsim
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"occamy/internal/bm"
 	"occamy/internal/cellmem"
@@ -126,8 +128,8 @@ func (s QueueStats) Drops() int64 { return s.DropsAdmission + s.DropsNoMemory }
 // DequeueRate (bm.ABM's ReadsDequeueRate marker, checked once in New);
 // under every other policy nothing would read it.
 type classQueue struct {
-	cells *cellmem.Queue
-	meta  fifo[*pkt.Packet]
+	cells cellmem.Queue
+	meta  pkt.FIFO
 	prio  int
 	drain *rateMeter
 }
@@ -200,6 +202,10 @@ type Switch struct {
 	MarkHook func(p *pkt.Packet, q int)
 }
 
+// spareQueues is the last recycled switch, emptied but for its queues,
+// unless their packet rings outgrew 2^15 slots in all.
+var spareQueues atomic.Pointer[Switch] //occamy:concurrent a handoff between runs, never touched inside one
+
 // New builds a switch. Ports must then be attached with AttachPort, and
 // a Router installed with SetRouter, before traffic arrives.
 func New(name string, eng *sim.Engine, cfg Config) *Switch {
@@ -241,20 +247,40 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	s.portStats = make([]PortStats, cfg.Ports)
 	s.queueStats = make([]QueueStats, cfg.Ports*cfg.ClassesPerPort)
 	s.ports = make([]*port, cfg.Ports)
-	for i := range s.ports {
-		pt := &port{id: i, sw: s, sched: newScheduler(cfg.Scheduler, cfg.ClassesPerPort, cfg.DRRQuantum)}
-		pt.classes = make([]*classQueue, cfg.ClassesPerPort)
-		for c := range pt.classes {
-			cq := &classQueue{cells: cellmem.NewQueue(s.pool), prio: c}
-			if readsDrain {
-				cq.drain = newRateMeter()
-			}
-			pt.classes[c] = cq
-			s.flat = append(s.flat, cq)
+	var reuse []*classQueue
+	if sp := spareQueues.Swap(nil); sp != nil { //occamy:concurrent see spareQueues
+		reuse, sp.flat = sp.flat, nil
+	}
+	nc := cfg.ClassesPerPort
+	s.flat = slices.Grow(reuse[:0], cfg.Ports*nc)[:cfg.Ports*nc]
+	for q, cq := range s.flat {
+		if cq == nil {
+			cq = new(classQueue)
+			s.flat[q] = cq
 		}
-		s.ports[i] = pt
+		*cq = classQueue{cells: *cellmem.NewQueue(s.pool), meta: cq.meta, prio: q % nc}
+		if readsDrain {
+			cq.drain = newRateMeter()
+		}
+	}
+	for i := range s.ports {
+		s.ports[i] = &port{id: i, sw: s, sched: newScheduler(cfg.Scheduler, nc, cfg.DRRQuantum), classes: s.flat[i*nc : (i+1)*nc]}
 	}
 	return s
+}
+
+// Recycle drops every buffered packet, without a hook, and parks the cell
+// pool and the queues with their packet rings for the next New.
+func (s *Switch) Recycle() {
+	s.pool.Recycle()
+	slots := 0
+	for _, cq := range s.flat {
+		slots += cq.meta.Clear()
+	}
+	*s = Switch{flat: s.flat}
+	if slots <= 1<<15 {
+		spareQueues.Store(s) //occamy:concurrent see spareQueues
+	}
 }
 
 // AttachPort wires port i to a link: egress rate in bits/sec,
@@ -327,7 +353,7 @@ func (s *Switch) QueueStats(q int) QueueStats { return s.queueStats[q] }
 func (s *Switch) BufferedPackets() int {
 	n := 0
 	for _, cq := range s.flat {
-		n += cq.meta.len()
+		n += cq.meta.Len()
 	}
 	return n
 }
@@ -412,20 +438,20 @@ func (s *Switch) Threshold(c int) int { return s.classPol.ClassThreshold(s, c) }
 // HeadPacketCells implements core.TM.
 func (s *Switch) HeadPacketCells(q int) int {
 	cq := s.flat[q]
-	if cq.meta.len() == 0 {
+	if cq.meta.Len() == 0 {
 		return 0
 	}
-	return s.pool.CellsFor(cq.meta.peek().Size)
+	return s.pool.CellsFor(cq.meta.Peek().Size)
 }
 
 // HeadDrop implements core.TM: expel the head packet of queue q without
 // touching cell data memory.
 func (s *Switch) HeadDrop(q int) (int, int, bool) {
 	cq := s.flat[q]
-	if cq.meta.len() == 0 {
+	if cq.meta.Len() == 0 {
 		return 0, 0, false
 	}
-	p := cq.meta.pop()
+	p := cq.meta.Pop()
 	// Capture before the hook: a DropHook may recycle p into a pkt.Pool,
 	// which zeroes it in place.
 	size := p.Size
@@ -511,7 +537,7 @@ func (s *Switch) Receive(p *pkt.Packet) {
 		}
 	}
 	cq.cells.Enqueue(ref)
-	cq.meta.push(p)
+	cq.meta.Push(p)
 	s.setBacklogged(q)
 	s.totalBytes += p.Size
 	if s.memBW != nil {
@@ -559,7 +585,7 @@ func (s *Switch) tryTransmit(pt *port) {
 		return
 	}
 	cq := pt.classes[class]
-	p := cq.meta.pop()
+	p := cq.meta.Pop()
 	n, id, ok := cq.cells.Dequeue()
 	if !ok || id != p.ID || n != p.Size {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on dequeue: got (%d,%d), want (%d,%d)", n, id, p.Size, p.ID))
