@@ -154,46 +154,6 @@ func TestSweepAcrossPolicies(t *testing.T) {
 	}
 }
 
-func TestSetFieldPaths(t *testing.T) {
-	t.Parallel()
-	sc, _ := Get("leafspine-demo")
-	spec := sc.Spec
-	spec.Workloads = append([]Workload(nil), spec.Workloads...)
-	for _, c := range []struct{ path, val string }{
-		{"policy.alpha", "2"},
-		{"policy.kind", "abm"},
-		{"topology.hostsperleaf", "8"},
-		{"workloads[0].load", "0.4"},
-		{"workloads[1].interval", "3ms"},
-		{"seed", "7"},
-		// Fault paths allocate the nil optional blocks on the way and
-		// accept the JSON spellings (dashes, underscores).
-		{"faults.host-leaf.loss_prob", "0.05"},
-		{"faults.all.jitter_max", "10us"},
-		{"faults.leaf-spine.ge_bad_loss_prob", "0.25"},
-	} {
-		if err := SetField(&spec, c.path, c.val); err != nil {
-			t.Errorf("SetField(%s=%s): %v", c.path, c.val, err)
-		}
-	}
-	if spec.Policy.Alpha != 2 || spec.Policy.Kind != "abm" ||
-		spec.Topology.HostsPerLeaf != 8 || spec.Workloads[0].Load != 0.4 ||
-		spec.Workloads[1].Interval.Millis() != 3 || spec.Seed != 7 {
-		t.Errorf("fields not applied: %+v", spec)
-	}
-	if spec.Faults == nil || spec.Faults.HostLeaf == nil || spec.Faults.HostLeaf.LossProb != 0.05 ||
-		spec.Faults.All == nil || spec.Faults.All.JitterMax != 10*sim.Microsecond ||
-		spec.Faults.LeafSpine == nil || spec.Faults.LeafSpine.GEBadLossProb != 0.25 {
-		t.Errorf("fault fields not applied: %+v", spec.Faults)
-	}
-	if err := SetField(&spec, "no.such.field", "1"); err == nil {
-		t.Error("bogus path accepted")
-	}
-	if err := SetField(&spec, "workloads[9].load", "1"); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-}
-
 // Degraded ports must actually slow the configured hosts down: the same
 // permutation load on a degraded fabric delivers less than on a healthy
 // one within the same horizon.
