@@ -14,6 +14,7 @@
 //	occamy-scenario run burst-absorb -sweep policy.alpha=1,2,4 \
 //	    -sweep workloads[1].bytes=300000,500000,800000 -j 8
 //	occamy-scenario run incast-storm-256 -set workloads[1].fanout=512
+//	occamy-scenario run burst-absorb -set 'metrics=["policy","drops","expelled"]'
 //	occamy-scenario run mixed-load-90 -deep -trace occ.csv
 //	occamy-scenario run incast-storm-256 -scale paper -trace occ.csv -trace-stride 8
 //	occamy-scenario run mixed-load-90 -json > result.json
@@ -28,9 +29,12 @@
 //
 // Sweeps cross-product every -sweep axis and fan the grid points across
 // a worker pool (-j, default GOMAXPROCS); tables are byte-identical at
-// any parallelism. -set applies a single value before running. -deep
-// appends the tail-quantile, per-switch, and per-queue breakdown tables
-// to a single run; -trace dumps the occupancy time series — whole-switch
+// any parallelism. -set applies one value before running; its whole
+// right-hand side is the value, while -sweep splits on commas, so an
+// array goes through -set. A value is JSON, else a bare string (dt,
+// leaf-spine, 3ms — durations in Go syntax). -deep appends the
+// tail-quantile, per-switch, and per-queue breakdown tables to a
+// single run; -trace dumps the occupancy time series — whole-switch
 // plus every (port, class) queue with the admission policy's threshold
 // sampled alongside — as CSV, and prints sparklines including
 // occupancy-vs-threshold overlays for the hottest queues; -trace-stride
@@ -148,7 +152,7 @@ func run(args []string) {
 	progress := fs.Bool("progress", false, "render a live progress line on stderr (sim-time %, events/sec, sim/wall ratio)")
 	var sweeps, sets multiFlag
 	fs.Var(&sweeps, "sweep", "grid axis: specfield=v1,v2,... (repeatable)")
-	fs.Var(&sets, "set", "single override: specfield=value (repeatable)")
+	fs.Var(&sets, "set", "single override: specfield=value, the value JSON or a bare string (repeatable)")
 	if len(args) < 1 {
 		fmt.Fprintln(os.Stderr, "usage: occamy-scenario run <name|all|file.json> [flags]")
 		os.Exit(2)
@@ -228,21 +232,20 @@ type runOpts struct {
 func runSpec(spec scenario.Spec, name string, sweeps, sets []string, opts runOpts) {
 	deep, traceOut := opts.deep, opts.traceOut
 	start := time.Now()
-	// Deep-copy the slices -set may write through; the registered catalog
-	// entry must stay pristine.
-	spec.Workloads = append([]scenario.Workload(nil), spec.Workloads...)
-	spec.Metrics = append([]string(nil), spec.Metrics...)
-	for _, s := range sets {
-		ax, err := scenario.ParseSweep(s)
+	if len(sets) > 0 {
+		axes := make([]scenario.SweepAxis, len(sets)) // one value each
+		for i, s := range sets {
+			path, val, ok := strings.Cut(s, "=")
+			if !ok || path == "" {
+				fatalf("%s: -set %q is not path=value", name, s)
+			}
+			axes[i] = scenario.SweepAxis{Path: path, Values: []string{val}}
+		}
+		specs, _, err := scenario.Expand(spec, axes)
 		if err != nil {
 			fatalf("%s: %v", name, err)
 		}
-		if len(ax.Values) != 1 {
-			fatalf("%s: -set %s: one value only (use -sweep for grids)", name, s)
-		}
-		if err := scenario.SetField(&spec, ax.Path, ax.Values[0]); err != nil {
-			fatalf("%s: %v", name, err)
-		}
+		spec = specs[0]
 	}
 	if len(sweeps) > 0 {
 		if deep || opts.json || traceOut != "" {

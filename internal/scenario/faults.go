@@ -30,27 +30,6 @@ type Faults struct {
 	LeafSpine *linkfault.Profile `json:"leaf-spine,omitempty"`
 }
 
-// clone deep-copies the block (sweeps write through profile pointers).
-func (f *Faults) clone() *Faults {
-	if f == nil {
-		return nil
-	}
-	cp := &Faults{}
-	if f.All != nil {
-		p := *f.All
-		cp.All = &p
-	}
-	if f.HostLeaf != nil {
-		p := *f.HostLeaf
-		cp.HostLeaf = &p
-	}
-	if f.LeafSpine != nil {
-		p := *f.LeafSpine
-		cp.LeafSpine = &p
-	}
-	return cp
-}
-
 // config resolves the block into the wiring-layer fault config: each
 // class takes its specific profile, falling back to All.
 func (f *Faults) config(seed uint64) linkfault.Config {

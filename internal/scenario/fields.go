@@ -1,157 +1,92 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"occamy/internal/experiments"
-	"occamy/internal/sim"
 )
 
 // Spec field access by path
 //
-// Sweeps address spec fields with dotted, case-insensitive paths:
-//
-//	policy.alpha
-//	topology.hosts
-//	workloads[1].load
-//	duration
-//
-// SetField parses the string value per the field's type (durations accept
-// Go syntax: "2ms", "150us"), so the CLI can sweep any spec field without
-// per-field code.
+// Sweeps and -set address a spec field by its dotted JSON path, [i]
+// indexing an array (policy.alpha, workloads[1].load). A segment
+// matches a json tag ignoring case, '-' and '_', or is a map key. Each
+// grid point is decoded by the spec-file decoder, so an override is
+// accepted exactly when the equivalent file would be.
 
-// SetField assigns value (parsed per the field's type) to the path inside
-// spec.
-func SetField(spec *Spec, path, value string) error {
-	v, err := resolve(reflect.ValueOf(spec).Elem(), path)
-	if err != nil {
-		return err
-	}
-	return assign(v, path, value)
-}
+var looseName = strings.NewReplacer("-", "", "_", "")
 
-// resolve walks a dotted path (with optional [i] indexing) to a settable
-// reflect.Value.
-func resolve(v reflect.Value, path string) (reflect.Value, error) {
-	for _, part := range strings.Split(path, ".") {
-		name := part
-		index := -1
-		if i := strings.IndexByte(part, '['); i >= 0 {
-			if !strings.HasSuffix(part, "]") {
-				return v, fmt.Errorf("scenario: malformed index in %q", part)
-			}
-			n, err := strconv.Atoi(part[i+1 : len(part)-1])
-			if err != nil {
-				return v, fmt.Errorf("scenario: malformed index in %q", part)
-			}
-			name, index = part[:i], n
-		}
-		// Optional blocks are pointers (Spec.Faults, its profiles): step
-		// through, allocating on the way so a sweep can set a field in a
-		// block the base spec leaves nil.
-		for v.Kind() == reflect.Pointer {
-			if v.IsNil() {
-				if !v.CanSet() {
-					return v, fmt.Errorf("scenario: nil %s in path %q", v.Type(), path)
-				}
-				v.Set(reflect.New(v.Type().Elem()))
-			}
-			v = v.Elem()
-		}
-		if v.Kind() != reflect.Struct {
-			return v, fmt.Errorf("scenario: %q is not a struct field path", path)
-		}
-		field := v.FieldByNameFunc(func(f string) bool { return fieldNameMatch(f, name) })
-		if !field.IsValid() {
-			return v, fmt.Errorf("scenario: no field %q in %s", name, v.Type())
-		}
-		v = field
-		if index >= 0 {
-			if v.Kind() != reflect.Slice {
-				return v, fmt.Errorf("scenario: field %q is not a slice", name)
-			}
-			if index >= v.Len() {
-				return v, fmt.Errorf("scenario: index %d out of range for %q (len %d)", index, name, v.Len())
-			}
-			v = v.Index(index)
-		}
+// setPath returns node, the generic JSON tree of a t, with value written
+// at the path segs. It copies the objects and arrays on the way, so node
+// itself is left as it was, and creates the objects node lacks.
+func setPath(node any, t reflect.Type, path string, segs []string, value any) (any, error) {
+	if len(segs) == 0 {
+		return value, nil
 	}
-	if !v.CanSet() {
-		return v, fmt.Errorf("scenario: field %q is not settable", path)
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
 	}
-	return v, nil
-}
-
-// fieldNameMatch compares a Go field name against a path segment
-// case-insensitively with dashes and underscores stripped, so paths can
-// use the JSON spelling: "host-leaf" and "loss_prob" match HostLeaf and
-// LossProb.
-func fieldNameMatch(field, name string) bool {
-	strip := func(s string) string {
-		return strings.Map(func(r rune) rune {
-			if r == '-' || r == '_' {
-				return -1
+	key, index, indexed := strings.Cut(segs[0], "[")
+	switch t.Kind() {
+	case reflect.Map:
+		t = t.Elem()
+	case reflect.Struct:
+		var f reflect.StructField
+		for i := range t.NumField() {
+			tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			if tag != "" && strings.EqualFold(looseName.Replace(tag), looseName.Replace(key)) {
+				f, key = t.Field(i), tag
+				break
 			}
-			return r
-		}, s)
-	}
-	return strings.EqualFold(strip(field), strip(name))
-}
-
-var durationType = reflect.TypeOf(sim.Duration(0))
-
-func assign(v reflect.Value, path, value string) error {
-	// sim.Duration fields take Go duration syntax ("150us", "2ms").
-	if v.Type() == durationType {
-		d, err := time.ParseDuration(value)
-		if err != nil {
-			return fmt.Errorf("scenario: %s: %w", path, err)
 		}
-		v.SetInt(d.Nanoseconds())
-		return nil
-	}
-	switch v.Kind() {
-	case reflect.String:
-		v.SetString(value)
-	case reflect.Bool:
-		b, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("scenario: %s: %w", path, err)
+		if f.Type == nil {
+			return nil, fmt.Errorf("scenario: %s: no field %q in %s", path, key, t)
 		}
-		v.SetBool(b)
-	case reflect.Int, reflect.Int64:
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			// Accept float syntax for int fields ("2e6" buffer sizes).
-			f, ferr := strconv.ParseFloat(value, 64)
-			if ferr != nil {
-				return fmt.Errorf("scenario: %s: %w", path, err)
-			}
-			n = int64(f)
-		}
-		v.SetInt(n)
-	case reflect.Uint64:
-		n, err := strconv.ParseUint(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("scenario: %s: %w", path, err)
-		}
-		v.SetUint(n)
-	case reflect.Float64:
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fmt.Errorf("scenario: %s: %w", path, err)
-		}
-		v.SetFloat(f)
+		t = f.Type
 	default:
-		return fmt.Errorf("scenario: field %q has unsupported type %s", path, v.Type())
+		return nil, fmt.Errorf("scenario: %s: %s has no field %q", path, t, key)
 	}
-	return nil
+	m, _ := node.(map[string]any)
+	obj := make(map[string]any, len(m)+1)
+	maps.Copy(obj, m)
+	var err error
+	if !indexed {
+		obj[key], err = setPath(obj[key], t, path, segs[1:], value)
+		return obj, err
+	}
+	arr, _ := obj[key].([]any)
+	i, err := strconv.Atoi(strings.TrimSuffix(index, "]"))
+	if err != nil || !strings.HasSuffix(index, "]") || t.Kind() != reflect.Slice {
+		return nil, fmt.Errorf("scenario: %s: %q is not an indexable array", path, segs[0])
+	}
+	if i < 0 || i >= len(arr) {
+		return nil, fmt.Errorf("scenario: %s: index %d out of range (%s has %d)", path, i, key, len(arr))
+	}
+	arr = slices.Clone(arr)
+	arr[i], err = setPath(arr[i], t.Elem(), path, segs[1:], value)
+	obj[key] = arr
+	return obj, err
+}
+
+// jsonValue reads an override value: text that parses as JSON is that
+// JSON (2, true, ["drops"]), its numbers kept as text so a uint64 seed
+// stays exact; any other text is a string (dt, leaf-spine, 3ms).
+func jsonValue(text string) any {
+	if !json.Valid([]byte(text)) {
+		return text
+	}
+	dec := json.NewDecoder(strings.NewReader(text))
+	dec.UseNumber()
+	var v any
+	_ = dec.Decode(&v) // valid, so it decodes
+	return v
 }
 
 // SweepAxis is one swept field: a path and its values.
@@ -175,64 +110,78 @@ func ParseSweep(arg string) (SweepAxis, error) {
 
 // Expand builds the cross-product of the axes over a base spec,
 // returning one spec per grid point plus a label ("alpha=2 load=0.9").
+// The base is read into a JSON tree once; each point writes its axis
+// values into a copy of the paths they touch and is decoded once, so
+// every point is a fresh value.
 func Expand(base Spec, axes []SweepAxis) (specs []Spec, labels []string, err error) {
-	specs, labels = []Spec{base}, []string{base.Name}
+	data, err := json.Marshal(base)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario: marshaling spec %q: %w", base.Name, err)
+	}
+	// sets spells each point's assignments, for its errors.
+	trees, sets := []any{jsonValue(string(data))}, []string{""}
 	for _, ax := range axes {
-		short := ax.Path
-		if i := strings.LastIndexByte(short, '.'); i >= 0 {
-			short = short[i+1:]
-		}
-		var nextSpecs []Spec
-		var nextLabels []string
-		for i, s := range specs {
-			for _, val := range ax.Values {
-				cp := s
-				// Deep-copy the slices and pointer blocks reflection will
-				// write through.
-				cp.Workloads = append([]Workload(nil), s.Workloads...)
-				cp.Metrics = append([]string(nil), s.Metrics...)
-				cp.Faults = s.Faults.clone()
-				if err := SetField(&cp, ax.Path, val); err != nil {
+		segs := strings.Split(ax.Path, ".")
+		nextTrees, nextSets := []any{}, []string{}
+		for i, tree := range trees {
+			for _, text := range ax.Values {
+				t, err := setPath(tree, reflect.TypeFor[Spec](), ax.Path, segs, jsonValue(text))
+				if err != nil {
 					return nil, nil, err
 				}
-				label := fmt.Sprintf("%s=%s", short, val)
-				if len(axes) > 1 || len(specs) > 1 {
-					if labels[i] != base.Name {
-						label = labels[i] + " " + label
-					}
-				}
-				nextSpecs = append(nextSpecs, cp)
-				nextLabels = append(nextLabels, label)
+				nextTrees = append(nextTrees, t)
+				nextSets = append(nextSets, strings.TrimPrefix(sets[i]+" "+ax.Path+"="+text, " "))
 			}
 		}
-		specs, labels = nextSpecs, nextLabels
+		trees, sets = nextTrees, nextSets
 	}
-	return specs, labels, nil
+	specs = make([]Spec, len(trees))
+	for i, tree := range trees {
+		if data, err = json.Marshal(tree); err == nil {
+			err = decodeStrict(data, &specs[i])
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("scenario: %s: %w", sets[i], err)
+		}
+	}
+	return specs, sweepLabels(base, axes), nil
+}
+
+// sweepLabels names the grid points of Expand, in its order, from the
+// axes alone: "short=value" per axis, the last path segment as short.
+func sweepLabels(base Spec, axes []SweepAxis) []string {
+	labels := []string{base.Name}
+	for _, ax := range axes {
+		short := ax.Path[strings.LastIndexByte(ax.Path, '.')+1:]
+		next := make([]string, 0, len(labels)*len(ax.Values))
+		for _, prev := range labels {
+			for _, val := range ax.Values {
+				label := short + "=" + val
+				if prev != base.Name {
+					label = prev + " " + label
+				}
+				next = append(next, label)
+			}
+		}
+		labels = next
+	}
+	return labels
 }
 
 // RunSweep executes the grid concurrently (experiments.RunGrid honors
 // the -j worker cap with deterministic, input-ordered results) and
 // returns the summary table: one row per point.
 func RunSweep(base Spec, axes []SweepAxis) (*experiments.Table, error) {
-	return RunSweepWithCancel(base, axes, nil)
+	return RunSweepWithProgress(base, axes, nil, nil)
 }
 
-// RunSweepWithCancel is RunSweep with a cooperative cancel check,
-// threaded into every grid point's engine loop (see RunWithCancel):
-// once canceled reports true, in-flight points bail at their next chunk
-// and the whole sweep returns ErrCanceled. A nil canceled never
-// cancels.
-func RunSweepWithCancel(base Spec, axes []SweepAxis, canceled func() bool) (*experiments.Table, error) {
-	return RunSweepWithProgress(base, axes, canceled, nil)
-}
-
-// RunSweepWithProgress is RunSweepWithCancel with a per-point progress
-// hook: pointDone is invoked once after each grid point's simulation
-// completes. Points run concurrently under experiments.RunGrid, so
-// pointDone is called from worker goroutines and must be safe for
-// concurrent use (the service layer counts atomically; the fraction is
-// calls-so-far over the grid size the caller already knows). A nil
-// pointDone is ignored.
+// RunSweepWithProgress is RunSweep with a cooperative cancel check and a
+// per-point progress hook. canceled is threaded into every grid point's
+// engine loop (see RunWithCancel): once it reports true, in-flight
+// points bail at their next chunk and the sweep returns ErrCanceled.
+// pointDone is invoked once after each grid point's simulation
+// completes, from worker goroutines, so it must be safe for concurrent
+// use (the service layer counts atomically). Nil hooks are ignored.
 func RunSweepWithProgress(base Spec, axes []SweepAxis, canceled func() bool, pointDone func()) (*experiments.Table, error) {
 	// The base spec is expanded as-is: defaults are derived inside Run
 	// per grid point, so a sweep over (say) topology.hosts recomputes the
@@ -263,14 +212,12 @@ func RunSweepWithProgress(base Spec, axes []SweepAxis, canceled func() bool, poi
 	if canceled != nil && canceled() {
 		return nil, ErrCanceled
 	}
-	return Summarize(base.Name, SweepTitle(base, axes), labels, results, metricsOf(base)), nil
+	return Summarize(base.Name, sweepTitle(base, axes), labels, results, metricsOf(base)), nil
 }
 
-// SweepTitle is the summary-table title of a sweep over base: the base
-// title annotated with the swept field paths. Exported so a fleet
-// router assembling a sweep table from remotely-run grid points renders
-// the exact title a single-process RunSweep would.
-func SweepTitle(base Spec, axes []SweepAxis) string {
+// sweepTitle is the summary-table title of a sweep over base: the base
+// title annotated with the swept field paths.
+func sweepTitle(base Spec, axes []SweepAxis) string {
 	if len(axes) == 0 {
 		return base.Title
 	}
@@ -280,12 +227,6 @@ func SweepTitle(base Spec, axes []SweepAxis) string {
 	}
 	return fmt.Sprintf("%s (sweep %s)", base.Title, strings.Join(ps, " × "))
 }
-
-// SweepMetrics resolves the metric columns a sweep over base renders —
-// the base spec's effective column list, applied to every grid point
-// (Summarize uses one column set for the whole table even when a swept
-// field would change a point's own default columns).
-func SweepMetrics(base Spec) []string { return metricsOf(base) }
 
 // AssembleSweepTable reconstructs the sweep summary table from each
 // grid point's individually-computed one-row summary (ResultDoc.Summary
@@ -302,10 +243,7 @@ func SweepMetrics(base Spec) []string { return metricsOf(base) }
 // kind); set Spec.Metrics on the base to sweep such fields across a
 // fleet.
 func AssembleSweepTable(base Spec, axes []SweepAxis, points []TableDoc) (TableDoc, error) {
-	_, labels, err := Expand(base, axes)
-	if err != nil {
-		return TableDoc{}, err
-	}
+	labels := sweepLabels(base, axes)
 	if len(points) != len(labels) {
 		return TableDoc{}, fmt.Errorf("scenario: sweep over %q has %d grid points, got %d summaries",
 			base.Name, len(labels), len(points))
@@ -313,7 +251,7 @@ func AssembleSweepTable(base Spec, axes []SweepAxis, points []TableDoc) (TableDo
 	metrics := metricsOf(base)
 	out := TableDoc{
 		ID:      base.Name,
-		Title:   SweepTitle(base, axes),
+		Title:   sweepTitle(base, axes),
 		Columns: append([]string{"scenario"}, metrics...),
 	}
 	for i, p := range points {

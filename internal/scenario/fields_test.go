@@ -1,20 +1,25 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"occamy/internal/linkfault"
 	"occamy/internal/sim"
 )
 
-// setOne applies one path=value override to a copy of s, the way -set
-// does.
+// setOne applies one path=value override to s, the way -set does.
 func setOne(s Spec, path, val string) (Spec, error) {
-	s = cloneSpec(s)
-	err := SetField(&s, path, val)
-	return s, err
+	specs, _, err := Expand(s, []SweepAxis{{Path: path, Values: []string{val}}})
+	if err != nil {
+		return Spec{}, err
+	}
+	return specs[0], nil
 }
 
 // cloneSpec deep-copies everything a direct assignment may write
@@ -78,6 +83,14 @@ func TestSetFieldPaths(t *testing.T) {
 		{"leafspine-demo", "faults.leaf-spine.ge_bad_loss_prob", "0.25", func(s *Spec) {
 			s.Faults = &Faults{LeafSpine: &linkfault.Profile{GEBadLossProb: 0.25}}
 		}},
+		// A bare word is a string wherever the schema takes one, and a
+		// JSON array is one value.
+		{"quickstart", "topology.kind", "leaf-spine", func(s *Spec) { s.Topology.Kind = LeafSpine }},
+		{"quickstart", "metrics", `["drops"]`, func(s *Spec) { s.Metrics = []string{"drops"} }},
+		{"burst-absorb", "metrics", `["policy","drops","expelled"]`, func(s *Spec) {
+			s.Metrics = []string{"policy", "drops", "expelled"}
+		}},
+		{"degraded-leafspine", "topology.degraded_ports.5", "0.75", func(s *Spec) { s.Topology.DegradedPorts[5] = 0.75 }},
 	} {
 		sc, ok := Get(c.base)
 		if !ok {
@@ -104,13 +117,112 @@ func TestSetFieldPaths(t *testing.T) {
 			t.Errorf("%s: set %s=%s differs from direct assignment:\n%s\nvs\n%s", c.base, c.path, c.val, a, b)
 		}
 	}
+	// Every refusal names the path it refuses.
 	sc, _ := Get("leafspine-demo")
 	for _, c := range []struct{ path, val string }{
 		{"no.such.field", "1"},
+		{"policy.alhpa", "2"},
+		{"policy.alpha.x", "2"},
 		{"workloads[9].load", "1"},
+		{"workloads[x].load", "1"},
+		{"policy.alpha", "abc"},
+		{"policy.kind", "3"},
+		{"topology.kind", "1"},
+		{"metrics", "drops"},
+		{"workloads[1].interval", "3parsecs"},
+		{"topology.buffer_bytes", "2e6"},
 	} {
-		if _, err := setOne(sc.Spec, c.path, c.val); err == nil {
+		_, err := setOne(sc.Spec, c.path, c.val)
+		if err == nil {
 			t.Errorf("set %s=%s accepted", c.path, c.val)
+		} else if !strings.Contains(err.Error(), c.path) {
+			t.Errorf("set %s=%s: error %q does not name the path", c.path, c.val, err)
+		}
+	}
+}
+
+// TestSetOwnValueIsIdentity: for every exportable catalog entry, setting
+// any leaf path of its exported JSON to the value exported there leaves
+// the fingerprint unchanged — as raw JSON, and for a string also as the
+// bare word a command line would carry. Each entry is checked at every
+// scale, and once more with a seed past 2^53 that a float64 would round.
+func TestSetOwnValueIsIdentity(t *testing.T) {
+	t.Parallel()
+	for _, name := range Names() {
+		sc, _ := Get(name)
+		if sc.Tables != nil {
+			continue
+		}
+		bigSeed := sc.SpecAt(ScaleQuick)
+		bigSeed.Seed = 18446744073709551557
+		variants := map[string]Spec{
+			"quick": sc.SpecAt(ScaleQuick), "full": sc.SpecAt(ScaleFull),
+			"paper": sc.SpecAt(ScalePaper), "big-seed": bigSeed,
+		}
+		for scale, spec := range variants {
+			want, err := spec.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := spec.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.UseNumber()
+			var tree any
+			if err := dec.Decode(&tree); err != nil {
+				t.Fatal(err)
+			}
+			check := func(path, val string) {
+				got, err := setOne(spec, path, val)
+				if err != nil {
+					t.Errorf("%s/%s: set %s=%s: %v", name, scale, path, val, err)
+					return
+				}
+				if fp, _ := got.Fingerprint(); fp != want {
+					t.Errorf("%s/%s: set %s=%s changed the fingerprint", name, scale, path, val)
+				}
+			}
+			var walk func(path string, node any)
+			walk = func(path string, node any) {
+				switch n := node.(type) {
+				case map[string]any:
+					for k, v := range n {
+						walk(strings.TrimPrefix(path+"."+k, "."), v)
+					}
+				case []any:
+					for i, v := range n {
+						walk(fmt.Sprintf("%s[%d]", path, i), v)
+					}
+				default:
+					raw, err := json.Marshal(n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(path, string(raw))
+					if s, ok := n.(string); ok && !json.Valid([]byte(s)) {
+						check(path, s)
+					}
+				}
+			}
+			walk("", tree)
+		}
+	}
+}
+
+// BenchmarkExpand expands a 2×2 grid of quickstart, the shape of a
+// fleet sweep (policy kind × alpha).
+func BenchmarkExpand(b *testing.B) {
+	sc, _ := Get("quickstart")
+	axes := []SweepAxis{
+		{Path: "policy.kind", Values: []string{"occamy", "dt"}},
+		{Path: "policy.alpha", Values: []string{"1", "4"}},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := Expand(sc.Spec, axes); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -141,9 +141,9 @@ func SweepFingerprint(spec scenario.Spec, axes []scenario.SweepAxis) (string, er
 	h := sha256.New()
 	fmt.Fprintf(h, "occamy/sweep/v%s\n%s\n", scenario.Version, fp)
 	for _, ax := range axes {
-		// %q-quote each token: values may contain spaces and commas (the
-		// reflection setter accepts arbitrary strings), so naive joining
-		// would let distinct grids collide on one key.
+		// %q-quote each token: values may contain spaces and commas (a
+		// value is any JSON text or bare string), so naive joining would
+		// let distinct grids collide on one key.
 		fmt.Fprintf(h, "%q", ax.Path)
 		for _, v := range ax.Values {
 			fmt.Fprintf(h, "=%q", v)
