@@ -12,7 +12,8 @@ import (
 )
 
 // Host is an end node: a NIC that serializes outgoing packets at link
-// rate and dispatches incoming packets to per-flow transport handlers.
+// rate, and the endpoint that hands each arriving packet to its flow's
+// sender or receiver, found by index in the network's flow table.
 // It implements transport.Net, and sim.Handler for its own NIC events so
 // the per-packet serialization/delivery path schedules without closures.
 type Host struct {
@@ -23,12 +24,12 @@ type Host struct {
 	prop    sim.Duration
 	sink    func(*pkt.Packet) // toward the first-hop switch
 	pool    *pkt.Pool         // engine-wide packet freelist (may be nil)
+	net     *Network          // owner of the flow table (nil for a standalone host)
 
 	// The NIC serves strict-priority transmit queues (priority 0
 	// first), mirroring the multi-queue hosts of the paper's testbed.
-	txq      [maxHostPrios]pkt.FIFO
-	busy     bool
-	handlers map[uint64]transport.Handler
+	txq  [maxHostPrios]pkt.FIFO
+	busy bool
 }
 
 // maxHostPrios bounds the per-host priority classes.
@@ -36,12 +37,13 @@ const maxHostPrios = 8
 
 // NewHost builds a host; Wire must attach it to a switch before traffic.
 func NewHost(eng *sim.Engine, id pkt.NodeID) *Host {
-	return &Host{ID: id, eng: eng, handlers: make(map[uint64]transport.Handler)}
+	return &Host{ID: id, eng: eng}
 }
 
-// UsePool installs the engine-wide packet freelist: NewPacket draws from
-// it and Deliver recycles consumed packets into it.
-func (h *Host) UsePool(pool *pkt.Pool) { h.pool = pool }
+// join makes h a host of net: NewPacket draws from the network's packet
+// freelist, and Deliver finds flows in its table and recycles consumed
+// packets into the freelist.
+func (h *Host) join(net *Network) { h.net, h.pool = net, net.Pool }
 
 // Wire attaches the host's NIC to its first-hop link.
 func (h *Host) Wire(rateBps float64, prop sim.Duration, sink func(*pkt.Packet)) {
@@ -129,25 +131,25 @@ func (h *Host) OnEvent(arg any) {
 	h.trySend()
 }
 
-// Deliver hands an arriving packet to the flow's registered handler.
-// Packets for unknown flows are dropped silently (late retransmissions
-// of completed flows). A delivered packet is consumed: handlers copy
-// what they need during OnPacket, so the packet is recycled afterwards.
+// Deliver hands an arriving packet to its flow in the network's table:
+// an ACK to the flow's sender, data to its receiver. Routing is by
+// destination, so an ACK arrives at the sender's host and data at the
+// receiver's. A packet whose flow the network never started is dropped.
+// A delivered packet is consumed: the endpoints copy what they need
+// during OnPacket, so the packet is recycled afterwards.
 func (h *Host) Deliver(p *pkt.Packet) {
-	if hd := h.handlers[p.FlowID]; hd != nil {
-		hd.OnPacket(p)
+	if h.net != nil {
+		if i := p.FlowID - 1; i < uint64(len(h.net.flows)) {
+			if f := h.net.flows[i]; p.Ack {
+				f.Sender.OnPacket(p)
+			} else {
+				f.Receiver.OnPacket(p)
+			}
+		}
 	}
 	if h.pool != nil {
 		h.pool.Put(p)
 	}
 }
-
-// Register installs the handler for a flow ID.
-func (h *Host) Register(flowID uint64, hd transport.Handler) {
-	h.handlers[flowID] = hd
-}
-
-// Unregister removes a completed flow's handler.
-func (h *Host) Unregister(flowID uint64) { delete(h.handlers, flowID) }
 
 var _ transport.Net = (*Host)(nil)

@@ -193,6 +193,57 @@ func TestUnknownFlowDeliveryIgnored(t *testing.T) {
 	h.Deliver(&pkt.Packet{FlowID: 999}) // must not panic
 }
 
+// TestOppositeFlowsDeliverByIndex runs two flows in opposite directions
+// between the same two hosts, on one switch and across a fabric: each
+// host is the sender of one flow and the receiver of the other, so every
+// arriving packet must reach the right end of the right flow — data the
+// receiver, ACKs the sender — for both to finish. Then packets for flow
+// IDs the network never issued, 0 and N+1, are dropped at a wired host
+// and returned to the network's pool, leaving both flows untouched.
+func TestOppositeFlowsDeliverByIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  *Network
+	}{
+		{"single-switch", starNet(2, 10e9, 8, 1<<20)},
+		{"leaf-spine", LeafSpine(LeafSpineConfig{
+			Spines: 2, Leaves: 2, HostsPerLeaf: 1,
+			HostLinkBps: 10e9, SpineLinkBps: 10e9,
+			LinkDelay:   5 * sim.Microsecond,
+			LeafSwitch:  switchsim.Config{ClassesPerPort: 1, BufferBytes: 1 << 20, Policy: bm.NewDT(8)},
+			SpineSwitch: switchsim.Config{ClassesPerPort: 1, BufferBytes: 1 << 20, Policy: bm.NewDT(8)},
+			Seed:        1,
+		})},
+	} {
+		net := tc.net
+		t.Run(tc.name, func(t *testing.T) {
+			fwd := net.StartFlow(0, 0, 1, 300_000, FlowOptions{ECN: true})
+			rev := net.StartFlow(0, 1, 0, 200_000, FlowOptions{ECN: true})
+			net.Eng.RunUntil(sim.Second)
+			for _, f := range []*FlowHandle{fwd, rev} {
+				if !f.Receiver.Done() || f.Receiver.Received() != f.Spec.Size {
+					t.Fatalf("flow %d: receiver has %d of %d bytes", f.Spec.ID, f.Receiver.Received(), f.Spec.Size)
+				}
+				if !f.Sender.Done() {
+					t.Fatalf("flow %d: sender never saw its last byte ACKed", f.Spec.ID)
+				}
+			}
+			for _, id := range []uint64{0, 3} {
+				for _, ack := range []bool{false, true} {
+					p := &pkt.Packet{FlowID: id, Src: 0, Dst: 1, Size: pkt.MSS, Ack: ack, AckNo: 1}
+					net.Hosts[1].Deliver(p)
+					if got := net.Pool.Get(); got != p || *got != (pkt.Packet{}) {
+						t.Fatalf("flow ID %d (ack %v): packet not zeroed and returned to the pool", id, ack)
+					}
+				}
+			}
+			if fwd.Receiver.Received() != fwd.Spec.Size || rev.Receiver.Received() != rev.Spec.Size {
+				t.Fatal("a packet for an unissued flow ID reached a flow")
+			}
+		})
+	}
+}
+
 func TestStartFlowPanicsOnSelfFlow(t *testing.T) {
 	net := starNet(2, 1e9, 1, 1<<20)
 	defer func() {

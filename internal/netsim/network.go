@@ -8,7 +8,8 @@ import (
 	"occamy/internal/transport"
 )
 
-// Network bundles an engine, hosts, and switches, and hands out flow IDs.
+// Network bundles an engine, hosts, and switches, and owns the flow
+// table: the flow with ID i is flows[i-1].
 type Network struct {
 	Eng      *sim.Engine
 	Rand     *sim.Rand
@@ -20,13 +21,7 @@ type Network struct {
 	// nil when the topology config enabled no fault profile.
 	Faults *linkfault.Plan
 
-	nextFlow uint64
-}
-
-// NewFlowID returns a fresh unique flow identifier.
-func (n *Network) NewFlowID() uint64 {
-	n.nextFlow++
-	return n.nextFlow
+	flows []*FlowHandle
 }
 
 // FlowHandle tracks one flow started via StartFlow.
@@ -50,14 +45,16 @@ type FlowOptions struct {
 	OnComplete func(fct sim.Duration)
 }
 
-// StartFlow creates and registers a sender/receiver pair and starts the
-// transfer at virtual time `at`.
+// StartFlow creates a sender/receiver pair, appends it to the flow table
+// under the next flow ID, and starts the transfer at virtual time `at`.
+// A flow stays in the table after it completes: late retransmissions
+// still need the receiver to re-ACK so the sender can finish cleanly.
 func (n *Network) StartFlow(at sim.Time, src, dst pkt.NodeID, size int64, opts FlowOptions) *FlowHandle {
 	if src == dst {
 		panic("netsim: flow src == dst")
 	}
 	spec := transport.FlowSpec{
-		ID:       n.NewFlowID(),
+		ID:       uint64(len(n.flows)) + 1,
 		Src:      src,
 		Dst:      dst,
 		Size:     size,
@@ -73,15 +70,10 @@ func (n *Network) StartFlow(at sim.Time, src, dst pkt.NodeID, size int64, opts F
 	h := &FlowHandle{Spec: spec, Started: at}
 	h.Sender = transport.NewSender(n.Hosts[src], spec, cc, topts)
 	h.Receiver = transport.NewReceiver(n.Hosts[dst], spec)
-	h.Receiver.OnComplete = func(now sim.Time) {
-		if opts.OnComplete != nil {
-			opts.OnComplete(now - h.Started)
-		}
-		// Keep handlers registered: late retransmissions still need the
-		// receiver to re-ACK so the sender can finish cleanly.
+	if opts.OnComplete != nil {
+		h.Receiver.OnComplete = func(now sim.Time) { opts.OnComplete(now - h.Started) }
 	}
-	n.Hosts[src].Register(spec.ID, h.Sender)
-	n.Hosts[dst].Register(spec.ID, h.Receiver)
+	n.flows = append(n.flows, h)
 	n.Eng.At(at, h.Sender.Start)
 	return h
 }

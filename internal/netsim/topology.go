@@ -53,7 +53,7 @@ func SingleSwitch(cfg SingleSwitchConfig) *Network {
 	}
 	for i := 0; i < n; i++ {
 		h := NewHost(eng, pkt.NodeID(i))
-		h.UsePool(net.Pool)
+		h.join(net)
 		up := plan.Wrap(linkfault.ClassHostLeaf, fmt.Sprintf("h%d->sw0", i), sw.Receive)
 		down := plan.Wrap(linkfault.ClassHostLeaf, fmt.Sprintf("sw0->h%d", i), h.Deliver)
 		h.Wire(cfg.HostRates[i], cfg.LinkDelay, up)
@@ -165,7 +165,7 @@ func LeafSpine(cfg LeafSpineConfig) *Network {
 		for i := 0; i < cfg.HostsPerLeaf; i++ {
 			id := pkt.NodeID(l*cfg.HostsPerLeaf + i)
 			h := NewHost(eng, id)
-			h.UsePool(net.Pool)
+			h.join(net)
 			leaf := leaves[l]
 			rate := cfg.hostRate(int(id))
 			up := plan.Wrap(linkfault.ClassHostLeaf, fmt.Sprintf("h%d->leaf%d", id, l), leaf.Receive)

@@ -1,17 +1,39 @@
 package pkt
 
-// FIFO is a slice-backed packet queue with amortized O(1) operations: a
-// NIC's transmit queue, or a switch queue's packets beside its PD list.
+// FIFO is a packet queue on a power-of-two ring that grows only when full:
+// a NIC's transmit queue, or a switch queue's packets beside its PD list.
+// The zero value is an empty queue.
 type FIFO struct {
-	buf  []*Packet
+	buf  []*Packet // len(buf) is 0 or a power of two
 	head int
+	n    int
 }
 
 // Len returns the number of queued packets.
-func (f *FIFO) Len() int { return len(f.buf) - f.head }
+func (f *FIFO) Len() int { return f.n }
 
 // Push appends p.
-func (f *FIFO) Push(p *Packet) { f.buf = append(f.buf, p) }
+func (f *FIFO) Push(p *Packet) {
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
+	f.n++
+}
+
+// grow doubles the ring, unwrapping it so the head lands at slot 0. It
+// stays out of line so the ring's one allocation is charged to this cold
+// step, not to the datapath functions that push.
+//
+//go:noinline
+func (f *FIFO) grow() {
+	buf := make([]*Packet, max(2*len(f.buf), 8))
+	mask := len(f.buf) - 1
+	for i := range f.n {
+		buf[i] = f.buf[(f.head+i)&mask]
+	}
+	f.buf, f.head = buf, 0
+}
 
 // Peek returns the head packet.
 func (f *FIFO) Peek() *Packet { return f.buf[f.head] }
@@ -20,19 +42,14 @@ func (f *FIFO) Peek() *Packet { return f.buf[f.head] }
 func (f *FIFO) Pop() *Packet {
 	p := f.buf[f.head]
 	f.buf[f.head] = nil // release for GC
-	f.head++
-	// Compact once the dead prefix dominates.
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	return p
 }
 
-// Clear empties f, keeping its buffer, and returns the buffer's capacity.
+// Clear empties f, keeping its ring, and returns the ring's capacity.
 func (f *FIFO) Clear() int {
-	clear(f.buf[:cap(f.buf)])
-	f.buf, f.head = f.buf[:0], 0
-	return cap(f.buf)
+	clear(f.buf)
+	f.head, f.n = 0, 0
+	return len(f.buf)
 }

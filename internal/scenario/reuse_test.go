@@ -86,17 +86,18 @@ func TestReuseLeavesNoTraceParallel(t *testing.T) {
 	}
 }
 
-// TestRunAllocBudget pins what a warm process allocates per job of the
-// benchmark's short simulations: parse, run and encode burst-absorb at
-// full scale. The returned document is ~117 KB of the budget; the rest is
-// the recorder, the result and what the run builds that no earlier run
-// could hand it.
-func TestRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
-	}
-	sc, _ := Get("burst-absorb")
-	body, err := json.Marshal(sc.SpecAt(ScaleFull))
+// warmJobBytes is what a warm process allocates per parse -> run ->
+// encode job of the named catalog entry at a scale: the least of three
+// jobs after a warm-up, for two collections in a row may empty the
+// encoder's sync.Pool, and the job that follows pays for its buffer.
+// The jobs run on one P: a sync.Pool keeps an object put back on one P
+// where a Get on another does not look, so on more the count would hang
+// on where the scheduler placed the test.
+func warmJobBytes(t *testing.T, name string, scale Scale) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sc, _ := Get(name)
+	body, err := json.Marshal(sc.SpecAt(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +111,6 @@ func TestRunAllocBudget(t *testing.T) {
 		}
 	}
 	job() // warm-up: the first run has no predecessor to reuse
-	// The least of three jobs: two collections in a row may empty the
-	// encoder's sync.Pool, and the job that follows pays for its buffer.
 	got := uint64(math.MaxUint64)
 	for range 3 {
 		var before, after runtime.MemStats
@@ -120,6 +119,19 @@ func TestRunAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
+	return got
+}
+
+// TestRunAllocBudget pins what a warm process allocates per job of the
+// benchmark's short simulations: parse, run and encode burst-absorb at
+// full scale. The returned document is ~117 KB of the budget; the rest is
+// the recorder, the result and what the run builds that no earlier run
+// could hand it.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	got := warmJobBytes(t, "burst-absorb", ScaleFull)
 	const budget = 280 << 10
 	if got > budget {
 		t.Errorf("a warm burst-absorb job allocated %d bytes, budget %d", got, budget)
@@ -128,11 +140,39 @@ func TestRunAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRunTransportAllocBudget pins the same for a transport run on a
+// fabric, leafspine-demo at quick scale: hosts, flows and their NIC rings
+// are built anew by every run, so what they allocate shows here.
+func TestRunTransportAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	got := warmJobBytes(t, "leafspine-demo", ScaleQuick)
+	const budget = 1500 << 10
+	if got > budget {
+		t.Errorf("a warm leafspine-demo job allocated %d bytes, budget %d", got, budget)
+	} else {
+		t.Logf("a warm leafspine-demo job allocated %d bytes", got)
+	}
+}
+
 // BenchmarkRunRaw is one warm quickstart run, the raw-injection path the
 // short simulations take, with its allocations.
 func BenchmarkRunRaw(b *testing.B) {
 	sc, _ := Get("quickstart")
 	spec := sc.SpecAt(ScaleFull)
+	MustRun(spec) // warm-up, outside the timer
+	b.ReportAllocs()
+	for b.Loop() {
+		MustRun(spec)
+	}
+}
+
+// BenchmarkRunTransport is one warm leafspine-demo run at quick scale,
+// the transport path the long simulations take, with its allocations.
+func BenchmarkRunTransport(b *testing.B) {
+	sc, _ := Get("leafspine-demo")
+	spec := sc.SpecAt(ScaleQuick)
 	MustRun(spec) // warm-up, outside the timer
 	b.ReportAllocs()
 	for b.Loop() {

@@ -13,7 +13,7 @@ type Receiver struct {
 	spec FlowSpec
 
 	rcvNxt int64
-	ooo    map[int64]int64 // seq -> segment end, buffered out of order
+	ooo    map[int64]int64 // seq -> segment end, buffered out of order (nil until the first)
 
 	lastDataID uint64 // last data packet identity, to shed link duplicates
 
@@ -25,7 +25,7 @@ type Receiver struct {
 
 // NewReceiver builds the receive side of a flow.
 func NewReceiver(net Net, spec FlowSpec) *Receiver {
-	return &Receiver{net: net, spec: spec, ooo: make(map[int64]int64)}
+	return &Receiver{net: net, spec: spec}
 }
 
 // Done reports whether every byte has arrived.
@@ -51,7 +51,7 @@ func (r *Receiver) OnPacket(p *pkt.Packet) {
 	if p.Seq == r.rcvNxt {
 		r.rcvNxt = p.End()
 		// Drain any contiguous out-of-order segments.
-		for {
+		for len(r.ooo) > 0 {
 			end, ok := r.ooo[r.rcvNxt]
 			if !ok {
 				break
@@ -60,6 +60,9 @@ func (r *Receiver) OnPacket(p *pkt.Packet) {
 			r.rcvNxt = end
 		}
 	} else if p.Seq > r.rcvNxt {
+		if r.ooo == nil {
+			r.ooo = make(map[int64]int64)
+		}
 		if end, ok := r.ooo[p.Seq]; !ok || end < p.End() {
 			r.ooo[p.Seq] = p.End()
 		}
