@@ -444,8 +444,8 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 
 // TestSweepPointsPollTheHeadOnly pins what the aggregator moves: a sweep
 // point keeps one summary row, so every poll of it — the one that finds
-// it done included — reads the head of the result (under 16 KB), never
-// the ~115 KB document with its trace; the table it assembles is the
+// it done included — reads the head of the result (under 8 KB), never
+// the 17–19 KB document with its trace; the table it assembles is the
 // one TestFleetSweepByteIdentity pins, and the full document is still
 // on its home shard for a client that asks.
 func TestSweepPointsPollTheHeadOnly(t *testing.T) {
@@ -465,8 +465,8 @@ func TestSweepPointsPollTheHeadOnly(t *testing.T) {
 		t.Fatalf("a 4-point sweep made %d polls", len(polls))
 	}
 	for _, n := range polls {
-		if n >= 16<<10 {
-			t.Errorf("a sweep point's poll read %d bytes; the head of a result is under 16 KB (all polls: %v)", n, polls)
+		if n >= 8<<10 {
+			t.Errorf("a sweep point's poll read %d bytes; the head of a result is under 8 KB (all polls: %v)", n, polls)
 			break
 		}
 	}
@@ -481,7 +481,7 @@ func TestSweepPointsPollTheHeadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, run := range page.Runs {
-			if _, doc := get(t, w.URL+"/v1/runs/"+run.ID); len(doc) > 64<<10 && bytes.Contains(doc, []byte(`,"trace":{"sample_every":`)) {
+			if _, doc := get(t, w.URL+"/v1/runs/"+run.ID); len(doc) > 8<<10 && bytes.Contains(doc, []byte(`,"trace":{"sample_every":`)) {
 				whole++
 			}
 		}

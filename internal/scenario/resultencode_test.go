@@ -3,36 +3,142 @@ package scenario
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"occamy/internal/sim"
 )
 
-// The split encoder's contract: ResultDoc.Encode produces, byte for
-// byte, what the reflective encoder produces for the same document plus
-// the canonical newline — or fails exactly when it fails. json.Marshal
-// survives in this package only as that oracle.
-func checkEncodeAgainstReflect(t *testing.T, doc *ResultDoc) []byte {
+// The split encoder's contract. The head is the reflective encoder's:
+// Encode produces, byte for byte, json.Marshal of the traceless document
+// with the trace section spliced in before its closing brace, plus the
+// canonical newline. The trace's oracle is the round trip: decoding the
+// section expands, bit for bit, to the series written, and the decoded
+// document encodes to the same bytes. Encode fails exactly when
+// encodeFault says it must, and json.Marshal(doc) agrees with it.
+func checkEncode(t *testing.T, doc *ResultDoc) []byte {
 	t.Helper()
 	got, gotErr := doc.Encode()
-	want, wantErr := json.Marshal(doc)
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("error parity: Encode %v, json.Marshal %v", gotErr, wantErr)
+	if whole, err := json.Marshal(doc); (err != nil) != (gotErr != nil) || err == nil && string(whole)+"\n" != string(got) {
+		t.Fatalf("json.Marshal(doc) disagrees with Encode: %v / %v", err, gotErr)
 	}
-	if gotErr != nil {
+	var te *TraceError
+	switch want := encodeFault(doc); {
+	case want == "" && gotErr != nil:
+		t.Fatalf("Encode failed: %v", gotErr)
+	case want == "":
+	case strings.HasPrefix(want, "trace") && errors.As(gotErr, &te) && te.Path == want:
+		return nil
+	case gotErr == nil || gotErr.Error() != want:
+		t.Fatalf("Encode error %v, want %s", gotErr, want)
+	default:
 		return nil
 	}
-	if string(got) != string(want)+"\n" {
-		t.Fatalf("Encode differs from json.Marshal at byte %d:\n got %s\nwant %s",
-			firstDiff(got, want), clip(got), clip(want))
+	bare := *doc
+	bare.Trace = nil
+	wantHead, err := json.Marshal(&bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, section := SplitTrace(got)
+	if doc.Trace == nil {
+		head, wantHead = got, append(wantHead, '\n')
+	} else {
+		head = append(slices.Clip(head), "}"...)
+	}
+	if string(head) != string(wantHead) || (doc.Trace != nil) != (section != nil) {
+		t.Fatalf("Encode's head differs from json.Marshal at byte %d:\n got %s\nwant %s",
+			firstDiff(head, wantHead), clip(head), clip(wantHead))
 	}
 	if cap(got) != len(got) {
 		t.Fatalf("Encode returned cap %d for len %d: retained result bytes must be exact", cap(got), len(got))
 	}
+	if doc.Trace != nil {
+		back, err := DecodeTrace(got)
+		if err != nil {
+			t.Fatalf("DecodeTrace of Encode's bytes: %v", err)
+		}
+		checkSameTrace(t, back, doc.Trace)
+		again := *doc
+		again.Trace = back
+		if data, err := again.Encode(); err != nil || string(data) != string(got) {
+			t.Fatalf("the decoded trace re-encodes to other bytes (err %v) at byte %d", err, firstDiff(data, got))
+		}
+	}
 	return got
+}
+
+// encodeFault is how Encode must fail on doc, or "": the path of its
+// first shape fault, in the order the section lists fields — a sample
+// count out of range, a name that is not UTF-8 ("trace"), a series of
+// another length — or else encoding/json's error for the first value it
+// cannot represent.
+func encodeFault(doc *ResultDoc) string {
+	td := doc.Trace
+	if td == nil {
+		return ""
+	}
+	if td.Samples < 1 || td.Samples > maxTraceSamples {
+		return "trace.samples"
+	}
+	var paths []string
+	var series [][]float64
+	add := func(path string, vs []float64) { paths, series = append(paths, path), append(series, vs) }
+	named := func(name string) {
+		if !utf8.ValidString(name) {
+			add("trace", nil)
+		}
+	}
+	for i, s := range td.Switches {
+		named(s.Name)
+		add(fmt.Sprintf("trace.switches[%d].values", i), s.Values)
+	}
+	for i, q := range td.Queues {
+		named(q.Name)
+		add(fmt.Sprintf("trace.queues[%d].occupancy", i), q.Occupancy)
+		add(fmt.Sprintf("trace.queues[%d].threshold", i), q.Threshold)
+		add(fmt.Sprintf("trace.queues[%d].ecn", i), q.ECN)
+	}
+	for k, vs := range series {
+		if len(vs) != td.Samples {
+			return paths[k]
+		}
+	}
+	for _, vs := range series {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Sprintf("scenario: marshaling result %q: json: unsupported value: %s", doc.Name, strconv.FormatFloat(v, 'g', -1, 64))
+			}
+		}
+	}
+	return ""
+}
+
+// checkSameTrace fails unless got carries want's names and series, bit
+// for bit: -0 is not 0. A nil list reads back empty.
+func checkSameTrace(t *testing.T, got, want *TraceDoc) {
+	t.Helper()
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	ok := got.SampleEvery == want.SampleEvery && got.Samples == want.Samples &&
+		len(got.Switches) == len(want.Switches) && len(got.Queues) == len(want.Queues)
+	for i := 0; ok && i < len(want.Switches); i++ {
+		ok = got.Switches[i].Name == want.Switches[i].Name && same(got.Switches[i].Values, want.Switches[i].Values)
+	}
+	for i := 0; ok && i < len(want.Queues); i++ {
+		g, w := &got.Queues[i], &want.Queues[i]
+		ok = g.Name == w.Name && same(g.Occupancy, w.Occupancy) && same(g.Threshold, w.Threshold) && same(g.ECN, w.ECN)
+	}
+	if !ok {
+		t.Fatalf("the trace decoded as\n%+v\nfrom an encoding of\n%+v", got, want)
+	}
 }
 
 func firstDiff(a, b []byte) int {
@@ -52,8 +158,9 @@ func clip(b []byte) string {
 }
 
 // Every catalog entry, with and without its trace: the bytes a served
-// job, a cached result and a CLI -json dump carry are the reflective
-// encoder's, and they decode back to a document that encodes to them.
+// job, a cached result and a CLI -json dump carry hold the reflective
+// encoder's head and a trace that round-trips, and they decode back to a
+// document that encodes to them.
 func TestEncodeMatchesReflectCatalog(t *testing.T) {
 	t.Parallel()
 	for _, name := range exportableNames(t) {
@@ -72,7 +179,7 @@ func TestEncodeMatchesReflectCatalog(t *testing.T) {
 				if withTrace != doc.HasTrace() {
 					t.Fatalf("Doc(%v) has trace: %v", withTrace, doc.HasTrace())
 				}
-				data := checkEncodeAgainstReflect(t, doc)
+				data := checkEncode(t, doc)
 				back, err := DecodeResultDoc(data)
 				if err != nil {
 					t.Fatalf("withTrace=%v: Encode output does not decode: %v", withTrace, err)
@@ -145,7 +252,7 @@ func TestTrailingDataRejected(t *testing.T) {
 type fuzzSrc struct {
 	data []byte
 	made [][]float64
-	zero [4]float64
+	zero [5]float64
 }
 
 func (s *fuzzSrc) byte() byte {
@@ -193,19 +300,20 @@ func (s *fuzzSrc) float(prev float64) float64 {
 
 // fuzzAlias and above, as a series' first byte, deal a series that
 // shares its backing array with another: one dealt before, whole or
-// shortened, or the zero series at some length. fuzzAlias+3 deals a copy
-// of one dealt before instead: equal contents at another address.
+// halved, or the zero series. fuzzAlias+3 deals a copy of one dealt
+// before instead: equal contents at another address. Below it, the
+// first byte's residue mod 8 deals nil at 7, a series of some other
+// length at 6, and n values otherwise.
 const fuzzAlias = 240
 
-// floats yields nil, empty and short slices, and aliases.
-func (s *fuzzSrc) floats() []float64 {
+func (s *fuzzSrc) floats(n int) []float64 {
 	k := s.byte()
 	if k >= fuzzAlias {
-		n := int(s.byte())
+		m := int(s.byte())
 		if len(s.made) == 0 || k%4 == 0 {
-			return s.zero[:n%(len(s.zero)+1)]
+			return s.zero[:n]
 		}
-		prior := s.made[n%len(s.made)]
+		prior := s.made[m%len(s.made)]
 		switch k % 4 {
 		case 1:
 			return prior
@@ -214,9 +322,11 @@ func (s *fuzzSrc) floats() []float64 {
 		}
 		return slices.Clone(prior)
 	}
-	n := int(k % 6)
-	if n == 5 {
+	switch k % 8 {
+	case 7:
 		return nil
+	case 6:
+		n = int(s.byte() % 6)
 	}
 	out := make([]float64, n)
 	prev := 0.0
@@ -247,60 +357,61 @@ func (s *fuzzSrc) name() string {
 	return string(raw)
 }
 
+// trace deals a sample period, a count of 0 to 5 samples, and up to two
+// switches and two queues, each a nil list at a count of three.
 func (s *fuzzSrc) trace() *TraceDoc {
-	td := &TraceDoc{SampleEvery: sim.Duration(s.bits())}
-	if n := int(s.byte() % 6); n < 5 {
-		td.Times = make([]sim.Time, n)
-		for i := range td.Times {
-			td.Times[i] = sim.Time(s.bits() >> (s.byte() % 64))
-		}
-	}
+	td := &TraceDoc{SampleEvery: sim.Duration(s.bits()), Samples: int(s.byte() % 6)}
 	if n := int(s.byte() % 4); n < 3 {
 		td.Switches = make([]SeriesDoc, n)
 		for i := range td.Switches {
-			td.Switches[i] = SeriesDoc{Name: s.name(), Values: s.floats()}
+			td.Switches[i] = SeriesDoc{Name: s.name(), Values: s.floats(td.Samples)}
 		}
 	}
 	if n := int(s.byte() % 4); n < 3 {
 		td.Queues = make([]QueueSeriesDoc, n)
 		for i := range td.Queues {
-			td.Queues[i] = QueueSeriesDoc{Name: s.name(), Occupancy: s.floats(), Threshold: s.floats(), ECN: s.floats()}
+			td.Queues[i] = QueueSeriesDoc{Name: s.name(), Occupancy: s.floats(td.Samples), Threshold: s.floats(td.Samples), ECN: s.floats(td.Samples)}
 		}
 	}
 	return td
 }
 
-// FuzzTraceEncode holds the append encoder to encoding/json over trace
-// sections no run would produce: signed zeros, the 2^53 and 1e21 / 1e-6
-// format boundaries, subnormals, NaN and infinities (both must fail),
-// runs of one value (the encoder copies a repeat's bytes), nil versus
-// empty slices, and names that need every kind of escaping.
+// FuzzTraceEncode holds the encoder to checkEncode over trace sections
+// no run would produce: signed zeros, the 2^53 and 1e21 / 1e-6 format
+// boundaries, subnormals, NaN and infinities (both must fail), runs of
+// one value, series of the wrong length or nil, nil and empty lists,
+// shared and copied series, and names that need every kind of escaping
+// or are not UTF-8.
 func FuzzTraceEncode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	// One seed per special float and per special name: a one-switch,
-	// one-queue document carrying that name three times and that value in
-	// the values and occupancy series, over each shape of ecn.
+	// One seed per special float and per special name: a three-sample,
+	// one-switch, one-queue document carrying that name three times and
+	// that value in the values and occupancy series, over each shape of
+	// ecn.
 	for k := 0; k < len(fuzzFloats) || k < len(fuzzNames); k++ {
 		name, val := byte(k%len(fuzzNames)), byte(k%len(fuzzFloats))
-		seed := []byte{name}                                      // document name
-		seed = append(seed, 0xe8, 3, 0, 0, 0, 0, 0, 0)            // sample_every 1µs
-		seed = append(seed, 1, 0x40, 0x42, 0xf, 0, 0, 0, 0, 0, 0) // one time, 1ms
-		seed = append(seed, 1, name, 2, val, 200, 1, 2, 3, 4, 5, 6, 7, 8)
-		seed = append(seed, 1, name, 1, val, 0) // occupancy of one, empty threshold
-		switch k % 3 {                          // ecn: one value, empty, nil
+		seed := []byte{name}                           // document name
+		seed = append(seed, 0xe8, 3, 0, 0, 0, 0, 0, 0) // sample_every 1µs
+		seed = append(seed, 3)                         // three samples
+		// One switch: the value, 8 raw bytes, a repeat. One queue: occupancy
+		// the value twice and 1500, threshold 1, 1, 1.
+		seed = append(seed, 1, name, 0, val, 200, 1, 2, 3, 4, 5, 6, 7, 8, fuzzRepeat)
+		seed = append(seed, 1, name, 0, val, fuzzRepeat, 4, 0, 2, 2, 2)
+		// ecn: three values, nil, one value (the last two are faults).
+		switch k % 3 {
 		case 0:
-			seed = append(seed, 1, val)
+			seed = append(seed, 0, val, val, val)
 		case 1:
-			seed = append(seed, 0)
+			seed = append(seed, 7)
 		case 2:
-			seed = append(seed, 5)
+			seed = append(seed, 6, 1, val)
 		}
 		f.Add(seed)
 	}
 	// Side by side in one series, then repeated: neighbours whose bytes
-	// differ though == holds (0, -0), and repeats the encoder may copy
-	// (1e21, and NaN, whose copy must still fail).
+	// differ though == holds (0, -0), and repeats that make one run (1e21,
+	// and NaN, whose run must still fail).
 	at := func(v float64) byte {
 		for k, f := range fuzzFloats {
 			if math.Float64bits(f) == math.Float64bits(v) {
@@ -313,31 +424,33 @@ func FuzzTraceEncode(f *testing.F) {
 	for _, pair := range [][2]float64{{0, negZero}, {negZero, 0}, {1e21, 1e21}, {math.NaN(), math.NaN()}} {
 		f.Add([]byte{
 			1, 0xe8, 3, 0, 0, 0, 0, 0, 0, // name sw0, sample_every 1µs
-			0,                                             // no times
-			1, 1, 3, at(pair[0]), at(pair[1]), fuzzRepeat, // one switch: the pair, then a repeat
+			3,                                             // three samples
+			1, 1, 0, at(pair[0]), at(pair[1]), fuzzRepeat, // one switch: the pair, then a repeat
 			3, // no queues
 		})
 	}
 	// Series that share backing arrays, as a recorder's do: a threshold
-	// aliasing another series, one zero series in several fields, a shorter
-	// view of a series written before, and an equal copy at another
-	// address — beside a series of the same length and other values.
-	f.Add([]byte{
-		// Name sw0, sample_every 1µs, no times.
-		1, 0xe8, 3, 0, 0, 0, 0, 0, 0, 0,
+	// aliasing another series, one zero series in several fields, and an
+	// equal copy at another address — beside a series of the same length
+	// and other values. The second seed adds a halved series: a fault.
+	shared := []byte{
+		// Name sw0, sample_every 1µs, three samples.
+		1, 0xe8, 3, 0, 0, 0, 0, 0, 0, 3,
 		// One switch, whose values are 258, 2^20, 2^20 (dealt series 0).
-		1, 1, 3, 40, 1, 2, 5, fuzzRepeat,
+		1, 1, 0, 40, 1, 2, 5, fuzzRepeat,
 		// Two queues. The first: occupancy 7, 0.5, 1 (dealt series 1),
-		// threshold series 0 again, ecn three zeros.
-		2, 2, 3, 41, 0, 7, 6, 2, fuzzAlias + 1, 0, fuzzAlias, 3,
-		// The second: occupancy the same three zeros, threshold series 1
-		// halved, ecn a copy of series 1.
-		3, fuzzAlias, 3, fuzzAlias + 2, 1, fuzzAlias + 3, 1,
-	})
+		// threshold series 0 again, ecn the zero series.
+		2, 2, 0, 41, 0, 7, 6, 2, fuzzAlias + 1, 0, fuzzAlias, 3,
+		// The second: occupancy the zero series, threshold a copy of
+		// series 1, ecn series 0.
+		3, fuzzAlias, 3, fuzzAlias + 3, 1, fuzzAlias + 1, 0,
+	}
+	f.Add(shared)
+	f.Add(append(shared[:len(shared)-2:len(shared)-2], fuzzAlias+2, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &fuzzSrc{data: data}
 		doc := &ResultDoc{Schema: ResultSchemaVersion, Name: src.name(), Trace: src.trace()}
-		checkEncodeAgainstReflect(t, doc)
+		checkEncode(t, doc)
 	})
 }
 
@@ -362,4 +475,90 @@ func BenchmarkResultEncode(b *testing.B) {
 		}
 		b.SetBytes(int64(len(data)))
 	}
+}
+
+// okSection is a well-formed trace section: three samples, a switch and
+// two queues, and the zero series shared by five fields.
+const okSection = `{"sample_every":"1µs","samples":3,"switches":[{"name":"sw0","values":0}],` +
+	`"queues":[{"name":"sw0:p0q0","occupancy":0,"threshold":1,"ecn":1},{"name":"sw0:p1q0","occupancy":1,"threshold":1,"ecn":1}],` +
+	`"series":[[5,1,7,2],[0,3]]}`
+
+// A damaged trace section is refused with a *TraceError that names the
+// field at fault, before anything is expanded, and never with a panic.
+func TestTraceDecodeRefusesDamage(t *testing.T) {
+	t.Parallel()
+	var ok TraceDoc
+	if err := ok.UnmarshalJSON([]byte(okSection)); err != nil {
+		t.Fatalf("the well-formed section was refused: %v", err)
+	}
+	for _, c := range []struct{ old, new, path, why string }{
+		// A run array pairs values with run lengths, and the runs cover
+		// the samples exactly.
+		{`[5,1,7,2]`, `[5,1,7]`, "trace.series[0]", "odd count"},
+		{`[0,3]`, `[0,0,0,3]`, "trace.series[1]", "run length 0 is not"},
+		{`[0,3]`, `[0,-1,0,4]`, "trace.series[1]", "run length -1 is not"},
+		{`[0,3]`, `[0,1.5,0,1.5]`, "trace.series[1]", "run length 1.5 is not"},
+		{`[5,1,7,2]`, `[5,1,7,1]`, "trace.series[0]", "runs leave 1 samples uncovered"},
+		{`[5,1,7,2]`, `[5,1,7,3]`, "trace.series[0]", "run length 3 is not a whole number from 1 to the 2 samples left"},
+		{`[5,1,7,2]`, `[]`, "trace.series[0]", "runs leave 3 samples uncovered"},
+		// A series field numbers a series of the table.
+		{`"threshold":1,"ecn":1}]`, `"threshold":2,"ecn":1}]`, "trace.queues[1].threshold", "series 2 is not in the 2-series table"},
+		{`"values":0`, `"values":-1`, "trace.switches[0].values", "series -1"},
+		{`"ecn":1}]`, `"ecn":9}]`, "trace.queues[1].ecn", "series 9"},
+		// The sample count is bounded, and so is the dense size.
+		{`"samples":3`, `"samples":0`, "trace.samples", "outside"},
+		{`"samples":3`, `"samples":1048577`, "trace.samples", "outside"},
+		{`"samples":3`, `"samples":1048576`, "trace.series[0]", "uncovered"},
+		{okSection, strings.NewReplacer(`"samples":3`, `"samples":1048576`, `[[5,1,7,2],[0,3]]`, "["+strings.Repeat(`[0,1048576],`, 16)+`[0,1048576]]`).Replace(okSection),
+			"trace.series", "17 series of 1048576 samples exceed 16777216 values"},
+		// Schema 1's times, and the JSON types.
+		{`"samples":3`, `"times":["0s","1µs","2µs"],"samples":3`, "trace", `unknown field "times"`},
+		{`"values":0`, `"values":0.5`, "trace", "cannot unmarshal"},
+		// One spelling: whatever does not re-encode to its own bytes.
+		{`[0,3]`, `[0,1,0,2]`, "trace", "re-encoding differs"},
+		{`"samples":3,`, `"samples": 3,`, "trace", "re-encoding differs at byte 33"},
+		{`[[5,1,7,2],[0,3]]`, `[[5,1,7,2],[0,3],[1,3]]`, "trace", "re-encoding differs"},
+		{`[5,1,7,2]`, `[5.0,1,7,2]`, "trace", "re-encoding differs"},
+		{`"values":0`, `"values":1`, "trace", "re-encoding differs"},
+		{`"switches":[{"name":"sw0","values":0}]`, `"switches":null`, "trace", "re-encoding differs"},
+	} {
+		section := strings.Replace(okSection, c.old, c.new, 1)
+		if section == okSection {
+			t.Fatalf("%q is not in the section", c.old)
+		}
+		var td TraceDoc
+		err := td.UnmarshalJSON([]byte(section))
+		var te *TraceError
+		if !errors.As(err, &te) || te.Path != c.path || !strings.Contains(te.Reason, c.why) {
+			t.Errorf("%s:\n got %v\nwant a TraceError at %s saying %q", section, err, c.path, c.why)
+		}
+		if _, err := DecodeTrace([]byte(`{"schema":2,"trace":` + section + "}\n")); !errors.As(err, &te) || te.Path != c.path {
+			t.Errorf("DecodeTrace of %s: %v, want a TraceError at %s", section, err, c.path)
+		}
+	}
+}
+
+// FuzzTraceDecode feeds the decoder arbitrary section bytes. It must not
+// panic, refuses with a *TraceError only, and what it accepts encodes
+// back to exactly the bytes it read.
+func FuzzTraceDecode(f *testing.F) {
+	f.Add([]byte(okSection))
+	f.Add([]byte(strings.Replace(okSection, `[0,3]`, `[-0,1,0,1,1e-7,1]`, 1)))
+	f.Add([]byte(strings.Replace(okSection, `[0,3]`, `[1e+21,3]`, 1)))
+	f.Add([]byte(`{"sample_every":"1ms","samples":1,"switches":[],"queues":[],"series":[]}`))
+	f.Add([]byte(`{"sample_every":"1ms","times":["0s"],"switches":[],"queues":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var td TraceDoc
+		if err := td.UnmarshalJSON(data); err != nil {
+			var te *TraceError
+			if !errors.As(err, &te) {
+				t.Fatalf("refused with %T: %v", err, err)
+			}
+			return
+		}
+		again, err := td.MarshalJSON()
+		if err != nil || string(again) != string(data) {
+			t.Fatalf("accepted %s\nbut it encodes back to %s (err %v)", data, again, err)
+		}
+	})
 }

@@ -2,14 +2,18 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
+	"unicode/utf8"
 
 	"occamy/internal/experiments"
 	"occamy/internal/metrics"
@@ -30,21 +34,23 @@ import (
 // always marshals to the same bytes (the cache-identity tests pin it).
 //
 // The encoder is split. encoding/json writes every field but the last,
-// the trace — ~1000 samples of every queue, nine tenths of a document —
-// which traceWriter appends with strconv, spliced in before the closing
-// brace. The contract is byte compatibility: Encode() equals
-// json.Marshal(doc) plus "\n" for every document, and fails exactly when
-// it fails. There is no switch and no fallback to the reflective path;
-// json.Marshal(doc) survives as the oracle of the catalog differential
-// and FuzzTraceEncode.
+// the trace, which traceWriter appends with strconv, spliced in before
+// the closing brace. The trace goes on the wire as its runs (TraceDoc):
+// one writer, which TraceDoc.MarshalJSON shares, so Encode() equals
+// json.Marshal(doc) plus "\n", and one expander, TraceDoc.UnmarshalJSON.
+// json.Marshal of the traceless document is the head's oracle in the
+// catalog differential, FuzzTraceEncode and FuzzSplitTrace; the trace's
+// is the round trip: Encode's bytes decode to every series bit for bit,
+// and the decoded document encodes to the same bytes.
 //
 // The splice leaves a seam, and SplitTrace finds it again in the encoded
 // bytes, so the tiers that store and relay a document hand out its head
-// (3–14 KB of a 0.1–2 MB catalog document) or its trace without parsing
+// (3–14 KB of a 13–500 KB catalog document) or its trace without parsing
 // either. The forward byte search is exact: inside a JSON string every
 // quote is written \", so the seam's bare quotes cannot occur in a name,
-// and outside one only a "trace" field opening with "sample_every" spells
-// it — the TraceDoc, the document's last field and its only one.
+// and outside one only a "trace" field opening with "sample_every" (the
+// section's first field) spells it — the TraceDoc, the document's last
+// field and its only one.
 
 // Version identifies the result-affecting revision of the simulation
 // code. It is folded into every spec fingerprint, so a persisted result
@@ -54,7 +60,7 @@ const Version = "6"
 
 // ResultSchemaVersion is the JSON result document schema, carried in
 // every document so readers can detect incompatible encodings.
-const ResultSchemaVersion = 1
+const ResultSchemaVersion = 2
 
 // Fingerprint returns the spec's content address: a sha256 over the
 // canonical JSON bytes of the scale- and default-resolved spec, domain-
@@ -199,18 +205,18 @@ type SwitchDoc struct {
 
 // SeriesDoc is one named occupancy time series.
 type SeriesDoc struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
+	Name   string
+	Values []float64
 }
 
 // QueueSeriesDoc is one queue's occupancy series with the admission
 // threshold and cumulative ECN-mark counter sampled at the same
 // instants (the Fig 3/11 overlay pair plus the marking dynamics).
 type QueueSeriesDoc struct {
-	Name      string    `json:"name"`
-	Occupancy []float64 `json:"occupancy"`
-	Threshold []float64 `json:"threshold"`
-	ECN       []float64 `json:"ecn,omitempty"`
+	Name      string
+	Occupancy []float64
+	Threshold []float64
+	ECN       []float64
 }
 
 // FaultLinkDoc is one faulted link's injection counters.
@@ -225,14 +231,19 @@ type FaultLinkDoc struct {
 	Reordered  int64  `json:"reordered,omitempty"`
 }
 
-// TraceDoc carries the aligned occupancy time series of a run: sampling
-// period and instants, one whole-switch series per switch, and one
-// occupancy/threshold pair per (port, class) queue.
+// TraceDoc carries the aligned occupancy time series of a run: sample i
+// of every series was taken at i·SampleEvery. In memory the series are
+// dense and may share a slice, as a recorder's do. On the wire each
+// distinct slice is numbered at first use and written once, last, as
+// flat (value, run length) pairs:
+//
+//	{"sample_every":"11µs","samples":4,"switches":[{"name":"sw0","values":0}],
+//	 "queues":[{"name":"sw0:p0q0","occupancy":0,"threshold":1,"ecn":1}],"series":[[1500,1,0,3],[0,4]]}
 type TraceDoc struct {
-	SampleEvery sim.Duration     `json:"sample_every"`
-	Times       []sim.Time       `json:"times"`
-	Switches    []SeriesDoc      `json:"switches"`
-	Queues      []QueueSeriesDoc `json:"queues"`
+	SampleEvery sim.Duration
+	Samples     int
+	Switches    []SeriesDoc
+	Queues      []QueueSeriesDoc
 }
 
 // ResultDoc is the complete JSON encoding of a scenario run: everything
@@ -340,7 +351,12 @@ func (r *Result) Doc(withTrace bool) (*ResultDoc, error) {
 		})
 	}
 	if withTrace && len(r.SampleTimes) > 0 {
-		td := &TraceDoc{SampleEvery: r.SampleEvery, Times: r.SampleTimes}
+		for i, at := range r.SampleTimes {
+			if at != sim.Time(i)*r.SampleEvery {
+				return nil, fmt.Errorf("scenario %q: sample %d taken at %v, off the %v grid a trace implies", r.Spec.Name, i, at, r.SampleEvery)
+			}
+		}
+		td := &TraceDoc{SampleEvery: r.SampleEvery, Samples: len(r.SampleTimes)}
 		for i := range r.Telemetry {
 			tel := &r.Telemetry[i]
 			td.Switches = append(td.Switches, SeriesDoc{Name: tel.Name, Values: tel.Series})
@@ -397,87 +413,122 @@ func (d *ResultDoc) Encode() ([]byte, error) {
 	if d.Trace == nil {
 		return sealLine(data), nil
 	}
-	w := encodeScratch.Get().(*traceWriter)
-	// Runs after sealLine has copied the result out. The pooled writer
-	// keeps no pointer into this document.
-	defer func() { w.err = nil; clear(w.wrote); encodeScratch.Put(w) }()
-	if need := len(data) + d.Trace.sizeHint(); cap(w.b) < need {
-		w.b = make([]byte, 0, need)
-	}
-	w.b = append(w.b[:0], data[:len(data)-1]...) // the closing brace moves behind the trace
-	w.raw(traceKey)
-	w.trace(d.Trace)
-	w.raw("}")
+	w := writeTrace(d.Trace)
+	defer w.release()
 	if w.err != nil {
 		return nil, fmt.Errorf("scenario: marshaling result %q: %w", d.Name, w.err)
 	}
-	return sealLine(w.b), nil
+	// The closing brace moves behind the trace.
+	out := make([]byte, 0, len(data)+len(traceKey)+len(w.b)+1)
+	out = append(append(append(out, data[:len(data)-1]...), traceKey...), w.b...)
+	return append(out, "}\n"...), nil
 }
 
-// encodeScratch recycles the writer, and the buffer, a traced document
-// is assembled in. The garbage collector empties the pool between long
-// jobs, so a fresh buffer is sized by sizeHint, not grown by doubling.
-var encodeScratch = sync.Pool{New: func() any { return &traceWriter{wrote: map[*float64][3]int{}} }}
-
-// sizeHint estimates the trace section's encoded size at six bytes a
-// value (the catalog averages ~4.5); an underestimate costs one grow.
-func (t *TraceDoc) sizeHint() int {
-	values := 0
-	for i := range t.Switches {
-		values += len(t.Switches[i].Values)
-	}
-	for i := range t.Queues {
-		values += len(t.Queues[i].Occupancy) + len(t.Queues[i].Threshold) + len(t.Queues[i].ECN)
-	}
-	return 14*len(t.Times) + 6*values + 96*(1+len(t.Switches)+len(t.Queues))
+// MarshalJSON writes the wire form with Encode's writer, so
+// json.Marshal(doc) and doc.Encode() cannot disagree.
+func (t *TraceDoc) MarshalJSON() ([]byte, error) {
+	w := writeTrace(t)
+	defer w.release()
+	return bytes.Clone(w.b), w.err
 }
 
-// traceWriter appends exactly the bytes encoding/json produces for a
-// TraceDoc, field for field as the struct tags spell them. err is the
-// first value JSON cannot represent.
+// TraceError is a trace section that cannot be written or read back:
+// Path names the field at fault, as in trace.queues[3].threshold.
+type TraceError struct {
+	Path, Reason string
+}
+
+func (e *TraceError) Error() string { return e.Path + ": " + e.Reason }
+
+// maxTraceSamples bounds a trace's length (the catalog's longest is
+// 4 101 samples), and maxTraceValues its dense size, distinct series
+// times samples (the catalog's largest is 398 K, incast-storm-256 under
+// ABM at full scale): a section of any bytes decodes into at most 128 MB.
+const maxTraceSamples, maxTraceValues = 1 << 20, 1 << 24
+
+// encodeScratch recycles the writer, and the buffer, a trace section is
+// written in. The garbage collector empties the pool between long jobs,
+// so a fresh buffer starts at the last section's size (lastSection).
+var (
+	encodeScratch = sync.Pool{New: func() any { return &traceWriter{ids: map[*float64]int{}} }}
+	lastSection   atomic.Int64
+)
+
+// traceWriter appends a TraceDoc's wire form. err is the first fault:
+// a *TraceError, or a value JSON cannot represent.
 type traceWriter struct {
 	b   []byte
 	err error
-	// wrote maps the first element of each non-empty series written to its
-	// length and its bytes in b: a run's queues share series (a class's
-	// threshold, an idle queue's zeros), and a repeat copies those bytes.
-	wrote map[*float64][3]int
+	// ids numbers the section's distinct series, each known by its first
+	// element's address, and order lists them by number.
+	ids   map[*float64]int
+	order [][]float64
+}
+
+// writeTrace writes t's section with a pooled writer, which the caller
+// releases when it has copied out w.b.
+func writeTrace(t *TraceDoc) *traceWriter {
+	w := encodeScratch.Get().(*traceWriter)
+	w.b = slices.Grow(w.b[:0], int(lastSection.Load()))
+	w.trace(t)
+	lastSection.Store(int64(len(w.b)))
+	return w
+}
+
+// release returns w to the pool holding no pointer into a document.
+func (w *traceWriter) release() {
+	clear(w.ids)
+	clear(w.order)
+	w.order, w.err = w.order[:0], nil
+	encodeScratch.Put(w)
 }
 
 func (w *traceWriter) raw(s string) { w.b = append(w.b, s...) }
 
+// fail records the first fault of the section being written.
+func (w *traceWriter) fail(path, format string, args ...any) {
+	if w.err == nil {
+		w.err = &TraceError{Path: path, Reason: fmt.Sprintf(format, args...)}
+	}
+}
+
+// trace appends t's section. A series field is the number of its series,
+// given at first use, and the table of series comes last.
 func (w *traceWriter) trace(t *TraceDoc) {
+	if t.Samples < 1 || t.Samples > maxTraceSamples {
+		w.fail("trace.samples", "%d is outside [1, %d]", t.Samples, maxTraceSamples)
+		return
+	}
 	w.raw(traceOpen)
 	w.b = t.SampleEvery.AppendJSON(w.b)
-	w.list(`,"times":`, t.Times == nil, len(t.Times), func(i int) { w.b = t.Times[i].AppendJSON(w.b) })
-	w.list(`,"switches":`, t.Switches == nil, len(t.Switches), func(i int) {
+	w.raw(`,"samples":`)
+	w.b = strconv.AppendInt(w.b, int64(t.Samples), 10)
+	w.list(`,"switches":`, len(t.Switches), func(i int) {
 		w.raw(`{"name":`)
 		w.str(t.Switches[i].Name)
-		w.floats(`,"values":`, t.Switches[i].Values)
+		w.ref("switches", i, "values", t.Switches[i].Values, t.Samples)
 		w.raw("}")
 	})
-	w.list(`,"queues":`, t.Queues == nil, len(t.Queues), func(i int) {
+	w.list(`,"queues":`, len(t.Queues), func(i int) {
 		q := &t.Queues[i]
 		w.raw(`{"name":`)
 		w.str(q.Name)
-		w.floats(`,"occupancy":`, q.Occupancy)
-		w.floats(`,"threshold":`, q.Threshold)
-		if len(q.ECN) > 0 {
-			w.floats(`,"ecn":`, q.ECN)
-		}
+		w.ref("queues", i, "occupancy", q.Occupancy, t.Samples)
+		w.ref("queues", i, "threshold", q.Threshold, t.Samples)
+		w.ref("queues", i, "ecn", q.ECN, t.Samples)
 		w.raw("}")
 	})
+	if len(w.order) > maxTraceValues/t.Samples {
+		w.fail("trace.series", "%d series of %d samples exceed %d values", len(w.order), t.Samples, maxTraceValues)
+	}
+	w.list(`,"series":`, len(w.order), func(i int) { w.runs(w.order[i]) })
 	w.raw("}")
 }
 
 // list appends key and an n-element array whose i-th element elem(i)
-// appends, or null for a nil slice.
-func (w *traceWriter) list(key string, isNil bool, n int, elem func(i int)) {
+// appends.
+func (w *traceWriter) list(key string, n int, elem func(i int)) {
 	w.raw(key)
-	if isNil {
-		w.raw("null")
-		return
-	}
 	w.raw("[")
 	for i := 0; i < n; i++ {
 		if i > 0 {
@@ -490,11 +541,15 @@ func (w *traceWriter) list(key string, isNil bool, n int, elem func(i int)) {
 
 // str appends s as encoding/json writes a string: printable ASCII free
 // of the characters json escapes is copied between quotes, anything
-// else goes through json.Marshal.
+// else goes through json.Marshal. A name that is not UTF-8 is a fault:
+// it would read back as another name.
 func (w *traceWriter) str(s string) {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			if !utf8.ValidString(s) {
+				w.fail("trace", "name %q is not UTF-8", s)
+			}
 			q, _ := json.Marshal(s)
 			w.b = append(w.b, q...)
 			return
@@ -505,61 +560,157 @@ func (w *traceWriter) str(s string) {
 	w.raw(`"`)
 }
 
-// floats appends key and vs as encoding/json writes a []float64.
-func (w *traceWriter) floats(key string, vs []float64) {
-	w.raw(key)
-	if vs == nil {
-		w.raw("null")
+// ref appends a series field: the number of vs, a series of n samples.
+func (w *traceWriter) ref(list string, i int, field string, vs []float64, n int) {
+	if len(vs) != n {
+		w.fail(fmt.Sprintf("trace.%s[%d].%s", list, i, field), "%d values for %d samples", len(vs), n)
 		return
 	}
-	start := len(w.b)
-	if len(vs) > 0 {
-		if at, ok := w.wrote[&vs[0]]; ok && at[0] == len(vs) {
-			w.b = append(w.b, w.b[at[1]:at[2]]...)
-			return
+	id, ok := w.ids[&vs[0]]
+	if !ok {
+		id = len(w.order)
+		w.ids[&vs[0]], w.order = id, append(w.order, vs)
+	}
+	w.b = append(append(append(w.b, `,"`...), field...), `":`...)
+	w.b = strconv.AppendInt(w.b, int64(id), 10)
+}
+
+// runs appends vs as flat (value, run length) pairs. Bits, not ==, end
+// a run: 0 and -0 print differently.
+func (w *traceWriter) runs(vs []float64) {
+	w.raw("[")
+	for i := 0; i < len(vs); {
+		j := i + 1
+		for j < len(vs) && math.Float64bits(vs[j]) == math.Float64bits(vs[i]) {
+			j++
+		}
+		if i > 0 {
+			w.raw(",")
+		}
+		w.float(vs[i])
+		w.raw(",")
+		w.b = strconv.AppendInt(w.b, int64(j-i), 10)
+		i = j
+	}
+	w.raw("]")
+}
+
+// float appends f as encoding/json writes a float64.
+func (w *traceWriter) float(f float64) {
+	// A byte or mark count: an integer-valued float below 2^53 prints in
+	// 'f' form as exactly its decimal digits. -0 is "-0".
+	if v := int64(f); f > -1<<53 && f < 1<<53 && float64(v) == f && (v != 0 || !math.Signbit(f)) {
+		w.b = strconv.AppendInt(w.b, v, 10)
+		return
+	}
+	// encoding/json's floatEncoder: ES6 number formatting.
+	if (math.IsNaN(f) || math.IsInf(f, 0)) && w.err == nil {
+		w.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(w.b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 is written e-9
+		b = b[:n-1]
+	}
+	w.b = b
+}
+
+// checkRuns is why runs does not spell n samples as (value, run length)
+// pairs, or "".
+func checkRuns(runs []float64, n int) string {
+	if len(runs)%2 != 0 {
+		return "an odd count of numbers"
+	}
+	for r := 1; r < len(runs); r += 2 {
+		if c := runs[r]; c < 1 || c > float64(n) || c != math.Trunc(c) {
+			return fmt.Sprintf("run length %v is not a whole number from 1 to the %d samples left", c, n)
+		}
+		n -= int(runs[r])
+	}
+	if n != 0 {
+		return fmt.Sprintf("runs leave %d samples uncovered", n)
+	}
+	return ""
+}
+
+// UnmarshalJSON reads the wire form, and only the bytes MarshalJSON
+// writes. It checks samples and runs before it allocates, expands each
+// series at its first use (the fields that number it share the slice),
+// and refuses a section that re-encodes to other bytes: whitespace,
+// another spelling of a number, a run split in two, a series out of
+// first-use order. Every refusal is a *TraceError.
+func (t *TraceDoc) UnmarshalJSON(data []byte) error {
+	var wire struct {
+		SampleEvery sim.Duration `json:"sample_every"`
+		Samples     int
+		Switches    []struct {
+			Name   string
+			Values int
+		}
+		Queues []struct {
+			Name                 string
+			Occupancy, Threshold int
+			ECN                  int
+		}
+		Series [][]float64
+	}
+	if err := decodeStrict(data, &wire); err != nil {
+		return &TraceError{"trace", err.Error()}
+	}
+	n := wire.Samples
+	if n < 1 || n > maxTraceSamples {
+		return &TraceError{"trace.samples", fmt.Sprintf("%d is outside [1, %d]", n, maxTraceSamples)}
+	}
+	if len(wire.Series) > maxTraceValues/n {
+		return &TraceError{"trace.series", fmt.Sprintf("%d series of %d samples exceed %d values", len(wire.Series), n, maxTraceValues)}
+	}
+	for k, runs := range wire.Series {
+		if why := checkRuns(runs, n); why != "" {
+			return &TraceError{fmt.Sprintf("trace.series[%d]", k), why}
 		}
 	}
-	b := append(w.b, '[')
-	var prev uint64 // the previous element's bits, printed from b[from]
-	var from int
-	for i, f := range vs {
-		bits := math.Float64bits(f)
-		if i > 0 {
-			b = append(b, ',')
-			// Most of a trace repeats its previous sample. Bits, not ==,
-			// decide a repeat: 0 and -0 print differently.
-			if bits == prev {
-				n := len(b)
-				b = append(b, b[from:n-1]...)
-				from = n
-				continue
+	series, bad := make([][]float64, len(wire.Series)), error(nil)
+	ref := func(k int, list string, i int, field string) []float64 {
+		if k < 0 || k >= len(series) {
+			bad = cmp.Or(bad, error(&TraceError{fmt.Sprintf("trace.%s[%d].%s", list, i, field), fmt.Sprintf("series %d is not in the %d-series table", k, len(series))}))
+			return nil
+		}
+		if series[k] == nil {
+			series[k] = make([]float64, 0, n)
+			for r, runs := 0, wire.Series[k]; r < len(runs); r += 2 {
+				for c := int(runs[r+1]); c > 0; c-- {
+					series[k] = append(series[k], runs[r])
+				}
 			}
 		}
-		prev, from = bits, len(b)
-		// A byte or mark count: an integer-valued float below 2^53 prints
-		// in 'f' form as exactly its decimal digits. -0 is "-0".
-		if v := int64(f); f > -1<<53 && f < 1<<53 && float64(v) == f && (v != 0 || !math.Signbit(f)) {
-			b = strconv.AppendInt(b, v, 10)
-			continue
-		}
-		// encoding/json's floatEncoder: ES6 number formatting.
-		if (math.IsNaN(f) || math.IsInf(f, 0)) && w.err == nil {
-			w.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
-		}
-		format := byte('f')
-		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b = strconv.AppendFloat(b, f, format, -1, 64)
-		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
-			b[n-2] = b[n-1] // e-09 is written e-9
-			b = b[:n-1]
-		}
+		return series[k]
 	}
-	w.b = append(b, ']')
-	if len(vs) > 0 {
-		w.wrote[&vs[0]] = [3]int{len(vs), start, len(w.b)}
+	d := TraceDoc{SampleEvery: wire.SampleEvery, Samples: n, Switches: make([]SeriesDoc, len(wire.Switches)), Queues: make([]QueueSeriesDoc, len(wire.Queues))}
+	for i, s := range wire.Switches {
+		d.Switches[i] = SeriesDoc{s.Name, ref(s.Values, "switches", i, "values")}
 	}
+	for i, q := range wire.Queues {
+		d.Queues[i] = QueueSeriesDoc{q.Name, ref(q.Occupancy, "queues", i, "occupancy"),
+			ref(q.Threshold, "queues", i, "threshold"), ref(q.ECN, "queues", i, "ecn")}
+	}
+	if bad != nil {
+		return bad
+	}
+	w := writeTrace(&d)
+	defer w.release()
+	if !bytes.Equal(w.b, data) {
+		at := 0
+		for at < len(data) && at < len(w.b) && data[at] == w.b[at] {
+			at++
+		}
+		return &TraceError{"trace", fmt.Sprintf("not in the one form this build writes: its re-encoding differs at byte %d", at)}
+	}
+	*t = d
+	return nil
 }
 
 // DecodeResultDoc parses a result document, rejecting unknown fields
@@ -567,7 +718,12 @@ func (w *traceWriter) floats(key string, vs []float64) {
 func DecodeResultDoc(data []byte) (*ResultDoc, error) {
 	var d ResultDoc
 	if err := decodeStrict(data, &d); err != nil {
-		return nil, fmt.Errorf("scenario: parsing result document: %w", err)
+		// Another schema's fields fail first; name its schema instead.
+		var other struct{ Schema int }
+		if json.Unmarshal(data, &other) != nil || other.Schema == 0 || other.Schema == ResultSchemaVersion {
+			return nil, fmt.Errorf("scenario: parsing result document: %w", err)
+		}
+		d.Schema = other.Schema
 	}
 	if d.Schema != ResultSchemaVersion {
 		return nil, fmt.Errorf("scenario: result document has schema %d, this build reads %d", d.Schema, ResultSchemaVersion)
@@ -595,7 +751,7 @@ func DecodeTrace(doc []byte) (*TraceDoc, error) {
 // text/csv response, so "no trace" can be a clean 404 instead of an
 // error blob appended to an already-started CSV body.
 func (d *ResultDoc) HasTrace() bool {
-	return d.Trace != nil && len(d.Trace.Times) > 0
+	return d.Trace != nil && d.Trace.Samples > 0
 }
 
 // WriteTraceCSV renders the document's trace section in the same CSV
@@ -607,9 +763,9 @@ func (d *ResultDoc) WriteTraceCSV(w io.Writer, stride int) error {
 	if !d.HasTrace() {
 		return fmt.Errorf("scenario %q: result document carries no trace", d.Name)
 	}
-	times := make([]float64, len(d.Trace.Times))
-	for i, t := range d.Trace.Times {
-		times[i] = t.Seconds()
+	times := make([]float64, d.Trace.Samples)
+	for i := range times {
+		times[i] = (sim.Time(i) * d.Trace.SampleEvery).Seconds()
 	}
 	series := make([]trace.Series, 0, len(d.Trace.Switches)+3*len(d.Trace.Queues))
 	for _, s := range d.Trace.Switches {
@@ -618,10 +774,8 @@ func (d *ResultDoc) WriteTraceCSV(w io.Writer, stride int) error {
 	for _, q := range d.Trace.Queues {
 		series = append(series,
 			trace.Series{Name: q.Name, Values: q.Occupancy},
-			trace.Series{Name: q.Name + ":thr", Values: q.Threshold})
-		if len(q.ECN) > 0 {
-			series = append(series, trace.Series{Name: q.Name + ":ecn", Values: q.ECN})
-		}
+			trace.Series{Name: q.Name + ":thr", Values: q.Threshold},
+			trace.Series{Name: q.Name + ":ecn", Values: q.ECN})
 	}
 	times, series = strideSeries(times, series, stride)
 	return trace.WriteCSV(w, times, series)

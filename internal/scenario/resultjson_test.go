@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,8 +86,9 @@ func TestFingerprintCanonical(t *testing.T) {
 }
 
 // The result document must round-trip byte-identically (the property
-// the content-addressed cache rests on), reproduce the summary table
-// cell-for-cell, and regenerate the exact trace CSV the Result writes.
+// the content-addressed cache rests on) and reproduce the summary table
+// cell-for-cell; TestTraceDocCatalogDifferential holds its trace CSV to
+// the Result's.
 func TestResultDocRoundTrip(t *testing.T) {
 	t.Parallel()
 	sc, _ := Get("mixed-class-incast")
@@ -127,21 +130,6 @@ func TestResultDocRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The document's trace regenerates the Result's CSV exactly, at
-	// stride 1 and strided.
-	for _, stride := range []int{1, 7} {
-		var fromRes, fromDoc strings.Builder
-		if err := res.WriteTraceCSVStride(&fromRes, stride); err != nil {
-			t.Fatal(err)
-		}
-		if err := doc.WriteTraceCSV(&fromDoc, stride); err != nil {
-			t.Fatal(err)
-		}
-		if fromRes.String() != fromDoc.String() {
-			t.Errorf("stride %d: document CSV differs from Result CSV", stride)
-		}
-	}
-
 	// Without the trace section the document still decodes, and the
 	// trace surface refuses politely.
 	lean, err := res.EncodeJSON(false)
@@ -169,6 +157,72 @@ func TestResultDocRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeResultDoc([]byte(`{"schema":99}`)); err == nil {
 		t.Error("foreign schema version accepted")
+	}
+	// A schema-1 document, whose trace carries times, is refused for its
+	// schema.
+	old := `{"schema":1,"trace":{"sample_every":"1ms","times":["0s"],"switches":[],"queues":[]}}`
+	if _, err := DecodeResultDoc([]byte(old)); err == nil || !strings.Contains(err.Error(), "has schema 1, this build reads 2") {
+		t.Errorf("a schema-1 document: %v", err)
+	}
+}
+
+// Every spec entry under four policies: the schema-2 document's trace
+// expands, bit for bit, to the Result's dense telemetry, and the
+// document's trace CSV is the Result's at every stride.
+func TestTraceDocCatalogDifferential(t *testing.T) {
+	t.Parallel()
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for _, name := range exportableNames(t) {
+		for _, policy := range []string{"dt", "abm", "occamy", "pushout"} {
+			sc, _ := Get(name)
+			spec := sc.SpecAt(ScaleQuick)
+			spec.Policy.Kind = policy
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, policy, err)
+			}
+			data, err := res.EncodeJSON(true)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, policy, err)
+			}
+			doc, err := DecodeResultDoc(data)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, policy, err)
+			}
+			tr, q := doc.Trace, 0
+			if tr.Samples != len(res.SampleTimes) || len(tr.Switches) != len(res.Telemetry) {
+				t.Fatalf("%s/%s: %d samples of %d switches, want %d of %d", name, policy, tr.Samples, len(tr.Switches), len(res.SampleTimes), len(res.Telemetry))
+			}
+			for i := range res.Telemetry {
+				tel := &res.Telemetry[i]
+				if !same(tr.Switches[i].Values, tel.Series) {
+					t.Errorf("%s/%s: switch %s's series drifted", name, policy, tel.Name)
+				}
+				for j := range tel.Queues {
+					qt, qd := &tel.Queues[j], &tr.Queues[q]
+					if q++; !same(qd.Occupancy, qt.Series) || !same(qd.Threshold, qt.Threshold) || !same(qd.ECN, qt.ECNMarks) {
+						t.Errorf("%s/%s: queue %s drifted", name, policy, qd.Name)
+					}
+				}
+			}
+			if q != len(tr.Queues) {
+				t.Errorf("%s/%s: %d queues in the document, %d in the result", name, policy, len(tr.Queues), q)
+			}
+			for _, stride := range []int{1, 4, 7} {
+				var fromRes, fromDoc strings.Builder
+				if err := res.WriteTraceCSVStride(&fromRes, stride); err != nil {
+					t.Fatal(err)
+				}
+				if err := doc.WriteTraceCSV(&fromDoc, stride); err != nil {
+					t.Fatal(err)
+				}
+				if fromRes.String() != fromDoc.String() {
+					t.Errorf("%s/%s: stride %d: document CSV differs from Result CSV", name, policy, stride)
+				}
+			}
+		}
 	}
 }
 

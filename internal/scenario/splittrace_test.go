@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 )
 
@@ -58,13 +57,7 @@ func checkSplitTrace(t *testing.T, doc *ResultDoc) {
 	if err != nil {
 		t.Fatalf("DecodeTrace: %v", err)
 	}
-	var want TraceDoc
-	if err := json.Unmarshal(wantTrace, &want); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, &want) {
-		t.Fatalf("DecodeTrace read %+v\nfrom a section that holds %+v", back, &want)
-	}
+	checkSameTrace(t, back, doc.Trace)
 }
 
 // Every catalog entry, traced and not: the head a job view's ?part=head
@@ -117,11 +110,12 @@ func TestSplitTraceLeavesOtherDocumentsWhole(t *testing.T) {
 		}
 	}
 	for _, section := range []string{
-		`{"sample_every":"1ms","times":[],"switches":[],"queues":[],"extra":1}`,
-		`{"sample_every":"1ms","times":[]}}`,
-		`{"sample_every":"1ms","times":[}`,
+		`{"sample_every":"1ms","samples":1,"series":[[0,1]],"switches":[],"queues":[],"extra":1}`,
+		`{"sample_every":"1ms","times":["0s"],"switches":[],"queues":[]}`,
+		`{"sample_every":"1ms","samples":1}}`,
+		`{"sample_every":"1ms","samples":[}`,
 	} {
-		if tr, err := DecodeTrace([]byte(`{"schema":1,"trace":` + section + "}\n")); err == nil {
+		if tr, err := DecodeTrace([]byte(`{"schema":2,"trace":` + section + "}\n")); err == nil {
 			t.Errorf("DecodeTrace accepted the section %s: %+v", section, tr)
 		}
 	}
@@ -134,9 +128,10 @@ func FuzzSplitTrace(f *testing.F) {
 	f.Add([]byte{})
 	for k := range fuzzNames {
 		name := byte(k)
-		seed := []byte{name, 0xe8, 3, 0, 0, 0, 0, 0, 0, 0} // document name, sample_every 1µs, no times
-		seed = append(seed, 1, name, 1, 7)                 // one switch under that name, one value
-		seed = append(seed, 1, name, 1, 7, 0, 5)           // one queue under it: occupancy, empty threshold, nil ecn
+		seed := []byte{name, name, 0xe8, 3, 0, 0, 0, 0, 0, 0} // document name and title, sample_every 1µs
+		seed = append(seed, 1)                                // one sample
+		seed = append(seed, 1, name, 0, 7)                    // one switch under that name
+		seed = append(seed, 1, name, 0, 7, 0, 7, 7)           // one queue under it: occupancy, threshold, nil ecn
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
