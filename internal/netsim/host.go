@@ -5,6 +5,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
@@ -28,8 +29,9 @@ type Host struct {
 
 	// The NIC serves strict-priority transmit queues (priority 0
 	// first), mirroring the multi-queue hosts of the paper's testbed.
-	txq  [maxHostPrios]pkt.FIFO
-	busy bool
+	txq     [maxHostPrios]pkt.FIFO
+	txReady uint8 // bit i: txq[i] holds a packet
+	busy    bool
 }
 
 // maxHostPrios bounds the per-host priority classes.
@@ -57,9 +59,6 @@ func (h *Host) Wire(rateBps float64, prop sim.Duration, sink func(*pkt.Packet)) 
 
 // Now implements transport.Net.
 func (h *Host) Now() sim.Time { return h.eng.Now() }
-
-// After implements transport.Net.
-func (h *Host) After(d sim.Duration, fn func()) { h.eng.After(d, fn) }
 
 // AfterTimer implements transport.Net.
 func (h *Host) AfterTimer(d sim.Duration, fn func()) sim.Timer {
@@ -91,24 +90,19 @@ func (h *Host) Send(p *pkt.Packet) {
 		prio = maxHostPrios - 1
 	}
 	h.txq[prio].Push(p)
+	h.txReady |= 1 << prio
 	h.trySend()
 }
 
 func (h *Host) trySend() {
-	if h.busy {
+	if h.busy || h.txReady == 0 {
 		return
 	}
-	q := -1
-	for i := range h.txq {
-		if h.txq[i].Len() > 0 {
-			q = i
-			break
-		}
-	}
-	if q < 0 {
-		return
-	}
+	q := bits.TrailingZeros8(h.txReady)
 	p := h.txq[q].Pop()
+	if h.txq[q].Len() == 0 {
+		h.txReady &^= 1 << q
+	}
 	tx := sim.Duration(float64(p.Size*8) / h.rateBps * float64(sim.Second))
 	if tx < 1 {
 		tx = 1

@@ -9,7 +9,9 @@ import (
 )
 
 // Network bundles an engine, hosts, and switches, and owns the flow
-// table: the flow with ID i is flows[i-1].
+// table: the flow with ID i is flows[i-1], one value in the run's slab of
+// flow chunks. A chunk never moves, so what points into a flow (its handle,
+// bound callbacks, start event) stays valid; the slab dies with the run.
 type Network struct {
 	Eng      *sim.Engine
 	Rand     *sim.Rand
@@ -22,15 +24,23 @@ type Network struct {
 	Faults *linkfault.Plan
 
 	flows []*FlowHandle
+	spare []FlowHandle // the newest slab chunk's unused flows
 }
 
-// FlowHandle tracks one flow started via StartFlow.
+// FlowHandle is one flow started via StartFlow, a value in the flow slab
+// with both endpoints, which read Spec in place, and the DCTCP controller
+// the sender drives by default.
 type FlowHandle struct {
 	Spec     transport.FlowSpec
-	Sender   *transport.Sender
-	Receiver *transport.Receiver
-	Started  sim.Time
+	Sender   transport.Sender
+	Receiver transport.Receiver // its Started is the flow's start time
+	dctcp    transport.DCTCP
 }
+
+// flowStart is a flow's start event.
+type flowStart FlowHandle
+
+func (f *flowStart) OnEvent(any) { f.Sender.Start() }
 
 // FlowOptions parameterizes StartFlow.
 type FlowOptions struct {
@@ -53,7 +63,9 @@ func (n *Network) StartFlow(at sim.Time, src, dst pkt.NodeID, size int64, opts F
 	if src == dst {
 		panic("netsim: flow src == dst")
 	}
-	spec := transport.FlowSpec{
+	h := n.newFlow()
+	topts := opts.Transport.WithDefaults()
+	h.Spec = transport.FlowSpec{
 		ID:       uint64(len(n.flows)) + 1,
 		Src:      src,
 		Dst:      dst,
@@ -61,19 +73,29 @@ func (n *Network) StartFlow(at sim.Time, src, dst pkt.NodeID, size int64, opts F
 		Priority: opts.Priority,
 		ECN:      opts.ECN,
 	}
-	topts := opts.Transport.WithDefaults()
-	newCC := opts.NewCC
-	if newCC == nil {
-		newCC = func(mss, segs int) transport.CC { return transport.NewDCTCP(mss, segs) }
+	var cc transport.CC = &h.dctcp
+	if opts.NewCC != nil {
+		cc = opts.NewCC(topts.MSS, topts.InitCwndSegs)
+	} else {
+		h.dctcp.Init(topts.MSS, topts.InitCwndSegs)
 	}
-	cc := newCC(topts.MSS, topts.InitCwndSegs)
-	h := &FlowHandle{Spec: spec, Started: at}
-	h.Sender = transport.NewSender(n.Hosts[src], spec, cc, topts)
-	h.Receiver = transport.NewReceiver(n.Hosts[dst], spec)
-	if opts.OnComplete != nil {
-		h.Receiver.OnComplete = func(now sim.Time) { opts.OnComplete(now - h.Started) }
-	}
+	h.Sender.Init(n.Hosts[src], &h.Spec, cc, topts)
+	h.Receiver.Init(n.Hosts[dst], &h.Spec, topts.MSS)
+	h.Receiver.Started, h.Receiver.OnComplete = at, opts.OnComplete
 	n.flows = append(n.flows, h)
-	n.Eng.At(at, h.Sender.Start)
+	n.Eng.AtEvent(at, (*flowStart)(h), nil)
+	return h
+}
+
+// newFlow takes the next flow of the slab. A new chunk holds 4 to 64 flows,
+// as many as the run has; newFlow stays out of line to own its allocation.
+//
+//go:noinline
+func (n *Network) newFlow() *FlowHandle {
+	if len(n.spare) == 0 {
+		n.spare = make([]FlowHandle, min(max(len(n.flows), 4), 64))
+	}
+	h := &n.spare[0]
+	n.spare = n.spare[1:]
 	return h
 }

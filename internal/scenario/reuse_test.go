@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -16,35 +17,55 @@ import (
 // fabric, with and without link faults.
 var reuseSpecs = []string{"quickstart", "burst-absorb", "duplicate-storm", "flaky-tor-incast", "leafspine-demo"}
 
+// reuseJob is one run of a reuse sequence: a catalog entry at a scale,
+// under a policy ("" keeps the entry's) and a spec seed (0 keeps it).
+type reuseJob struct {
+	name   string
+	scale  Scale
+	policy string
+	seed   uint64
+}
+
+// reuseFabrics are fabric runs of other sizes, under their own policies,
+// that the sequence interleaves with the reuse specs: each hands the next
+// run a packet spare sized by a fabric it did not build.
+var reuseFabrics = []reuseJob{
+	{"buffer-choking", ScaleFull, "", 0},
+	{"wan-degraded-leafspine", ScaleFull, "", 0},
+	{"incast-storm-256", ScaleQuick, "", 13},
+}
+
 // reuseSequence runs every reuse spec at quick scale under dt, abm, occamy
-// and pushout, twice each, in an order shuffled by seed, with a transport
-// run canceled after its first engine chunk between the two passes. Each
-// run takes the engine slabs, cell and PD memories, packet free list and
-// queue rings of whichever run finished before it; its document must be
-// the one the same spec gave the first time.
+// and pushout, and every reuse fabric, twice each, in an order shuffled by
+// seed, with a transport run canceled after its first engine chunk
+// between the two passes. Each run takes the engine slabs, cell and PD
+// memories, packet free list and queue rings of whichever run finished
+// before it; its document must be the one the same spec gave the first
+// time.
 func reuseSequence(t *testing.T, seed int64) {
-	type job struct {
-		name   string
-		policy string
-	}
-	var jobs []job
+	jobs := slices.Clone(reuseFabrics)
 	for _, name := range reuseSpecs {
 		for _, p := range []string{"dt", "abm", "occamy", "pushout"} {
-			jobs = append(jobs, job{name, p})
+			jobs = append(jobs, reuseJob{name, ScaleQuick, p, 0})
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	first := map[job][]byte{}
-	run := func(j job) []byte {
+	first := map[reuseJob][]byte{}
+	run := func(j reuseJob) []byte {
 		sc, ok := Get(j.name)
 		if !ok {
 			t.Fatalf("scenario %q not registered", j.name)
 		}
-		spec := sc.SpecAt(ScaleQuick)
-		spec.Policy.Kind = j.policy
+		spec := sc.SpecAt(j.scale)
+		if j.policy != "" {
+			spec.Policy.Kind = j.policy
+		}
+		if j.seed != 0 {
+			spec.Seed = j.seed
+		}
 		doc, err := MustRun(spec).EncodeJSON(true)
 		if err != nil {
-			t.Fatalf("%s under %s: %v", j.name, j.policy, err)
+			t.Fatalf("%+v: %v", j, err)
 		}
 		return doc
 	}
@@ -55,7 +76,7 @@ func reuseSequence(t *testing.T, seed int64) {
 			if pass == 0 {
 				first[j] = doc
 			} else if !bytes.Equal(doc, first[j]) {
-				t.Errorf("%s under %s: the second run's document differs from the first", j.name, j.policy)
+				t.Errorf("%+v: the second run's document differs from the first", j)
 			}
 		}
 		if pass == 0 {
@@ -128,31 +149,37 @@ func warmJobBytes(t *testing.T, name string, scale Scale) uint64 {
 // the recorder, the result and what the run builds that no earlier run
 // could hand it.
 func TestRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
-	}
-	got := warmJobBytes(t, "burst-absorb", ScaleFull)
-	const budget = 280 << 10
-	if got > budget {
-		t.Errorf("a warm burst-absorb job allocated %d bytes, budget %d", got, budget)
-	} else {
-		t.Logf("a warm burst-absorb job allocated %d bytes", got)
-	}
+	allocBudget(t, "burst-absorb", ScaleFull, 280<<10)
 }
 
 // TestRunTransportAllocBudget pins the same for a transport run on a
-// fabric, leafspine-demo at quick scale: hosts, flows and their NIC rings
-// are built anew by every run, so what they allocate shows here.
+// fabric, leafspine-demo at quick scale: hosts, their NIC rings and the
+// flow slab are built anew by every run, so what they allocate shows here.
+// It read 1 208 152 bytes when flows became slab values; the budget is 10 %
+// over that.
 func TestRunTransportAllocBudget(t *testing.T) {
+	allocBudget(t, "leafspine-demo", ScaleQuick, 1298<<10)
+}
+
+// TestFlowAllocBudget pins a warm mixed-load-90 job at quick scale, the
+// benchmark's largest allocator among its long simulations: ~4 900 flows of
+// background traffic beside an incast, on one switch. It read 5 698 152 to
+// 5 732 864 bytes when flows became slab values; the budget is 10 % over.
+func TestFlowAllocBudget(t *testing.T) {
+	allocBudget(t, "mixed-load-90", ScaleQuick, 6159<<10)
+}
+
+// allocBudget fails when a warm job of the named entry allocates more than
+// budget bytes.
+func allocBudget(t *testing.T, name string, scale Scale, budget uint64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	got := warmJobBytes(t, "leafspine-demo", ScaleQuick)
-	const budget = 1500 << 10
-	if got > budget {
-		t.Errorf("a warm leafspine-demo job allocated %d bytes, budget %d", got, budget)
+	if got := warmJobBytes(t, name, scale); got > budget {
+		t.Errorf("a warm %s job allocated %d bytes, budget %d", name, got, budget)
 	} else {
-		t.Logf("a warm leafspine-demo job allocated %d bytes", got)
+		t.Logf("a warm %s job allocated %d bytes", name, got)
 	}
 }
 

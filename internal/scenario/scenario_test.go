@@ -316,6 +316,7 @@ func TestValidateRejectsNonsense(t *testing.T) {
 			s.Workloads = []Workload{{Kind: WLCBR, RateBps: 1e9, DstPort: 8}}
 		}},
 		{"negative hosts", func(s *Spec) { s.Topology.Hosts = -4 }},
+		{"more classes than a port's backlog mask holds", func(s *Spec) { s.Topology.Classes = 65 }},
 		{"negative duration", func(s *Spec) { s.Duration = -sim.Millisecond }},
 		{"negative warmup", func(s *Spec) { s.Warmup = -sim.Millisecond }},
 		{"negative burst At", func(s *Spec) {

@@ -411,6 +411,9 @@ func (s Spec) Validate() error {
 		t.ECNThresholdBytes < 0 || t.ECNThresholdFrac < 0 {
 		return fmt.Errorf("scenario %q: negative topology field", s.Name)
 	}
+	if t.Classes > switchsim.MaxClassesPerPort {
+		return fmt.Errorf("scenario %q: %d classes per port, at most %d", s.Name, t.Classes, switchsim.MaxClassesPerPort)
+	}
 	if s.Duration < 0 || s.Warmup < 0 {
 		return fmt.Errorf("scenario %q: negative duration/warmup", s.Name)
 	}

@@ -1,5 +1,7 @@
 package switchsim
 
+import "math/bits"
+
 // SchedKind selects the egress scheduling discipline of a port.
 type SchedKind int
 
@@ -29,9 +31,10 @@ func (k SchedKind) String() string {
 // scheduler picks the next class to serve on a port. Implementations are
 // per-port (they hold rotation/deficit state).
 type scheduler interface {
-	// next returns the class index to dequeue from, or -1 when every
-	// class is empty.
-	next(classes []*classQueue) int
+	// next returns the class index to dequeue from, given the port's
+	// backlog mask (bit c set while class c holds a packet), or -1 when
+	// every class is empty.
+	next(backlog uint64, classes []*classQueue) int
 }
 
 func newScheduler(kind SchedKind, classes, quantum int) scheduler {
@@ -40,7 +43,7 @@ func newScheduler(kind SchedKind, classes, quantum int) scheduler {
 		if quantum <= 0 {
 			quantum = 2 * 1514
 		}
-		return &drrSched{quantum: quantum, deficit: make([]int, classes)}
+		return &drrSched{quantum: quantum, deficit: make([]int, classes), steps: classes * (2 + pktMTU/quantum)}
 	case SchedSP:
 		return spSched{}
 	default:
@@ -48,31 +51,37 @@ func newScheduler(kind SchedKind, classes, quantum int) scheduler {
 	}
 }
 
-// rrSched serves non-empty classes in simple round-robin.
+// firstFrom returns the first class at or after cur (at most n), wrapping
+// at n, whose bit is set in the nonzero mask.
+func firstFrom(mask uint64, cur, n int) int {
+	c := cur + bits.TrailingZeros64(mask>>cur|mask<<(n-cur))
+	if c >= n {
+		c -= n
+	}
+	return c
+}
+
+// rrSched serves non-empty classes in simple round-robin, starting its
+// search at class cur (n stands for 0).
 type rrSched struct{ cur int }
 
-func (s *rrSched) next(classes []*classQueue) int {
-	n := len(classes)
-	for i := 0; i < n; i++ {
-		c := (s.cur + i) % n
-		if classes[c].meta.Len() > 0 {
-			s.cur = (c + 1) % n
-			return c
-		}
+func (s *rrSched) next(backlog uint64, classes []*classQueue) int {
+	if backlog == 0 {
+		return -1
 	}
-	return -1
+	c := firstFrom(backlog, s.cur, len(classes))
+	s.cur = c + 1
+	return c
 }
 
 // spSched serves the lowest-numbered (highest-priority) backlogged class.
 type spSched struct{}
 
-func (spSched) next(classes []*classQueue) int {
-	for c, q := range classes {
-		if q.meta.Len() > 0 {
-			return c
-		}
+func (spSched) next(backlog uint64, _ []*classQueue) int {
+	if backlog == 0 {
+		return -1
 	}
-	return -1
+	return bits.TrailingZeros64(backlog)
 }
 
 // drrSched is deficit round robin: on each visit a backlogged class
@@ -83,54 +92,40 @@ type drrSched struct {
 	cur     int
 	deficit []int
 	inVisit bool // the current class received its quantum this visit
+	// steps bounds one pick's scan. With quantum >= MTU, a visit's credit
+	// always covers the head packet and one lap suffices; a tiny quantum
+	// needs several laps to accumulate credit.
+	steps int
 }
 
-func (s *drrSched) next(classes []*classQueue) int {
-	n := len(classes)
-	backlogged := false
-	for _, q := range classes {
-		if q.meta.Len() > 0 {
-			backlogged = true
-			break
-		}
-	}
-	if !backlogged {
+func (s *drrSched) next(backlog uint64, classes []*classQueue) int {
+	if backlog == 0 {
 		s.inVisit = false
 		return -1
 	}
-	// With quantum >= MTU, a visit's credit always covers the head
-	// packet and one lap suffices. A tiny quantum needs several laps to
-	// accumulate credit; bound the scan accordingly.
-	maxIter := n * (2 + pktMTU/s.quantum)
-	for i := 0; i < maxIter; i++ {
-		q := classes[s.cur]
-		if q.meta.Len() == 0 {
-			s.deficit[s.cur] = 0
+	n := len(classes)
+	for i := s.steps; i > 0; i-- {
+		if backlog>>s.cur&1 == 0 {
+			s.deficit[s.cur] = 0 // an empty class forfeits its credit
 			s.inVisit = false
-			s.cur = (s.cur + 1) % n
-			continue
+		} else {
+			if !s.inVisit {
+				s.deficit[s.cur] += s.quantum
+				s.inVisit = true
+			}
+			if head := classes[s.cur].meta.Peek().Size; s.deficit[s.cur] >= head {
+				s.deficit[s.cur] -= head
+				return s.cur
+			}
+			s.inVisit = false // credit exhausted: end the visit
 		}
-		if !s.inVisit {
-			s.deficit[s.cur] += s.quantum
-			s.inVisit = true
-		}
-		if head := q.meta.Peek().Size; s.deficit[s.cur] >= head {
-			s.deficit[s.cur] -= head
-			return s.cur
-		}
-		// Credit exhausted: end the visit and rotate.
-		s.inVisit = false
-		s.cur = (s.cur + 1) % n
-	}
-	// Unreachable given the iteration bound; fall back to any
-	// backlogged class so forwarding never stalls.
-	for i := 0; i < n; i++ {
-		c := (s.cur + i) % n
-		if classes[c].meta.Len() > 0 {
-			return c
+		if s.cur++; s.cur == n {
+			s.cur = 0
 		}
 	}
-	return -1
+	// Reached only by packets past the MTU: fall back to any backlogged
+	// class so forwarding never stalls.
+	return firstFrom(backlog, s.cur, n)
 }
 
 // pktMTU mirrors pkt.MTU without importing the package here.

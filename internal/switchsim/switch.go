@@ -47,6 +47,9 @@ func (r DropReason) String() string {
 // (queue within the port) is the packet's Priority field.
 type Router func(p *pkt.Packet) (port int)
 
+// MaxClassesPerPort is the width of a port's backlog mask.
+const MaxClassesPerPort = 64
+
 // Config describes a switch.
 type Config struct {
 	// Ports is the number of egress ports.
@@ -146,6 +149,7 @@ type port struct {
 	sink    func(*pkt.Packet)
 	busy    bool
 	classes []*classQueue
+	backlog uint64 // bit c: classes[c] holds a packet, zero-length ones too
 	sched   scheduler
 }
 
@@ -209,8 +213,8 @@ var spareQueues atomic.Pointer[Switch] //occamy:concurrent a handoff between run
 // New builds a switch. Ports must then be attached with AttachPort, and
 // a Router installed with SetRouter, before traffic arrives.
 func New(name string, eng *sim.Engine, cfg Config) *Switch {
-	if cfg.Ports <= 0 || cfg.ClassesPerPort <= 0 {
-		panic("switchsim: need at least one port and one class")
+	if cfg.Ports <= 0 || cfg.ClassesPerPort <= 0 || cfg.ClassesPerPort > MaxClassesPerPort {
+		panic("switchsim: need at least one port, and 1 to 64 classes per port")
 	}
 	if cfg.BufferBytes <= 0 {
 		panic("switchsim: BufferBytes must be positive")
@@ -452,6 +456,9 @@ func (s *Switch) HeadDrop(q int) (int, int, bool) {
 		return 0, 0, false
 	}
 	p := cq.meta.Pop()
+	if cq.meta.Len() == 0 {
+		s.ports[q/s.cfg.ClassesPerPort].backlog &^= 1 << cq.prio
+	}
 	// Capture before the hook: a DropHook may recycle p into a pkt.Pool,
 	// which zeroes it in place.
 	size := p.Size
@@ -538,6 +545,8 @@ func (s *Switch) Receive(p *pkt.Packet) {
 	}
 	cq.cells.Enqueue(ref)
 	cq.meta.Push(p)
+	pt := s.ports[portID]
+	pt.backlog |= 1 << class
 	s.setBacklogged(q)
 	s.totalBytes += p.Size
 	if s.memBW != nil {
@@ -553,7 +562,7 @@ func (s *Switch) Receive(p *pkt.Packet) {
 		// its token rate from the complete port set.
 		s.ensureExpulsion().Kick()
 	}
-	s.tryTransmit(s.ports[portID])
+	s.tryTransmit(pt)
 }
 
 func (s *Switch) drop(p *pkt.Packet, q int, reason DropReason) {
@@ -580,12 +589,15 @@ func (s *Switch) tryTransmit(pt *port) {
 	if pt.busy || pt.sink == nil {
 		return
 	}
-	class := pt.sched.next(pt.classes)
+	class := pt.sched.next(pt.backlog, pt.classes)
 	if class < 0 {
 		return
 	}
 	cq := pt.classes[class]
 	p := cq.meta.Pop()
+	if cq.meta.Len() == 0 {
+		pt.backlog &^= 1 << class
+	}
 	n, id, ok := cq.cells.Dequeue()
 	if !ok || id != p.ID || n != p.Size {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on dequeue: got (%d,%d), want (%d,%d)", n, id, p.Size, p.ID))

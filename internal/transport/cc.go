@@ -52,13 +52,19 @@ type DCTCP struct {
 // NewDCTCP returns a DCTCP controller with the given MSS and initial
 // window (in segments).
 func NewDCTCP(mss, initCwndSegs int) *DCTCP {
-	return &DCTCP{
+	return new(DCTCP).Init(mss, initCwndSegs)
+}
+
+// Init makes d, in place, the controller NewDCTCP returns.
+func (d *DCTCP) Init(mss, initCwndSegs int) *DCTCP {
+	*d = DCTCP{
 		mss:      mss,
 		cwnd:     float64(mss * initCwndSegs),
 		ssthresh: math.MaxFloat64 / 4,
 		g:        1.0 / 16,
 		alpha:    1, // conservative start, per the DCTCP paper
 	}
+	return d
 }
 
 // Name implements CC.

@@ -10,7 +10,6 @@ import (
 // network. It is implemented by netsim.Host.
 type Net interface {
 	Now() sim.Time
-	After(d sim.Duration, fn func())
 	AfterTimer(d sim.Duration, fn func()) sim.Timer
 	// NewPacket returns a packet that is zeroed but for its ID, typically
 	// from the network's freelist so the per-packet allocation disappears
@@ -19,11 +18,6 @@ type Net interface {
 	// a row, and the switch checks its two queue structures against it.
 	NewPacket() *pkt.Packet
 	Send(p *pkt.Packet)
-}
-
-// Handler consumes packets delivered to a host for a given flow.
-type Handler interface {
-	OnPacket(p *pkt.Packet)
 }
 
 // FlowSpec describes one byte-stream flow.

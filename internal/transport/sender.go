@@ -11,7 +11,7 @@ import (
 // exponentially backed-off RTO.
 type Sender struct {
 	net  Net
-	spec FlowSpec
+	spec *FlowSpec
 	opts Options
 	cc   CC
 
@@ -32,25 +32,24 @@ type Sender struct {
 	timer        sim.Timer
 	timeoutFn    func() // onTimeout, bound once so re-arming never allocates
 
-	started  sim.Time
 	done     bool
 	timeouts int64
 	retx     int64
-
-	// OnComplete fires when every payload byte has been cumulatively
-	// acknowledged. The argument is the sender-side completion time.
-	OnComplete func(fct sim.Duration)
 }
 
 // NewSender builds a sender; call Start to begin transmitting.
 func NewSender(net Net, spec FlowSpec, cc CC, opts Options) *Sender {
-	s := &Sender{net: net, spec: spec, cc: cc, opts: opts.WithDefaults()}
+	return new(Sender).Init(net, &spec, cc, opts)
+}
+
+// Init makes s, in place, the sender NewSender returns, reading the flow's
+// unchanging spec through the pointer. s must not move afterwards: its
+// retransmission timer is bound to it.
+func (s *Sender) Init(net Net, spec *FlowSpec, cc CC, opts Options) *Sender {
+	*s = Sender{net: net, spec: spec, cc: cc, opts: opts.WithDefaults()}
 	s.timeoutFn = s.onTimeout
 	return s
 }
-
-// Spec returns the flow description.
-func (s *Sender) Spec() FlowSpec { return s.spec }
 
 // Done reports whether the flow has fully completed.
 func (s *Sender) Done() bool { return s.done }
@@ -64,7 +63,6 @@ func (s *Sender) Retransmits() int64 { return s.retx }
 
 // Start begins the transfer at the current virtual time.
 func (s *Sender) Start() {
-	s.started = s.net.Now()
 	s.rto = s.opts.InitRTO
 	s.trySend()
 }
@@ -145,7 +143,7 @@ func (s *Sender) onTimeout() {
 	s.trySend()
 }
 
-// OnPacket implements Handler: the sender receives pure ACKs.
+// OnPacket consumes an ACK of the flow.
 func (s *Sender) OnPacket(p *pkt.Packet) {
 	if !p.Ack || s.done {
 		return
@@ -182,7 +180,8 @@ func (s *Sender) OnPacket(p *pkt.Packet) {
 			}
 		}
 		if s.sndUna >= s.spec.Size {
-			s.complete(now)
+			s.done = true
+			s.timer.Stop()
 			return
 		}
 		s.trySend() // re-arms the RTO on its way out
@@ -218,14 +217,6 @@ func (s *Sender) dupThreshold() int {
 	return outstanding - 1
 }
 
-func (s *Sender) complete(now sim.Time) {
-	s.done = true
-	s.timer.Stop()
-	if s.OnComplete != nil {
-		s.OnComplete(now - s.started)
-	}
-}
-
 // sampleRTT updates srtt/rttvar/rto per RFC 6298.
 func (s *Sender) sampleRTT(rtt sim.Duration) {
 	if rtt <= 0 {
@@ -251,5 +242,3 @@ func (s *Sender) sampleRTT(rtt sim.Duration) {
 		s.rto = s.opts.MaxRTO
 	}
 }
-
-var _ Handler = (*Sender)(nil)

@@ -15,7 +15,7 @@ type chanNet struct {
 	drop     func(p *pkt.Packet) bool
 	mark     func(p *pkt.Packet) bool
 	dup      func(p *pkt.Packet) bool // deliver a link-level copy (same ID) too
-	handlers map[pkt.NodeID]Handler
+	handlers map[pkt.NodeID]handler
 	sent     int
 	nextID   uint64
 }
@@ -24,7 +24,7 @@ func newChanNet(delay sim.Duration) *chanNet {
 	return &chanNet{
 		eng:      sim.NewEngine(),
 		delay:    delay,
-		handlers: make(map[pkt.NodeID]Handler),
+		handlers: make(map[pkt.NodeID]handler),
 	}
 }
 
@@ -59,11 +59,14 @@ func (n *chanNet) Send(p *pkt.Packet) {
 	})
 }
 
+// handler is what chanNet delivers to: a Sender, a Receiver, or a probe.
+type handler interface{ OnPacket(p *pkt.Packet) }
+
 // pair wires a sender and receiver for `size` bytes over net.
 func pair(n *chanNet, size int64, cc CC, opts Options) (*Sender, *Receiver) {
 	spec := FlowSpec{ID: 1, Src: 0, Dst: 1, Size: size, ECN: true}
 	s := NewSender(n, spec, cc, opts)
-	r := NewReceiver(n, spec)
+	r := NewReceiver(n, spec, opts.WithDefaults().MSS)
 	n.handlers[0] = s
 	n.handlers[1] = r
 	return s, r
@@ -73,7 +76,7 @@ func TestTransferCompletes(t *testing.T) {
 	n := newChanNet(50 * sim.Microsecond)
 	s, r := pair(n, 100_000, NewDCTCP(pkt.MSS, 10), Options{})
 	var fct sim.Duration = -1
-	s.OnComplete = func(d sim.Duration) { fct = d }
+	r.OnComplete = func(d sim.Duration) { fct = d }
 	s.Start()
 	n.eng.Run()
 	if !s.Done() || !r.Done() {
@@ -215,7 +218,7 @@ func TestRTORecoversTailLoss(t *testing.T) {
 func TestReceiverReassemblesOutOfOrder(t *testing.T) {
 	n := newChanNet(0)
 	spec := FlowSpec{ID: 7, Src: 0, Dst: 1, Size: 3000}
-	r := NewReceiver(n, spec)
+	r := NewReceiver(n, spec, 1000)
 	acks := []int64{}
 	n.handlers[0] = handlerFunc(func(p *pkt.Packet) { acks = append(acks, p.AckNo) })
 	n.handlers[1] = r
@@ -241,7 +244,7 @@ func TestReceiverReassemblesOutOfOrder(t *testing.T) {
 func TestDuplicateDataIgnored(t *testing.T) {
 	n := newChanNet(0)
 	spec := FlowSpec{ID: 7, Src: 0, Dst: 1, Size: 2000}
-	r := NewReceiver(n, spec)
+	r := NewReceiver(n, spec, 1000)
 	n.handlers[0] = handlerFunc(func(p *pkt.Packet) {})
 	n.handlers[1] = r
 	seg := &pkt.Packet{FlowID: 7, Src: 0, Dst: 1, Seq: 0, Payload: 1000, Size: 1040}
