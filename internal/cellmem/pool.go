@@ -13,12 +13,13 @@
 // buffered packet dequeues its PD and returns its cell pointers to the
 // free list without ever touching cell data memory. Meters on each memory
 // let tests assert exactly that.
+//
+// The memories outlive a run: Recycle empties a pool and Init rebuilds it
+// in the same memories, so they travel with the switch that is parked
+// between runs and serve the next run's switch.
 package cellmem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // nilIdx marks the end of every linked list in the pool.
 const nilIdx int32 = -1
@@ -87,13 +88,16 @@ type Pool struct {
 	meters Meters
 }
 
-// spare is the last recycled pool, emptied but for its memories, unless
-// they outgrew 2^15 PDs, more than a full-scale raw catalog run needs.
-var spare atomic.Pointer[Pool]
-
-// New builds a pool with all cells and PDs free, in the memories of the
-// last recycled pool if they are large enough.
+// New builds a pool with all cells and PDs free.
 func New(cfg Config) *Pool {
+	p := new(Pool)
+	p.Init(cfg)
+	return p
+}
+
+// Init re-initialises p with all cells and PDs free, in the memories p
+// kept when it was recycled if they are large enough.
+func (p *Pool) Init(cfg Config) {
 	if cfg.CellSize <= 0 {
 		panic("cellmem: CellSize must be positive")
 	}
@@ -103,13 +107,13 @@ func New(cfg Config) *Pool {
 	if cfg.NumPDs == 0 {
 		cfg.NumPDs = cfg.NumCells
 	}
-	p := &Pool{cfg: cfg}
-	if s := spare.Swap(nil); s != nil && cap(s.nextCell) >= cfg.NumCells && cap(s.pds) >= cfg.NumPDs {
-		p.nextCell, p.pds = s.nextCell[:cfg.NumCells], s.pds[:cfg.NumPDs]
-		*s = Pool{} // the old owner keeps no way into the memories
-	} else {
-		p.nextCell, p.pds = make([]int32, cfg.NumCells), make([]PD, cfg.NumPDs)
+	if cap(p.nextCell) < cfg.NumCells {
+		p.nextCell = make([]int32, cfg.NumCells)
 	}
+	if cap(p.pds) < cfg.NumPDs {
+		p.pds = make([]PD, cfg.NumPDs)
+	}
+	*p = Pool{cfg: cfg, nextCell: p.nextCell[:cfg.NumCells], pds: p.pds[:cfg.NumPDs]}
 	for i := 0; i < cfg.NumCells-1; i++ {
 		p.nextCell[i] = int32(i + 1)
 	}
@@ -121,16 +125,17 @@ func New(cfg Config) *Pool {
 	}
 	p.pds[cfg.NumPDs-1].next = nilIdx
 	p.pdFree = int32(cfg.NumPDs)
-	return p
 }
 
-// Recycle drops every buffered packet and parks the memories for the next
-// New. Alloc, Release and queue operations on p panic from then on.
+// Recycle drops every buffered packet and keeps the memories for the next
+// Init, unless they outgrew 2^15 PDs, more than a full-scale raw catalog
+// run needs. Alloc, Release and queue operations on p panic until then.
 func (p *Pool) Recycle() {
-	*p = Pool{nextCell: p.nextCell[:0], pds: p.pds[:0]}
-	if cap(p.pds) <= 1<<15 {
-		spare.Store(p)
+	if cap(p.pds) > 1<<15 {
+		*p = Pool{}
+		return
 	}
+	*p = Pool{nextCell: p.nextCell[:0], pds: p.pds[:0]}
 }
 
 // Config returns the pool's configuration.

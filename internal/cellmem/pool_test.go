@@ -267,45 +267,53 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
-// TestRecycledPoolStartsClean: a pool recycled with packets buffered and
-// its free lists out of order hands its memories to the next New, which
-// starts with every cell and PD free and never-allocated. Alloc on the
-// recycled pool panics, before and after the memories move on.
+// TestRecycledPoolStartsClean: a switch parked between runs keeps its
+// pool, recycled with packets buffered and its free lists out of order,
+// and the next run's switch re-initialises it in the same memories. Alloc
+// on the recycled pool panics; once re-initialised, smaller than before in
+// its own memories or larger in new ones, it starts with every cell and
+// PD free and never allocated.
 func TestRecycledPoolStartsClean(t *testing.T) {
-	old := testPool(t, 64)
-	q := NewQueue(old)
-	var refs []PDRef
-	for i := 0; i < 20; i++ {
-		refs = append(refs, old.Alloc(150+50*i%450, uint64(i+1)))
-	}
-	for i, ref := range refs {
-		if i%3 == 0 {
-			old.Release(ref, false)
-		} else {
-			q.Enqueue(ref)
+	p := testPool(t, 64)
+	for _, cells := range []int{48, 96} {
+		q := NewQueue(p)
+		var refs []PDRef
+		for i := 0; i < 8; i++ {
+			refs = append(refs, p.Alloc(150+50*i%450, uint64(i+1)))
 		}
-	}
-	pds := &old.pds[0]
-	old.Recycle()
-	mustPanic(t, "Alloc on a recycled pool", func() { old.Alloc(100, 99) })
+		for i, ref := range refs {
+			if i%3 == 0 {
+				p.Release(ref, false)
+			} else {
+				q.Enqueue(ref)
+			}
+		}
+		pds := &p.pds[0]
+		p.Recycle()
+		mustPanic(t, "Alloc on a recycled pool", func() { p.Alloc(100, 99) })
 
-	p := New(Config{CellSize: 200, NumCells: 48})
-	if &p.pds[0] != pds {
-		t.Fatal("New did not take the recycled memories")
-	}
-	mustPanic(t, "Alloc on the pool the memories left", func() { old.Alloc(100, 99) })
-	mustPanic(t, "Release of a never-allocated PD", func() { p.Release(PDRef(5), true) })
-	p.CheckInvariants()
-	seen := map[PDRef]bool{}
-	for i := 0; i < 48; i++ {
-		ref := p.Alloc(200, uint64(i))
-		if ref == NilPD || seen[ref] {
-			t.Fatalf("Alloc %d of 48 one-cell packets gave %d", i, ref)
+		p.Init(Config{CellSize: 200, NumCells: cells})
+		if reused := &p.pds[0] == pds; reused != (cells < 64) {
+			t.Fatalf("%d cells after 64: memories reused %v", cells, reused)
 		}
-		seen[ref] = true
-	}
-	if p.Alloc(1, 0) != NilPD || p.FreeCells() != 0 || p.FreePDs() != 0 {
-		t.Fatalf("after 48 one-cell packets: %d cells, %d PDs free", p.FreeCells(), p.FreePDs())
+		mustPanic(t, "Release of a never-allocated PD", func() { p.Release(PDRef(5), true) })
+		p.CheckInvariants()
+		seen := map[PDRef]bool{}
+		for i := 0; i < cells; i++ {
+			ref := p.Alloc(200, uint64(i))
+			if ref == NilPD || seen[ref] {
+				t.Fatalf("Alloc %d of %d one-cell packets gave %d", i, cells, ref)
+			}
+			seen[ref] = true
+		}
+		if p.Alloc(1, 0) != NilPD || p.FreeCells() != 0 || p.FreePDs() != 0 {
+			t.Fatalf("after %d one-cell packets: %d cells, %d PDs free", cells, p.FreeCells(), p.FreePDs())
+		}
+		for ref := range seen {
+			if i := int(ref); i%2 == 0 {
+				p.Release(ref, true) // the next round's free lists start out of order
+			}
+		}
 	}
 }
 

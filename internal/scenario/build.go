@@ -334,7 +334,8 @@ func startRounds(w Workload, horizon sim.Duration,
 // runTransport executes a spec whose workloads ride the transport stack.
 func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, error) {
 	net, tickers := buildNetwork(spec)
-	defer recycle(net.Eng, net.Switches, net.Pool)
+	recs := switchsim.NewRecorders(net.Switches)
+	defer recycle(net.Eng, net.Switches, recs, net.Pool)
 	res := &Result{
 		Spec:        spec,
 		Workloads:   make([]WorkloadStats, len(spec.Workloads)),
@@ -481,7 +482,6 @@ func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Resu
 	// Occupancy recording across all switches: one aligned sampler
 	// drives every recorder, so fabric traces share timestamps.
 	res.SampleEvery = samplePeriod(horizon)
-	recs := newRecorders(net.Switches, horizon, res.SampleEvery)
 	sampler := net.Eng.Every(0, res.SampleEvery, func() {
 		now := net.Eng.Now()
 		for _, rec := range recs {
@@ -568,7 +568,9 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		DRRQuantum:        t.DRRQuantum,
 	})
 	pool := pkt.NewPool()
-	defer recycle(eng, []*switchsim.Switch{sw}, pool)
+	switches := []*switchsim.Switch{sw}
+	recs := switchsim.NewRecorders(switches)
+	defer recycle(eng, switches, recs, pool)
 	for i := 0; i < t.Hosts; i++ {
 		sw.AttachPort(i, t.hostRate(i), 0, pool.Put)
 	}
@@ -607,7 +609,6 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		}
 	}
 	res.SampleEvery = samplePeriod(horizon)
-	recs := newRecorders([]*switchsim.Switch{sw}, horizon, res.SampleEvery)
 	sampler := eng.Every(0, res.SampleEvery, func() {
 		recs[0].Sample(eng.Now())
 	})
@@ -634,7 +635,7 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		res.Workloads[i].SentPackets = injectors[i].sent
 		res.Workloads[i].SentBytes = injectors[i].bytes
 	}
-	finishResult(res, []*switchsim.Switch{sw}, recs, eng)
+	finishResult(res, switches, recs, eng)
 	if progress != nil {
 		progress(RunProgress{SimNow: eng.Now(), SimHorizon: horizon, Events: eng.Processed(), Final: true})
 	}
@@ -642,10 +643,8 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 }
 
 // recycle hands the next run what a run built and its Result does not hold.
-func recycle(eng *sim.Engine, switches []*switchsim.Switch, pool *pkt.Pool) {
-	for _, sw := range switches {
-		sw.Recycle()
-	}
+func recycle(eng *sim.Engine, switches []*switchsim.Switch, recs []*switchsim.Recorder, pool *pkt.Pool) {
+	switchsim.Park(switches, recs)
 	eng.Recycle()
 	pool.Recycle()
 }
@@ -663,27 +662,8 @@ func samplePeriod(horizon sim.Duration) sim.Duration {
 	return p
 }
 
-// maxReservedSamples bounds the up-front reservation of a recorder. A
-// spec's Duration is not bounded above and a canceled run must not have
-// paid for its whole horizon first, so the reservation is a hint: every
-// catalog run takes ~1001 samples, and a longer one grows by append.
-const maxReservedSamples = 4096
-
-// newRecorders attaches one occupancy recorder per switch, reserved for
-// the samples a sampler of period every takes over [0, horizon], up to
-// maxReservedSamples. Samples past the reservation — a long horizon, or
-// a gated transport run's straggler deadline — grow the series by append.
-func newRecorders(switches []*switchsim.Switch, horizon, every sim.Duration) []*switchsim.Recorder {
-	n := min(horizon/every+1, maxReservedSamples)
-	recs := make([]*switchsim.Recorder, len(switches))
-	for i, sw := range switches {
-		recs[i] = switchsim.NewRecorder(sw)
-		recs[i].Reserve(int(n))
-	}
-	return recs
-}
-
-// finishResult snapshots switch state and telemetry into the result.
+// finishResult snapshots switch state and telemetry into the result,
+// finishing each recorder into its exact slab first.
 func finishResult(res *Result, switches []*switchsim.Switch, recs []*switchsim.Recorder, eng *sim.Engine) {
 	for i, sw := range switches {
 		st := sw.Stats()
@@ -697,6 +677,7 @@ func finishResult(res *Result, switches []*switchsim.Switch, recs []*switchsim.R
 		res.Total.DropsNoMemory += st.DropsNoMemory
 		res.Total.DropsExpelled += st.DropsExpelled
 		res.Total.ECNMarked += st.ECNMarked
+		recs[i].Finish()
 		res.Telemetry = append(res.Telemetry, newTelemetry(sw, recs[i]))
 		if peak := recs[i].Peak(); peak > res.MaxOccupancy {
 			res.MaxOccupancy = peak

@@ -3,7 +3,6 @@ package switchsim
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -127,7 +126,7 @@ func TestRecorderAggregates(t *testing.T) {
 	sw, _ := testSwitch(t, eng, Config{
 		Ports: 2, ClassesPerPort: 1, BufferBytes: 50_000, Policy: bm.NewDT(1),
 	}, 1e9)
-	rec := NewRecorder(sw)
+	rec := newTestRecorder(sw)
 	tick := eng.Every(0, 5*sim.Microsecond, func() { rec.Sample(eng.Now()) })
 	rng := sim.NewRand(3)
 	for i := 0; i < 200; i++ {
@@ -138,6 +137,7 @@ func TestRecorderAggregates(t *testing.T) {
 	}
 	eng.RunFor(sim.Millisecond)
 	tick.Stop()
+	rec.Finish()
 
 	if rec.Samples() == 0 || len(rec.Series) != rec.Samples() {
 		t.Fatalf("series length %d, samples %d", len(rec.Series), rec.Samples())
@@ -175,7 +175,7 @@ func TestRecorderQueueSeries(t *testing.T) {
 		Ports: 3, ClassesPerPort: 2, BufferBytes: 30_000,
 		Policy: bm.NewDT(1), Scheduler: SchedDRR,
 	}, 1e9)
-	rec := NewRecorder(sw)
+	rec := newTestRecorder(sw)
 	tick := eng.Every(0, 5*sim.Microsecond, func() { rec.Sample(eng.Now()) })
 	rng := sim.NewRand(7)
 	for i := 0; i < 300; i++ {
@@ -186,6 +186,7 @@ func TestRecorderQueueSeries(t *testing.T) {
 	}
 	eng.RunFor(sim.Millisecond)
 	tick.Stop()
+	rec.Finish()
 
 	n := rec.Samples()
 	if n == 0 {
@@ -250,113 +251,20 @@ func TestRecorderQueueSeries(t *testing.T) {
 	}
 }
 
-// driveRecorders samples every recorder at the same instants of one
-// switch under a seeded load with drops and ECN marks, and returns the
-// number of samples taken.
-func driveRecorders(t *testing.T, recs ...*Recorder) int {
-	t.Helper()
-	sw := recs[0].sw
-	eng := sw.eng
-	tick := eng.Every(0, 5*sim.Microsecond, func() {
-		for _, rec := range recs {
-			rec.Sample(eng.Now())
-		}
-	})
-	rng := sim.NewRand(7)
-	for i := 0; i < 300; i++ {
-		sw.Receive(mkpkt(pkt.NodeID(rng.Intn(sw.NumPorts())), 500+rng.Intn(1000), rng.Intn(2)))
-		if i%13 == 0 {
-			eng.RunFor(12 * sim.Microsecond)
-		}
-	}
-	eng.RunFor(sim.Millisecond)
-	tick.Stop()
-	if recs[0].Peak() == 0 || sw.Stats().ECNMarked == 0 {
-		t.Fatal("scenario too gentle: nothing buffered or nothing marked")
-	}
-	return recs[0].Samples()
-}
+// newTestRecorder is a recorder of sw that draws from a chunk pool of
+// its own.
+func newTestRecorder(sw *Switch) *Recorder { return newRecorder(sw, new(chunkPool)) }
 
-func recorderTestSwitch(t *testing.T) *Switch {
-	sw, _ := testSwitch(t, sim.NewEngine(), Config{
-		Ports: 3, ClassesPerPort: 2, BufferBytes: 30_000,
-		ECNThresholdBytes: 2_000, Policy: bm.NewDT(1), Scheduler: SchedDRR,
-	}, 1e9)
-	return sw
-}
-
-// everySeries lists a recorder's float series in a fixed order.
-func everySeries(r *Recorder) [][]float64 {
-	all := [][]float64{r.Series}
-	for q := range r.queue {
-		all = append(all, r.QueueSeries(q), r.ThresholdSeries(q), r.ECNSeries(q))
-	}
-	return all
-}
-
-// requireSameRecording fails unless two recorders of one switch hold
-// the same times, series and aggregates.
-func requireSameRecording(t *testing.T, what string, got, want *Recorder) {
-	t.Helper()
-	if !reflect.DeepEqual(got.Times, want.Times) || !reflect.DeepEqual(everySeries(got), everySeries(want)) {
-		t.Fatalf("%s: times or series differ from the unreserved recorder's", what)
-	}
-	sw := want.sw
-	if got.Samples() != want.Samples() || got.Peak() != want.Peak() || got.Mean() != want.Mean() {
-		t.Errorf("%s: switch aggregates differ", what)
-	}
-	for p := 0; p < sw.NumPorts(); p++ {
-		if got.PortPeak(p) != want.PortPeak(p) || got.PortMean(p) != want.PortMean(p) {
-			t.Errorf("%s: port %d aggregates differ", what, p)
-		}
-	}
-	for q := 0; q < sw.NumQueues(); q++ {
-		if got.QueuePeak(q) != want.QueuePeak(q) || got.QueueMean(q) != want.QueueMean(q) ||
-			got.QueueMinHeadroom(q) != want.QueueMinHeadroom(q) {
-			t.Errorf("%s: queue %d aggregates differ", what, q)
-		}
-	}
-}
-
-// A reservation changes where samples are stored and nothing else: an
-// unreserved recorder (the hand-wired callers' kind), one reserved for
-// exactly the run and one reserved short — it samples past its slab,
-// the gated-transport and capped-reservation case — all hold the same
-// recording. The short one is the three-index guard: growing a series
-// past its reservation must reallocate it, not run on into its
-// neighbour's slots.
-func TestRecorderReserve(t *testing.T) {
-	sw := recorderTestSwitch(t)
-	plain := NewRecorder(sw)
-	n := driveRecorders(t, plain)
-
-	sw = recorderTestSwitch(t)
-	plain = NewRecorder(sw)
-	exact, short := NewRecorder(sw), NewRecorder(sw)
-	exact.Reserve(n)
-	short.Reserve(n / 3)
-	if got := driveRecorders(t, plain, exact, short); got != n {
-		t.Fatalf("second drive took %d samples, first %d", got, n)
-	}
-	if n < 30 || len(plain.Series) != n {
-		t.Fatalf("%d samples, series of %d", n, len(plain.Series))
-	}
-	requireSameRecording(t, "reserved exactly", exact, plain)
-	requireSameRecording(t, "reserved short", short, plain)
-	for i, s := range everySeries(exact) {
-		if cap(s) != n {
-			t.Errorf("exact reservation: series %d has cap %d, want its own %d slots", i, cap(s), n)
-		}
-	}
-}
-
-// refRecorder is the recorder by its definition: at every sample, each
-// queue's length, its own capacity-clamped threshold and its ECN-mark
-// count, and each port's sum of lengths, every series stored in full.
+// refRecorder is the recorder by its definition: at every sample, the
+// switch's occupancy, each queue's length, its own capacity-clamped
+// threshold and its ECN-mark count, and each port's sum of lengths,
+// every series stored in full.
 type refRecorder struct {
 	sw            *Switch
+	times         []sim.Time
 	occ, thr, ecn [][]float64 // per queue
 	port          [][]float64 // per port
+	total         []float64
 }
 
 func newRefRecorder(sw *Switch) *refRecorder {
@@ -369,8 +277,10 @@ func newRefRecorder(sw *Switch) *refRecorder {
 	}
 }
 
-func (r *refRecorder) sample() {
+func (r *refRecorder) sample(now sim.Time) {
 	sw := r.sw
+	r.times = append(r.times, now)
+	r.total = append(r.total, float64(sw.Occupancy()))
 	for p := range r.port {
 		r.port[p] = append(r.port[p], 0)
 	}
@@ -394,71 +304,155 @@ func peakMean(s []float64) (int, float64) {
 	return int(peak), sum / float64(len(s))
 }
 
+// recorderSampleCounts are the sample counts the differential runs at:
+// one sample, either side of and on the first chunk edge, a catalog
+// run's 1 001, and the 2 917 of a gated incast storm.
+var recorderSampleCounts = []int{1, chunkLen - 1, chunkLen, chunkLen + 1, 1001, 2917}
+
+// firstBusy is the sample at which each queue of the differential's
+// 4-port, 2-class switch first holds a packet: port 0's at the first
+// sample, port 1's mid-chunk and on the first chunk edge, port 2's on the
+// second edge and mid-way through the third chunk; port 3's never.
+var firstBusy = []int{0, 0, 300, chunkLen, 2 * chunkLen, 1300, -1, -1}
+
+// dirtyChunks is a chunk pool whose chunks hold NaN, as one a finished run
+// handed on holds that run's values: a recorder that reads a slot it did
+// not write reads NaN.
+func dirtyChunks() *chunkPool {
+	c := new(chunkPool)
+	for range 256 {
+		for i := range c.v[c.take(-1)] {
+			c.v[c.used-1][i] = math.NaN()
+		}
+	}
+	return c.rewind()
+}
+
 // The recorder keeps each distinct series once — a class policy's
 // threshold per class, a queue's occupancy and ECN series from their
-// first non-zero value — and reads back exactly what a recorder storing
-// every series in full records, bit for bit: under every policy, with
-// ECN marking on and off, with a port no packet is sent to, and sampling
-// past a short reservation. The reference asks each policy for each
-// queue's own threshold at the same instant as the recorder; the side
-// effects of Threshold (EDT's activation time, ABM's meter decay) give
-// the same answer when asked twice at one instant.
+// first non-zero value — in chunks, and after Finish reads back exactly
+// what a recorder storing every series in full records, bit for bit:
+// under every policy, with ECN marking on and off, at sample counts
+// either side of chunk edges, with queues that first fill at the first
+// sample, mid-chunk, on a chunk edge and never. Two series share storage
+// exactly when both are one class's threshold under a class policy, or
+// both read as zeros. The reference asks each policy for each queue's own
+// threshold at the same instant as the recorder; the side effects of
+// Threshold (EDT's activation time, ABM's meter decay) give the same
+// answer when asked twice at one instant.
 func TestRecorderMatchesDefinition(t *testing.T) {
 	for i, pc := range allPolicies(nil) {
 		for _, ecn := range []int{0, 8_000} {
 			t.Run(fmt.Sprintf("%s/ecn%d", pc.name, ecn), func(t *testing.T) {
-				eng := sim.NewEngine()
-				pc := allPolicies(eng)[i]
-				sw, _ := testSwitch(t, eng, Config{
-					Ports: 4, ClassesPerPort: 2, BufferBytes: 64_000, CellBytes: 64,
-					Policy: pc.policy, Occamy: pc.occ, Scheduler: SchedDRR, ECNThresholdBytes: ecn,
-				}, 1e9)
-				rec, ref := NewRecorder(sw), newRefRecorder(sw)
-				rec.Reserve(50)
-				tick := eng.Every(0, 20*sim.Microsecond, func() {
-					rec.Sample(eng.Now())
-					ref.sample()
-				})
-				r := sim.NewRand(uint64(31 + i))
-				for k := 0; k < 1500; k++ {
-					eng.At(sim.Time(r.Intn(int(3*sim.Millisecond))), func() {
-						sw.Receive(mkpkt(pkt.NodeID(r.Intn(3)), 40+r.Intn(1460), r.Intn(2))) // port 3 idle
-					})
-				}
-				eng.RunUntil(4 * sim.Millisecond)
-				tick.Stop()
-
-				n := rec.Samples()
-				if n <= 50 || len(ref.occ[0]) != n {
-					t.Fatalf("%d samples, reference %d: the reservation is not outgrown", n, len(ref.occ[0]))
-				}
-				var marked bool
-				for q := range ref.occ {
-					if !slices.Equal(rec.QueueSeries(q), ref.occ[q]) || !slices.Equal(rec.ThresholdSeries(q), ref.thr[q]) ||
-						!slices.Equal(rec.ECNSeries(q), ref.ecn[q]) {
-						t.Fatalf("queue %d: occupancy, threshold or ECN series differs from the definition", q)
-					}
-					peak, mean := peakMean(ref.occ[q])
-					minHead := math.MaxInt
-					for s := range ref.occ[q] {
-						minHead = min(minHead, int(ref.thr[q][s]-ref.occ[q][s]))
-					}
-					if rec.QueuePeak(q) != peak || rec.QueueMean(q) != mean || rec.QueueMinHeadroom(q) != minHead {
-						t.Errorf("queue %d: peak %d mean %g headroom %d, definition %d %g %d",
-							q, rec.QueuePeak(q), rec.QueueMean(q), rec.QueueMinHeadroom(q), peak, mean, minHead)
-					}
-					marked = marked || ref.ecn[q][n-1] > 0
-				}
-				for p := range ref.port {
-					if peak, mean := peakMean(ref.port[p]); rec.PortPeak(p) != peak || rec.PortMean(p) != mean {
-						t.Errorf("port %d: peak %d mean %g, definition %d %g", p, rec.PortPeak(p), rec.PortMean(p), peak, mean)
-					}
-				}
-				if _, idle := peakMean(ref.port[3]); idle != 0 || rec.Peak() == 0 || marked != (ecn > 0) {
-					t.Fatalf("program is no test: idle port mean %g, peak %d, marks %v", idle, rec.Peak(), marked)
+				for _, n := range recorderSampleCounts {
+					t.Run(fmt.Sprint(n), func(t *testing.T) { checkRecorder(t, i, ecn, n) })
 				}
 			})
 		}
+	}
+}
+
+// checkRecorder runs the differential's program for policy i over n
+// samples, 4 ms of traffic apart.
+func checkRecorder(t *testing.T, i, ecn, n int) {
+	eng := sim.NewEngine()
+	pc := allPolicies(eng)[i]
+	sw, _ := testSwitch(t, eng, Config{
+		Ports: 4, ClassesPerPort: 2, BufferBytes: 64_000, CellBytes: 64,
+		Policy: pc.policy, Occamy: pc.occ, Scheduler: SchedDRR, ECNThresholdBytes: ecn,
+	}, 1e9)
+	period := 4 * sim.Millisecond / sim.Duration(n)
+	r := sim.NewRand(uint64(31 + i))
+	for q, first := range firstBusy {
+		if first < 0 || first >= n {
+			continue
+		}
+		port, class := pkt.NodeID(q/2), q%2
+		from := int(sim.Duration(first) * period) // one nanosecond before the sample
+		for k := 0; k < 12; k++ {
+			eng.At(sim.Time(from), func() { sw.Receive(mkpkt(port, 1000, class)) })
+		}
+		for k := 0; k < 150; k++ {
+			eng.At(sim.Time(from+r.Intn(int(4*sim.Millisecond)-from)), func() {
+				sw.Receive(mkpkt(port, 40+r.Intn(1460), class))
+			})
+		}
+	}
+	rec, ref := newRecorder(sw, dirtyChunks()), newRefRecorder(sw)
+	tick := eng.Every(1, period, func() {
+		if rec.Samples() < n {
+			rec.Sample(eng.Now())
+			ref.sample(eng.Now())
+		}
+	})
+	eng.RunUntil(sim.Time(sim.Duration(n) * period))
+	tick.Stop()
+	rec.Finish()
+
+	if rec.Samples() != n || len(ref.occ[0]) != n {
+		t.Fatalf("%d samples, reference %d, want %d", rec.Samples(), len(ref.occ[0]), n)
+	}
+	if !slices.Equal(rec.Times, ref.times) || !slices.Equal(rec.Series, ref.total) {
+		t.Fatal("times or switch series differ from the definition")
+	}
+	// share records that s is stored as k, and fails if k has two copies
+	// or s's storage is another series' too.
+	key, addr := map[*float64]string{}, map[string]*float64{}
+	share := func(k string, s []float64) {
+		if a, ok := addr[k]; ok && a != &s[0] {
+			t.Fatalf("%s has two copies", k)
+		}
+		if k2, ok := key[&s[0]]; ok && k2 != k {
+			t.Fatalf("%s shares storage with %s", k, k2)
+		}
+		key[&s[0]], addr[k] = k, &s[0]
+	}
+	idle := func(name string, s []float64) string {
+		if slices.ContainsFunc(s, func(v float64) bool { return v != 0 }) {
+			return name
+		}
+		return "the zero series"
+	}
+	_, classPol := sw.Policy().(bm.ClassPolicy)
+	share("switch", rec.Series)
+	var marked bool
+	for q := range ref.occ {
+		if !slices.Equal(rec.QueueSeries(q), ref.occ[q]) || !slices.Equal(rec.ThresholdSeries(q), ref.thr[q]) ||
+			!slices.Equal(rec.ECNSeries(q), ref.ecn[q]) {
+			t.Fatalf("queue %d: occupancy, threshold or ECN series differs from the definition", q)
+		}
+		thr := fmt.Sprint("threshold ", q)
+		if classPol {
+			thr = fmt.Sprint("threshold of class ", q%2)
+		}
+		share(thr, rec.ThresholdSeries(q))
+		share(idle(fmt.Sprint("occupancy ", q), ref.occ[q]), rec.QueueSeries(q))
+		share(idle(fmt.Sprint("ecn ", q), ref.ecn[q]), rec.ECNSeries(q))
+		peak, mean := peakMean(ref.occ[q])
+		minHead := math.MaxInt
+		for s := range ref.occ[q] {
+			minHead = min(minHead, int(ref.thr[q][s]-ref.occ[q][s]))
+		}
+		if rec.QueuePeak(q) != peak || rec.QueueMean(q) != mean || rec.QueueMinHeadroom(q) != minHead {
+			t.Errorf("queue %d: peak %d mean %g headroom %d, definition %d %g %d",
+				q, rec.QueuePeak(q), rec.QueueMean(q), rec.QueueMinHeadroom(q), peak, mean, minHead)
+		}
+		want := firstBusy[q]
+		if want >= n {
+			want = -1
+		}
+		if first := slices.IndexFunc(ref.occ[q], func(v float64) bool { return v != 0 }); first != want {
+			t.Fatalf("program is no test: queue %d first holds a packet at sample %d, want %d", q, first, want)
+		}
+		marked = marked || ref.ecn[q][n-1] > 0
+	}
+	for p := range ref.port {
+		if peak, mean := peakMean(ref.port[p]); rec.PortPeak(p) != peak || rec.PortMean(p) != mean {
+			t.Errorf("port %d: peak %d mean %g, definition %d %g", p, rec.PortPeak(p), rec.PortMean(p), peak, mean)
+		}
+	}
+	if rec.Peak() == 0 || marked != (ecn > 0) {
+		t.Fatalf("program is no test: peak %d, marks %v", rec.Peak(), marked)
 	}
 }
 
@@ -467,17 +461,21 @@ func TestRecorderMatchesDefinition(t *testing.T) {
 // and Pushout, whose thresholds are asked once per class, with traffic
 // on every port and on two (the idle queues read as the zero series);
 // and under ABM, whose threshold reads a class count and a drain meter
-// per queue. After Reserve it allocates nothing.
+// per queue. Each window of samples is one run's: 1 024, and the 2 917 of
+// a gated incast storm, both crossing chunk edges. A warm recorder, whose
+// pool holds the chunks of the window before, allocates nothing.
 func BenchmarkRecorderSample(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		policy bm.Policy
 		ports  int // how many ports the traffic is spread over
+		window int
 	}{
-		{"DT", bm.NewDT(1), 8},
-		{"DT-idle", bm.NewDT(1), 2},
-		{"Pushout", core.NewPushout(), 8},
-		{"ABM", bm.NewABM(2), 8},
+		{"DT", bm.NewDT(1), 8, 1024},
+		{"DT-idle", bm.NewDT(1), 2, 1024},
+		{"Pushout", core.NewPushout(), 8, 1024},
+		{"ABM", bm.NewABM(2), 8, 1024},
+		{"DT-2917", bm.NewDT(1), 8, 2917},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			eng := sim.NewEngine()
@@ -491,13 +489,14 @@ func BenchmarkRecorderSample(b *testing.B) {
 			for i := 0; i < 64; i++ {
 				sw.Receive(mkpkt(pkt.NodeID(i%c.ports), 1000, i&1))
 			}
-			const window = 1024 // a run's worth of samples; the slab is reused across windows
-			rec := NewRecorder(sw)
-			rec.Reserve(window)
+			rec := newTestRecorder(sw)
+			for i := 0; i < c.window; i++ {
+				rec.Sample(sim.Time(i)) // the window before fills the pool
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if i%window == 0 {
+				if i%c.window == 0 {
 					rec.rewind()
 				}
 				rec.Sample(sim.Time(i))
@@ -506,16 +505,15 @@ func BenchmarkRecorderSample(b *testing.B) {
 	}
 }
 
-// rewind empties every series, keeping its storage, for the next window
-// of a benchmark.
+// rewind starts the recorder over in its pool's chunks, as the next run's
+// recorder of the same switch would, for the next window of a benchmark.
 func (r *Recorder) rewind() {
-	r.Times, r.Series, r.zero = r.Times[:0], r.Series[:0], r.zero[:0]
-	for _, group := range [][][]float64{r.queue, r.ecn, r.thr} {
-		for j := range group {
-			if group[j] != nil {
-				group[j] = group[j][:0]
-			}
-		}
+	r.chunks.rewind()
+	r.n, r.live = 0, 0
+	for i := range r.fixed {
+		r.start(&r.fixed[i])
 	}
-	r.n = 0
+	for q := range r.queues {
+		r.queues[q].occ, r.queues[q].ecn = series{}, series{}
+	}
 }

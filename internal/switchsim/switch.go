@@ -4,6 +4,10 @@
 // egress schedulers, and ECN marking. It is the substrate for every
 // experiment in the paper: the P4/Tofino prototype scenarios, the DPDK
 // software switch, and the switches inside the leaf–spine simulations.
+//
+// A run's switches outlive it: Park hands them, with the chunk pool their
+// recorders wrote into, to the next run as one set through a single
+// atomic slot, and the next run's New and NewRecorders build in them.
 package switchsim
 
 import (
@@ -206,9 +210,47 @@ type Switch struct {
 	MarkHook func(p *pkt.Packet, q int)
 }
 
-// spareQueues is the last recycled switch, emptied but for its queues,
-// unless their packet rings outgrew 2^15 slots in all.
-var spareQueues atomic.Pointer[Switch] //occamy:concurrent a handoff between runs, never touched inside one
+// parkedSet is the last run's switch set, handed to the next run whole:
+// its switches, each emptied but for its cell pool's memories and its
+// queues with their packet rings, and the chunk pool its recorders drew
+// from. Each New takes the next parked switch, and NewRecorders the
+// chunks; the next Park replaces whatever is left, never merging with it.
+type parkedSet struct {
+	switches []*Switch // in reverse: New takes the last
+	chunks   *chunkPool
+}
+
+var lastRun atomic.Pointer[parkedSet] //occamy:concurrent a handoff between runs, never touched inside one
+
+// unpark lets take remove what it needs from the parked set, and puts the
+// rest back unless a newer set was parked meanwhile.
+func unpark(take func(*parkedSet)) {
+	if set := lastRun.Swap(nil); set != nil { //occamy:concurrent see lastRun
+		take(set)
+		lastRun.CompareAndSwap(nil, set) //occamy:concurrent see lastRun
+	}
+}
+
+// Park hands a finished or canceled run's switches, and the chunk pool of
+// the recorders watching them, to the next run as one set. Every buffered
+// packet is dropped without a hook; recs' series are left as they are.
+func Park(switches []*Switch, recs []*Recorder) {
+	for _, sw := range switches {
+		sw.park()
+	}
+	set := lastRun.Swap(nil) //occamy:concurrent see lastRun
+	if set == nil {
+		set = new(parkedSet)
+	}
+	clear(set.switches[:cap(set.switches)])
+	set.switches = append(set.switches[:0], switches...)
+	slices.Reverse(set.switches)
+	set.chunks = nil
+	if len(recs) > 0 {
+		set.chunks = recs[0].chunks.rewind()
+	}
+	lastRun.Store(set) //occamy:concurrent see lastRun
+}
 
 // New builds a switch. Ports must then be attached with AttachPort, and
 // a Router installed with SetRouter, before traffic arrives.
@@ -225,14 +267,20 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	if cfg.Policy == nil {
 		panic("switchsim: Policy is required")
 	}
+	var parked *Switch
+	unpark(func(set *parkedSet) {
+		if n := len(set.switches); n > 0 {
+			parked, set.switches[n-1], set.switches = set.switches[n-1], nil, set.switches[:n-1]
+		}
+	})
+	if parked == nil {
+		parked = &Switch{pool: new(cellmem.Pool)}
+	}
 	s := &Switch{
-		name: name,
-		eng:  eng,
-		cfg:  cfg,
-		pool: cellmem.New(cellmem.Config{
-			CellSize: cfg.CellBytes,
-			NumCells: (cfg.BufferBytes + cfg.CellBytes - 1) / cfg.CellBytes,
-		}),
+		name:       name,
+		eng:        eng,
+		cfg:        cfg,
+		pool:       parked.pool,
 		policy:     cfg.Policy,
 		backlogged: hw.NewBitmap(cfg.Ports * cfg.ClassesPerPort),
 		inClass:    make([]int, cfg.ClassesPerPort),
@@ -251,12 +299,13 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	s.portStats = make([]PortStats, cfg.Ports)
 	s.queueStats = make([]QueueStats, cfg.Ports*cfg.ClassesPerPort)
 	s.ports = make([]*port, cfg.Ports)
-	var reuse []*classQueue
-	if sp := spareQueues.Swap(nil); sp != nil { //occamy:concurrent see spareQueues
-		reuse, sp.flat = sp.flat, nil
-	}
+	s.pool.Init(cellmem.Config{
+		CellSize: cfg.CellBytes,
+		NumCells: (cfg.BufferBytes + cfg.CellBytes - 1) / cfg.CellBytes,
+	})
 	nc := cfg.ClassesPerPort
-	s.flat = slices.Grow(reuse[:0], cfg.Ports*nc)[:cfg.Ports*nc]
+	s.flat = slices.Grow(parked.flat[:0], cfg.Ports*nc)[:cfg.Ports*nc]
+	*parked = Switch{} // the last run keeps no way into what moved
 	for q, cq := range s.flat {
 		if cq == nil {
 			cq = new(classQueue)
@@ -273,18 +322,19 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	return s
 }
 
-// Recycle drops every buffered packet, without a hook, and parks the cell
-// pool and the queues with their packet rings for the next New.
-func (s *Switch) Recycle() {
+// park drops every buffered packet and empties s but for its cell pool's
+// memories and its queues with their packet rings, unless the rings
+// outgrew 2^15 slots in all.
+func (s *Switch) park() {
 	s.pool.Recycle()
 	slots := 0
 	for _, cq := range s.flat {
 		slots += cq.meta.Clear()
 	}
-	*s = Switch{flat: s.flat}
-	if slots <= 1<<15 {
-		spareQueues.Store(s) //occamy:concurrent see spareQueues
+	if slots > 1<<15 {
+		s.flat = nil
 	}
+	*s = Switch{pool: s.pool, flat: s.flat}
 }
 
 // AttachPort wires port i to a link: egress rate in bits/sec,

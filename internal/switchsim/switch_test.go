@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"occamy/internal/bm"
@@ -395,4 +397,91 @@ func TestDesyncPanicsAreAbsentUnderRandomTraffic(t *testing.T) {
 	if st.TxPackets+st.Drops()+st.DropsExpelled != st.RxPackets {
 		t.Fatalf("packet conservation violated: %+v", st)
 	}
+}
+
+// TestParkedSetStartsClean: a run's switches, parked with packets
+// buffered, are the next run's: each New takes the next parked switch's
+// cell pool, re-initialised for its own buffer, smaller or larger, and
+// starts empty, and the parked switch keeps no way into it. A set parked
+// later replaces the earlier one whole.
+func TestParkedSetStartsClean(t *testing.T) {
+	build := func(buffer int) *Switch {
+		sw, _ := testSwitch(t, sim.NewEngine(), Config{
+			Ports: 2, ClassesPerPort: 2, BufferBytes: buffer, Policy: bm.NewDT(1),
+		}, 1e9)
+		return sw
+	}
+	replaced := []*Switch{build(40_000), build(40_000)}
+	Park(replaced, nil)
+	run := []*Switch{build(40_000), build(40_000)}
+	for i := 0; i < 30; i++ {
+		run[i%2].Receive(mkpkt(pkt.NodeID(i%2), 900, i/2%2))
+	}
+	parked := map[any]int{run[0].Pool(): 0, run[1].Pool(): 1}
+	Park(run, nil)
+	for i, buffer := range []int{20_000, 80_000, 40_000} {
+		sw := build(buffer)
+		if from, ok := parked[sw.Pool()]; ok != (i < 2) || ok && from != i {
+			t.Fatalf("switch %d took parked pool %d (%v)", i, from, ok)
+		}
+		if i < 2 && run[i].Pool() != nil {
+			t.Fatalf("parked switch %d still reaches the pool it handed on", i)
+		}
+		sw.Pool().CheckInvariants()
+		if sw.Occupancy() != 0 || sw.BufferedPackets() != 0 || sw.Pool().FreeBytes() < sw.Capacity() {
+			t.Fatalf("switch %d starts with %d bytes, %d packets, %d of %d free", i,
+				sw.Occupancy(), sw.BufferedPackets(), sw.Pool().FreeBytes(), sw.Capacity())
+		}
+		for k := 0; k < 10; k++ {
+			sw.Receive(mkpkt(pkt.NodeID(k%2), 900, k/2%2))
+		}
+		if st := sw.Stats(); sw.Occupancy() != int(st.RxPackets-st.TxPackets-st.Drops())*900 {
+			t.Fatalf("switch %d holds %d bytes after %+v", i, sw.Occupancy(), st)
+		}
+		sw.Pool().CheckInvariants()
+	}
+}
+
+// TestParkConcurrent: runs on several goroutines build their switches and
+// recorders in whatever set another parked, sample across chunk edges,
+// finish and park again. No two runs share a switch or a chunk, so every
+// recording reads back the occupancy its run saw; under -race the slot's
+// handoff is checked too.
+func TestParkConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for run := 0; run < 20; run++ {
+				eng := sim.NewEngine()
+				switches := make([]*Switch, 1+(g+run)%4)
+				for i := range switches {
+					switches[i] = New("sw", eng, Config{
+						Ports: 2 + i, ClassesPerPort: 2, BufferBytes: 20_000 * (1 + run%3), Policy: bm.NewDT(1),
+					})
+					switches[i].SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
+				}
+				recs := NewRecorders(switches)
+				want := make([][]float64, len(switches))
+				for k := 0; k < chunkLen+100+run; k++ {
+					for i, sw := range switches {
+						if k%7 == i {
+							sw.Receive(&pkt.Packet{ID: uint64(k + 1), Dst: pkt.NodeID(k % 2), Size: 100 + k%900, Priority: k % 2})
+						}
+						recs[i].Sample(sim.Time(k))
+						want[i] = append(want[i], float64(sw.Occupancy()))
+					}
+				}
+				for i, rec := range recs {
+					rec.Finish()
+					if !slices.Equal(rec.Series, want[i]) {
+						t.Errorf("goroutine %d run %d switch %d: the recording differs from what the run saw", g, run, i)
+					}
+				}
+				Park(switches, recs)
+			}
+		}()
+	}
+	wg.Wait()
 }
