@@ -290,10 +290,15 @@ func runSpec(spec scenario.Spec, name string, sweeps, sets []string, opts runOpt
 	if err != nil {
 		fatalf("%s: %v", name, err)
 	}
+	// Every view renders from the result document: the one occamy-served
+	// caches and serves for this spec, so a fetched document renders the
+	// same tables and trace.
+	doc, err := res.Doc(opts.json || traceOut != "")
+	if err != nil {
+		fatalf("%s: %v", name, err)
+	}
 	if opts.json {
-		// The canonical result document — byte-identical to what
-		// occamy-served caches and serves for this spec.
-		data, err := res.EncodeJSON(true)
+		data, err := doc.Encode()
 		if err != nil {
 			fatalf("%s: %v", name, err)
 		}
@@ -302,30 +307,30 @@ func runSpec(spec scenario.Spec, name string, sweeps, sets []string, opts runOpt
 	}
 	tabs := []*scenario.Table{res.Table()}
 	if deep {
-		tabs = append(tabs, res.TailTable(), res.PerSwitchTable(), res.QueueTable())
-		if len(res.FaultLinks) > 0 {
-			tabs = append(tabs, res.FaultTable())
+		tabs = append(tabs, doc.TailTable(), doc.PerSwitchTable(), doc.QueueTable())
+		if len(doc.Faults) > 0 {
+			tabs = append(tabs, doc.FaultTable())
 		}
 	}
 	printTables(tabs)
 	if traceOut != "" {
+		tr := doc.Trace
+		if tr == nil {
+			fatalf("%s: no occupancy trace recorded", name)
+		}
 		f, err := os.Create(traceOut)
 		if err != nil {
 			fatalf("%s: %v", name, err)
 		}
-		if err := res.WriteTraceCSVStride(f, opts.traceStride); err != nil {
+		if err := tr.WriteCSV(f, opts.traceStride); err != nil {
 			fatalf("%s: %v", name, err)
 		}
 		if err := f.Close(); err != nil {
 			fatalf("%s: %v", name, err)
 		}
-		plot, err := res.TracePlot(72)
-		if err != nil {
-			fatalf("%s: %v", name, err)
-		}
 		fmt.Printf("occupancy trace (%d samples every %v, per-queue series + thresholds in %s):\n%s\n",
-			len(res.Telemetry[0].Series), res.SampleEvery, traceOut, plot)
-		qplot, err := res.QueueTracePlot(72, 8)
+			tr.Samples, tr.SampleEvery, traceOut, tr.TracePlot(72))
+		qplot, err := tr.QueueTracePlot(72, 8)
 		if err != nil {
 			fatalf("%s: %v", name, err)
 		}

@@ -10,7 +10,8 @@
 // SCENARIOS.md ("Figures are specs") maps each figure to its specs. The
 // package keeps its import path because benchmarks/, a module of its
 // own that pins the APIs it drives, calls experiments.SetParallelism;
-// the rename waits for the next benchmark PR (ROADMAP direction 2).
+// folding it into internal/scenario waits for a change that may edit
+// benchmarks/ too (ROADMAP, "Finish one harness").
 package experiments
 
 import (

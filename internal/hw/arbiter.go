@@ -36,30 +36,3 @@ func (a *RoundRobinArbiter) Grant(req *Bitmap) (int, bool) {
 func (a *RoundRobinArbiter) Peek(req *Bitmap) (int, bool) {
 	return req.NextSet(a.next)
 }
-
-// FixedPriorityArbiter resolves the read-bandwidth conflict between the
-// output scheduler and the head-drop selector (§4.3): the scheduler
-// always wins, so preemption can never delay line-rate forwarding.
-type FixedPriorityArbiter struct{}
-
-// Requester identifies who is asking for PD/cell-pointer read bandwidth.
-type Requester int
-
-// The two requesters, in fixed priority order.
-const (
-	ReqScheduler Requester = iota // output scheduler: always wins
-	ReqHeadDrop                   // head-drop selector: only when idle
-	reqNone
-)
-
-// Arbitrate returns which requester is granted this cycle.
-func (FixedPriorityArbiter) Arbitrate(schedulerWants, headDropWants bool) (Requester, bool) {
-	switch {
-	case schedulerWants:
-		return ReqScheduler, true
-	case headDropWants:
-		return ReqHeadDrop, true
-	default:
-		return reqNone, false
-	}
-}

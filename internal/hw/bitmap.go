@@ -1,9 +1,10 @@
 // Package hw models the hardware components the Occamy paper builds or
 // analyzes: the over-allocation bitmap and round-robin arbiter of the
-// head-drop selector (Fig 9), the fixed-priority arbiter, the binary
-// comparator-tree Maximum Finder that makes classic Pushout expensive
-// (Fig 4), the dequeue pipeline (Fig 10), and an analytic gate-level
-// cost model reproducing Table 1.
+// head-drop selector (Fig 9), the binary comparator-tree Maximum Finder
+// that makes classic Pushout expensive (Fig 4), the dequeue pipeline
+// (Fig 10), and an analytic gate-level cost model reproducing Table 1.
+// The §4.3 fixed-priority arbiter is costed here but runs as the token
+// bucket in internal/core.
 //
 // The functional models here are cycle-faithful in behaviour (what gets
 // granted, in what order) and are used directly by the Occamy expulsion

@@ -47,8 +47,9 @@ func SelectorCost(nQueues, qlenBits int) Cost {
 	}
 }
 
-// ArbiterCost models the 2-input fixed-priority arbiter: a couple of
-// gates, no state.
+// ArbiterCost models the 2-input fixed-priority arbiter of §4.3 (the
+// output scheduler always wins; internal/core's token bucket is its
+// behaviour): a couple of gates, no state.
 func ArbiterCost() Cost {
 	const luts = 3.0
 	return Cost{

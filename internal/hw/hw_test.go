@@ -197,22 +197,6 @@ func TestRoundRobinPeekDoesNotAdvance(t *testing.T) {
 	}
 }
 
-func TestFixedPriorityArbiter(t *testing.T) {
-	var a FixedPriorityArbiter
-	if r, ok := a.Arbitrate(true, true); !ok || r != ReqScheduler {
-		t.Fatal("scheduler did not win contended cycle")
-	}
-	if r, ok := a.Arbitrate(false, true); !ok || r != ReqHeadDrop {
-		t.Fatal("head-drop not granted on idle cycle")
-	}
-	if r, ok := a.Arbitrate(true, false); !ok || r != ReqScheduler {
-		t.Fatal("scheduler not granted alone")
-	}
-	if _, ok := a.Arbitrate(false, false); ok {
-		t.Fatal("grant with no requesters")
-	}
-}
-
 func TestMaxFinderFindsMax(t *testing.T) {
 	m := NewMaxFinder(8, 20)
 	vals := []int{3, 9, 1, 9, 0, 2, 8, 4}
@@ -292,28 +276,16 @@ func TestMaxFinderCostScaling(t *testing.T) {
 
 func TestDequeueCycles(t *testing.T) {
 	cfg := PipelineConfig{Sublists: 1}
-	if got := DequeueCycles(cfg, 1, true); got != 3 {
+	if got := DequeueCycles(cfg, 1); got != 3 {
 		t.Fatalf("1 cell = %d cycles, want 3", got)
 	}
-	if got := DequeueCycles(cfg, 4, true); got != 6 {
+	if got := DequeueCycles(cfg, 4); got != 6 {
 		t.Fatalf("4 cells = %d cycles, want 6", got)
 	}
 	// Parallel sub-lists speed up pointer streaming (§3.2 opportunity 3).
 	cfg4 := PipelineConfig{Sublists: 4}
-	if got := DequeueCycles(cfg4, 4, true); got != 3 {
+	if got := DequeueCycles(cfg4, 4); got != 3 {
 		t.Fatalf("4 cells/4 sublists = %d cycles, want 3", got)
-	}
-	// Head-drop occupancy equals dequeue occupancy (same PD/ptr path).
-	if DequeueCycles(cfg, 4, false) != DequeueCycles(cfg, 4, true) {
-		t.Fatal("head-drop pipeline occupancy diverged from dequeue")
-	}
-}
-
-func TestHeadDropNeverReadsCellData(t *testing.T) {
-	for cells := 1; cells <= 64; cells *= 2 {
-		if HeadDropCellDataReads(cells) != 0 {
-			t.Fatalf("head-drop read cell data for %d cells", cells)
-		}
 	}
 }
 

@@ -20,14 +20,15 @@ type PipelineConfig struct {
 }
 
 // DequeueCycles returns how many traffic-manager cycles the Fig 10
-// pipeline needs to retire one packet occupying `cells` cells. The PD
-// read/dequeue take one cycle each; cell-pointer reads then stream at
-// Sublists per cycle, with free-cell and (for transmission) data reads
-// overlapped in the pipeline. Head-drops skip operation ⑤ but, because
-// the three memories are accessed in parallel, the *occupancy* of the
-// PD/pointer stages is what bounds throughput — which is why the paper
-// charges head-drop the same pointer bandwidth as a normal dequeue.
-func DequeueCycles(cfg PipelineConfig, cells int, readData bool) int {
+// pipeline needs to retire one packet occupying `cells` cells, whether
+// it is transmitted or head-dropped. The PD read/dequeue take one cycle
+// each; cell-pointer reads then stream at Sublists per cycle, with
+// free-cell and (for transmission) data reads overlapped in the
+// pipeline. Head-drops skip operation ⑤ but, because the three memories
+// are accessed in parallel, the *occupancy* of the PD/pointer stages is
+// what bounds throughput — which is why the paper charges head-drop the
+// same pointer bandwidth as a normal dequeue.
+func DequeueCycles(cfg PipelineConfig, cells int) int {
 	if cells < 1 {
 		cells = 1
 	}
@@ -41,15 +42,10 @@ func DequeueCycles(cfg PipelineConfig, cells int, readData bool) int {
 	return 2 + ptrCycles
 }
 
-// HeadDropCellDataReads returns the number of cell-data reads a head-drop
-// performs — always zero; kept as an explicit function so tests document
-// the invariant at the hardware-model level too.
-func HeadDropCellDataReads(cells int) int { return 0 }
-
 // ExpulsionRate returns the packets-per-second the expulsion path can
 // sustain at the given clock (GHz) for packets of `cells` cells, when the
 // output scheduler leaves the PD/pointer memories idle.
 func ExpulsionRate(cfg PipelineConfig, ghz float64, cells int) float64 {
-	cyc := DequeueCycles(cfg, cells, false)
+	cyc := DequeueCycles(cfg, cells)
 	return ghz * 1e9 / float64(cyc)
 }

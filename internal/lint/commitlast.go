@@ -313,7 +313,7 @@ func (c *commitChecker) classify(call *ast.CallExpr) callClass {
 			}
 		}
 	}
-	// Methods like doc.WriteTraceCSV(w, stride): a Write* call handed
+	// Methods like trace.WriteCSV(w, stride): a Write* call handed
 	// the writer commits the response.
 	if strings.HasPrefix(name, "Write") {
 		return commitWrite

@@ -171,7 +171,7 @@ var columnFuncs = map[string]func(*Result) string{
 	"expelled":     func(r *Result) string { return fmt.Sprint(r.Total.DropsExpelled) },
 	"ecn_marked":   func(r *Result) string { return fmt.Sprint(r.Total.ECNMarked) },
 	"burst_loss":   func(r *Result) string { return experiments.F(r.burstLoss()) },
-	"max_occ_pct":  func(r *Result) string { return r.occPct(float64(r.MaxOccupancy)) },
+	"max_occ_pct":  func(r *Result) string { return occPct(r.BufferBytes, float64(r.MaxOccupancy)) },
 	"mean_occ_pct": func(r *Result) string {
 		if len(r.Telemetry) == 0 {
 			return "-"
@@ -180,7 +180,7 @@ var columnFuncs = map[string]func(*Result) string{
 		for i := range r.Telemetry {
 			sum += r.Telemetry[i].MeanOcc
 		}
-		return r.occPct(sum / float64(len(r.Telemetry)))
+		return occPct(r.BufferBytes, sum/float64(len(r.Telemetry)))
 	},
 	"hot_port": func(r *Result) string {
 		sw, port, _ := r.HottestPort()
@@ -194,7 +194,7 @@ var columnFuncs = map[string]func(*Result) string{
 		if sw < 0 {
 			return "-"
 		}
-		return r.occPct(float64(peak))
+		return occPct(r.BufferBytes, float64(peak))
 	},
 	"hot_queue": func(r *Result) string {
 		sw, q, _ := r.HottestQueue()
@@ -208,14 +208,14 @@ var columnFuncs = map[string]func(*Result) string{
 		if sw < 0 {
 			return "-"
 		}
-		return r.occPct(float64(peak))
+		return occPct(r.BufferBytes, float64(peak))
 	},
 	"hot_queue_mean_pct": func(r *Result) string {
 		sw, q, _ := r.HottestQueue()
 		if sw < 0 {
 			return "-"
 		}
-		return r.occPct(r.Telemetry[sw].Queues[q].Mean)
+		return occPct(r.BufferBytes, r.Telemetry[sw].Queues[q].Mean)
 	},
 	"min_thr_headroom_pct": func(r *Result) string {
 		min, found := 0, false
@@ -233,7 +233,7 @@ var columnFuncs = map[string]func(*Result) string{
 		if !found {
 			return "-"
 		}
-		return r.signedOccPct(float64(min))
+		return occPct(r.BufferBytes, float64(min))
 	},
 	"switches": func(r *Result) string { return fmt.Sprint(len(r.PerSwitch)) },
 	// Fig 7: utilization (percent) at the instant of each non-expulsion

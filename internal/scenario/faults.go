@@ -14,8 +14,9 @@ import (
 // internal/linkfault). Profiles are selected per link class — host
 // access links ("host-leaf") and fabric links ("leaf-spine") — with
 // "all" as the shared fallback. The per-link fault counters land in
-// Result.FaultLinks, render as FaultTable, and export in the result
-// document, so a degraded-network run explains its own packet budget.
+// Result.FaultLinks, export in the result document, and render from it
+// as FaultTable, so a degraded-network run explains its own packet
+// budget.
 
 // Faults selects per-link-class fault profiles. A class without a
 // profile (directly or via All) keeps its links ideal.
@@ -109,28 +110,33 @@ func (r *Result) LinkFaultTotals() linkfault.Stats {
 // FaultTable renders the per-link fault counters of every faulted link
 // that saw traffic, plus a total row. Conservation holds per row:
 // offered + duplicated == delivered + dropped once the run has drained.
-func (r *Result) FaultTable() *experiments.Table {
+func (d *ResultDoc) FaultTable() *experiments.Table {
 	t := &experiments.Table{
-		ID:    r.Spec.Name + "-faults",
+		ID:    d.Name + "-faults",
 		Title: "per-link fault injection counters",
 		Columns: []string{"link", "class", "offered", "delivered",
 			"dropped", "duplicated", "held", "reordered"},
 	}
-	for _, l := range r.FaultLinks {
-		if l.Offered == 0 {
-			continue
-		}
-		t.AddRow(l.Name, l.Class.String(),
+	row := func(name, class string, l FaultLinkDoc) {
+		t.AddRow(name, class,
 			fmt.Sprint(l.Offered), fmt.Sprint(l.Delivered),
 			fmt.Sprint(l.Dropped), fmt.Sprint(l.Duplicated),
 			fmt.Sprint(l.Held), fmt.Sprint(l.Reordered))
 	}
-	if len(r.FaultLinks) > 0 {
-		tot := r.LinkFaultTotals()
-		t.AddRow("total", "-",
-			fmt.Sprint(tot.Offered), fmt.Sprint(tot.Delivered),
-			fmt.Sprint(tot.Dropped), fmt.Sprint(tot.Duplicated),
-			fmt.Sprint(tot.Held), fmt.Sprint(tot.Reordered))
+	var tot FaultLinkDoc
+	for _, l := range d.Faults {
+		if l.Offered > 0 {
+			row(l.Name, l.Class, l)
+		}
+		tot.Offered += l.Offered
+		tot.Delivered += l.Delivered
+		tot.Dropped += l.Dropped
+		tot.Duplicated += l.Duplicated
+		tot.Held += l.Held
+		tot.Reordered += l.Reordered
+	}
+	if len(d.Faults) > 0 {
+		row("total", "-", tot)
 	}
 	return t
 }

@@ -177,8 +177,7 @@ func TestDuplicationAndReorderComplete(t *testing.T) {
 // only slack and must be zero or show up as offered-minus-delivered).
 func TestFaultTableBalances(t *testing.T) {
 	t.Parallel()
-	res := MustRun(lossSpec(0.02))
-	tab := res.FaultTable()
+	tab := mustDoc(t, MustRun(lossSpec(0.02)), false).FaultTable()
 	if len(tab.Rows) < 2 {
 		t.Fatalf("fault table has %d rows, want per-link rows plus total", len(tab.Rows))
 	}
@@ -217,8 +216,9 @@ func TestFlakyTorIncastDeterministic(t *testing.T) {
 	spec := sc.SpecAt(ScaleQuick)
 	a := MustRun(spec)
 	b := MustRun(spec)
-	ra := render([]*Table{a.Table(), a.TailTable(), a.PerSwitchTable(), a.FaultTable()})
-	rb := render([]*Table{b.Table(), b.TailTable(), b.PerSwitchTable(), b.FaultTable()})
+	da, db := mustDoc(t, a, false), mustDoc(t, b, false)
+	ra := render([]*Table{a.Table(), da.TailTable(), da.PerSwitchTable(), da.FaultTable()})
+	rb := render([]*Table{b.Table(), db.TailTable(), db.PerSwitchTable(), db.FaultTable()})
 	if ra != rb {
 		t.Errorf("same spec, different tables:\n--- first\n%s--- second\n%s", ra, rb)
 	}

@@ -131,7 +131,7 @@ func table1(Scale) Figure {
 			Columns: []string{"sublists", "dequeue_cycles", "expulsion_Mpps"}}
 		for _, sub := range []int{1, 4} {
 			cfg := hw.PipelineConfig{Sublists: sub}
-			pipe.AddRow(fmt.Sprint(sub), fmt.Sprint(hw.DequeueCycles(cfg, 8, true)),
+			pipe.AddRow(fmt.Sprint(sub), fmt.Sprint(hw.DequeueCycles(cfg, 8)),
 				fmt.Sprintf("%.0f", hw.ExpulsionRate(cfg, ghz, 8)/1e6))
 		}
 		return []*Table{cost, finder, pipe}

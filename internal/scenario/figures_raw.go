@@ -73,8 +73,8 @@ const fig11Rows = 64
 // Fig11QueueEvolution reproduces the queue-length evolution traces:
 // Occamy vs DT at α ∈ {1,4}, one table per policy. Rows are strided
 // samples of the run's recorder: the long-lived queue, the burst queue,
-// and the burst queue's capacity-clamped threshold. The same Results
-// plot as overlays through Result.QueueTracePlot.
+// and the burst queue's capacity-clamped threshold. Each Result's
+// document plots them as overlays (TraceDoc.QueueTracePlot).
 func Fig11QueueEvolution() Figure {
 	var specs []Spec
 	for _, p := range []Policy{

@@ -93,7 +93,7 @@ func TestFig11Traces(t *testing.T) {
 		if len(tab.Rows) < 10 || len(tab.Rows) > fig11Rows {
 			t.Fatalf("%s: %d trace points, want 10..%d", tab.ID, len(tab.Rows), fig11Rows)
 		}
-		if _, err := results[i].QueueTracePlot(72, 0); err != nil {
+		if _, err := mustDoc(t, results[i], true).Trace.QueueTracePlot(72, 0); err != nil {
 			t.Fatalf("%s: %v", tab.ID, err)
 		}
 	}

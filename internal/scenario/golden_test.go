@@ -56,7 +56,8 @@ func goldenDeepTables(t *testing.T, name string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return render([]*Table{res.Table(), res.TailTable(), res.PerSwitchTable()})
+	doc := mustDoc(t, res, false)
+	return render([]*Table{res.Table(), doc.TailTable(), doc.PerSwitchTable()})
 }
 
 // goldenFaultTables is goldenDeepTables plus the per-link fault counter
@@ -76,7 +77,8 @@ func goldenFaultTables(t *testing.T, name string, policy *Policy) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return render([]*Table{res.Table(), res.TailTable(), res.PerSwitchTable(), res.FaultTable()})
+	doc := mustDoc(t, res, false)
+	return render([]*Table{res.Table(), doc.TailTable(), doc.PerSwitchTable(), doc.FaultTable()})
 }
 
 func TestGoldenIncastStorm(t *testing.T) {

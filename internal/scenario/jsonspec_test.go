@@ -85,8 +85,9 @@ func TestFileSpecDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := render([]*Table{direct.Table(), direct.TailTable(), direct.PerSwitchTable()})
-			b := render([]*Table{fromFile.Table(), fromFile.TailTable(), fromFile.PerSwitchTable()})
+			da, db := mustDoc(t, direct, false), mustDoc(t, fromFile, false)
+			a := render([]*Table{direct.Table(), da.TailTable(), da.PerSwitchTable()})
+			b := render([]*Table{fromFile.Table(), db.TailTable(), db.PerSwitchTable()})
 			if a != b {
 				t.Errorf("file-spec run differs from in-code run:\n--- in-code\n%s--- from file\n%s", a, b)
 			}

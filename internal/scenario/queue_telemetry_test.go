@@ -123,7 +123,7 @@ func TestMultiClassScenariosFillMultipleClasses(t *testing.T) {
 			if len(active) < 2 {
 				t.Errorf("only classes %v buffered traffic; multi-class telemetry unexercised", active)
 			}
-			if tab := res.QueueTable(); len(tab.Rows) < 2 {
+			if tab := mustDoc(t, res, false).QueueTable(); len(tab.Rows) < 2 {
 				t.Errorf("QueueTable has %d rows, want >= 2", len(tab.Rows))
 			}
 		})
@@ -143,12 +143,13 @@ func goldenQueueTrace(t *testing.T, spec Spec) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plot, err := res.QueueTracePlot(72, 8)
+		doc := mustDoc(t, res, true)
+		plot, err := doc.Trace.QueueTracePlot(72, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		res.QueueTable().Fprint(&b)
+		doc.QueueTable().Fprint(&b)
 		b.WriteString("\nhottest queues vs policy threshold:\n")
 		b.WriteString(plot)
 		return b.String()

@@ -176,8 +176,8 @@ func TestEncodeMatchesReflectCatalog(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if withTrace != doc.HasTrace() {
-					t.Fatalf("Doc(%v) has trace: %v", withTrace, doc.HasTrace())
+				if withTrace != (doc.Trace != nil) {
+					t.Fatalf("Doc(%v) has trace: %v", withTrace, doc.Trace != nil)
 				}
 				data := checkEncode(t, doc)
 				back, err := DecodeResultDoc(data)

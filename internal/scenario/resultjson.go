@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -204,10 +203,7 @@ type SwitchDoc struct {
 }
 
 // SeriesDoc is one named occupancy time series.
-type SeriesDoc struct {
-	Name   string
-	Values []float64
-}
+type SeriesDoc = trace.Series
 
 // QueueSeriesDoc is one queue's occupancy series with the admission
 // threshold and cumulative ECN-mark counter sampled at the same
@@ -691,7 +687,7 @@ func (t *TraceDoc) UnmarshalJSON(data []byte) error {
 	}
 	d := TraceDoc{SampleEvery: wire.SampleEvery, Samples: n, Switches: make([]SeriesDoc, len(wire.Switches)), Queues: make([]QueueSeriesDoc, len(wire.Queues))}
 	for i, s := range wire.Switches {
-		d.Switches[i] = SeriesDoc{s.Name, ref(s.Values, "switches", i, "values")}
+		d.Switches[i] = SeriesDoc{Name: s.Name, Values: ref(s.Values, "switches", i, "values")}
 	}
 	for i, q := range wire.Queues {
 		d.Queues[i] = QueueSeriesDoc{q.Name, ref(q.Occupancy, "queues", i, "occupancy"),
@@ -744,39 +740,4 @@ func DecodeTrace(doc []byte) (*TraceDoc, error) {
 		return nil, fmt.Errorf("scenario: parsing trace section: %w", err)
 	}
 	return &t, nil
-}
-
-// HasTrace reports whether the document carries an occupancy trace —
-// the check an HTTP handler must make before committing to a 200
-// text/csv response, so "no trace" can be a clean 404 instead of an
-// error blob appended to an already-started CSV body.
-func (d *ResultDoc) HasTrace() bool {
-	return d.Trace != nil && d.Trace.Samples > 0
-}
-
-// WriteTraceCSV renders the document's trace section in the same CSV
-// shape as Result.WriteTraceCSV: one whole-switch occupancy column per
-// switch, then an occupancy/threshold column pair per queue. stride
-// keeps every stride-th sample (<=1 keeps all). Errors when the
-// document carries no trace.
-func (d *ResultDoc) WriteTraceCSV(w io.Writer, stride int) error {
-	if !d.HasTrace() {
-		return fmt.Errorf("scenario %q: result document carries no trace", d.Name)
-	}
-	times := make([]float64, d.Trace.Samples)
-	for i := range times {
-		times[i] = (sim.Time(i) * d.Trace.SampleEvery).Seconds()
-	}
-	series := make([]trace.Series, 0, len(d.Trace.Switches)+3*len(d.Trace.Queues))
-	for _, s := range d.Trace.Switches {
-		series = append(series, trace.Series{Name: s.Name, Values: s.Values})
-	}
-	for _, q := range d.Trace.Queues {
-		series = append(series,
-			trace.Series{Name: q.Name, Values: q.Occupancy},
-			trace.Series{Name: q.Name + ":thr", Values: q.Threshold},
-			trace.Series{Name: q.Name + ":ecn", Values: q.ECN})
-	}
-	times, series = strideSeries(times, series, stride)
-	return trace.WriteCSV(w, times, series)
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -130,8 +131,7 @@ func TestResultDocRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Without the trace section the document still decodes, and the
-	// trace surface refuses politely.
+	// Without the trace section the document still decodes.
 	lean, err := res.EncodeJSON(false)
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +142,6 @@ func TestResultDocRoundTrip(t *testing.T) {
 	}
 	if leanDoc.Trace != nil {
 		t.Error("EncodeJSON(false) kept the trace section")
-	}
-	if err := leanDoc.WriteTraceCSV(&strings.Builder{}, 1); err == nil {
-		t.Error("WriteTraceCSV on a traceless document did not error")
 	}
 	if len(lean) >= len(data) {
 		t.Errorf("traceless encoding (%d B) not smaller than full (%d B)", len(lean), len(data))
@@ -167,8 +164,10 @@ func TestResultDocRoundTrip(t *testing.T) {
 }
 
 // Every spec entry under four policies: the schema-2 document's trace
-// expands, bit for bit, to the Result's dense telemetry, and the
-// document's trace CSV is the Result's at every stride.
+// expands, bit for bit, to the Result's dense telemetry, and the decoded
+// document renders every view — the four deep tables, the trace CSV at
+// three strides, the queue overlay — to the in-memory document's bytes:
+// a served result shows exactly what the CLI printed for its run.
 func TestTraceDocCatalogDifferential(t *testing.T) {
 	t.Parallel()
 	same := func(a, b []float64) bool {
@@ -183,7 +182,8 @@ func TestTraceDocCatalogDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, policy, err)
 			}
-			data, err := res.EncodeJSON(true)
+			mem := mustDoc(t, res, true)
+			data, err := mem.Encode()
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, policy, err)
 			}
@@ -210,17 +210,20 @@ func TestTraceDocCatalogDifferential(t *testing.T) {
 			if q != len(tr.Queues) {
 				t.Errorf("%s/%s: %d queues in the document, %d in the result", name, policy, len(tr.Queues), q)
 			}
-			for _, stride := range []int{1, 4, 7} {
-				var fromRes, fromDoc strings.Builder
-				if err := res.WriteTraceCSVStride(&fromRes, stride); err != nil {
-					t.Fatal(err)
+			views := func(d *ResultDoc) string {
+				var b strings.Builder
+				b.WriteString(render([]*Table{d.TailTable(), d.PerSwitchTable(), d.QueueTable(), d.FaultTable()}))
+				for _, stride := range []int{1, 4, 7} {
+					if err := d.Trace.WriteCSV(&b, stride); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := doc.WriteTraceCSV(&fromDoc, stride); err != nil {
-					t.Fatal(err)
-				}
-				if fromRes.String() != fromDoc.String() {
-					t.Errorf("%s/%s: stride %d: document CSV differs from Result CSV", name, policy, stride)
-				}
+				plot, err := d.Trace.QueueTracePlot(72, 8)
+				fmt.Fprintf(&b, "%s%v", plot, err)
+				return b.String()
+			}
+			if views(mem) != views(doc) {
+				t.Errorf("%s/%s: the decoded document renders other views than the in-memory one", name, policy)
 			}
 		}
 	}
@@ -249,7 +252,7 @@ func TestResultEncodingDeterministic(t *testing.T) {
 	}
 }
 
-// WriteTraceCSVStride bounds the CSV: stride N keeps ceil(samples/N)
+// TraceDoc.WriteCSV's stride bounds the CSV: stride N keeps ceil(samples/N)
 // rows, real samples with their exact timestamps (the stride=1 goldens
 // elsewhere pin that full resolution is unchanged).
 func TestTraceStride(t *testing.T) {
@@ -259,8 +262,9 @@ func TestTraceStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := mustDoc(t, res, true).Trace
 	var full strings.Builder
-	if err := res.WriteTraceCSVStride(&full, 1); err != nil {
+	if err := tr.WriteCSV(&full, 1); err != nil {
 		t.Fatal(err)
 	}
 	fullLines := strings.Split(strings.TrimRight(full.String(), "\n"), "\n")
@@ -270,7 +274,7 @@ func TestTraceStride(t *testing.T) {
 	}
 	for _, stride := range []int{2, 5, 64, samples + 10} {
 		var out strings.Builder
-		if err := res.WriteTraceCSVStride(&out, stride); err != nil {
+		if err := tr.WriteCSV(&out, stride); err != nil {
 			t.Fatal(err)
 		}
 		lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")

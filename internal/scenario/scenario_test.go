@@ -19,6 +19,16 @@ func render(tabs []*experiments.Table) string {
 	return buf.String()
 }
 
+// mustDoc is res.Doc(withTrace), failing the test on error.
+func mustDoc(t testing.TB, res *Result, withTrace bool) *ResultDoc {
+	t.Helper()
+	doc, err := res.Doc(withTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
 // Every registered scenario must run at test scale with sane output:
 // traffic actually delivered, the packet-accounting books closed, and a
 // non-empty table. This is the smoke gate new catalog entries buy into

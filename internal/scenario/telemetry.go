@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"occamy/internal/experiments"
 	"occamy/internal/metrics"
+	"occamy/internal/sim"
 	"occamy/internal/switchsim"
 	"occamy/internal/trace"
 )
@@ -20,9 +23,10 @@ import (
 // QueueTable goes one level further, to the (port, class) queues with
 // the admission policy's threshold sampled alongside — the view behind
 // the paper's Fig 3/11-style occupancy-vs-threshold narratives. All
-// render from the Result alone, so sweeps and file-based runs get them
-// for free (occamy-scenario run -deep), and the time series behind them
-// dump to CSV/sparklines with -trace.
+// render from the result document alone (occamy-scenario run -deep),
+// and the time series behind them from its trace section (WriteCSV and
+// the sparklines of -trace), so a document fetched from occamy-served
+// renders exactly what the run that made it printed.
 
 // QueueTelemetry is one (port, class) queue's recorded dynamics.
 type QueueTelemetry struct {
@@ -166,34 +170,27 @@ func (r *Result) HottestQueue() (sw, queue, peak int) {
 	return sw, queue, peak
 }
 
-// occPct renders an occupancy byte count as percent of buffer capacity,
-// or "-" when the run has no buffer to be a percentage of.
-func (r *Result) occPct(bytes float64) string {
-	if r.BufferBytes == 0 {
+// occPct renders an occupancy byte count as percent of a buffer of
+// bufferBytes, or "-" when there is no buffer to be a percentage of.
+// experiments.F formats magnitudes, so a negative count (threshold
+// headroom) has its sign prefixed.
+func occPct(bufferBytes int, bytes float64) string {
+	switch {
+	case bufferBytes == 0:
 		return "-"
+	case bytes < 0:
+		return "-" + experiments.F(100*-bytes/float64(bufferBytes))
 	}
-	return experiments.F(100 * bytes / float64(r.BufferBytes))
-}
-
-// signedOccPct is occPct for quantities that may be negative (threshold
-// headroom): experiments.F formats magnitudes, so the sign is prefixed.
-func (r *Result) signedOccPct(bytes float64) string {
-	if r.BufferBytes == 0 {
-		return "-"
-	}
-	if bytes < 0 {
-		return "-" + experiments.F(100*-bytes/float64(r.BufferBytes))
-	}
-	return experiments.F(100 * bytes / float64(r.BufferBytes))
+	return experiments.F(100 * bytes / float64(bufferBytes))
 }
 
 // TailTable renders the quantile breakdown of every transport workload:
 // one "all" row plus one row per flow-size bucket, with p25/p50/p90/
 // p99/p999 completion times and slowdowns. Raw-injection workloads have
-// no completions and are skipped.
-func (r *Result) TailTable() *experiments.Table {
+// no tails and no rows.
+func (d *ResultDoc) TailTable() *experiments.Table {
 	t := &experiments.Table{
-		ID:      r.Spec.Name + "-tails",
+		ID:      d.Name + "-tails",
 		Title:   "completion-time tails by workload and flow size",
 		Columns: []string{"workload", "bucket", "n"},
 	}
@@ -203,22 +200,17 @@ func (r *Result) TailTable() *experiments.Table {
 	for _, q := range metrics.TailQuantiles {
 		t.Columns = append(t.Columns, fmt.Sprintf("slow_p%s", qLabel(q)))
 	}
-	for i := range r.Workloads {
-		ws := &r.Workloads[i]
-		if ws.Kind == WLCBR || ws.Kind == WLBurst {
-			continue
-		}
-		for _, row := range ws.Col.TailRows(metrics.DefaultSizeBuckets, metrics.TailQuantiles) {
-			cells := []string{ws.Label, row.Label, fmt.Sprint(row.Count)}
+	for _, wd := range d.Workloads {
+		for _, row := range wd.Tails {
+			cells := []string{wd.Label, row.Label, fmt.Sprint(row.Count)}
+			if row.Count == 0 {
+				cells = append(cells, slices.Repeat([]string{"-"}, 2*len(metrics.TailQuantiles))...)
+			}
 			for _, fct := range row.FCT {
-				if row.Count == 0 {
-					cells = append(cells, "-")
-				} else {
-					cells = append(cells, experiments.Ms(fct))
-				}
+				cells = append(cells, experiments.Ms(fct))
 			}
 			for _, s := range row.Slowdown {
-				if row.Count == 0 || s == 0 {
+				if s == 0 {
 					cells = append(cells, "-")
 				} else {
 					cells = append(cells, experiments.F(s))
@@ -243,25 +235,27 @@ func qLabel(q float64) string {
 
 // PerSwitchTable renders the buffer dynamics switch by switch: packet
 // counters, losses, and the sampled occupancy peaks/means, with the
-// hottest egress port of each switch called out.
-func (r *Result) PerSwitchTable() *experiments.Table {
+// hottest egress port of each switch (highest peak, ties to the lowest
+// id) called out.
+func (d *ResultDoc) PerSwitchTable() *experiments.Table {
 	t := &experiments.Table{
-		ID:    r.Spec.Name + "-switches",
+		ID:    d.Name + "-switches",
 		Title: "per-switch buffer dynamics",
 		Columns: []string{"switch", "rx_pkts", "tx_pkts", "drops", "expelled", "ecn",
 			"peak_occ_pct", "mean_occ_pct", "hot_port", "hot_port_peak_pct"},
 	}
-	for i, st := range r.PerSwitch {
-		tel := r.Telemetry[i]
-		hot, hotPeak := tel.HottestPort()
-		hotCell, hotPeakCell := "-", "-"
-		if hot >= 0 {
-			hotCell, hotPeakCell = fmt.Sprint(hot), r.occPct(float64(hotPeak))
+	for _, sw := range d.Switches {
+		hotCell, hotPeakCell, hotPeak := "-", "-", -1
+		for p, pd := range sw.Ports {
+			if pd.PeakBytes > hotPeak {
+				hotCell, hotPeakCell, hotPeak = fmt.Sprint(p), occPct(d.BufferBytes, float64(pd.PeakBytes)), pd.PeakBytes
+			}
 		}
-		t.AddRow(tel.Name,
+		st := &sw.Stats
+		t.AddRow(sw.Name,
 			fmt.Sprint(st.RxPackets), fmt.Sprint(st.TxPackets),
-			fmt.Sprint(st.Drops()), fmt.Sprint(st.DropsExpelled), fmt.Sprint(st.ECNMarked),
-			r.occPct(float64(tel.PeakOcc)), r.occPct(tel.MeanOcc),
+			fmt.Sprint(st.DropsAdmission+st.DropsNoMemory), fmt.Sprint(st.DropsExpelled), fmt.Sprint(st.ECNMarked),
+			occPct(d.BufferBytes, float64(sw.PeakBytes)), occPct(d.BufferBytes, sw.MeanBytes),
 			hotCell, hotPeakCell)
 	}
 	return t
@@ -272,165 +266,83 @@ func (r *Result) PerSwitchTable() *experiments.Table {
 // the queue came to its admission limit; negative = over it), and the
 // queue's egress/drop counters, for every queue that buffered or
 // dropped anything during the run.
-func (r *Result) QueueTable() *experiments.Table {
+func (d *ResultDoc) QueueTable() *experiments.Table {
 	t := &experiments.Table{
-		ID:    r.Spec.Name + "-queues",
+		ID:    d.Name + "-queues",
 		Title: "per-queue buffer dynamics (queues with traffic)",
 		Columns: []string{"switch", "queue", "class",
 			"peak_occ_pct", "mean_occ_pct", "min_thr_headroom_pct",
 			"tx_pkts", "drops", "expelled", "ecn"},
 	}
-	for i := range r.Telemetry {
-		tel := &r.Telemetry[i]
-		for q := range tel.Queues {
-			qt := &tel.Queues[q]
-			if qt.Peak == 0 && qt.Stats == (switchsim.QueueStats{}) {
+	for _, sw := range d.Switches {
+		for _, q := range sw.Queues {
+			if q.PeakBytes == 0 && q.TxPackets == 0 && q.TxBytes == 0 && q.DropsAdmission == 0 &&
+				q.DropsNoMemory == 0 && q.DropsExpelled == 0 && q.ECNMarked == 0 {
 				continue
 			}
-			t.AddRow(tel.Name, qt.Label(), fmt.Sprint(qt.Class),
-				r.occPct(float64(qt.Peak)), r.occPct(qt.Mean),
-				r.signedOccPct(float64(qt.MinHeadroom)),
-				fmt.Sprint(qt.Stats.TxPackets), fmt.Sprint(qt.Stats.Drops()),
-				fmt.Sprint(qt.Stats.DropsExpelled), fmt.Sprint(qt.Stats.ECNMarked))
+			t.AddRow(sw.Name, fmt.Sprintf("p%dq%d", q.Port, q.Class), fmt.Sprint(q.Class),
+				occPct(d.BufferBytes, float64(q.PeakBytes)), occPct(d.BufferBytes, q.MeanBytes),
+				occPct(d.BufferBytes, float64(q.MinThresholdHeadroom)),
+				fmt.Sprint(q.TxPackets), fmt.Sprint(q.DropsAdmission+q.DropsNoMemory),
+				fmt.Sprint(q.DropsExpelled), fmt.Sprint(q.ECNMarked))
 		}
 	}
 	return t
 }
 
-// TraceSeries returns the aligned occupancy time series of every
-// switch: the recorded timestamps in seconds plus one named series per
-// switch.
-func (r *Result) TraceSeries() (times []float64, series []trace.Series) {
-	if len(r.Telemetry) == 0 {
-		return nil, nil
+// WriteCSV writes the trace as CSV: a time_s column, one whole-switch
+// occupancy column per switch, then three columns per queue — its
+// length ("<switch>:p<P>q<C>"), its policy threshold (":thr") and its
+// cumulative ECN-mark counter (":ecn"). stride keeps every stride-th
+// sample (stride <= 1 keeps all) — real samples with their exact
+// timestamps, the bound that keeps paper-scale trace files manageable.
+func (t *TraceDoc) WriteCSV(w io.Writer, stride int) error {
+	times := make([]float64, t.Samples)
+	for i := range times {
+		times[i] = (sim.Time(i) * t.SampleEvery).Seconds()
 	}
-	times = make([]float64, len(r.SampleTimes))
-	for i, t := range r.SampleTimes {
-		times[i] = t.Seconds()
+	series := append(make([]trace.Series, 0, len(t.Switches)+3*len(t.Queues)), t.Switches...)
+	for _, q := range t.Queues {
+		series = append(series,
+			trace.Series{Name: q.Name, Values: q.Occupancy},
+			trace.Series{Name: q.Name + ":thr", Values: q.Threshold},
+			trace.Series{Name: q.Name + ":ecn", Values: q.ECN})
 	}
-	for _, tel := range r.Telemetry {
-		series = append(series, trace.Series{Name: tel.Name, Values: tel.Series})
-	}
-	return times, series
-}
-
-// QueueTraceSeries returns the aligned per-queue series of every
-// switch: for each (port, class) queue, its occupancy series
-// ("<switch>:p<P>q<C>") immediately followed by its policy-threshold
-// series ("<switch>:p<P>q<C>:thr") — the Fig 3/11-style overlay pairs —
-// and its cumulative ECN-mark series ("<switch>:p<P>q<C>:ecn").
-func (r *Result) QueueTraceSeries() (times []float64, series []trace.Series) {
-	if len(r.Telemetry) == 0 {
-		return nil, nil
-	}
-	times = make([]float64, len(r.SampleTimes))
-	for i, t := range r.SampleTimes {
-		times[i] = t.Seconds()
-	}
-	for _, tel := range r.Telemetry {
-		for q := range tel.Queues {
-			qt := &tel.Queues[q]
-			base := tel.Name + ":" + qt.Label()
-			series = append(series,
-				trace.Series{Name: base, Values: qt.Series},
-				trace.Series{Name: base + ":thr", Values: qt.Threshold},
-				trace.Series{Name: base + ":ecn", Values: qt.ECNMarks})
-		}
-	}
-	return times, series
-}
-
-// WriteTraceCSV dumps the recorded time series as CSV: one whole-switch
-// occupancy column per switch, then per-queue occupancy, threshold, and
-// cumulative ECN-mark columns for every queue of every switch.
-func (r *Result) WriteTraceCSV(w io.Writer) error {
-	return r.WriteTraceCSVStride(w, 1)
-}
-
-// WriteTraceCSVStride is WriteTraceCSV keeping only every stride-th
-// sample (stride <= 1 keeps all) — the bound that keeps paper-scale
-// trace files manageable: a run records ~1000 aligned samples per
-// switch and two columns per (port, class) queue, so a 256-port sweep
-// at full resolution is tens of MB of CSV.
-func (r *Result) WriteTraceCSVStride(w io.Writer, stride int) error {
-	times, series := r.TraceSeries()
-	if len(series) == 0 {
-		return fmt.Errorf("scenario %q: no occupancy trace recorded", r.Spec.Name)
-	}
-	_, qseries := r.QueueTraceSeries()
-	times, series = strideSeries(times, append(series, qseries...), stride)
-	return trace.WriteCSV(w, times, series)
-}
-
-// strideSeries keeps every stride-th element of the aligned times and
-// series (stride <= 1 returns the input unchanged). Unlike
-// trace.Downsample it subsamples rather than bucket-averages, so the
-// surviving rows are real recorded samples with their exact timestamps.
-func strideSeries(times []float64, series []trace.Series, stride int) ([]float64, []trace.Series) {
-	if stride <= 1 {
-		return times, series
-	}
-	keep := func(v []float64) []float64 {
-		out := make([]float64, 0, (len(v)+stride-1)/stride)
-		for i := 0; i < len(v); i += stride {
-			out = append(out, v[i])
-		}
-		return out
-	}
-	strided := make([]trace.Series, len(series))
-	for i, s := range series {
-		strided[i] = trace.Series{Name: s.Name, Values: keep(s.Values)}
-	}
-	return keep(times), strided
+	return trace.WriteCSV(w, times, series, stride)
 }
 
 // TracePlot renders the per-switch occupancy series as labeled
-// sparklines on a shared scale (width cells; 0 = full resolution). Like
-// WriteTraceCSV it errors when the run recorded no trace.
-func (r *Result) TracePlot(width int) (string, error) {
-	_, series := r.TraceSeries()
-	if len(series) == 0 {
-		return "", fmt.Errorf("scenario %q: no occupancy trace recorded", r.Spec.Name)
-	}
-	return trace.Plot(series, width), nil
-}
+// sparklines on a shared scale (width cells; 0 = full resolution).
+func (t *TraceDoc) TracePlot(width int) string { return trace.Plot(t.Switches, width) }
 
 // QueueTracePlot renders occupancy-vs-threshold overlays for the top
-// (by length peak) queues across all switches: each queue contributes
-// its occupancy sparkline and its threshold sparkline on a shared
-// scale. top bounds the queue count (0 = all queues with traffic).
-func (r *Result) QueueTracePlot(width, top int) (string, error) {
-	_, all := r.QueueTraceSeries()
-	if len(all) == 0 {
-		return "", fmt.Errorf("scenario %q: no occupancy trace recorded", r.Spec.Name)
+// queues by length peak (the maximum of the series, as the recorder's
+// peak is; ties keep trace order): each contributes its occupancy
+// sparkline and its threshold sparkline on a shared scale. top bounds
+// the queue count (0 = all queues that buffered anything).
+func (t *TraceDoc) QueueTracePlot(width, top int) (string, error) {
+	type ranked struct {
+		q    *QueueSeriesDoc
+		peak float64
 	}
-	type cand struct {
-		sw, q, peak int
-	}
-	var cands []cand
-	for i := range r.Telemetry {
-		for q := range r.Telemetry[i].Queues {
-			if pk := r.Telemetry[i].Queues[q].Peak; pk > 0 {
-				cands = append(cands, cand{i, q, pk})
-			}
+	var hot []ranked
+	for i := range t.Queues {
+		if peak := slices.Max(t.Queues[i].Occupancy); peak > 0 {
+			hot = append(hot, ranked{&t.Queues[i], peak})
 		}
 	}
-	// Descending peak, ties keeping switch/queue order.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].peak > cands[j].peak })
-	if top > 0 && len(cands) > top {
-		cands = cands[:top]
+	if len(hot) == 0 {
+		return "", errors.New("trace: no queue buffered any traffic")
 	}
-	var series []trace.Series
-	for _, c := range cands {
-		tel := &r.Telemetry[c.sw]
-		qt := &tel.Queues[c.q]
-		base := tel.Name + ":" + qt.Label()
+	slices.SortStableFunc(hot, func(a, b ranked) int { return cmp.Compare(b.peak, a.peak) })
+	if top > 0 && len(hot) > top {
+		hot = hot[:top]
+	}
+	series := make([]trace.Series, 0, 2*len(hot))
+	for _, h := range hot {
 		series = append(series,
-			trace.Series{Name: base, Values: qt.Series},
-			trace.Series{Name: base + ":thr", Values: qt.Threshold})
-	}
-	if len(series) == 0 {
-		return "", fmt.Errorf("scenario %q: no queue buffered any traffic", r.Spec.Name)
+			trace.Series{Name: h.q.Name, Values: h.q.Occupancy},
+			trace.Series{Name: h.q.Name + ":thr", Values: h.q.Threshold})
 	}
 	return trace.Plot(series, width), nil
 }

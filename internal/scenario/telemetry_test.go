@@ -167,8 +167,8 @@ func TestTailColumnsOrdered(t *testing.T) {
 }
 
 // The trace dump: CSV has one aligned row per sample with one column
-// per switch plus an occupancy/threshold column pair per queue, and the
-// sparkline plots name every switch and overlay queue.
+// per switch plus an occupancy/threshold/ECN column triple per queue,
+// and the sparkline plots name every switch and overlay queue.
 func TestTraceOutputs(t *testing.T) {
 	t.Parallel()
 	sc, _ := Get("degraded-leafspine")
@@ -176,8 +176,9 @@ func TestTraceOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := mustDoc(t, res, true).Trace
 	var buf strings.Builder
-	if err := res.WriteTraceCSV(&buf); err != nil {
+	if err := tr.WriteCSV(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -209,31 +210,27 @@ func TestTraceOutputs(t *testing.T) {
 			t.Fatalf("ragged CSV row %q", l)
 		}
 	}
-	plot, err := res.TracePlot(40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plot := tr.TracePlot(40)
 	for i := range res.Telemetry {
 		if !strings.Contains(plot, res.Telemetry[i].Name) {
 			t.Errorf("plot missing switch %s:\n%s", res.Telemetry[i].Name, plot)
 		}
 	}
-	qplot, err := res.QueueTracePlot(40, 4)
+	qplot, err := tr.QueueTracePlot(40, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(qplot, ":thr") {
 		t.Errorf("queue overlay plot has no threshold series:\n%s", qplot)
 	}
-	// An empty result errors from all three trace surfaces alike.
-	empty := &Result{Spec: Spec{Name: "empty"}}
-	if err := empty.WriteTraceCSV(&strings.Builder{}); err == nil {
-		t.Error("WriteTraceCSV on an empty result did not error")
+	// The error paths that remain: a traceless document has no trace to
+	// render, and a trace whose queues never buffered has no overlay.
+	if doc := mustDoc(t, res, false); doc.Trace != nil {
+		t.Error("Doc(false) carries a trace")
 	}
-	if _, err := empty.TracePlot(40); err == nil {
-		t.Error("TracePlot on an empty result did not error")
-	}
-	if _, err := empty.QueueTracePlot(40, 0); err == nil {
-		t.Error("QueueTracePlot on an empty result did not error")
+	zeros := []float64{0, 0}
+	idle := &TraceDoc{Samples: 2, Queues: []QueueSeriesDoc{{Name: "sw0:p0q0", Occupancy: zeros, Threshold: []float64{9, 9}, ECN: zeros}}}
+	if _, err := idle.QueueTracePlot(40, 0); err == nil {
+		t.Error("QueueTracePlot of a trace whose queues never buffered did not error")
 	}
 }

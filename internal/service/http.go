@@ -239,13 +239,12 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Decide the status before committing to a 200 text/csv: a traceless
 	// document (the run had no occupancy sampling) must be a clean 404,
 	// never a JSON error appended to an already-started CSV body.
-	doc := scenario.ResultDoc{Name: view.Scenario, Trace: trace}
-	if !doc.HasTrace() {
-		HTTPError(w, http.StatusNotFound, "scenario %q: result document carries no trace", doc.Name)
+	if trace == nil {
+		HTTPError(w, http.StatusNotFound, "scenario %q: result document carries no trace", view.Scenario)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
-	if err := doc.WriteTraceCSV(w, stride); err != nil {
+	if err := trace.WriteCSV(w, stride); err != nil {
 		// Headers are gone, so this can only be a transport write failure;
 		// truncating mid-body is all that's left (the client sees a short
 		// read, not a corrupted-but-plausible CSV with JSON stitched on).

@@ -289,7 +289,7 @@ func TestHTTPTraceCSVFromStoredBytes(t *testing.T) {
 	}
 	for _, stride := range []int{1, 8} {
 		var want bytes.Buffer
-		if err := doc.WriteTraceCSV(&want, stride); err != nil {
+		if err := doc.Trace.WriteCSV(&want, stride); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ { // the second request decodes again, to the same bytes

@@ -75,9 +75,10 @@ type Series struct {
 }
 
 // WriteCSV writes aligned time series as CSV: a header line
-// "time_s,<name>,<name>,..." then one row per sample. Every series must
+// "time_s,<name>,<name>,..." then one row per stride-th sample (stride
+// <= 1 writes them all), starting with the first. Every series must
 // have exactly len(times) values.
-func WriteCSV(w io.Writer, times []float64, series []Series) error {
+func WriteCSV(w io.Writer, times []float64, series []Series, stride int) error {
 	cols := make([]string, 0, len(series)+1)
 	cols = append(cols, "time_s")
 	for _, s := range series {
@@ -90,8 +91,8 @@ func WriteCSV(w io.Writer, times []float64, series []Series) error {
 		return err
 	}
 	row := make([]string, len(series)+1)
-	for i, t := range times {
-		row[0] = fmt.Sprintf("%.9f", t)
+	for i := 0; i < len(times); i += max(stride, 1) {
+		row[0] = fmt.Sprintf("%.9f", times[i])
 		for j, s := range series {
 			row[j+1] = fmt.Sprintf("%g", s.Values[i])
 		}

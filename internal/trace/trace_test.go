@@ -121,7 +121,7 @@ func TestWriteCSV(t *testing.T) {
 	err := WriteCSV(&buf, []float64{0, 0.001, 0.002}, []Series{
 		{Name: "sw0", Values: []float64{0, 500, 1000}},
 		{Name: "has,comma", Values: []float64{1, 2, 3}},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,16 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[2], "0.001000000,500,2") {
 		t.Fatalf("row 2 = %q", lines[2])
 	}
+	// Stride 2 keeps the first and third samples, whole.
+	var strided strings.Builder
+	if err := WriteCSV(&strided, []float64{0, 0.001, 0.002}, []Series{{Name: "sw0", Values: []float64{0, 500, 1000}}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := strided.String(); got != "time_s,sw0\n0.000000000,0\n0.002000000,1000\n" {
+		t.Fatalf("stride 2 = %q", got)
+	}
 	// Ragged input is an error, not silent misalignment.
-	if err := WriteCSV(&buf, []float64{0, 1}, []Series{{Name: "x", Values: []float64{1}}}); err == nil {
+	if err := WriteCSV(&buf, []float64{0, 1}, []Series{{Name: "x", Values: []float64{1}}}, 1); err == nil {
 		t.Fatal("ragged series accepted")
 	}
 }

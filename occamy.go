@@ -48,11 +48,12 @@
 // JSON (LoadScenarioSpec, ScenarioSpec.Save; `occamy-scenario export`
 // dumps any catalog entry as a template, `run ./file.json` executes
 // one), carry a quick|full|paper Scale preset, and every run records
-// deep telemetry — tail-quantile tables (ScenarioResult.TailTable),
-// per-switch/per-port buffer dynamics (ScenarioResult.PerSwitchTable),
-// and per-(port,class) queue series with the admission policy's
-// threshold sampled alongside (ScenarioResult.QueueTable and the
-// QueueTraceSeries/QueueTracePlot Fig 3/11-style overlays).
+// deep telemetry that its result document renders — tail-quantile
+// tables (ScenarioResultDoc.TailTable), per-switch/per-port buffer
+// dynamics (ScenarioResultDoc.PerSwitchTable), and per-(port,class)
+// queue series with the admission policy's threshold sampled alongside
+// (ScenarioResultDoc.QueueTable, and the trace section's WriteCSV and
+// QueueTracePlot Fig 3/11-style overlays).
 // SCENARIOS.md documents the spec schema and how to register new
 // scenarios.
 //
@@ -328,11 +329,11 @@ type LinkFaultProfile = linkfault.Profile
 
 // LinkFaultStats is one faulted link's injection counters (offered,
 // delivered, dropped, duplicated, held, reordered), surfaced per run
-// in ScenarioResult.FaultLinks and ScenarioResult.FaultTable.
+// in ScenarioResult.FaultLinks and ScenarioResultDoc.FaultTable.
 type LinkFaultStats = linkfault.LinkStats
 
 // ScenarioResult carries one scenario run's metrics, including the deep
-// telemetry behind Result.TailTable and Result.PerSwitchTable.
+// telemetry its document (ScenarioResult.Doc) renders as tables.
 type ScenarioResult = scenario.Result
 
 // SwitchTelemetry is one switch's recorded buffer dynamics: per-port
@@ -344,7 +345,7 @@ type SwitchTelemetry = scenario.SwitchTelemetry
 // peak/mean/series plus the admission policy's threshold sampled at the
 // same instants and the minimum threshold headroom — the data behind
 // the Fig 3/11-style occupancy-vs-threshold overlays
-// (ScenarioResult.QueueTable, QueueTraceSeries, QueueTracePlot).
+// (ScenarioResultDoc.QueueTable and its trace's QueueTracePlot).
 type QueueTelemetry = scenario.QueueTelemetry
 
 // SwitchPortStats aggregates one egress port's counters.
@@ -414,9 +415,10 @@ func RegisterScenario(s Scenario) { scenario.Register(s) }
 // ScenarioResultDoc is the canonical JSON document of a scenario run:
 // everything the text tables render (summary row, tail quantiles,
 // per-switch/per-port/per-queue telemetry and counters) plus the
-// occupancy trace series. `occamy-scenario run -json` prints it and
-// occamy-served caches and serves it; equal specs always produce
-// byte-identical documents (see SERVICE.md for the schema).
+// occupancy trace series, and the renderers of the -deep tables and
+// -trace views. `occamy-scenario run -json` prints it and occamy-served
+// caches and serves it; equal specs always produce byte-identical
+// documents (see SERVICE.md for the schema).
 type ScenarioResultDoc = scenario.ResultDoc
 
 // DecodeScenarioResult parses a canonical JSON result document,
