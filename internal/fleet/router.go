@@ -274,7 +274,14 @@ func (rt *Router) callWorker(ctx context.Context, shard int, method, path string
 		return nil, rt.workerFailed(ctx, fmt.Errorf("worker %d (%s) unreachable: %w", shard, rt.workers[shard], err))
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	// A declared length sizes the buffer once: io.ReadAll over-allocates.
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= 256<<20 {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	}
 	if err != nil {
 		return nil, rt.workerFailed(ctx, fmt.Errorf("worker %d (%s): reading response: %w", shard, rt.workers[shard], err))
 	}

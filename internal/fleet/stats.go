@@ -103,6 +103,8 @@ func addCache(dst *service.CacheStats, src service.CacheStats) {
 	dst.Misses += src.Misses
 	dst.Evicted += src.Evicted
 	dst.Restored += src.Restored
+	dst.Persisted += src.Persisted
+	dst.LogBytes += src.LogBytes
 }
 
 // fleetCache is the router's GET /v1/cache document: the summed

@@ -310,10 +310,10 @@ func TestHTTPTraceCSVFromStoredBytes(t *testing.T) {
 	}
 }
 
-// A restored file is admitted only in the form Encode writes — the one
-// form a GET may splice into a job view unexamined. Anything else under
-// the right header is as damaged as a truncated file: removed, a miss,
-// recomputed, and never counted as restored.
+// A restored record is admitted only in the form Encode writes — the
+// one form a GET may splice into a job view unexamined. Anything else
+// under the right header is as damaged as a truncated record:
+// forgotten, a miss, recomputed, and never counted as restored.
 func TestCacheRestoreAdmitsOnlyCanonical(t *testing.T) {
 	spec := quickSpec(t, "quickstart")
 	spec.Title = "burst <absorbed> & drained"
@@ -352,19 +352,21 @@ func TestCacheRestoreAdmitsOnlyCanonical(t *testing.T) {
 	}
 	for name, variant := range variants {
 		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "results.log"), append([]byte(header(key, int64(len(variant)))), variant...), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		c, err := NewCache(0, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		file := c.fileFor(key)
-		if err := os.WriteFile(file, append([]byte(key+"\n"), variant...), 0o644); err != nil {
-			t.Fatal(err)
+		if st := c.Stats(); st.Persisted != 1 {
+			t.Fatalf("%s: the record was not indexed: %+v", name, st)
 		}
 		if got := c.Get(key); got != nil {
-			t.Errorf("%s: a non-canonical file was served (%d bytes)", name, len(got))
+			t.Errorf("%s: a non-canonical record was served (%d bytes)", name, len(got))
 		}
-		if _, err := os.Stat(file); err == nil {
-			t.Errorf("%s: the rejected file was not removed", name)
+		if st := c.Stats(); st.Persisted != 0 {
+			t.Errorf("%s: the rejected record was not forgotten", name)
 		}
 		if st := c.Stats(); st.Restored != 0 || st.Misses != 1 || st.Hits != 0 || st.Entries != 0 {
 			t.Errorf("%s: stats after the rejection: %+v", name, st)
@@ -384,15 +386,24 @@ func TestCacheRestoreAdmitsOnlyCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := fresh.Get(key); !bytes.Equal(got, doc) || fresh.Stats().Restored != 1 {
-		t.Fatalf("canonical file not restored: %d bytes, stats %+v", len(got), fresh.Stats())
+		t.Fatalf("canonical record not restored: %d bytes, stats %+v", len(got), fresh.Stats())
 	}
-	if err := os.WriteFile(filepath.Join(dir, strings.TrimPrefix(key, "sha256:")+".json"), append([]byte(key+"\n"), indented.Bytes()...), 0o644); err != nil {
+	c.Close()
+	fresh.Close()
+	// A later record for the key wins, as a later file replaced an
+	// earlier one.
+	log, err := os.OpenFile(filepath.Join(dir, "results.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := log.WriteString(header(key, int64(indented.Len())) + indented.String()); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
 	s := newService(t, Config{Workers: 1, CacheDir: dir})
 	st, err := s.Submit(spec)
 	if err != nil || st.Cached {
-		t.Fatalf("submission over a tampered cache file: %+v, %v (want a fresh run)", st, err)
+		t.Fatalf("submission over a tampered cache record: %+v, %v (want a fresh run)", st, err)
 	}
 	if end := await(t, s, st.ID); end.State != JobDone {
 		t.Fatalf("recomputation ended %s: %s", end.State, end.Error)

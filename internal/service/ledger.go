@@ -197,8 +197,8 @@ func (l *Ledger) Submit(kind string, req Request, trace string) (JobStatus, erro
 	if err != nil {
 		return JobStatus{}, err
 	}
-	// Probe the cache before taking the lock: with -cache-dir a miss
-	// falls through to disk I/O, which must not stall every status poll.
+	// Probe the cache before taking the lock: with -cache-dir a miss may
+	// read the log, which must not stall every status poll.
 	// Benign race: an identical job completing in the gap means one
 	// extra execution producing the same bytes.
 	cached := l.cache.Get(fp)
@@ -307,7 +307,7 @@ func (l *Ledger) Start(j *Job) bool {
 func (l *Ledger) Finish(j *Job, data []byte, err error) {
 	if err == nil {
 		// Populate the cache before taking the lock: with -cache-dir this
-		// writes the full document to disk.
+		// appends the full document to the cache's log.
 		l.cache.Put(j.Fingerprint, data)
 	}
 	l.mu.Lock()

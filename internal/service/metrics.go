@@ -64,6 +64,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.PromSample{Value: float64(st.Cache.Evicted)})
 	p.Counter("occamy_cache_restored_total", "Result-cache entries restored from disk.",
 		metrics.PromSample{Value: float64(st.Cache.Restored)})
+	p.Gauge("occamy_cache_persisted", "Result-cache records indexed in the log.",
+		metrics.PromSample{Value: float64(st.Cache.Persisted)})
+	p.Gauge("occamy_cache_log_bytes", "Result-cache log length in bytes.",
+		metrics.PromSample{Value: float64(st.Cache.LogBytes)})
 
 	w.Header().Set("Content-Type", metrics.PromContentType)
 	_, _ = p.WriteTo(w)

@@ -224,7 +224,7 @@ func scrape(t *testing.T, base string) map[string]float64 {
 // request counts must cover the traffic just sent, and the request
 // histogram's +Inf bucket must equal its _count.
 func TestMetricsReconcileWithStats(t *testing.T) {
-	svc, srv := startServer(t, Config{Workers: 2})
+	svc, srv := startServer(t, Config{Workers: 2, CacheDir: t.TempDir()})
 
 	// Generate some ledger traffic: a run to done, a duplicate (cache
 	// hit), and one stats poll.
@@ -237,9 +237,17 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/stats", nil); code != http.StatusOK {
 		t.Fatalf("GET /v1/stats: %d", code)
 	}
+	var cache CacheStats
+	if code := getJSON(t, srv.URL+"/v1/cache", &cache); code != http.StatusOK {
+		t.Fatalf("GET /v1/cache: %d", code)
+	}
 
 	stats := svc.Stats()
 	m := scrape(t, srv.URL)
+	if stats.Cache.Persisted != 1 || stats.Cache.LogBytes == 0 ||
+		cache.Persisted != stats.Cache.Persisted || cache.LogBytes != stats.Cache.LogBytes {
+		t.Fatalf("log stats: /v1/stats %+v, /v1/cache %+v, want one record", stats.Cache, cache)
+	}
 
 	ledger := map[string]int64{
 		"occamy_jobs_submitted_total":                  stats.Counters.Submitted,
@@ -251,6 +259,8 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		`occamy_jobs_finished_total{state="failed"}`:   stats.Counters.Failed,
 		`occamy_jobs_finished_total{state="canceled"}`: stats.Counters.Canceled,
 		`occamy_cache_hits_total`:                      int64(stats.Cache.Hits),
+		`occamy_cache_persisted`:                       int64(stats.Cache.Persisted),
+		`occamy_cache_log_bytes`:                       stats.Cache.LogBytes,
 	}
 	for series, want := range ledger {
 		got, ok := m[series]

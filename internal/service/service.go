@@ -36,7 +36,8 @@ type Config struct {
 	// sweep job already saturates the worker pool via RunGrid).
 	MaxSweepPoints int
 	// CacheBytes is the result-cache memory budget (default 256 MB);
-	// CacheDir enables disk persistence when non-empty.
+	// CacheDir, when non-empty, persists results to an append-only log
+	// there, which this service owns (see NewCache).
 	CacheBytes int64
 	CacheDir   string
 	// Logger receives structured job-lifecycle and request records
@@ -100,14 +101,15 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Close stops accepting jobs, cancels the backlog, and waits for the
-// workers to finish their current simulations.
+// Close stops accepting jobs, cancels the backlog, waits for the
+// workers to finish their current simulations, then closes the cache.
 func (s *Service) Close() {
 	if !s.jobs.close() {
 		return
 	}
 	close(s.queue)
 	s.wg.Wait()
+	_ = s.cache.Close() // persistence is best effort, like every append
 }
 
 // Cache exposes the result cache (stats endpoint, tests).

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -319,53 +320,71 @@ func TestCacheEvictionAndPersistence(t *testing.T) {
 	if p2.Stats().Restored == 0 {
 		t.Error("restore counter did not move")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "0a1b.json")); err != nil {
-		t.Errorf("persisted file missing: %v", err)
+	log := filepath.Join(dir, "results.log")
+	if file, err := os.ReadFile(log); err != nil || !bytes.Contains(file, []byte("sha256:0a1b 60\n"+string(val(60, 'x')))) {
+		t.Errorf("persisted record missing from the log: %v", err)
 	}
-	// A truncated/corrupt persisted file (crash mid-write of a foreign
-	// writer; our own writes are temp+rename) is a miss, not a served
-	// result, and is removed.
-	if err := os.WriteFile(filepath.Join(dir, "dead.json"), []byte(`{"schema":1,"trunc`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := p2.Get("sha256:dead"); got != nil {
-		t.Errorf("corrupt persisted entry served: %q", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "dead.json")); err == nil {
-		t.Error("corrupt persisted file not removed")
-	}
-}
-
-// A valid result document sitting under another key's file name (a
-// copied or renamed cache file) is some other spec's answer: it is a
-// miss, the file goes, and the key works normally afterwards.
-func TestCacheRejectsMisplacedDocument(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewCache(1<<20, dir)
+	// A torn append (a crash mid-write) is a miss, not a served result,
+	// and is cut from the log when a cache next opens it.
+	whole := p2.Stats().LogBytes
+	f, err := os.OpenFile(log, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.WriteString("sha256:dead 60\n" + `{"schema":1,"trunc`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	p3, err := NewCache(100, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p3.Get("sha256:dead"); got != nil {
+		t.Errorf("torn persisted record served: %q", got)
+	}
+	if fi, err := os.Stat(log); err != nil || fi.Size() != whole || p3.Stats().LogBytes != whole {
+		t.Errorf("torn record not cut from the log: %v, want %d bytes", fi, whole)
+	}
+}
+
+// A valid result document filed under another key's header (bytes
+// another writer put where the key's record was) is some other spec's
+// answer: it is a miss, the record is forgotten, and the key works
+// normally afterwards.
+func TestCacheRejectsMisplacedDocument(t *testing.T) {
+	dir := t.TempDir()
 	doc := func(fp string) []byte {
 		return []byte(`{"schema":1,"name":"quickstart","fingerprint":"` + fp + `","events":7}` + "\n")
 	}
 	const own, other = "sha256:0123", "sha256:4567"
-	c.Put(own, doc(own))
-	filed, err := os.ReadFile(filepath.Join(dir, "0123.json"))
+	first, err := NewCache(1<<20, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	misplaced := filepath.Join(dir, "4567.json")
-	if err := os.WriteFile(misplaced, filed, 0o644); err != nil {
+	first.Put(own, doc(own))
+	first.Put(other, doc(other))
+	first.Close()
+	c, err := NewCache(1<<20, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(own, doc(own))
+	// Overwrite other's record (the log's second) with own's.
+	log := filepath.Join(dir, "results.log")
+	file, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := len(file) / 3
+	copy(file[rec:2*rec], file[:rec])
+	if err := os.WriteFile(log, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Get(other); got != nil {
 		t.Fatalf("document of %s served under %s: %q", own, other, got)
 	}
-	if _, err := os.Stat(misplaced); err == nil {
-		t.Error("misplaced file not removed")
-	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.Restored != 0 || st.Entries != 1 {
-		t.Errorf("stats after rejecting a misplaced file: %+v", st)
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.Restored != 0 || st.Entries != 1 || st.Persisted != 1 {
+		t.Errorf("stats after rejecting a misplaced record: %+v", st)
 	}
 	// The right bytes under the key are stored, served, and restored by
 	// a cache that starts over the same directory.
