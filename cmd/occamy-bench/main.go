@@ -7,11 +7,12 @@
 // (ns/op, B/op, allocs/op, events/sec, ...).
 //
 // It can also gate on an earlier snapshot: -against diffs the fresh
-// ns/op numbers benchmark-by-benchmark against a committed baseline
-// file and exits non-zero when any common benchmark regressed by more
-// than -tol (CI runs the long macro benchmarks this way; at -benchtime
-// 1x their ns/op is a real multi-hundred-millisecond measurement, while
-// micro benchmarks need a real -benchtime to be comparable).
+// ns/op and B/op benchmark-by-benchmark against a baseline file and
+// exits non-zero when a common benchmark's ns/op rose by more than -tol,
+// or its least B/op passed the baseline's greatest by more than 2 % (CI
+// runs the long macro benchmarks this way; at -benchtime 1x their ns/op
+// is a real multi-hundred-millisecond measurement, while micro
+// benchmarks need a real -benchtime).
 //
 // With -history it does not benchmark at all: it loads every committed
 // snapshot matching a glob and renders the ns/op and events/sec
@@ -30,6 +31,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,8 +73,8 @@ func main() {
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value (1x = one iteration smoke)")
 	out := flag.String("o", "", "output file (default BENCH_<date>.json)")
 	pkgs := flag.String("pkgs", "./...", "packages to benchmark (comma-separated)")
-	count := flag.Int("count", 1, "go test -count: repetitions per benchmark; the snapshot keeps each benchmark's best (min ns/op) run")
-	against := flag.String("against", "", "baseline snapshot to diff ns/op against; exit non-zero on regression")
+	count := flag.Int("count", 1, "go test -count: repetitions per benchmark; the snapshot keeps each benchmark's best (min ns/op) run, with the min and max B/op of all")
+	against := flag.String("against", "", "baseline snapshot to diff ns/op and B/op against; exit non-zero on regression")
 	tol := flag.Float64("tol", 0.20, "allowed fractional ns/op regression vs -against (0.20 = +20%)")
 	historyGlob := flag.String("history", "", "snapshot glob (e.g. 'BENCH_*.json'): render the ns/op + events/sec trajectory across them instead of benchmarking")
 	flag.Parse()
@@ -154,24 +156,36 @@ func main() {
 // suite) is the join key.
 func key(r Result) string { return r.Name }
 
+// allocTol is the B/op rise -against allows: BENCHMARK.json's bound on
+// alloc_mb_per_job. maxBytes is the greatest B/op of a benchmark's runs.
+const allocTol, maxBytes = 0.02, "B/op-max"
+
 // mergeResult folds -count repetitions into one entry per benchmark,
 // keeping the fastest run: timing noise is strictly additive, so the
-// minimum ns/op is the most reproducible estimator across machines.
+// minimum ns/op is the most reproducible estimator across machines. B/op
+// varies from run to run too (a figure's parallel grid hands the spare
+// substrate to whichever run finishes first, and a collection empties
+// the sync.Pools), so the entry keeps the least and the greatest.
 func mergeResult(results []Result, r Result) []Result {
+	r.Metrics[maxBytes] = r.Metrics["B/op"]
 	for i := range results {
 		if key(results[i]) != key(r) {
 			continue
 		}
+		lo, hi := min(results[i].Metrics["B/op"], r.Metrics["B/op"]), max(results[i].Metrics[maxBytes], r.Metrics[maxBytes])
 		if r.Metrics["ns/op"] < results[i].Metrics["ns/op"] {
 			results[i] = r
 		}
+		results[i].Metrics["B/op"], results[i].Metrics[maxBytes] = lo, hi
 		return results
 	}
 	return append(results, r)
 }
 
-// compare diffs ns/op against a baseline snapshot and reports whether
-// every common benchmark stayed within the regression tolerance.
+// compare diffs ns/op and B/op against a baseline snapshot and reports
+// whether every common benchmark stayed within the regression
+// tolerances: tol for ns/op, and allocTol for the least B/op over the
+// baseline's greatest (its least, in a snapshot that kept only that).
 func compare(snap Snapshot, baselinePath string, tol float64) bool {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -183,37 +197,39 @@ func compare(snap Snapshot, baselinePath string, tol float64) bool {
 		fmt.Fprintf(os.Stderr, "occamy-bench: parsing baseline %s: %v\n", baselinePath, err)
 		return false
 	}
-	old := make(map[string]float64, len(base.Results))
+	old := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
 		if ns, ok := r.Metrics["ns/op"]; ok && ns > 0 {
-			old[key(r)] = ns
+			old[key(r)] = r
 		}
 	}
-	fmt.Printf("\nns/op vs %s (%s), tolerance +%.0f%%:\n", baselinePath, base.Date, tol*100)
+	fmt.Printf("\nns/op, and B/op (the baseline's greatest -> the least), vs %s (%s), tolerance +%.0f%% and +%.0f%%:\n",
+		baselinePath, base.Date, tol*100, allocTol*100)
 	var regressed []string
 	common := 0
 	for _, r := range snap.Results {
 		ns, ok := r.Metrics["ns/op"]
-		oldNS, okOld := old[key(r)]
+		o, okOld := old[key(r)]
 		if !ok || !okOld || ns <= 0 {
 			continue
 		}
 		common++
-		delta := ns/oldNS - 1
+		oldNS, delta := o.Metrics["ns/op"], ns/o.Metrics["ns/op"]-1
+		oldB, b := cmp.Or(o.Metrics[maxBytes], o.Metrics["B/op"]), r.Metrics["B/op"]
 		status := "ok"
-		if delta > tol {
+		if delta > tol || b > oldB*(1+allocTol) {
 			status = "REGRESSED"
 			regressed = append(regressed, r.Name)
 		}
-		fmt.Printf("  %-44s %14.0f -> %14.0f  %+6.1f%%  %s\n", r.Name, oldNS, ns, delta*100, status)
+		fmt.Printf("  %-44s %14.0f -> %14.0f  %+6.1f%%  %12.0f -> %12.0f B/op  %s\n", r.Name, oldNS, ns, delta*100, oldB, b, status)
 	}
 	if common == 0 {
 		fmt.Fprintf(os.Stderr, "occamy-bench: no common benchmarks between this run and %s\n", baselinePath)
 		return false
 	}
 	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "occamy-bench: %d benchmark(s) regressed more than %.0f%%: %s\n",
-			len(regressed), tol*100, strings.Join(regressed, ", "))
+		fmt.Fprintf(os.Stderr, "occamy-bench: %d benchmark(s) regressed more than %.0f%% in ns/op or %.0f%% in B/op: %s\n",
+			len(regressed), tol*100, allocTol*100, strings.Join(regressed, ", "))
 		return false
 	}
 	fmt.Printf("all %d common benchmarks within tolerance\n", common)

@@ -49,10 +49,12 @@ type Result struct {
 	// in PerSwitch order (see telemetry.go).
 	Telemetry []SwitchTelemetry
 	// SampleEvery is the occupancy sampling period of the run;
-	// SampleTimes the actual sample timestamps (shared by every switch —
-	// one aligned sampler drives all recorders).
+	// SampleTimes the sample timestamps, i·SampleEvery (shared by every
+	// switch — one aligned sampler drives all recorders). offGrid is the
+	// first sample taken off that grid, which fails the run.
 	SampleEvery sim.Duration
 	SampleTimes []sim.Time
+	offGrid     error
 	// MaxOccupancy is the peak buffered byte count across switches
 	// (periodic sampling); BufferBytes the per-switch capacity.
 	MaxOccupancy int
@@ -84,18 +86,20 @@ func (r *Result) AccountingDrift() int64 {
 // DeliveredBytes returns the bytes transmitted by all switches.
 func (r *Result) DeliveredBytes() int64 { return r.Total.TxBytes }
 
-// distFor resolves a workload's flow-size distribution.
-func distFor(w Workload) (*workload.CDF, error) {
+// distFor resolves a workload's flow-size distribution to the function
+// that builds it, so that Validate checks a name without building a CDF.
+func distFor(w Workload) (func() *workload.CDF, error) {
 	switch w.Dist {
 	case "", "websearch":
-		return workload.WebSearch(), nil
+		return workload.WebSearch, nil
 	case "cache":
-		return workload.CacheFollower(), nil
+		return workload.CacheFollower, nil
 	case "uniform":
 		if w.FlowSize <= 0 {
 			return nil, fmt.Errorf("dist \"uniform\" needs FlowSize > 0")
 		}
-		return workload.Uniform(w.FlowSize), nil
+		size := w.FlowSize
+		return func() *workload.CDF { return workload.Uniform(size) }, nil
 	}
 	return nil, fmt.Errorf("unknown dist %q (websearch|cache|uniform)", w.Dist)
 }
@@ -388,7 +392,7 @@ func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Resu
 			running[i] = startRounds(w, horizon, func() (func(from, until sim.Time), func(), func() int64) {
 				bg := &workload.Background{
 					Net: net, Hosts: hosts, Load: w.Load, LinkBps: spec.Topology.LinkBps,
-					Dist: dist, Priority: w.Priority, ECN: true, NewCC: newCC, Opts: opts,
+					Dist: dist(), Priority: w.Priority, ECN: true, NewCC: newCC, Opts: opts,
 					Collector: col, OneWayBase: oneWay,
 				}
 				return bg.Start, bg.Stop, bg.Started
@@ -482,12 +486,7 @@ func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Resu
 	// Occupancy recording across all switches: one aligned sampler
 	// drives every recorder, so fabric traces share timestamps.
 	res.SampleEvery = samplePeriod(horizon)
-	sampler := net.Eng.Every(0, res.SampleEvery, func() {
-		now := net.Eng.Now()
-		for _, rec := range recs {
-			rec.Sample(now)
-		}
-	})
+	sampler := net.Eng.Every(0, res.SampleEvery, func() { res.sample(net.Eng.Now(), recs) })
 
 	// Run: a gated scenario ends when its queries are answered (bounded
 	// by a straggler deadline); an ungated one runs to the horizon.
@@ -542,11 +541,7 @@ func runTransport(spec Spec, canceled func() bool, progress ProgressFunc) (*Resu
 	if net.Faults != nil {
 		res.FaultLinks = net.Faults.Snapshot()
 	}
-	finishResult(res, net.Switches, recs, net.Eng)
-	if progress != nil {
-		progress(RunProgress{SimNow: net.Eng.Now(), SimHorizon: horizon, Events: net.Eng.Processed(), Final: true})
-	}
-	return res, nil
+	return finishResult(res, net.Switches, recs, net.Eng, horizon, progress)
 }
 
 // runRaw executes a raw-injection spec: packets go straight into one
@@ -609,9 +604,7 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		}
 	}
 	res.SampleEvery = samplePeriod(horizon)
-	sampler := eng.Every(0, res.SampleEvery, func() {
-		recs[0].Sample(eng.Now())
-	})
+	sampler := eng.Every(0, res.SampleEvery, func() { res.sample(eng.Now(), recs) })
 
 	for eng.Now() < sim.Time(horizon) {
 		if canceled != nil && canceled() {
@@ -635,11 +628,7 @@ func runRaw(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, er
 		res.Workloads[i].SentPackets = injectors[i].sent
 		res.Workloads[i].SentBytes = injectors[i].bytes
 	}
-	finishResult(res, switches, recs, eng)
-	if progress != nil {
-		progress(RunProgress{SimNow: eng.Now(), SimHorizon: horizon, Events: eng.Processed(), Final: true})
-	}
-	return res, nil
+	return finishResult(res, switches, recs, eng, horizon, progress)
 }
 
 // recycle hands the next run what a run built and its Result does not hold.
@@ -662,9 +651,24 @@ func samplePeriod(horizon sim.Duration) sim.Duration {
 	return p
 }
 
+// sample takes every recorder's sample at now, the next instant of the
+// run's grid: a trace implies its times, so a tick off it fails the run.
+func (r *Result) sample(now sim.Time, recs []*switchsim.Recorder) {
+	if n := recs[0].Samples(); now != sim.Time(n)*r.SampleEvery && r.offGrid == nil {
+		r.offGrid = fmt.Errorf("scenario %q: sample %d taken at %v, off the %v grid a trace implies", r.Spec.Name, n, now, r.SampleEvery)
+	}
+	for _, rec := range recs {
+		rec.Sample()
+	}
+}
+
 // finishResult snapshots switch state and telemetry into the result,
-// finishing each recorder into its exact slab first.
-func finishResult(res *Result, switches []*switchsim.Switch, recs []*switchsim.Recorder, eng *sim.Engine) {
+// finishing each recorder into its exact slab first, lays the sample grid
+// out as its times, and reports the end of the run to progress.
+func finishResult(res *Result, switches []*switchsim.Switch, recs []*switchsim.Recorder, eng *sim.Engine, horizon sim.Duration, progress ProgressFunc) (*Result, error) {
+	if res.offGrid != nil {
+		return nil, res.offGrid
+	}
 	for i, sw := range switches {
 		st := sw.Stats()
 		res.PerSwitch = append(res.PerSwitch, st)
@@ -677,14 +681,21 @@ func finishResult(res *Result, switches []*switchsim.Switch, recs []*switchsim.R
 		res.Total.DropsNoMemory += st.DropsNoMemory
 		res.Total.DropsExpelled += st.DropsExpelled
 		res.Total.ECNMarked += st.ECNMarked
-		recs[i].Finish()
+		if err := recs[i].Finish(); err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", res.Spec.Name, err)
+		}
 		res.Telemetry = append(res.Telemetry, newTelemetry(sw, recs[i]))
 		if peak := recs[i].Peak(); peak > res.MaxOccupancy {
 			res.MaxOccupancy = peak
 		}
 	}
-	if len(recs) > 0 {
-		res.SampleTimes = recs[0].Times
+	res.SampleTimes = make([]sim.Time, recs[0].Samples())
+	for i := range res.SampleTimes {
+		res.SampleTimes[i] = sim.Time(i) * res.SampleEvery
 	}
 	res.Events = eng.Processed()
+	if progress != nil {
+		progress(RunProgress{SimNow: eng.Now(), SimHorizon: horizon, Events: res.Events, Final: true})
+	}
+	return res, nil
 }

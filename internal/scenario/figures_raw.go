@@ -97,8 +97,8 @@ func Fig11QueueEvolution() Figure {
 			stride := (len(r.SampleTimes) + fig11Rows - 1) / fig11Rows
 			for i := 0; i < len(r.SampleTimes); i += stride {
 				t.AddRow(experiments.F(r.SampleTimes[i].Micros()),
-					experiments.F(long.Series[i]/1000), experiments.F(burst.Series[i]/1000),
-					experiments.F(burst.Threshold[i]/1000))
+					experiments.F(float64(long.Series[i])/1000), experiments.F(float64(burst.Series[i])/1000),
+					experiments.F(float64(burst.Threshold[i])/1000))
 			}
 			out = append(out, t)
 		}

@@ -47,14 +47,14 @@ func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
 					for p := range tel.Ports {
 						occ := 0.0
 						for c := 0; c < tel.Classes; c++ {
-							occ += tel.Queues[p*tel.Classes+c].Series[s]
+							occ += float64(tel.Queues[p*tel.Classes+c].Series[s])
 						}
 						portPeak[p] = max(portPeak[p], occ)
 						portSum[p] += occ
 						swSum += occ
 					}
-					if swSum != tel.Series[s] {
-						t.Fatalf("switch %s sample %d: queue sum %g != switch series %g",
+					if swSum != float64(tel.Series[s]) {
+						t.Fatalf("switch %s sample %d: queue sum %g != switch series %d",
 							tel.Name, s, swSum, tel.Series[s])
 					}
 				}
@@ -67,24 +67,20 @@ func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
 				// Peaks/means/min-headroom must match their own series.
 				for q := range tel.Queues {
 					qt := &tel.Queues[q]
-					peak, sum, minHead := 0.0, 0.0, qt.Threshold[0]-qt.Series[0]
+					peak, sum, minHead := int32(0), 0.0, qt.Threshold[0]-qt.Series[0]
 					for s := range qt.Series {
-						if qt.Series[s] > peak {
-							peak = qt.Series[s]
-						}
-						sum += qt.Series[s]
-						if h := qt.Threshold[s] - qt.Series[s]; h < minHead {
-							minHead = h
-						}
+						peak = max(peak, qt.Series[s])
+						sum += float64(qt.Series[s])
+						minHead = min(minHead, qt.Threshold[s]-qt.Series[s])
 					}
 					if int(peak) != qt.Peak {
-						t.Errorf("switch %s queue %s: Peak %d, series max %g", tel.Name, qt.Label(), qt.Peak, peak)
+						t.Errorf("switch %s queue %s: Peak %d, series max %d", tel.Name, qt.Label(), qt.Peak, peak)
 					}
 					if mean := sum / float64(len(qt.Series)); mean != qt.Mean {
 						t.Errorf("switch %s queue %s: Mean %g, series mean %g", tel.Name, qt.Label(), qt.Mean, mean)
 					}
 					if int(minHead) != qt.MinHeadroom {
-						t.Errorf("switch %s queue %s: MinHeadroom %d, series min %g",
+						t.Errorf("switch %s queue %s: MinHeadroom %d, series min %d",
 							tel.Name, qt.Label(), qt.MinHeadroom, minHead)
 					}
 				}

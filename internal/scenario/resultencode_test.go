@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -19,8 +18,8 @@ import (
 // Encode produces, byte for byte, json.Marshal of the traceless document
 // with the trace section spliced in before its closing brace, plus the
 // canonical newline. The trace's oracle is the round trip: decoding the
-// section expands, bit for bit, to the series written, and the decoded
-// document encodes to the same bytes. Encode fails exactly when
+// section expands, count for count, to the series written, and the
+// decoded document encodes to the same bytes. Encode fails exactly when
 // encodeFault says it must, and json.Marshal(doc) agrees with it.
 func checkEncode(t *testing.T, doc *ResultDoc) []byte {
 	t.Helper()
@@ -32,12 +31,10 @@ func checkEncode(t *testing.T, doc *ResultDoc) []byte {
 	switch want := encodeFault(doc); {
 	case want == "" && gotErr != nil:
 		t.Fatalf("Encode failed: %v", gotErr)
-	case want == "":
-	case strings.HasPrefix(want, "trace") && errors.As(gotErr, &te) && te.Path == want:
-		return nil
-	case gotErr == nil || gotErr.Error() != want:
-		t.Fatalf("Encode error %v, want %s", gotErr, want)
-	default:
+	case want != "":
+		if !errors.As(gotErr, &te) || te.Path != want {
+			t.Fatalf("Encode error %v, want a TraceError at %s", gotErr, want)
+		}
 		return nil
 	}
 	bare := *doc
@@ -74,11 +71,10 @@ func checkEncode(t *testing.T, doc *ResultDoc) []byte {
 	return got
 }
 
-// encodeFault is how Encode must fail on doc, or "": the path of its
+// encodeFault is where Encode must fail on doc, or "": the path of its
 // first shape fault, in the order the section lists fields — a sample
 // count out of range, a name that is not UTF-8 ("trace"), a series of
-// another length — or else encoding/json's error for the first value it
-// cannot represent.
+// another length. Every int32 is a value the section can carry.
 func encodeFault(doc *ResultDoc) string {
 	td := doc.Trace
 	if td == nil {
@@ -88,8 +84,8 @@ func encodeFault(doc *ResultDoc) string {
 		return "trace.samples"
 	}
 	var paths []string
-	var series [][]float64
-	add := func(path string, vs []float64) { paths, series = append(paths, path), append(series, vs) }
+	var series [][]int32
+	add := func(path string, vs []int32) { paths, series = append(paths, path), append(series, vs) }
 	named := func(name string) {
 		if !utf8.ValidString(name) {
 			add("trace", nil)
@@ -110,23 +106,14 @@ func encodeFault(doc *ResultDoc) string {
 			return paths[k]
 		}
 	}
-	for _, vs := range series {
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Sprintf("scenario: marshaling result %q: json: unsupported value: %s", doc.Name, strconv.FormatFloat(v, 'g', -1, 64))
-			}
-		}
-	}
 	return ""
 }
 
-// checkSameTrace fails unless got carries want's names and series, bit
-// for bit: -0 is not 0. A nil list reads back empty.
+// checkSameTrace fails unless got carries want's names and series. A nil
+// list reads back empty.
 func checkSameTrace(t *testing.T, got, want *TraceDoc) {
 	t.Helper()
-	same := func(a, b []float64) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-	}
+	same := slices.Equal[[]int32]
 	ok := got.SampleEvery == want.SampleEvery && got.Samples == want.Samples &&
 		len(got.Switches) == len(want.Switches) && len(got.Queues) == len(want.Queues)
 	for i := 0; ok && i < len(want.Switches); i++ {
@@ -251,8 +238,8 @@ func TestTrailingDataRejected(t *testing.T) {
 // zero series its aliases share, as a recorder's idle queues do.
 type fuzzSrc struct {
 	data []byte
-	made [][]float64
-	zero [5]float64
+	made [][]int32
+	zero [5]int32
 }
 
 func (s *fuzzSrc) byte() byte {
@@ -272,27 +259,25 @@ func (s *fuzzSrc) bits() uint64 {
 	return binary.LittleEndian.Uint64(raw[:])
 }
 
-// The values where the two number formats, the integer fast path and
-// the error path meet.
-var fuzzFloats = []float64{
-	0, math.Copysign(0, -1), 1, -1, 1500, 1 << 20, 0.5, -2.25, 1e-6, 1e-7, -1e-7, 9.999999e-7,
-	1e20, 1e21, -1e21, 1.5e300, 1e-9, 1e-10, 1 << 53, 1<<53 - 1, 1<<53 + 2, -(1 << 53), -(1<<53 - 1),
-	1 << 60, math.MaxInt64, math.MinInt64, math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
-	math.NaN(), math.Inf(1), math.Inf(-1),
+// The values at the int32 bounds and where a count gains a digit.
+var fuzzInts = []int32{
+	0, 9, 1, -1, 1500, 1 << 20, 10, 99, 100, -9, -10, 999, 1000, 9999, 10_000, 99_999, 100_000,
+	999_999, 1_000_000, 9_999_999, 10_000_000, 99_999_999, 100_000_000, 999_999_999, 1_000_000_000,
+	-999_999_999, -1_000_000_000, 1<<31 - 2, math.MaxInt32, math.MinInt32, math.MinInt32 + 1, 1 << 30,
 }
 
 // fuzzRepeat and above, as a value's first byte, repeat the previous
 // value: a run, as most of a recorded trace is.
 const fuzzRepeat = 224
 
-func (s *fuzzSrc) float(prev float64) float64 {
+func (s *fuzzSrc) int(prev int32) int32 {
 	switch k := int(s.byte()); {
-	case k < len(fuzzFloats):
-		return fuzzFloats[k]
+	case k < len(fuzzInts):
+		return fuzzInts[k]
 	case k < 160:
-		return float64(int(s.byte())<<8 | int(s.byte())) // a byte count, the common case
+		return int32(int(s.byte())<<8 | int(s.byte())) // a byte count, the common case
 	case k < fuzzRepeat:
-		return math.Float64frombits(s.bits())
+		return int32(s.bits())
 	default:
 		return prev
 	}
@@ -306,7 +291,7 @@ func (s *fuzzSrc) float(prev float64) float64 {
 // length at 6, and n values otherwise.
 const fuzzAlias = 240
 
-func (s *fuzzSrc) floats(n int) []float64 {
+func (s *fuzzSrc) ints(n int) []int32 {
 	k := s.byte()
 	if k >= fuzzAlias {
 		m := int(s.byte())
@@ -328,10 +313,10 @@ func (s *fuzzSrc) floats(n int) []float64 {
 	case 6:
 		n = int(s.byte() % 6)
 	}
-	out := make([]float64, n)
-	prev := 0.0
+	out := make([]int32, n)
+	prev := int32(0)
 	for i := range out {
-		out[i] = s.float(prev)
+		out[i] = s.int(prev)
 		prev = out[i]
 	}
 	s.made = append(s.made, out)
@@ -364,33 +349,33 @@ func (s *fuzzSrc) trace() *TraceDoc {
 	if n := int(s.byte() % 4); n < 3 {
 		td.Switches = make([]SeriesDoc, n)
 		for i := range td.Switches {
-			td.Switches[i] = SeriesDoc{Name: s.name(), Values: s.floats(td.Samples)}
+			td.Switches[i] = SeriesDoc{Name: s.name(), Values: s.ints(td.Samples)}
 		}
 	}
 	if n := int(s.byte() % 4); n < 3 {
 		td.Queues = make([]QueueSeriesDoc, n)
 		for i := range td.Queues {
-			td.Queues[i] = QueueSeriesDoc{Name: s.name(), Occupancy: s.floats(td.Samples), Threshold: s.floats(td.Samples), ECN: s.floats(td.Samples)}
+			td.Queues[i] = QueueSeriesDoc{Name: s.name(), Occupancy: s.ints(td.Samples), Threshold: s.ints(td.Samples), ECN: s.ints(td.Samples)}
 		}
 	}
 	return td
 }
 
 // FuzzTraceEncode holds the encoder to checkEncode over trace sections
-// no run would produce: signed zeros, the 2^53 and 1e21 / 1e-6 format
-// boundaries, subnormals, NaN and infinities (both must fail), runs of
-// one value, series of the wrong length or nil, nil and empty lists,
-// shared and copied series, and names that need every kind of escaping
-// or are not UTF-8.
+// no run would produce: negative counts, the int32 bounds, runs of one
+// value, series of the wrong length or nil, nil and empty lists, shared
+// and copied series, and names that need every kind of escaping or are
+// not UTF-8. A value that is not an int32 count cannot reach the writer;
+// TestTraceDecodeRefusesDamage holds the decoder to refusing one.
 func FuzzTraceEncode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	// One seed per special float and per special name: a three-sample,
+	// One seed per special count and per special name: a three-sample,
 	// one-switch, one-queue document carrying that name three times and
 	// that value in the values and occupancy series, over each shape of
 	// ecn.
-	for k := 0; k < len(fuzzFloats) || k < len(fuzzNames); k++ {
-		name, val := byte(k%len(fuzzNames)), byte(k%len(fuzzFloats))
+	for k := 0; k < len(fuzzInts) || k < len(fuzzNames); k++ {
+		name, val := byte(k%len(fuzzNames)), byte(k%len(fuzzInts))
 		seed := []byte{name}                           // document name
 		seed = append(seed, 0xe8, 3, 0, 0, 0, 0, 0, 0) // sample_every 1µs
 		seed = append(seed, 3)                         // three samples
@@ -409,19 +394,15 @@ func FuzzTraceEncode(f *testing.F) {
 		}
 		f.Add(seed)
 	}
-	// Side by side in one series, then repeated: neighbours whose bytes
-	// differ though == holds (0, -0), and repeats that make one run (1e21,
-	// and NaN, whose run must still fail).
-	at := func(v float64) byte {
-		for k, f := range fuzzFloats {
-			if math.Float64bits(f) == math.Float64bits(v) {
-				return byte(k)
-			}
+	// Side by side in one series, then repeated: the two bounds as
+	// neighbours, and repeats of each that make one run.
+	at := func(v int32) byte {
+		if k := slices.Index(fuzzInts, v); k >= 0 {
+			return byte(k)
 		}
-		panic("not a fuzzFloats value")
+		panic("not a fuzzInts value")
 	}
-	negZero := math.Copysign(0, -1)
-	for _, pair := range [][2]float64{{0, negZero}, {negZero, 0}, {1e21, 1e21}, {math.NaN(), math.NaN()}} {
+	for _, pair := range [][2]int32{{math.MinInt32, math.MaxInt32}, {math.MaxInt32, math.MinInt32}, {math.MaxInt32, math.MaxInt32}, {-1, -1}} {
 		f.Add([]byte{
 			1, 0xe8, 3, 0, 0, 0, 0, 0, 0, // name sw0, sample_every 1µs
 			3,                                             // three samples
@@ -438,7 +419,7 @@ func FuzzTraceEncode(f *testing.F) {
 		1, 0xe8, 3, 0, 0, 0, 0, 0, 0, 3,
 		// One switch, whose values are 258, 2^20, 2^20 (dealt series 0).
 		1, 1, 0, 40, 1, 2, 5, fuzzRepeat,
-		// Two queues. The first: occupancy 7, 0.5, 1 (dealt series 1),
+		// Two queues. The first: occupancy 7, 10, 1 (dealt series 1),
 		// threshold series 0 again, ecn the zero series.
 		2, 2, 0, 41, 0, 7, 6, 2, fuzzAlias + 1, 0, fuzzAlias, 3,
 		// The second: occupancy the zero series, threshold a copy of
@@ -534,6 +515,44 @@ func TestTraceDecodeRefusesDamage(t *testing.T) {
 		}
 		if _, err := DecodeTrace([]byte(`{"schema":2,"trace":` + section + "}\n")); !errors.As(err, &te) || te.Path != c.path {
 			t.Errorf("DecodeTrace of %s: %v, want a TraceError at %s", section, err, c.path)
+		}
+	}
+}
+
+// A series value is an int32 count, or the section is refused at its
+// series: fractions, -0, counts past either int32 bound, and the other
+// values a float64 series could once carry (exponents either side of the
+// 1e-6 and 1e21 format edges, 2^53, the float extremes, subnormals). The
+// bounds themselves read back. NaN and infinities have no JSON spelling.
+func TestTraceDecodeRefusesNonCounts(t *testing.T) {
+	t.Parallel()
+	for _, v := range []string{
+		"0.5", "-0", "1e21", "1e-7", "2147483648", "-2147483649",
+		"1e+21", "-1e+21", "-2.25", "0.000001", "-1e-7", "9.999999e-7", "1e-9", "1e-10", "100000000000000000000", "1.5e+300",
+		"9007199254740992", "9007199254740991", "9007199254740994", "-9007199254740992", "-9007199254740991",
+		"1152921504606846976", "9223372036854775807", "-9223372036854775808",
+		"1.7976931348623157e+308", "5e-324", "2.2250738585072014e-308",
+	} {
+		section := strings.Replace(okSection, `[0,3]`, "[0,1,"+v+",2]", 1)
+		var td TraceDoc
+		err := td.UnmarshalJSON([]byte(section))
+		var te *TraceError
+		if !errors.As(err, &te) || te.Path != "trace.series[1]" || !strings.Contains(te.Reason, "is not an int32 count") {
+			t.Errorf("value %s: got %v, want a TraceError at trace.series[1]", v, err)
+		}
+	}
+	for _, v := range []int32{math.MaxInt32, math.MinInt32} {
+		section := strings.Replace(okSection, `[0,3]`, fmt.Sprintf("[0,1,%d,2]", v), 1)
+		var td TraceDoc
+		if err := td.UnmarshalJSON([]byte(section)); err != nil || td.Queues[1].Occupancy[2] != v {
+			t.Errorf("value %d: got %v, %v", v, err, td.Queues)
+		}
+	}
+	for _, v := range []string{"NaN", "Infinity", "-Infinity"} {
+		var td TraceDoc
+		err := td.UnmarshalJSON([]byte(strings.Replace(okSection, `[0,3]`, "[0,1,"+v+",2]", 1)))
+		if te := (*TraceError)(nil); !errors.As(err, &te) || te.Path != "trace" {
+			t.Errorf("value %s: got %v, want a TraceError at trace", v, err)
 		}
 	}
 }

@@ -210,9 +210,9 @@ type SeriesDoc = trace.Series
 // instants (the Fig 3/11 overlay pair plus the marking dynamics).
 type QueueSeriesDoc struct {
 	Name      string
-	Occupancy []float64
-	Threshold []float64
-	ECN       []float64
+	Occupancy []int32
+	Threshold []int32
+	ECN       []int32
 }
 
 // FaultLinkDoc is one faulted link's injection counters.
@@ -228,8 +228,9 @@ type FaultLinkDoc struct {
 }
 
 // TraceDoc carries the aligned occupancy time series of a run: sample i
-// of every series was taken at i·SampleEvery. In memory the series are
-// dense and may share a slice, as a recorder's do. On the wire each
+// of every series was taken at i·SampleEvery, and every value is a byte
+// or mark count. In memory the series are dense int32s and may share a
+// slice, as a recorder's do. On the wire each
 // distinct slice is numbered at first use and written once, last, as
 // flat (value, run length) pairs:
 //
@@ -347,11 +348,6 @@ func (r *Result) Doc(withTrace bool) (*ResultDoc, error) {
 		})
 	}
 	if withTrace && len(r.SampleTimes) > 0 {
-		for i, at := range r.SampleTimes {
-			if at != sim.Time(i)*r.SampleEvery {
-				return nil, fmt.Errorf("scenario %q: sample %d taken at %v, off the %v grid a trace implies", r.Spec.Name, i, at, r.SampleEvery)
-			}
-		}
 		td := &TraceDoc{SampleEvery: r.SampleEvery, Samples: len(r.SampleTimes)}
 		for i := range r.Telemetry {
 			tel := &r.Telemetry[i]
@@ -439,26 +435,26 @@ func (e *TraceError) Error() string { return e.Path + ": " + e.Reason }
 // maxTraceSamples bounds a trace's length (the catalog's longest is
 // 4 101 samples), and maxTraceValues its dense size, distinct series
 // times samples (the catalog's largest is 398 K, incast-storm-256 under
-// ABM at full scale): a section of any bytes decodes into at most 128 MB.
+// ABM at full scale): a section of any bytes decodes into at most 64 MB.
 const maxTraceSamples, maxTraceValues = 1 << 20, 1 << 24
 
 // encodeScratch recycles the writer, and the buffer, a trace section is
 // written in. The garbage collector empties the pool between long jobs,
 // so a fresh buffer starts at the last section's size (lastSection).
 var (
-	encodeScratch = sync.Pool{New: func() any { return &traceWriter{ids: map[*float64]int{}} }}
+	encodeScratch = sync.Pool{New: func() any { return &traceWriter{ids: map[*int32]int{}} }}
 	lastSection   atomic.Int64
 )
 
-// traceWriter appends a TraceDoc's wire form. err is the first fault:
-// a *TraceError, or a value JSON cannot represent.
+// traceWriter appends a TraceDoc's wire form. err is the first fault, a
+// *TraceError.
 type traceWriter struct {
 	b   []byte
 	err error
 	// ids numbers the section's distinct series, each known by its first
 	// element's address, and order lists them by number.
-	ids   map[*float64]int
-	order [][]float64
+	ids   map[*int32]int
+	order [][]int32
 }
 
 // writeTrace writes t's section with a pooled writer, which the caller
@@ -557,7 +553,7 @@ func (w *traceWriter) str(s string) {
 }
 
 // ref appends a series field: the number of vs, a series of n samples.
-func (w *traceWriter) ref(list string, i int, field string, vs []float64, n int) {
+func (w *traceWriter) ref(list string, i int, field string, vs []int32, n int) {
 	if len(vs) != n {
 		w.fail(fmt.Sprintf("trace.%s[%d].%s", list, i, field), "%d values for %d samples", len(vs), n)
 		return
@@ -571,19 +567,18 @@ func (w *traceWriter) ref(list string, i int, field string, vs []float64, n int)
 	w.b = strconv.AppendInt(w.b, int64(id), 10)
 }
 
-// runs appends vs as flat (value, run length) pairs. Bits, not ==, end
-// a run: 0 and -0 print differently.
-func (w *traceWriter) runs(vs []float64) {
+// runs appends vs as flat (value, run length) pairs.
+func (w *traceWriter) runs(vs []int32) {
 	w.raw("[")
 	for i := 0; i < len(vs); {
 		j := i + 1
-		for j < len(vs) && math.Float64bits(vs[j]) == math.Float64bits(vs[i]) {
+		for j < len(vs) && vs[j] == vs[i] {
 			j++
 		}
 		if i > 0 {
 			w.raw(",")
 		}
-		w.float(vs[i])
+		w.b = strconv.AppendInt(w.b, int64(vs[i]), 10)
 		w.raw(",")
 		w.b = strconv.AppendInt(w.b, int64(j-i), 10)
 		i = j
@@ -591,41 +586,20 @@ func (w *traceWriter) runs(vs []float64) {
 	w.raw("]")
 }
 
-// float appends f as encoding/json writes a float64.
-func (w *traceWriter) float(f float64) {
-	// A byte or mark count: an integer-valued float below 2^53 prints in
-	// 'f' form as exactly its decimal digits. -0 is "-0".
-	if v := int64(f); f > -1<<53 && f < 1<<53 && float64(v) == f && (v != 0 || !math.Signbit(f)) {
-		w.b = strconv.AppendInt(w.b, v, 10)
-		return
-	}
-	// encoding/json's floatEncoder: ES6 number formatting.
-	if (math.IsNaN(f) || math.IsInf(f, 0)) && w.err == nil {
-		w.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(w.b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-09 is written e-9
-		b = b[:n-1]
-	}
-	w.b = b
-}
-
-// checkRuns is why runs does not spell n samples as (value, run length)
-// pairs, or "".
+// checkRuns is why runs does not spell n samples as (int32 count, run
+// length) pairs, or "".
 func checkRuns(runs []float64, n int) string {
 	if len(runs)%2 != 0 {
 		return "an odd count of numbers"
 	}
-	for r := 1; r < len(runs); r += 2 {
-		if c := runs[r]; c < 1 || c > float64(n) || c != math.Trunc(c) {
+	for r := 0; r < len(runs); r += 2 {
+		if v := runs[r]; v != math.Trunc(v) || v < math.MinInt32 || v > math.MaxInt32 || v == 0 && math.Signbit(v) {
+			return fmt.Sprintf("value %v is not an int32 count", v)
+		}
+		if c := runs[r+1]; c < 1 || c > float64(n) || c != math.Trunc(c) {
 			return fmt.Sprintf("run length %v is not a whole number from 1 to the %d samples left", c, n)
 		}
-		n -= int(runs[r])
+		n -= int(runs[r+1])
 	}
 	if n != 0 {
 		return fmt.Sprintf("runs leave %d samples uncovered", n)
@@ -669,17 +643,17 @@ func (t *TraceDoc) UnmarshalJSON(data []byte) error {
 			return &TraceError{fmt.Sprintf("trace.series[%d]", k), why}
 		}
 	}
-	series, bad := make([][]float64, len(wire.Series)), error(nil)
-	ref := func(k int, list string, i int, field string) []float64 {
+	series, bad := make([][]int32, len(wire.Series)), error(nil)
+	ref := func(k int, list string, i int, field string) []int32 {
 		if k < 0 || k >= len(series) {
 			bad = cmp.Or(bad, error(&TraceError{fmt.Sprintf("trace.%s[%d].%s", list, i, field), fmt.Sprintf("series %d is not in the %d-series table", k, len(series))}))
 			return nil
 		}
 		if series[k] == nil {
-			series[k] = make([]float64, 0, n)
+			series[k] = make([]int32, 0, n)
 			for r, runs := 0, wire.Series[k]; r < len(runs); r += 2 {
 				for c := int(runs[r+1]); c > 0; c-- {
-					series[k] = append(series[k], runs[r])
+					series[k] = append(series[k], int32(runs[r]))
 				}
 			}
 		}

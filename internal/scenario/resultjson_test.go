@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -164,15 +163,12 @@ func TestResultDocRoundTrip(t *testing.T) {
 }
 
 // Every spec entry under four policies: the schema-2 document's trace
-// expands, bit for bit, to the Result's dense telemetry, and the decoded
+// expands, count for count, to the Result's dense telemetry, and the decoded
 // document renders every view — the four deep tables, the trace CSV at
 // three strides, the queue overlay — to the in-memory document's bytes:
 // a served result shows exactly what the CLI printed for its run.
 func TestTraceDocCatalogDifferential(t *testing.T) {
 	t.Parallel()
-	same := func(a, b []float64) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-	}
 	for _, name := range exportableNames(t) {
 		for _, policy := range []string{"dt", "abm", "occamy", "pushout"} {
 			sc, _ := Get(name)
@@ -197,12 +193,12 @@ func TestTraceDocCatalogDifferential(t *testing.T) {
 			}
 			for i := range res.Telemetry {
 				tel := &res.Telemetry[i]
-				if !same(tr.Switches[i].Values, tel.Series) {
+				if !slices.Equal(tr.Switches[i].Values, tel.Series) {
 					t.Errorf("%s/%s: switch %s's series drifted", name, policy, tel.Name)
 				}
 				for j := range tel.Queues {
 					qt, qd := &tel.Queues[j], &tr.Queues[q]
-					if q++; !same(qd.Occupancy, qt.Series) || !same(qd.Threshold, qt.Threshold) || !same(qd.ECN, qt.ECNMarks) {
+					if q++; !slices.Equal(qd.Occupancy, qt.Series) || !slices.Equal(qd.Threshold, qt.Threshold) || !slices.Equal(qd.ECN, qt.ECNMarks) {
 						t.Errorf("%s/%s: queue %s drifted", name, policy, qd.Name)
 					}
 				}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -374,6 +375,40 @@ func TestValidateRejectsNonsense(t *testing.T) {
 			t.Errorf("%s: Validate accepted an invalid spec", c.name)
 		} else if !strings.Contains(err.Error(), "scenario") {
 			t.Errorf("%s: unhelpful error %v", c.name, err)
+		}
+	}
+}
+
+// Validate checks a dist by name and the buffer against what a trace
+// series holds: 2^31-1 bytes is the largest buffer, explicit or sized
+// from buffer_kb_per_port_per_gbps (8 ports of 10 Gb/s here), including
+// one whose size overflows an int.
+func TestValidateDistAndBufferBounds(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name string
+		mut  func(*Spec)
+		want string // "" accepts
+	}{
+		{"unknown dist", func(s *Spec) { s.Workloads[0].Dist = "pareto" }, `scenario "v": unknown dist "pareto" (websearch|cache|uniform)`},
+		{"uniform without flow_size", func(s *Spec) { s.Workloads[0].Dist = "uniform" }, `scenario "v": dist "uniform" needs FlowSize > 0`},
+		{"uniform", func(s *Spec) { s.Workloads[0].Dist, s.Workloads[0].FlowSize = "uniform", 1000 }, ""},
+		{"cache", func(s *Spec) { s.Workloads[0].Dist = "cache" }, ""},
+		{"explicit 2^31-1", func(s *Spec) { s.Topology.BufferBytes = math.MaxInt32 }, ""},
+		{"explicit 2^31", func(s *Spec) { s.Topology.BufferBytes = 1 << 31 }, "2^31 bytes or more"},
+		{"Tomahawk-sized under 2^31", func(s *Spec) { s.Topology.BufferKBPerPortPerGbps = 26_214 }, ""},
+		{"Tomahawk-sized past 2^31", func(s *Spec) { s.Topology.BufferKBPerPortPerGbps = 26_215 }, "2^31 bytes or more"},
+		{"Tomahawk-sized past an int", func(s *Spec) { s.Topology.BufferKBPerPortPerGbps = 1e300 }, "2^31 bytes or more"},
+	} {
+		spec := Spec{
+			Name:      "v",
+			Topology:  Topology{Kind: SingleSwitch, Hosts: 8, LinkBps: 10e9},
+			Workloads: []Workload{{Kind: WLBackground, Load: 0.5}},
+		}
+		c.mut(&spec)
+		err := spec.WithDefaults().Validate()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
@@ -411,6 +412,11 @@ func (s Spec) Validate() error {
 		t.ECNThresholdBytes < 0 || t.ECNThresholdFrac < 0 {
 		return fmt.Errorf("scenario %q: negative topology field", s.Name)
 	}
+	// A trace holds byte counts as int32s. A computed size past an int's
+	// range converts to a value outside [0, MaxInt32] too.
+	if b := t.BufferSize(); b < 0 || b > math.MaxInt32 {
+		return fmt.Errorf("scenario %q: a buffer of 2^31 bytes or more; trace series hold int32 counts", s.Name)
+	}
 	if t.Classes > switchsim.MaxClassesPerPort {
 		return fmt.Errorf("scenario %q: %d classes per port, at most %d", s.Name, t.Classes, switchsim.MaxClassesPerPort)
 	}
@@ -481,7 +487,7 @@ func (s Spec) Validate() error {
 		default:
 			return fmt.Errorf("scenario %q: unknown workload kind %q", s.Name, w.Kind)
 		}
-		if _, err := distFor(w); err != nil {
+		if _, err := distFor(w); err != nil { // names the CDF, builds none
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		if _, err := ccFor(w); err != nil {

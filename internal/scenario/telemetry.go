@@ -48,13 +48,13 @@ type QueueTelemetry struct {
 	// Series is the sampled queue length in bytes; Threshold the
 	// admission policy's instantaneous limit for this queue at the same
 	// instants, clamped to the buffer capacity.
-	Series    []float64
-	Threshold []float64
+	Series    []int32
+	Threshold []int32
 	// ECNMarks is the queue's cumulative ECN-mark counter at the same
 	// instants — the marking dynamics driving DCTCP's feedback loop. The
 	// three series are read-only: queues share equal ones (every queue of
 	// a class its threshold, every idle queue one series of zeros).
-	ECNMarks []float64
+	ECNMarks []int32
 }
 
 // Label renders the queue's position as "p<port>q<class>".
@@ -78,7 +78,7 @@ type SwitchTelemetry struct {
 	PortMean []float64
 	// Series is the sampled whole-switch occupancy in bytes, one entry
 	// per SampleEvery tick.
-	Series []float64
+	Series []int32
 	// Queues holds the per-(port,class) series with thresholds, indexed
 	// port*Classes+class.
 	Queues []QueueTelemetry
@@ -323,7 +323,7 @@ func (t *TraceDoc) TracePlot(width int) string { return trace.Plot(t.Switches, w
 func (t *TraceDoc) QueueTracePlot(width, top int) (string, error) {
 	type ranked struct {
 		q    *QueueSeriesDoc
-		peak float64
+		peak int32
 	}
 	var hot []ranked
 	for i := range t.Queues {

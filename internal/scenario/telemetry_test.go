@@ -228,8 +228,8 @@ func TestTraceOutputs(t *testing.T) {
 	if doc := mustDoc(t, res, false); doc.Trace != nil {
 		t.Error("Doc(false) carries a trace")
 	}
-	zeros := []float64{0, 0}
-	idle := &TraceDoc{Samples: 2, Queues: []QueueSeriesDoc{{Name: "sw0:p0q0", Occupancy: zeros, Threshold: []float64{9, 9}, ECN: zeros}}}
+	zeros := []int32{0, 0}
+	idle := &TraceDoc{Samples: 2, Queues: []QueueSeriesDoc{{Name: "sw0:p0q0", Occupancy: zeros, Threshold: []int32{9, 9}, ECN: zeros}}}
 	if _, err := idle.QueueTracePlot(40, 0); err == nil {
 		t.Error("QueueTracePlot of a trace whose queues never buffered did not error")
 	}

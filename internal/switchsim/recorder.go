@@ -1,9 +1,8 @@
 package switchsim
 
 import (
+	"fmt"
 	"math"
-
-	"occamy/internal/sim"
 )
 
 // Recorder tracks one switch's shared-buffer occupancy dynamics over a
@@ -20,22 +19,26 @@ import (
 // occupancy or ECN series is kept only from its first non-zero value;
 // until then it reads as the recorder's one series of zeros.
 //
-// While sampling, every series (Times as float64 bits) is written into
-// chunks of chunkLen samples drawn from the run's chunk pool. Chunk k of
-// a series holds samples [k·chunkLen, (k+1)·chunkLen), so every series
-// crosses a chunk edge at the same sample. Finish copies each distinct
-// series once into one slab of exactly its samples. The series and Times
-// are read after Finish; they may be shared, and are read-only.
+// Every value is a byte or mark count, held as an int32: a run's buffer
+// is below 2^31 bytes, and an ECN counter past MaxInt32 fails Finish.
+// The recorder keeps no sample times: its caller samples on a fixed
+// grid, which implies them.
+//
+// While sampling, every series is written into chunks of chunkLen
+// samples drawn from the run's chunk pool. Chunk k of a series holds
+// samples [k·chunkLen, (k+1)·chunkLen), so every series crosses a chunk
+// edge at the same sample. Finish copies each distinct series once into
+// one slab of exactly its samples. The series are read after Finish;
+// they may be shared, and are read-only.
 type Recorder struct {
 	sw *Switch
 
 	// Series is the whole-switch occupancy in bytes, one entry per
-	// Sample call; Times holds the matching timestamps. Finish sets both.
-	Series []float64
-	Times  []sim.Time
+	// Sample call. Finish sets it.
+	Series []int32
 
 	chunks *chunkPool
-	fixed  []series // Times, the switch's, then the thresholds: per class under a class policy, else per queue
+	fixed  []series // the switch's, then the thresholds: per class under a class policy, else per queue
 	queues []queueRec
 	ports  []portRec
 	thrNow []int // this sample's threshold of each class of a port
@@ -51,7 +54,7 @@ type Recorder struct {
 // from is the sample of its first value. After Finish, cur is the series
 // in the slab, or the zero series if it stayed nil.
 type series struct {
-	cur  []float64
+	cur  []int32
 	id   int32
 	from int32
 }
@@ -76,7 +79,7 @@ const chunkLen = 512
 // the chunk before it in its series (-1 for the first). Recorders take
 // chunks in turn; Park rewinds the pool whole for the next run.
 type chunkPool struct {
-	v    [][]float64
+	v    [][]int32
 	prev []int32
 	used int
 }
@@ -86,14 +89,14 @@ type chunkPool struct {
 //go:noinline
 func (c *chunkPool) take(prev int32) int32 {
 	if c.used == len(c.v) {
-		c.v, c.prev = append(c.v, make([]float64, chunkLen)), append(c.prev, 0)
+		c.v, c.prev = append(c.v, make([]int32, chunkLen)), append(c.prev, 0)
 	}
 	c.prev[c.used] = prev
 	c.used++
 	return int32(c.used - 1)
 }
 
-// rewind makes every chunk free again, keeping at most 2^18 floats.
+// rewind makes every chunk free again, keeping at most 2^18 values.
 func (c *chunkPool) rewind() *chunkPool {
 	if n := 1 << 18 / chunkLen; len(c.v) > n {
 		clear(c.v[n:])
@@ -126,7 +129,7 @@ func newRecorder(sw *Switch, c *chunkPool) *Recorder {
 	r := &Recorder{
 		sw:     sw,
 		chunks: c,
-		fixed:  make([]series, 2+thresholds),
+		fixed:  make([]series, 1+thresholds),
 		queues: make([]queueRec, sw.NumQueues()),
 		ports:  make([]portRec, sw.NumPorts()),
 		thrNow: make([]int, sw.ClassesPerPort()),
@@ -140,20 +143,18 @@ func newRecorder(sw *Switch, c *chunkPool) *Recorder {
 	return r
 }
 
-// Sample records the switch's current occupancy (whole-switch,
-// per-port, and per-queue with the policy threshold) at the given
-// timestamp.
-func (r *Recorder) Sample(now sim.Time) {
+// Sample records the switch's current occupancy: whole-switch, per-port,
+// and per-queue with the policy threshold.
+func (r *Recorder) Sample() {
 	if len(r.fixed[0].cur) == chunkLen {
 		r.spill()
 	}
 	sw := r.sw
 	occ := sw.Occupancy()
-	r.fixed[0].cur = append(r.fixed[0].cur, math.Float64frombits(uint64(now)))
-	r.fixed[1].cur = append(r.fixed[1].cur, float64(occ))
+	r.fixed[0].cur = append(r.fixed[0].cur, int32(occ))
 	r.peak = max(r.peak, occ)
 	r.sum += float64(occ)
-	thrs := r.fixed[2:]
+	thrs := r.fixed[1:]
 	q := 0
 	for p := range r.ports {
 		portOcc := 0
@@ -163,12 +164,12 @@ func (r *Recorder) Sample(now sim.Time) {
 			// are asked: their thresholds are their classes'.
 			if q < len(thrs) {
 				thr = min(sw.policy.Threshold(sw, q), sw.Capacity())
-				thrs[q].cur = append(thrs[q].cur, float64(thr))
+				thrs[q].cur = append(thrs[q].cur, int32(thr))
 				r.thrNow[c] = thr
 			}
 			qr := &r.queues[q]
-			r.put(&qr.occ, float64(l))
-			r.put(&qr.ecn, float64(sw.queueStats[q].ECNMarked))
+			r.put(&qr.occ, int32(l))
+			r.put(&qr.ecn, int32(sw.queueStats[q].ECNMarked))
 			qr.peak = max(qr.peak, l)
 			qr.sum += float64(l)
 			qr.minHeadroom = min(qr.minHeadroom, thr-l)
@@ -184,7 +185,7 @@ func (r *Recorder) Sample(now sim.Time) {
 
 // put appends v to s, a series kept from its first non-zero value: it
 // stays nil while v is 0.
-func (r *Recorder) put(s *series, v float64) {
+func (r *Recorder) put(s *series, v int32) {
 	if s.cur == nil {
 		if v == 0 {
 			return
@@ -230,44 +231,45 @@ func (r *Recorder) each(f func(*series)) {
 
 // Finish copies every distinct series, once, into one slab of exactly its
 // samples, and leaves the chunks to the pool. It is called once, after
-// the last Sample; a canceled run's recorders are never finished.
-func (r *Recorder) Finish() {
+// the last Sample; a canceled run's recorders are never finished. It
+// fails when an ECN counter has passed MaxInt32, for a counter only
+// grows: its series may have wrapped.
+func (r *Recorder) Finish() error {
+	for q := range r.queues {
+		if r.sw.queueStats[q].ECNMarked > math.MaxInt32 {
+			return fmt.Errorf("switchsim: %s: queue %d's ECN-mark counter passed %d, past what a trace series holds", r.sw.Name(), q, math.MaxInt32)
+		}
+	}
 	n, idle := r.n, 0
 	if r.live < len(r.fixed)+2*len(r.queues) {
 		idle = 1
 	}
-	r.Times = make([]sim.Time, n)
-	r.walk(r.fixed[0], func(lo int, vals []float64) {
-		for i, v := range vals {
-			r.Times[lo+i] = sim.Time(math.Float64bits(v))
-		}
-	})
-	slab := make([]float64, (r.live-1+idle)*n) // every live series but Times, and the zero series
-	carve := func() []float64 {
+	slab := make([]int32, (r.live+idle)*n) // every live series, and the zero series
+	carve := func() []int32 {
 		s := slab[:n:n]
 		slab = slab[n:]
 		return s
 	}
-	var zero []float64
+	var zero []int32
 	if idle > 0 {
 		zero = carve()
 	}
 	r.each(func(s *series) {
-		switch {
-		case s.cur == nil:
+		if s.cur == nil {
 			s.cur = zero
-		case s != &r.fixed[0]:
-			dst := carve()
-			r.walk(*s, func(lo int, vals []float64) { copy(dst[lo:], vals) })
-			s.cur = dst
+			return
 		}
+		dst := carve()
+		r.walk(*s, func(lo int, vals []int32) { copy(dst[lo:], vals) })
+		s.cur = dst
 	})
-	r.Series, r.fixed[0].cur = r.fixed[1].cur, nil
+	r.Series = r.fixed[0].cur
+	return nil
 }
 
 // walk calls f with each chunk's part of s — the values of samples
 // [lo, lo+len(vals)) — last chunk first.
-func (r *Recorder) walk(s series, f func(lo int, vals []float64)) {
+func (r *Recorder) walk(s series, f func(lo int, vals []int32)) {
 	hi := r.n
 	for id, base := s.id, (r.n-1)/chunkLen*chunkLen; id >= 0; id, base = r.chunks.prev[id], base-chunkLen {
 		lo := max(base, int(s.from))
@@ -278,21 +280,21 @@ func (r *Recorder) walk(s series, f func(lo int, vals []float64)) {
 
 // QueueSeries returns queue q's sampled length in bytes (flat index
 // port*ClassesPerPort+class), one entry per Sample call.
-func (r *Recorder) QueueSeries(q int) []float64 { return r.queues[q].occ.cur }
+func (r *Recorder) QueueSeries(q int) []int32 { return r.queues[q].occ.cur }
 
 // ThresholdSeries returns the admission policy's limit for queue q at
 // the same instants, clamped to the buffer capacity (unbounded policies
 // report Capacity, and a DT threshold over an empty buffer can exceed it
 // many times over). Under a class policy, every queue of a class returns
 // its class's one series: queue q is of class q mod ClassesPerPort.
-func (r *Recorder) ThresholdSeries(q int) []float64 {
-	thrs := r.fixed[2:]
+func (r *Recorder) ThresholdSeries(q int) []int32 {
+	thrs := r.fixed[1:]
 	return thrs[q%len(thrs)].cur
 }
 
 // ECNSeries returns queue q's cumulative ECN-mark counter at the same
 // instants (a flat segment is a quiet queue, a steep one a marking burst).
-func (r *Recorder) ECNSeries(q int) []float64 { return r.queues[q].ecn.cur }
+func (r *Recorder) ECNSeries(q int) []int32 { return r.queues[q].ecn.cur }
 
 // Samples returns the number of Sample calls so far.
 func (r *Recorder) Samples() int { return r.n }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"occamy/internal/bm"
@@ -127,7 +128,7 @@ func TestRecorderAggregates(t *testing.T) {
 		Ports: 2, ClassesPerPort: 1, BufferBytes: 50_000, Policy: bm.NewDT(1),
 	}, 1e9)
 	rec := newTestRecorder(sw)
-	tick := eng.Every(0, 5*sim.Microsecond, func() { rec.Sample(eng.Now()) })
+	tick := eng.Every(0, 5*sim.Microsecond, func() { rec.Sample() })
 	rng := sim.NewRand(3)
 	for i := 0; i < 200; i++ {
 		sw.Receive(mkpkt(pkt.NodeID(rng.Intn(2)), 1000, 0))
@@ -137,20 +138,20 @@ func TestRecorderAggregates(t *testing.T) {
 	}
 	eng.RunFor(sim.Millisecond)
 	tick.Stop()
-	rec.Finish()
+	if err := rec.Finish(); err != nil {
+		t.Fatal(err)
+	}
 
 	if rec.Samples() == 0 || len(rec.Series) != rec.Samples() {
 		t.Fatalf("series length %d, samples %d", len(rec.Series), rec.Samples())
 	}
-	peak, sum := 0.0, 0.0
+	peak, sum := int32(0), 0.0
 	for _, v := range rec.Series {
-		if v > peak {
-			peak = v
-		}
-		sum += v
+		peak = max(peak, v)
+		sum += float64(v)
 	}
 	if int(peak) != rec.Peak() {
-		t.Errorf("Peak()=%d, series max %g", rec.Peak(), peak)
+		t.Errorf("Peak()=%d, series max %d", rec.Peak(), peak)
 	}
 	if mean := sum / float64(len(rec.Series)); mean != rec.Mean() {
 		t.Errorf("Mean()=%g, series mean %g", rec.Mean(), mean)
@@ -176,7 +177,7 @@ func TestRecorderQueueSeries(t *testing.T) {
 		Policy: bm.NewDT(1), Scheduler: SchedDRR,
 	}, 1e9)
 	rec := newTestRecorder(sw)
-	tick := eng.Every(0, 5*sim.Microsecond, func() { rec.Sample(eng.Now()) })
+	tick := eng.Every(0, 5*sim.Microsecond, func() { rec.Sample() })
 	rng := sim.NewRand(7)
 	for i := 0; i < 300; i++ {
 		sw.Receive(mkpkt(pkt.NodeID(rng.Intn(3)), 500+rng.Intn(1000), rng.Intn(2)))
@@ -186,7 +187,9 @@ func TestRecorderQueueSeries(t *testing.T) {
 	}
 	eng.RunFor(sim.Millisecond)
 	tick.Stop()
-	rec.Finish()
+	if err := rec.Finish(); err != nil {
+		t.Fatal(err)
+	}
 
 	n := rec.Samples()
 	if n == 0 {
@@ -199,14 +202,14 @@ func TestRecorderQueueSeries(t *testing.T) {
 		for p := 0; p < sw.NumPorts(); p++ {
 			occ := 0.0
 			for c := 0; c < classes; c++ {
-				occ += rec.QueueSeries(p*classes + c)[s]
+				occ += float64(rec.QueueSeries(p*classes + c)[s])
 			}
 			portPeak[p] = max(portPeak[p], occ)
 			portSum[p] += occ
 			swSum += occ
 		}
-		if swSum != rec.Series[s] {
-			t.Fatalf("sample %d: queue sum %g != switch series %g", s, swSum, rec.Series[s])
+		if swSum != float64(rec.Series[s]) {
+			t.Fatalf("sample %d: queue sum %g != switch series %d", s, swSum, rec.Series[s])
 		}
 	}
 	for p := 0; p < sw.NumPorts(); p++ {
@@ -218,13 +221,13 @@ func TestRecorderQueueSeries(t *testing.T) {
 	sawBacklog := false
 	for q := 0; q < sw.NumQueues(); q++ {
 		peak, sum := 0.0, 0.0
-		minHead := rec.ThresholdSeries(q)[0] - rec.QueueSeries(q)[0]
+		minHead := float64(rec.ThresholdSeries(q)[0] - rec.QueueSeries(q)[0])
 		for s := 0; s < n; s++ {
-			thr := rec.ThresholdSeries(q)[s]
+			thr := float64(rec.ThresholdSeries(q)[s])
 			if thr < 0 || thr > float64(sw.Capacity()) {
 				t.Fatalf("queue %d sample %d: threshold %g outside [0, capacity]", q, s, thr)
 			}
-			v := rec.QueueSeries(q)[s]
+			v := float64(rec.QueueSeries(q)[s])
 			if v > peak {
 				peak = v
 			}
@@ -251,55 +254,74 @@ func TestRecorderQueueSeries(t *testing.T) {
 	}
 }
 
+// A series holds int32 counts. An ECN counter at MaxInt32 is recorded as
+// is; one past it fails Finish, naming the queue, rather than wrap.
+func TestRecorderECNOverflowFails(t *testing.T) {
+	eng := sim.NewEngine()
+	sw, _ := testSwitch(t, eng, Config{Ports: 2, ClassesPerPort: 2, BufferBytes: 10_000, Policy: bm.NewDT(1)}, 1e9)
+	sw.queueStats[3].ECNMarked = math.MaxInt32
+	atMax, past := newTestRecorder(sw), newTestRecorder(sw)
+	atMax.Sample()
+	if err := atMax.Finish(); err != nil || atMax.ECNSeries(3)[0] != math.MaxInt32 {
+		t.Fatalf("a counter at MaxInt32: Finish %v, series %v", err, atMax.ECNSeries(3))
+	}
+	past.Sample()
+	sw.queueStats[3].ECNMarked++
+	past.Sample()
+	if err := past.Finish(); err == nil || !strings.Contains(err.Error(), "queue 3's ECN-mark counter passed 2147483647") {
+		t.Fatalf("a counter past MaxInt32: Finish %v", err)
+	}
+}
+
 // newTestRecorder is a recorder of sw that draws from a chunk pool of
 // its own.
 func newTestRecorder(sw *Switch) *Recorder { return newRecorder(sw, new(chunkPool)) }
 
-// refRecorder is the recorder by its definition: at every sample, the
-// switch's occupancy, each queue's length, its own capacity-clamped
-// threshold and its ECN-mark count, and each port's sum of lengths,
-// every series stored in full.
+// refRecorder is the recorder by its definition: at every sample, its
+// time, the switch's occupancy, each queue's length, its own
+// capacity-clamped threshold and its ECN-mark count, and each port's sum
+// of lengths, every series stored in full.
 type refRecorder struct {
 	sw            *Switch
 	times         []sim.Time
-	occ, thr, ecn [][]float64 // per queue
-	port          [][]float64 // per port
-	total         []float64
+	occ, thr, ecn [][]int32 // per queue
+	port          [][]int   // per port
+	total         []int32
 }
 
 func newRefRecorder(sw *Switch) *refRecorder {
 	return &refRecorder{
 		sw:   sw,
-		occ:  make([][]float64, sw.NumQueues()),
-		thr:  make([][]float64, sw.NumQueues()),
-		ecn:  make([][]float64, sw.NumQueues()),
-		port: make([][]float64, sw.NumPorts()),
+		occ:  make([][]int32, sw.NumQueues()),
+		thr:  make([][]int32, sw.NumQueues()),
+		ecn:  make([][]int32, sw.NumQueues()),
+		port: make([][]int, sw.NumPorts()),
 	}
 }
 
 func (r *refRecorder) sample(now sim.Time) {
 	sw := r.sw
 	r.times = append(r.times, now)
-	r.total = append(r.total, float64(sw.Occupancy()))
+	r.total = append(r.total, int32(sw.Occupancy()))
 	for p := range r.port {
 		r.port[p] = append(r.port[p], 0)
 	}
 	for q := range r.occ {
 		l := sw.QueueLen(q)
-		r.occ[q] = append(r.occ[q], float64(l))
-		r.thr[q] = append(r.thr[q], float64(min(sw.Policy().Threshold(sw, q), sw.Capacity())))
-		r.ecn[q] = append(r.ecn[q], float64(sw.QueueStats(q).ECNMarked))
+		r.occ[q] = append(r.occ[q], int32(l))
+		r.thr[q] = append(r.thr[q], int32(min(sw.Policy().Threshold(sw, q), sw.Capacity())))
+		r.ecn[q] = append(r.ecn[q], int32(sw.QueueStats(q).ECNMarked))
 		p := r.port[q/sw.ClassesPerPort()]
-		p[len(p)-1] += float64(l)
+		p[len(p)-1] += l
 	}
 }
 
 // peakMean is a series' maximum and its mean, summed in sample order.
-func peakMean(s []float64) (int, float64) {
-	peak, sum := 0.0, 0.0
+func peakMean[T int | int32](s []T) (int, float64) {
+	peak, sum := T(0), 0.0
 	for _, v := range s {
 		peak = max(peak, v)
-		sum += v
+		sum += float64(v)
 	}
 	return int(peak), sum / float64(len(s))
 }
@@ -315,14 +337,14 @@ var recorderSampleCounts = []int{1, chunkLen - 1, chunkLen, chunkLen + 1, 1001, 
 // second edge and mid-way through the third chunk; port 3's never.
 var firstBusy = []int{0, 0, 300, chunkLen, 2 * chunkLen, 1300, -1, -1}
 
-// dirtyChunks is a chunk pool whose chunks hold NaN, as one a finished run
-// handed on holds that run's values: a recorder that reads a slot it did
-// not write reads NaN.
+// dirtyChunks is a chunk pool whose chunks hold MinInt32, as one a
+// finished run handed on holds that run's values: a recorder that reads a
+// slot it did not write reads a count no run records.
 func dirtyChunks() *chunkPool {
 	c := new(chunkPool)
 	for range 256 {
 		for i := range c.v[c.take(-1)] {
-			c.v[c.used-1][i] = math.NaN()
+			c.v[c.used-1][i] = math.MinInt32
 		}
 	}
 	return c.rewind()
@@ -331,7 +353,7 @@ func dirtyChunks() *chunkPool {
 // The recorder keeps each distinct series once — a class policy's
 // threshold per class, a queue's occupancy and ECN series from their
 // first non-zero value — in chunks, and after Finish reads back exactly
-// what a recorder storing every series in full records, bit for bit:
+// what a recorder storing every series in full records, count for count:
 // under every policy, with ECN marking on and off, at sample counts
 // either side of chunk edges, with queues that first fill at the first
 // sample, mid-chunk, on a chunk edge and never. Two series share storage
@@ -381,24 +403,32 @@ func checkRecorder(t *testing.T, i, ecn, n int) {
 	rec, ref := newRecorder(sw, dirtyChunks()), newRefRecorder(sw)
 	tick := eng.Every(1, period, func() {
 		if rec.Samples() < n {
-			rec.Sample(eng.Now())
+			rec.Sample()
 			ref.sample(eng.Now())
 		}
 	})
 	eng.RunUntil(sim.Time(sim.Duration(n) * period))
 	tick.Stop()
-	rec.Finish()
+	if err := rec.Finish(); err != nil {
+		t.Fatal(err)
+	}
 
 	if rec.Samples() != n || len(ref.occ[0]) != n {
 		t.Fatalf("%d samples, reference %d, want %d", rec.Samples(), len(ref.occ[0]), n)
 	}
-	if !slices.Equal(rec.Times, ref.times) || !slices.Equal(rec.Series, ref.total) {
-		t.Fatal("times or switch series differ from the definition")
+	// The recorder keeps no times: the grid its ticks fall on implies them.
+	for k, at := range ref.times {
+		if at != 1+sim.Time(k)*period {
+			t.Fatalf("sample %d taken at %v, off the grid 1ns + k·%v", k, at, period)
+		}
+	}
+	if !slices.Equal(rec.Series, ref.total) {
+		t.Fatal("switch series differs from the definition")
 	}
 	// share records that s is stored as k, and fails if k has two copies
 	// or s's storage is another series' too.
-	key, addr := map[*float64]string{}, map[string]*float64{}
-	share := func(k string, s []float64) {
+	key, addr := map[*int32]string{}, map[string]*int32{}
+	share := func(k string, s []int32) {
 		if a, ok := addr[k]; ok && a != &s[0] {
 			t.Fatalf("%s has two copies", k)
 		}
@@ -407,8 +437,8 @@ func checkRecorder(t *testing.T, i, ecn, n int) {
 		}
 		key[&s[0]], addr[k] = k, &s[0]
 	}
-	idle := func(name string, s []float64) string {
-		if slices.ContainsFunc(s, func(v float64) bool { return v != 0 }) {
+	idle := func(name string, s []int32) string {
+		if slices.ContainsFunc(s, func(v int32) bool { return v != 0 }) {
 			return name
 		}
 		return "the zero series"
@@ -441,7 +471,7 @@ func checkRecorder(t *testing.T, i, ecn, n int) {
 		if want >= n {
 			want = -1
 		}
-		if first := slices.IndexFunc(ref.occ[q], func(v float64) bool { return v != 0 }); first != want {
+		if first := slices.IndexFunc(ref.occ[q], func(v int32) bool { return v != 0 }); first != want {
 			t.Fatalf("program is no test: queue %d first holds a packet at sample %d, want %d", q, first, want)
 		}
 		marked = marked || ref.ecn[q][n-1] > 0
@@ -491,7 +521,7 @@ func BenchmarkRecorderSample(b *testing.B) {
 			}
 			rec := newTestRecorder(sw)
 			for i := 0; i < c.window; i++ {
-				rec.Sample(sim.Time(i)) // the window before fills the pool
+				rec.Sample() // the window before fills the pool
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -499,7 +529,7 @@ func BenchmarkRecorderSample(b *testing.B) {
 				if i%c.window == 0 {
 					rec.rewind()
 				}
-				rec.Sample(sim.Time(i))
+				rec.Sample()
 			}
 		})
 	}

@@ -463,18 +463,20 @@ func TestParkConcurrent(t *testing.T) {
 					switches[i].SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
 				}
 				recs := NewRecorders(switches)
-				want := make([][]float64, len(switches))
+				want := make([][]int32, len(switches))
 				for k := 0; k < chunkLen+100+run; k++ {
 					for i, sw := range switches {
 						if k%7 == i {
 							sw.Receive(&pkt.Packet{ID: uint64(k + 1), Dst: pkt.NodeID(k % 2), Size: 100 + k%900, Priority: k % 2})
 						}
-						recs[i].Sample(sim.Time(k))
-						want[i] = append(want[i], float64(sw.Occupancy()))
+						recs[i].Sample()
+						want[i] = append(want[i], int32(sw.Occupancy()))
 					}
 				}
 				for i, rec := range recs {
-					rec.Finish()
+					if err := rec.Finish(); err != nil {
+						t.Error(err)
+					}
 					if !slices.Equal(rec.Series, want[i]) {
 						t.Errorf("goroutine %d run %d switch %d: the recording differs from what the run saw", g, run, i)
 					}

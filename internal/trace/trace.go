@@ -7,6 +7,8 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -20,58 +22,47 @@ func Sparkline(values []float64, width int) string {
 		return ""
 	}
 	v := Downsample(values, width)
-	lo, hi := v[0], v[0]
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
+	lo, hi := slices.Min(v), slices.Max(v)
 	var b strings.Builder
 	for _, x := range v {
-		idx := 0
-		if hi > lo {
-			idx = int((x - lo) / (hi - lo) * float64(len(sparkGlyphs)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkGlyphs) {
-			idx = len(sparkGlyphs) - 1
-		}
-		b.WriteRune(sparkGlyphs[idx])
+		b.WriteRune(glyph(x, lo, hi))
 	}
 	return b.String()
 }
 
+// glyph is the block for x on the scale lo..hi, the lowest on a flat one.
+func glyph(x, lo, hi float64) rune {
+	idx := 0
+	if hi > lo {
+		idx = int((x - lo) / (hi - lo) * float64(len(sparkGlyphs)-1))
+	}
+	return sparkGlyphs[min(max(idx, 0), len(sparkGlyphs)-1)]
+}
+
 // Downsample reduces values to at most width points by bucket-averaging
-// (width <= 0 returns the input unchanged).
-func Downsample(values []float64, width int) []float64 {
-	if width <= 0 || len(values) <= width {
-		return values
+// (width <= 0 keeps every point), as float64s.
+func Downsample[T int32 | float64](values []T, width int) []float64 {
+	if width <= 0 || len(values) < width {
+		width = len(values)
 	}
 	out := make([]float64, width)
-	for i := 0; i < width; i++ {
+	for i := range out {
 		lo := i * len(values) / width
 		hi := (i + 1) * len(values) / width
-		if hi <= lo {
-			hi = lo + 1
-		}
 		sum := 0.0
 		for _, x := range values[lo:hi] {
-			sum += x
+			sum += float64(x)
 		}
 		out[i] = sum / float64(hi-lo)
 	}
 	return out
 }
 
-// Series is one named curve for a Plot.
+// Series is one named curve for a Plot: a byte or mark count per
+// sample.
 type Series struct {
 	Name   string
-	Values []float64
+	Values []int32
 }
 
 // WriteCSV writes aligned time series as CSV: a header line
@@ -94,7 +85,7 @@ func WriteCSV(w io.Writer, times []float64, series []Series, stride int) error {
 	for i := 0; i < len(times); i += max(stride, 1) {
 		row[0] = fmt.Sprintf("%.9f", times[i])
 		for j, s := range series {
-			row[j+1] = fmt.Sprintf("%g", s.Values[i])
+			row[j+1] = fmt.Sprintf("%g", float64(s.Values[i]))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err
@@ -109,21 +100,14 @@ func WriteCSV(w io.Writer, times []float64, series []Series, stride int) error {
 //	q1_long   ▁▁▂▃▅▆▇███▇▆▅  [0 .. 960000]
 func Plot(series []Series, width int) string {
 	// Shared scale across all series so curves are comparable.
-	lo, hi := 0.0, 0.0
-	first := true
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for _, s := range series {
-		for _, x := range s.Values {
-			if first {
-				lo, hi, first = x, x, false
-				continue
-			}
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
+		for _, v := range s.Values {
+			lo, hi = min(lo, v), max(hi, v)
 		}
+	}
+	if lo > hi { // no values at all
+		lo, hi = 0, 0
 	}
 	nameW := 0
 	for _, s := range series {
@@ -133,22 +117,11 @@ func Plot(series []Series, width int) string {
 	}
 	var b strings.Builder
 	for _, s := range series {
-		v := Downsample(s.Values, width)
 		fmt.Fprintf(&b, "%-*s  ", nameW, s.Name)
-		for _, x := range v {
-			idx := 0
-			if hi > lo {
-				idx = int((x - lo) / (hi - lo) * float64(len(sparkGlyphs)-1))
-			}
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(sparkGlyphs) {
-				idx = len(sparkGlyphs) - 1
-			}
-			b.WriteRune(sparkGlyphs[idx])
+		for _, x := range Downsample(s.Values, width) {
+			b.WriteRune(glyph(x, float64(lo), float64(hi)))
 		}
-		fmt.Fprintf(&b, "  [%.3g .. %.3g]\n", lo, hi)
+		fmt.Fprintf(&b, "  [%.3g .. %.3g]\n", float64(lo), float64(hi))
 	}
 	return b.String()
 }

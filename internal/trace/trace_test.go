@@ -96,8 +96,8 @@ func TestDownsampleBounds(t *testing.T) {
 
 func TestPlotSharedScale(t *testing.T) {
 	out := Plot([]Series{
-		{Name: "low", Values: []float64{0, 0, 0}},
-		{Name: "high", Values: []float64{10, 10, 10}},
+		{Name: "low", Values: []int32{0, 0, 0}},
+		{Name: "high", Values: []int32{10, 10, 10}},
 	}, 0)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
@@ -119,8 +119,8 @@ func TestPlotSharedScale(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	var buf strings.Builder
 	err := WriteCSV(&buf, []float64{0, 0.001, 0.002}, []Series{
-		{Name: "sw0", Values: []float64{0, 500, 1000}},
-		{Name: "has,comma", Values: []float64{1, 2, 3}},
+		{Name: "sw0", Values: []int32{0, 500, 1000}},
+		{Name: "has,comma", Values: []int32{1, 2, 3}},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +137,14 @@ func TestWriteCSV(t *testing.T) {
 	}
 	// Stride 2 keeps the first and third samples, whole.
 	var strided strings.Builder
-	if err := WriteCSV(&strided, []float64{0, 0.001, 0.002}, []Series{{Name: "sw0", Values: []float64{0, 500, 1000}}}, 2); err != nil {
+	if err := WriteCSV(&strided, []float64{0, 0.001, 0.002}, []Series{{Name: "sw0", Values: []int32{0, 500, 1000}}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := strided.String(); got != "time_s,sw0\n0.000000000,0\n0.002000000,1000\n" {
 		t.Fatalf("stride 2 = %q", got)
 	}
 	// Ragged input is an error, not silent misalignment.
-	if err := WriteCSV(&buf, []float64{0, 1}, []Series{{Name: "x", Values: []float64{1}}}, 1); err == nil {
+	if err := WriteCSV(&buf, []float64{0, 1}, []Series{{Name: "x", Values: []int32{1}}}, 1); err == nil {
 		t.Fatal("ragged series accepted")
 	}
 }
