@@ -72,9 +72,9 @@ func (p *EDT) bursting(st State, q int) bool {
 
 // Threshold implements Policy.
 func (p *EDT) Threshold(st State, q int) int {
-	base := p.Alpha * float64(FreeBuffer(st))
+	base := float64(p.Alpha * float64(FreeBuffer(st)))
 	if p.bursting(st, q) {
-		base += p.headroom() * float64(FreeBuffer(st))
+		base += float64(p.headroom() * float64(FreeBuffer(st)))
 	}
 	return clampInt(base)
 }

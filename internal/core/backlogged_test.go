@@ -144,6 +144,59 @@ func TestExpulsionScansMatchFullScan(t *testing.T) {
 	}
 }
 
+// TestKickBoundMatchesFullScan holds Kick, which rescans only when some
+// class's bound passes its threshold, to the full scan the bound stands
+// in for: after every growth, dequeue or threshold move, Kick schedules a
+// pass exactly when some queue is over its class's threshold.
+func TestKickBoundMatchesFullScan(t *testing.T) {
+	for _, n := range backloggedSizes {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			r := sim.NewRand(uint64(31 * n))
+			f := newFakeTM(n)
+			f.thresholds = make([]int, 1+n%3) // classes
+			for c := range f.thresholds {
+				f.thresholds[c] = f.pktBytes * (1 + r.Intn(4))
+			}
+			e := NewEngine(f, Config{})
+			for step := 0; step < 2000; step++ {
+				q := r.Intn(n)
+				switch k := r.Intn(10); {
+				case k < 5: // an enqueue: the only growth, and always kicked
+					f.lens[q] += f.pktBytes
+				case k < 8: // a dequeue or head-drop, kicked or not
+					f.lens[q] -= min(f.lens[q], f.pktBytes)
+					if k == 7 {
+						continue
+					}
+				case k < 9: // the free buffer moves every class's threshold
+					f.thresholds[r.Intn(len(f.thresholds))] = f.pktBytes * r.Intn(5)
+				default: // a pass's refresh resets the bounds exactly
+					e.refreshBitmap()
+				}
+				e.Kick(q)
+				for q, l := range f.lens {
+					if c := q % len(e.ub); l > e.ub[c] {
+						t.Fatalf("step %d: queue %d holds %d, past its class's bound %d", step, q, l, e.ub[c])
+					}
+				}
+				over := refOver(f)
+				if want := slices.Contains(over, true); e.scheduled != want {
+					t.Fatalf("step %d: Kick(%d) scheduled %v, full scan finds over-allocation %v (lens %v thresholds %v)",
+						step, q, e.scheduled, want, f.lens, f.thresholds)
+				}
+				if e.scheduled {
+					for q, want := range over {
+						if e.bitmap.Get(q) != want {
+							t.Fatalf("step %d: over-allocation bit %d = %v, full scan %v", step, q, !want, want)
+						}
+					}
+					e.scheduled = false // the pass, not run here, would clear it
+				}
+			}
+		})
+	}
+}
+
 func TestPreemptorScansMatchFullScan(t *testing.T) {
 	for _, n := range backloggedSizes {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {

@@ -164,7 +164,7 @@ func TestOccamyEngineNeverExpelsBelowThreshold(t *testing.T) {
 				},
 				[]int{10_000, 10_000, 39_900}) // queue 3 is of class 0 again
 			eng := core.NewEngine(tm, core.Config{Alpha: 8, Victim: victim})
-			eng.Kick()
+			eng.Kick(0)
 			tm.pump(10_000)
 
 			if len(tm.drops) == 0 {
@@ -201,7 +201,7 @@ func TestOccamyEngineIdleWhenFair(t *testing.T) {
 		[][]int{packets(5, 1000), packets(3, 1000)},
 		[]int{10_000})
 	eng := core.NewEngine(tm, core.Config{Alpha: 8})
-	eng.Kick()
+	eng.Kick(0)
 	if n := tm.pump(10); n != 0 {
 		t.Fatalf("engine scheduled %d events with no over-allocation", n)
 	}

@@ -142,6 +142,7 @@ type Engine struct {
 
 	bitmap  *hw.Bitmap
 	thr     []int // the comparator bank's other input: one threshold per class
+	ub      []int // per class, at least the length of its longest queue
 	arbiter *hw.RoundRobinArbiter
 	finder  *hw.MaxFinder // only for the LongestQueue ablation
 	vals    []int         // its input row: lengths of over-allocated queues, 0 elsewhere
@@ -165,12 +166,14 @@ func NewEngine(tm TM, cfg Config) *Engine {
 		cfg:     cfg,
 		bitmap:  hw.NewBitmap(n),
 		thr:     make([]int, tm.ClassesPerPort()),
+		ub:      make([]int, tm.ClassesPerPort()),
 		arbiter: hw.NewRoundRobinArbiter(n),
 		tokens:  cfg.TokenBurst,
 	}
 	if cfg.Victim == LongestQueue {
 		e.finder, e.vals = hw.NewMaxFinder(n, 32), make([]int, n)
 	}
+	e.refreshBitmap() // the bounds start from the queues as they are
 	e.passFn = e.pass
 	return e
 }
@@ -197,7 +200,7 @@ func (e *Engine) refill() {
 		return
 	}
 	if e.cfg.TokenRate > 0 {
-		e.tokens += e.cfg.TokenRate * (now - e.lastRefill).Seconds()
+		e.tokens += float64(e.cfg.TokenRate * (now - e.lastRefill).Seconds())
 		if e.tokens > e.cfg.TokenBurst {
 			e.tokens = e.cfg.TokenBurst
 		}
@@ -218,33 +221,45 @@ func (e *Engine) OnTransmit(cells int) {
 	e.tokens -= float64(cells)
 }
 
-// Kick notifies the engine that queue state changed (an enqueue, a
-// dequeue, or a threshold move). If any queue is over-allocated and no
-// expulsion pass is pending, one is scheduled.
-func (e *Engine) Kick() {
+// Kick notifies the engine that queue q may have grown. If any queue is
+// over-allocated and no expulsion pass is pending, one is scheduled. Every
+// growth reaches the engine here, so a class whose bound is within its
+// threshold has no queue over it, and the comparator bank is rescanned
+// only when some bound is not.
+func (e *Engine) Kick(q int) {
+	c := q % len(e.ub)
+	e.ub[c] = max(e.ub[c], e.tm.QueueLen(q))
 	if e.scheduled {
 		return
 	}
-	if !e.refreshBitmap() {
-		return
+	for k, ub := range e.ub {
+		if ub > e.tm.Threshold(k) {
+			if e.refreshBitmap() {
+				e.scheduled = true
+				e.tm.After(0, e.passFn)
+			}
+			return
+		}
 	}
-	e.scheduled = true
-	e.tm.After(0, e.passFn)
 }
 
 // refreshBitmap recomputes the over-allocation bitmap (the comparator
-// bank of Fig 9) and reports whether any bit is set. An empty queue is
-// never over-allocated — no policy's threshold is negative — so only the
-// backlogged queues are compared with their class's threshold.
+// bank of Fig 9), resets each class's bound to its longest queue, and
+// reports whether any bit is set. An empty queue is never over-allocated
+// — no policy's threshold is negative — so only the backlogged queues are
+// compared with their class's threshold.
 func (e *Engine) refreshBitmap() bool {
 	e.bitmap.Reset()
 	for c := range e.thr {
 		e.thr[c] = e.tm.Threshold(c)
+		e.ub[c] = 0
 	}
 	any := false
 	bl := e.tm.Backlogged()
 	for q := bl.Next(0); q >= 0; q = bl.Next(q + 1) {
-		if e.tm.QueueLen(q) > e.thr[q%len(e.thr)] {
+		n, c := e.tm.QueueLen(q), q%len(e.thr)
+		e.ub[c] = max(e.ub[c], n)
+		if n > e.thr[c] {
 			e.bitmap.Set(q)
 			any = true
 		}
@@ -290,7 +305,7 @@ func (e *Engine) pass() {
 	cells := e.tm.HeadPacketCells(q)
 	if cells == 0 {
 		// Queue drained between refresh and grant; try again.
-		e.Kick()
+		e.Kick(q)
 		return
 	}
 	if e.cfg.TokenRate > 0 {

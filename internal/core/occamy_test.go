@@ -95,7 +95,7 @@ func TestEngineExpelsOverAllocated(t *testing.T) {
 	tm.lens = []int{5000, 1000, 0, 0}
 	tm.thresholds = []int{2000}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
-	e.Kick()
+	e.Kick(0)
 	tm.eng.Run()
 	if tm.lens[0] > 2000 {
 		t.Fatalf("queue 0 still over-allocated: %d", tm.lens[0])
@@ -114,7 +114,7 @@ func TestEngineRoundRobinAcrossQueues(t *testing.T) {
 	tm.lens = []int{4000, 4000, 4000}
 	tm.thresholds = []int{1000}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
-	e.Kick()
+	e.Kick(0)
 	tm.eng.Run()
 	// Every queue must end at/below threshold, and drops must
 	// interleave rather than finishing one queue first.
@@ -136,7 +136,7 @@ func TestEngineLongestQueueVariant(t *testing.T) {
 	tm.lens = []int{3000, 9000, 3000}
 	tm.thresholds = []int{1000}
 	e := NewEngine(tm, Config{Victim: LongestQueue, TokenRate: 1e9, TokenBurst: 1000})
-	e.Kick()
+	e.Kick(0)
 	tm.eng.Run()
 	// The first drops must all hit queue 1 until it is no longer longest.
 	for i := 0; i < 6 && i < len(tm.drops); i++ {
@@ -157,7 +157,7 @@ func TestEngineRespectsTokenBucket(t *testing.T) {
 	tm.thresholds = []int{0}
 	// 5 cells per packet at 1000 cells/sec => 5ms per expulsion.
 	e := NewEngine(tm, Config{TokenRate: 1000, TokenBurst: 5})
-	e.Kick()
+	e.Kick(0)
 	tm.eng.RunUntil(26 * sim.Millisecond)
 	// Bucket starts full (5 tokens = 1 packet), then refills at 5ms per
 	// packet: expect ~6 packets by t=26ms, certainly not all 10.
@@ -181,7 +181,7 @@ func TestEngineStallsWhenTransmitConsumesBandwidth(t *testing.T) {
 	if e.Tokens() > -4000 {
 		t.Fatalf("tokens = %v after overdraw, want deeply negative", e.Tokens())
 	}
-	e.Kick()
+	e.Kick(0)
 	tm.eng.RunUntil(1 * sim.Second)
 	if got := e.Stats().ExpelledPackets; got > 1 {
 		t.Fatalf("expelled %d packets while bandwidth saturated, want ~0", got)
@@ -196,7 +196,7 @@ func TestEngineUnlimitedWhenRateZero(t *testing.T) {
 	tm.lens = []int{100000, 100000}
 	tm.thresholds = []int{0}
 	e := NewEngine(tm, Config{}) // TokenRate 0: ablation, no gate
-	e.Kick()
+	e.Kick(0)
 	tm.eng.Run()
 	if tm.lens[0] != 0 || tm.lens[1] != 0 {
 		t.Fatalf("queues not drained: %v", tm.lens)
@@ -211,7 +211,7 @@ func TestEngineStopsWhenFair(t *testing.T) {
 	tm.lens = []int{1500, 1500}
 	tm.thresholds = []int{2000}
 	e := NewEngine(tm, Config{TokenRate: 1e9})
-	e.Kick()
+	e.Kick(0)
 	tm.eng.Run()
 	if e.Stats().ExpelledPackets != 0 {
 		t.Fatalf("expelled %d packets with nothing over-allocated", e.Stats().ExpelledPackets)
@@ -225,7 +225,7 @@ func TestEngineThresholdRisesMidway(t *testing.T) {
 	tm.lens = []int{5000}
 	tm.thresholds = []int{3900}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 100})
-	e.Kick()
+	e.Kick(0)
 	tm.eng.Run()
 	// Drops of 1000B each: 5000 -> 4000 -> 3000 (<= 3900, stop).
 	if tm.lens[0] != 3000 {
@@ -241,7 +241,7 @@ func TestEngineEmptiedQueueClearsBit(t *testing.T) {
 	tm.lens = []int{5000, 0}
 	tm.thresholds = []int{2000}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
-	e.Kick()
+	e.Kick(0)
 	if !e.bitmap.Get(0) || e.bitmap.Get(1) || tm.eng.Pending() != 1 {
 		t.Fatalf("after Kick: bits %v %v, %d pending; want queue 0 marked and one pass", e.bitmap.Get(0), e.bitmap.Get(1), tm.eng.Pending())
 	}
@@ -254,7 +254,7 @@ func TestEngineEmptiedQueueClearsBit(t *testing.T) {
 	if len(tm.drops) != 0 || e.Stats().Passes != 1 {
 		t.Errorf("drops %v, %d passes; want none and the one pending pass", tm.drops, e.Stats().Passes)
 	}
-	e.Kick()
+	e.Kick(0)
 	if e.scheduled || tm.eng.Pending() != 0 {
 		t.Errorf("Kick over empty queues scheduled a pass (%d pending)", tm.eng.Pending())
 	}
@@ -266,11 +266,24 @@ func TestKickIdempotent(t *testing.T) {
 	tm.thresholds = []int{0}
 	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
 	for i := 0; i < 10; i++ {
-		e.Kick()
+		e.Kick(0)
 	}
 	tm.eng.Run()
 	if got := e.Stats().ExpelledPackets; got != 3 {
 		t.Fatalf("expelled %d, want 3 (kicks must coalesce)", got)
+	}
+}
+
+// A new engine's bounds come from a scan of the queues as they are: queue
+// 1 was over before the engine existed, and a Kick naming queue 0 finds it.
+func TestKickFirstCallScans(t *testing.T) {
+	tm := newFakeTM(2)
+	tm.lens = []int{1000, 5000}
+	tm.thresholds = []int{2000}
+	e := NewEngine(tm, Config{TokenRate: 1e9, TokenBurst: 1000})
+	e.Kick(0)
+	if !e.scheduled || !e.bitmap.Get(1) {
+		t.Fatalf("first Kick(0) scheduled %v, queue 1 marked %v; want a pass for queue 1", e.scheduled, e.bitmap.Get(1))
 	}
 }
 

@@ -70,7 +70,7 @@ func (l *RateLimiter) AllowN(key string, n int) (ok bool, retryAfter time.Durati
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[key] = b
 	} else {
-		b.tokens = math.Min(l.burst, b.tokens+now.Sub(b.last).Seconds()*l.rate)
+		b.tokens = math.Min(l.burst, b.tokens+float64(now.Sub(b.last).Seconds()*l.rate))
 		b.last = now
 	}
 	if b.tokens >= need {
@@ -84,7 +84,7 @@ func (l *RateLimiter) AllowN(key string, n int) (ok bool, retryAfter time.Durati
 // the caller holds l.mu.
 func (l *RateLimiter) evictLocked(now time.Time) {
 	for k, b := range l.buckets {
-		if math.Min(l.burst, b.tokens+now.Sub(b.last).Seconds()*l.rate) >= l.burst {
+		if math.Min(l.burst, b.tokens+float64(now.Sub(b.last).Seconds()*l.rate)) >= l.burst {
 			delete(l.buckets, k)
 		}
 	}

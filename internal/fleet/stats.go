@@ -66,7 +66,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		addCounters(&st.Counters, ws.Counters)
 		addCache(&st.Cache, ws.Cache)
 		workers += float64(ws.Workers)
-		weightedUtil += ws.Utilization * float64(ws.Workers)
+		weightedUtil += float64(ws.Utilization * float64(ws.Workers))
 	}
 	if workers > 0 {
 		st.Utilization = weightedUtil / workers

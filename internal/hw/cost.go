@@ -32,9 +32,9 @@ const (
 // and rotating-pointer state.
 func SelectorCost(nQueues, qlenBits int) Cost {
 	n, k := float64(nQueues), float64(qlenBits)
-	luts := n*k*lutPerCmpBit + n*lutPerArbBit
+	luts := float64(n*k*lutPerCmpBit) + float64(n*lutPerArbBit)
 	// State: rotating pointer (log2 N bits), pipeline/output registers.
-	ffs := math.Ceil(math.Log2(n))*ffPerPtrBit + 41
+	ffs := float64(math.Ceil(math.Log2(n))*ffPerPtrBit) + 41
 	// Delay: one k-bit compare, then the arbiter's log2 N propagate.
 	delay := (math.Ceil(math.Log2(k)) + math.Ceil(math.Log2(n))) * nsPerTreeLevel
 	return Cost{

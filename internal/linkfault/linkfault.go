@@ -308,7 +308,8 @@ func (l *Link) deliver(p *pkt.Packet) {
 
 // copy clones a packet for duplication. The clone keeps the original's
 // ID: a link-level duplicate is the same packet arriving twice, and
-// endpoints use the ID to recognize it as such.
+// endpoints use the ID to recognize it as such. The clone's queue link is
+// the original's, and harmless: pkt.FIFO.Push drops it.
 func (l *Link) copy(p *pkt.Packet) *pkt.Packet {
 	var q *pkt.Packet
 	if l.pool != nil {

@@ -104,7 +104,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	var cum float64
 	for i := range h.counts {
 		c := float64(h.counts[i].Load())

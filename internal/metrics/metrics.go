@@ -237,14 +237,14 @@ func percentileSorted(s []float64, q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // CDFPoint is one point of an empirical distribution dump.

@@ -1,55 +1,41 @@
 package pkt
 
-// FIFO is a packet queue on a power-of-two ring that grows only when full:
-// a NIC's transmit queue, or a switch queue's packets beside its PD list.
-// The zero value is an empty queue.
+// FIFO is a packet queue linked through the packets themselves, as a
+// switch links its packet descriptors: a NIC's transmit queue, or a switch
+// queue's packets beside its PD list. Queuing a packet never allocates.
+// A packet is in at most one FIFO at a time. The zero value is an empty
+// queue.
 type FIFO struct {
-	buf  []*Packet // len(buf) is 0 or a power of two
-	head int
-	n    int
+	head, tail *Packet
+	n          int
 }
 
 // Len returns the number of queued packets.
 func (f *FIFO) Len() int { return f.n }
 
-// Push appends p.
+// Push appends p. It drops whatever link p carries first: a packet copied
+// whole while queued, as a lossy link duplicates one, carries a stale one.
 func (f *FIFO) Push(p *Packet) {
-	if f.n == len(f.buf) {
-		f.grow()
+	p.next = nil
+	if f.tail == nil {
+		f.head = p
+	} else {
+		f.tail.next = p
 	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
+	f.tail = p
 	f.n++
 }
 
-// grow doubles the ring, unwrapping it so the head lands at slot 0. It
-// stays out of line so the ring's one allocation is charged to this cold
-// step, not to the datapath functions that push.
-//
-//go:noinline
-func (f *FIFO) grow() {
-	buf := make([]*Packet, max(2*len(f.buf), 8))
-	mask := len(f.buf) - 1
-	for i := range f.n {
-		buf[i] = f.buf[(f.head+i)&mask]
-	}
-	f.buf, f.head = buf, 0
-}
-
 // Peek returns the head packet.
-func (f *FIFO) Peek() *Packet { return f.buf[f.head] }
+func (f *FIFO) Peek() *Packet { return f.head }
 
-// Pop removes and returns the head packet.
+// Pop removes and returns the head packet, unlinked.
 func (f *FIFO) Pop() *Packet {
-	p := f.buf[f.head]
-	f.buf[f.head] = nil // release for GC
-	f.head = (f.head + 1) & (len(f.buf) - 1)
+	p := f.head
+	f.head, p.next = p.next, nil
+	if f.head == nil {
+		f.tail = nil
+	}
 	f.n--
 	return p
-}
-
-// Clear empties f, keeping its ring, and returns the ring's capacity.
-func (f *FIFO) Clear() int {
-	clear(f.buf)
-	f.head, f.n = 0, 0
-	return len(f.buf)
 }

@@ -21,7 +21,9 @@ type NodeID int
 
 // Packet is one simulated packet. Packets are allocated per transmission
 // and never mutated after being handed to the network (except for the CE
-// mark applied by switches).
+// mark applied by switches). A packet waits in at most one FIFO at a time,
+// linked through next; the five flags sit together so the link costs no
+// size.
 type Packet struct {
 	ID     uint64 // unique per packet
 	FlowID uint64 // flow this packet belongs to
@@ -29,17 +31,14 @@ type Packet struct {
 	Dst    NodeID // destination host
 	Size   int    // bytes on the wire (header + payload)
 
-	// Data-path fields.
+	// Sequence space.
 	Seq     int64 // payload byte offset of the first payload byte
 	Payload int   // payload bytes carried
-	Fin     bool  // sender has no bytes beyond this segment
+	AckNo   int64 // ACK path: receiver has everything below AckNo
 
-	// ACK-path fields.
-	Ack     bool  // this is a pure ACK
-	AckNo   int64 // cumulative: receiver has everything below AckNo
-	ECNEcho bool  // receiver echoes a CE mark back to the sender
-
-	// ECN.
+	Fin        bool // sender has no bytes beyond this segment
+	Ack        bool // this is a pure ACK
+	ECNEcho    bool // receiver echoes a CE mark back to the sender
 	ECNCapable bool // ECT: switch may mark instead of relying on loss
 	CE         bool // congestion experienced (set by a switch)
 
@@ -49,6 +48,8 @@ type Packet struct {
 
 	// SentAt is stamped by the sender for RTT sampling.
 	SentAt sim.Time
+
+	next *Packet // the packet behind this one in its FIFO
 }
 
 // IsData reports whether the packet carries payload.

@@ -158,14 +158,15 @@ func TestRunAllocBudget(t *testing.T) {
 }
 
 // TestRunTransportAllocBudget pins the same for a transport run on a
-// fabric, leafspine-demo at quick scale: hosts, their NIC rings and the
-// flow slab are built anew by every run, so what they allocate shows here.
-// It read 944 808 bytes alone when the switch set passed whole to the next
-// run, and 792 256 once trace series were int32 counts (less after the
+// fabric, leafspine-demo at quick scale: hosts and the flow slab are built
+// anew by every run, so what they allocate shows here. It read 944 808
+// bytes alone when the switch set passed whole to the next run, 792 256
+// once trace series were int32 counts, and 625 560 once queues were linked
+// through their packets, so NICs stopped growing rings (less after the
 // reuse sequence, whose packet spare it takes); the budget is 10 % over
-// the second.
+// the last.
 func TestRunTransportAllocBudget(t *testing.T) {
-	allocBudget(t, "leafspine-demo", ScaleQuick, 852<<10)
+	allocBudget(t, "leafspine-demo", ScaleQuick, 672<<10)
 }
 
 // TestFlowAllocBudget pins a warm mixed-load-90 job at quick scale, the
@@ -181,10 +182,11 @@ func TestFlowAllocBudget(t *testing.T) {
 // gated run: it samples until its queries are answered, ~2 900 times
 // against the ~1 000 its horizon implies, so a recorder that regrew its
 // series, or reserved for the horizon, shows here. It read 1 228 000 bytes
-// when series moved into recorder chunks (2 069 400 before), and 997 816
-// once they were int32 counts; the budget is 10 % over the last.
+// when series moved into recorder chunks (2 069 400 before), 997 816 once
+// they were int32 counts, and 585 376 once queues were linked through
+// their packets; the budget is 10 % over the last.
 func TestGatedAllocBudget(t *testing.T) {
-	allocBudget(t, "incast-storm-256", ScaleQuick, 1072<<10)
+	allocBudget(t, "incast-storm-256", ScaleQuick, 629<<10)
 }
 
 // allocBudget fails when a warm job of the named entry allocates more than

@@ -67,7 +67,7 @@ func (r *Rand) Int63n(n int64) int64 {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // ExpFloat64 returns an exponentially distributed value with mean 1.

@@ -212,9 +212,9 @@ type Switch struct {
 
 // parkedSet is the last run's switch set, handed to the next run whole:
 // its switches, each emptied but for its cell pool's memories and its
-// queues with their packet rings, and the chunk pool its recorders drew
-// from. Each New takes the next parked switch, and NewRecorders the
-// chunks; the next Park replaces whatever is left, never merging with it.
+// queue structs, and the chunk pool its recorders drew from. Each New
+// takes the next parked switch, and NewRecorders the chunks; the next
+// Park replaces whatever is left, never merging with it.
 type parkedSet struct {
 	switches []*Switch // in reverse: New takes the last
 	chunks   *chunkPool
@@ -311,7 +311,7 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 			cq = new(classQueue)
 			s.flat[q] = cq
 		}
-		*cq = classQueue{cells: *cellmem.NewQueue(s.pool), meta: cq.meta, prio: q % nc}
+		*cq = classQueue{cells: *cellmem.NewQueue(s.pool), prio: q % nc}
 		if readsDrain {
 			cq.drain = newRateMeter()
 		}
@@ -323,16 +323,11 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 }
 
 // park drops every buffered packet and empties s but for its cell pool's
-// memories and its queues with their packet rings, unless the rings
-// outgrew 2^15 slots in all.
+// memories and its queue structs.
 func (s *Switch) park() {
 	s.pool.Recycle()
-	slots := 0
 	for _, cq := range s.flat {
-		slots += cq.meta.Clear()
-	}
-	if slots > 1<<15 {
-		s.flat = nil
+		*cq = classQueue{}
 	}
 	*s = Switch{pool: s.pool, flat: s.flat}
 }
@@ -606,11 +601,11 @@ func (s *Switch) Receive(p *pkt.Packet) {
 	if s.occ != nil {
 		// An enqueue shrinks the free buffer and can push any queue over
 		// its (now lower) threshold: let the expulsion engine look.
-		s.occ.Kick()
+		s.occ.Kick(q)
 	} else if s.cfg.Occamy != nil {
 		// First enqueue: all ports are wired by now, so the engine derives
 		// its token rate from the complete port set.
-		s.ensureExpulsion().Kick()
+		s.ensureExpulsion().Kick(q)
 	}
 	s.tryTransmit(pt)
 }

@@ -92,9 +92,9 @@ func (d *DCTCP) OnAck(newly, ackNo, sndNxt int64, ecnEcho bool, now sim.Time) {
 	if ackNo >= d.winEnd {
 		if d.ackedWin > 0 {
 			f := float64(d.markedWin) / float64(d.ackedWin)
-			d.alpha = (1-d.g)*d.alpha + d.g*f
+			d.alpha = float64((1-d.g)*d.alpha) + float64(d.g*f)
 			if d.markedWin > 0 {
-				d.cwnd *= 1 - d.alpha/2
+				d.cwnd *= 1 - float64(d.alpha/2)
 				d.ssthresh = d.cwnd
 			}
 		}
@@ -184,8 +184,8 @@ func (c *Cubic) OnAck(newly, ackNo, sndNxt int64, ecnEcho bool, now sim.Time) {
 		}
 	}
 	t := (now - c.epochStart).Seconds()
-	targetSegs := cubicC*math.Pow(t-c.k, 3) + c.wmax/float64(c.mss)
-	target := targetSegs * float64(c.mss)
+	targetSegs := float64(cubicC*math.Pow(t-c.k, 3)) + c.wmax/float64(c.mss)
+	target := float64(targetSegs * float64(c.mss))
 	if target > c.cwnd {
 		// Approach the cubic target without exceeding doubling per RTT.
 		grow := (target - c.cwnd) * float64(newly) / c.cwnd

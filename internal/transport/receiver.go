@@ -123,7 +123,8 @@ func (r *Receiver) hold(seq int64) {
 }
 
 // grow doubles the ring until segment k fits, moving each held segment to
-// its bit in the larger ring; out of line, like pkt.FIFO.grow.
+// its bit in the larger ring; out of line, so OnPacket does not inherit
+// its one allocation.
 //
 //go:noinline
 func (r *Receiver) grow(k int64) {

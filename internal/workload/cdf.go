@@ -91,7 +91,7 @@ func (c *CDF) Sample(r *sim.Rand) int64 {
 				return clamp1(int64(hi.Size))
 			}
 			frac := (u - lo.Cum) / (hi.Cum - lo.Cum)
-			return clamp1(int64(lo.Size + frac*(hi.Size-lo.Size)))
+			return clamp1(int64(lo.Size + float64(frac*(hi.Size-lo.Size))))
 		}
 	}
 	return clamp1(int64(pts[len(pts)-1].Size))
@@ -103,7 +103,7 @@ func (c *CDF) Mean() float64 {
 	total := 0.0
 	for i := 1; i < len(pts); i++ {
 		p := pts[i].Cum - pts[i-1].Cum
-		total += p * (pts[i].Size + pts[i-1].Size) / 2
+		total += float64(p * (pts[i].Size + pts[i-1].Size) / 2)
 	}
 	return total
 }
