@@ -59,60 +59,57 @@ func (c *Collector) Small(limit int64) *Collector {
 	return c.Filter(func(s Sample) bool { return s.Size < limit })
 }
 
-func (c *Collector) fcts() []float64 {
-	v := make([]float64, len(c.samples))
-	for i, s := range c.samples {
-		v[i] = s.FCT.Seconds()
+// values fills buf, in sample order, with the FCT in seconds (or, when
+// slow, the slowdown, which only samples with an ideal have) of each sample
+// keep accepts, or of all if keep is nil. It makes a buf that cannot hold
+// every sample one that can, so a caller handing it back allocates once.
+func (c *Collector) values(buf []float64, slow bool, keep func(Sample) bool) []float64 {
+	if cap(buf) < len(c.samples) {
+		buf = make([]float64, 0, len(c.samples))
 	}
-	return v
-}
-
-func (c *Collector) slowdowns() []float64 {
-	v := make([]float64, 0, len(c.samples))
+	buf = buf[:0]
 	for _, s := range c.samples {
-		if s.Slowdown > 0 {
-			v = append(v, s.Slowdown)
+		switch {
+		case keep != nil && !keep(s):
+		case !slow:
+			buf = append(buf, s.FCT.Seconds())
+		case s.Slowdown > 0:
+			buf = append(buf, s.Slowdown)
 		}
 	}
-	return v
+	return buf
+}
+
+// sorted is values, sorted in place.
+func (c *Collector) sorted(buf []float64, slow bool, keep func(Sample) bool) []float64 {
+	buf = c.values(buf, slow, keep)
+	sort.Float64s(buf)
+	return buf
 }
 
 // MeanFCT returns the average completion time.
 func (c *Collector) MeanFCT() sim.Duration {
-	v := c.fcts()
-	if len(v) == 0 {
-		return 0
-	}
-	return sim.Duration(Mean(v) * float64(sim.Second))
+	return sim.Duration(Mean(c.values(nil, false, nil)) * float64(sim.Second))
 }
 
 // P99FCT returns the 99th-percentile completion time.
-func (c *Collector) P99FCT() sim.Duration {
-	v := c.fcts()
-	if len(v) == 0 {
-		return 0
-	}
-	return sim.Duration(Percentile(v, 0.99) * float64(sim.Second))
-}
+func (c *Collector) P99FCT() sim.Duration { return c.FCTQuantile(0.99) }
 
 // MeanSlowdown returns the average slowdown across samples with ideals.
-func (c *Collector) MeanSlowdown() float64 { return Mean(c.slowdowns()) }
+func (c *Collector) MeanSlowdown() float64 { return Mean(c.values(nil, true, nil)) }
 
 // P99Slowdown returns the 99th-percentile slowdown.
-func (c *Collector) P99Slowdown() float64 { return Percentile(c.slowdowns(), 0.99) }
+func (c *Collector) P99Slowdown() float64 { return c.SlowdownQuantile(0.99) }
 
 // FCTQuantile returns the q-quantile (0..1) completion time.
 func (c *Collector) FCTQuantile(q float64) sim.Duration {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	return sim.Duration(Percentile(c.fcts(), q) * float64(sim.Second))
+	return sim.Duration(percentileSorted(c.sorted(nil, false, nil), q) * float64(sim.Second))
 }
 
 // SlowdownQuantile returns the q-quantile (0..1) slowdown across
 // samples with ideals; 0 when none have one.
 func (c *Collector) SlowdownQuantile(q float64) float64 {
-	return Percentile(c.slowdowns(), q)
+	return percentileSorted(c.sorted(nil, true, nil), q)
 }
 
 // Tail tables
@@ -137,47 +134,47 @@ type QuantileRow struct {
 	Label string
 	Count int
 	// FCT[i] and Slowdown[i] are the quantiles at qs[i] as passed to
-	// QuantileRow/TailRows.
+	// TailRows.
 	FCT      []sim.Duration
 	Slowdown []float64
 }
 
-// QuantileRow reduces the collector to one labeled row of quantiles.
-// The populations are extracted and sorted once, not per quantile.
-func (c *Collector) QuantileRow(label string, qs []float64) QuantileRow {
-	fcts, slows := c.fcts(), c.slowdowns()
-	sort.Float64s(fcts)
-	sort.Float64s(slows)
+// quantileRow reduces the samples keep accepts to one labeled row of
+// quantiles, sorting each population once, in *buf.
+func (c *Collector) quantileRow(buf *[]float64, label string, keep func(Sample) bool, qs []float64) QuantileRow {
 	r := QuantileRow{
 		Label:    label,
-		Count:    len(c.samples),
 		FCT:      make([]sim.Duration, len(qs)),
 		Slowdown: make([]float64, len(qs)),
 	}
+	fcts := c.sorted(*buf, false, keep)
+	r.Count = len(fcts) // every sample has an FCT
 	for i, q := range qs {
 		r.FCT[i] = sim.Duration(percentileSorted(fcts, q) * float64(sim.Second))
+	}
+	slows := c.sorted(fcts, true, keep)
+	for i, q := range qs {
 		r.Slowdown[i] = percentileSorted(slows, q)
 	}
+	*buf = slows
 	return r
 }
 
 // TailRows renders the standard tail breakdown: an "all" row over every
 // sample, then one row per size bucket (boundaries ascending, in
 // bytes). Empty buckets are kept with Count 0 so table shapes are
-// stable across runs.
+// stable across runs. All rows are computed in one buffer.
 func (c *Collector) TailRows(bounds []int64, qs []float64) []QuantileRow {
-	rows := []QuantileRow{c.QuantileRow("all", qs)}
+	var buf []float64
+	rows := []QuantileRow{c.quantileRow(&buf, "all", nil, qs)}
 	prev := int64(0)
 	for _, hi := range bounds {
-		lo, hi := prev, hi
-		sub := c.Filter(func(s Sample) bool { return s.Size >= lo && s.Size < hi })
-		rows = append(rows, sub.QuantileRow(sizeRange(lo, hi), qs))
+		lo := prev
+		rows = append(rows, c.quantileRow(&buf, sizeRange(lo, hi), func(s Sample) bool { return s.Size >= lo && s.Size < hi }, qs))
 		prev = hi
 	}
 	if len(bounds) > 0 {
-		last := bounds[len(bounds)-1]
-		sub := c.Filter(func(s Sample) bool { return s.Size >= last })
-		rows = append(rows, sub.QuantileRow(">="+sizeLabel(last), qs))
+		rows = append(rows, c.quantileRow(&buf, ">="+sizeLabel(prev), func(s Sample) bool { return s.Size >= prev }, qs))
 	}
 	return rows
 }
@@ -245,36 +242,4 @@ func percentileSorted(s []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
-}
-
-// CDFPoint is one point of an empirical distribution dump.
-type CDFPoint struct {
-	Value float64
-	Cum   float64
-}
-
-// EmpiricalCDF returns the sorted values annotated with cumulative
-// probability — the Fig 7 output format.
-func EmpiricalCDF(v []float64) []CDFPoint {
-	if len(v) == 0 {
-		return nil
-	}
-	s := make([]float64, len(v))
-	copy(s, v)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{Value: x, Cum: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
-// CDFQuantiles reduces an empirical CDF to fixed quantiles for compact
-// table output.
-func CDFQuantiles(v []float64, qs ...float64) []CDFPoint {
-	out := make([]CDFPoint, len(qs))
-	for i, q := range qs {
-		out[i] = CDFPoint{Value: Percentile(v, q), Cum: q}
-	}
-	return out
 }

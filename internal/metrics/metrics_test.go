@@ -100,27 +100,6 @@ func TestP99FCT(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDF(t *testing.T) {
-	pts := EmpiricalCDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].Value != 1 || pts[2].Value != 3 || pts[2].Cum != 1 {
-		t.Fatalf("pts = %+v", pts)
-	}
-}
-
-func TestCDFQuantiles(t *testing.T) {
-	v := make([]float64, 101)
-	for i := range v {
-		v[i] = float64(i)
-	}
-	qs := CDFQuantiles(v, 0.5, 0.99)
-	if math.Abs(qs[0].Value-50) > 1e-9 || math.Abs(qs[1].Value-99) > 1e-9 {
-		t.Fatalf("quantiles = %+v", qs)
-	}
-}
-
 func TestEmptyCollector(t *testing.T) {
 	var c Collector
 	if c.MeanFCT() != 0 || c.P99FCT() != 0 || c.MeanSlowdown() != 0 {

@@ -67,7 +67,7 @@ func TestTailOrdering(t *testing.T) {
 	rng := sim.NewRand(42)
 	for trial := 0; trial < 100; trial++ {
 		c := randomSamples(rng, 1+rng.Intn(2000))
-		row := c.QuantileRow("all", TailQuantiles)
+		row := c.TailRows(nil, TailQuantiles)[0]
 		for i := 1; i < len(TailQuantiles); i++ {
 			if row.FCT[i] < row.FCT[i-1] {
 				t.Fatalf("trial %d: FCT quantiles out of order at q=%g: %v", trial, TailQuantiles[i], row.FCT)
@@ -126,6 +126,68 @@ func TestTailRowsPartition(t *testing.T) {
 		}
 		if r.Count != 0 {
 			t.Fatalf("empty collector produced count %d", r.Count)
+		}
+	}
+}
+
+// copyStats is each statistic computed the way the collector once did:
+// a fresh filtered copy of the samples per bucket, a fresh value slice per
+// statistic, and Percentile's own sorted copy per quantile.
+func copyStats(c *Collector, keep func(Sample) bool) (fct, slow []float64, meanFCT, meanSlow float64) {
+	var fcts, slows []float64
+	for _, s := range c.samples {
+		if !keep(s) {
+			continue
+		}
+		fcts = append(fcts, s.FCT.Seconds())
+		if s.Slowdown > 0 {
+			slows = append(slows, s.Slowdown)
+		}
+	}
+	for _, q := range TailQuantiles {
+		fct = append(fct, float64(sim.Duration(Percentile(fcts, q)*float64(sim.Second))))
+		slow = append(slow, Percentile(slows, q))
+	}
+	return fct, slow, Mean(fcts), Mean(slows)
+}
+
+// TestStatsMatchCopyPerStatistic holds every tail row and summary
+// statistic, now computed in one buffer per call, bit for bit to the
+// statistic computed from its own copies.
+func TestStatsMatchCopyPerStatistic(t *testing.T) {
+	rng := sim.NewRand(99)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 50; trial++ {
+		c := randomSamples(rng, rng.Intn(3000))
+		buckets := []func(Sample) bool{func(Sample) bool { return true }}
+		bounds := append([]int64{0}, DefaultSizeBuckets...)
+		for i, lo := range bounds {
+			hi := int64(math.MaxInt64)
+			if i+1 < len(bounds) {
+				hi = bounds[i+1]
+			}
+			buckets = append(buckets, func(s Sample) bool { return s.Size >= lo && s.Size < hi })
+		}
+		for i, row := range c.TailRows(DefaultSizeBuckets, TailQuantiles) {
+			fct, slow, _, _ := copyStats(c, buckets[i])
+			for k := range TailQuantiles {
+				if float64(row.FCT[k]) != fct[k] || !same(row.Slowdown[k], slow[k]) {
+					t.Fatalf("trial %d row %q q=%g: %v/%v, copies give %v/%v",
+						trial, row.Label, TailQuantiles[k], row.FCT[k], row.Slowdown[k], fct[k], slow[k])
+				}
+			}
+		}
+		small := func(s Sample) bool { return s.Size < 100_000 }
+		for _, x := range []struct {
+			c    *Collector
+			keep func(Sample) bool
+		}{{c, buckets[0]}, {c.Small(100_000), small}} {
+			fct, slow, meanFCT, meanSlow := copyStats(c, x.keep)
+			if float64(x.c.P99FCT()) != fct[3] || !same(x.c.P99Slowdown(), slow[3]) ||
+				float64(x.c.FCTQuantile(0.999)) != fct[4] || !same(x.c.SlowdownQuantile(0.999), slow[4]) ||
+				x.c.MeanFCT() != sim.Duration(meanFCT*float64(sim.Second)) || !same(x.c.MeanSlowdown(), meanSlow) {
+				t.Fatalf("trial %d: a summary statistic differs from the one computed from copies", trial)
+			}
 		}
 	}
 }

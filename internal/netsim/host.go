@@ -128,17 +128,19 @@ func (h *Host) OnEvent(arg any) {
 // Deliver hands an arriving packet to its flow in the network's table:
 // an ACK to the flow's sender, data to its receiver. Routing is by
 // destination, so an ACK arrives at the sender's host and data at the
-// receiver's. A packet whose flow the network never started is dropped.
-// A delivered packet is consumed: the endpoints copy what they need
-// during OnPacket, so the packet is recycled afterwards.
+// receiver's. The ACK that completes a sender retires its flow, and a
+// packet for a retired flow is answered by the flow's tombstone. A packet
+// whose flow the network never started is dropped. A delivered packet is
+// consumed: the endpoints copy what they need during OnPacket, so the
+// packet is recycled afterwards.
 func (h *Host) Deliver(p *pkt.Packet) {
-	if h.net != nil {
-		if i := p.FlowID - 1; i < uint64(len(h.net.flows)) {
-			if f := h.net.flows[i]; p.Ack {
-				f.Sender.OnPacket(p)
-			} else {
-				f.Receiver.OnPacket(p)
-			}
+	if e := h.net.entry(p.FlowID); e != nil {
+		if f := e.live; f == nil {
+			e.answer(h, p)
+		} else if !p.Ack {
+			f.Receiver.OnPacket(p)
+		} else if f.Sender.OnPacket(p); f.Sender.Done() {
+			h.net.retire(e)
 		}
 	}
 	if h.pool != nil {

@@ -55,17 +55,17 @@ func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
 	// synchronized bursts are legitimately unfair — slow-start races and
 	// tail-loss RTOs — so fairness is asserted on long-run throughput.)
 	net := starNet(3, 10e9, 1, 200_000)
-	h := [2]*FlowHandle{}
+	var h [2]uint64
 	for i := 0; i < 2; i++ {
 		h[i] = net.StartFlow(0, pkt.NodeID(i), 2, 50_000_000, FlowOptions{ECN: true})
 	}
 	// Skip the slow-start race (which can cost one flow an RTO), then
 	// measure goodput over a steady-state window.
 	net.Eng.RunUntil(10 * sim.Millisecond)
-	s0, s1 := h[0].Receiver.Received(), h[1].Receiver.Received()
+	s0, s1 := net.Flow(h[0]).Received, net.Flow(h[1]).Received
 	net.Eng.RunUntil(30 * sim.Millisecond)
-	r0 := h[0].Receiver.Received() - s0
-	r1 := h[1].Receiver.Received() - s1
+	r0 := net.Flow(h[0]).Received - s0
+	r1 := net.Flow(h[1]).Received - s1
 	if r0 == 0 || r1 == 0 {
 		t.Fatalf("a flow is stalled: %d vs %d bytes", r0, r1)
 	}
@@ -217,15 +217,14 @@ func TestOppositeFlowsDeliverByIndex(t *testing.T) {
 	} {
 		net := tc.net
 		t.Run(tc.name, func(t *testing.T) {
+			size := map[uint64]int64{}
 			fwd := net.StartFlow(0, 0, 1, 300_000, FlowOptions{ECN: true})
 			rev := net.StartFlow(0, 1, 0, 200_000, FlowOptions{ECN: true})
+			size[fwd], size[rev] = 300_000, 200_000
 			net.Eng.RunUntil(sim.Second)
-			for _, f := range []*FlowHandle{fwd, rev} {
-				if !f.Receiver.Done() || f.Receiver.Received() != f.Spec.Size {
-					t.Fatalf("flow %d: receiver has %d of %d bytes", f.Spec.ID, f.Receiver.Received(), f.Spec.Size)
-				}
-				if !f.Sender.Done() {
-					t.Fatalf("flow %d: sender never saw its last byte ACKed", f.Spec.ID)
+			for _, id := range []uint64{fwd, rev} {
+				if f := net.Flow(id); !f.Done || f.Received != size[id] {
+					t.Fatalf("flow %d: %+v, want done with %d bytes", id, f, size[id])
 				}
 			}
 			for _, id := range []uint64{0, 3} {
@@ -237,7 +236,7 @@ func TestOppositeFlowsDeliverByIndex(t *testing.T) {
 					}
 				}
 			}
-			if fwd.Receiver.Received() != fwd.Spec.Size || rev.Receiver.Received() != rev.Spec.Size {
+			if net.Flow(fwd).Received != size[fwd] || net.Flow(rev).Received != size[rev] {
 				t.Fatal("a packet for an unissued flow ID reached a flow")
 			}
 		})
@@ -272,9 +271,9 @@ func TestECMPPerFlowConsistency(t *testing.T) {
 	}
 	net := LeafSpine(cfg)
 	// One big flow; count which spines forward its data packets.
-	h := net.StartFlow(0, 0, 2, 400_000, FlowOptions{ECN: true})
+	id := net.StartFlow(0, 0, 2, 400_000, FlowOptions{ECN: true})
 	net.Eng.RunUntil(100 * sim.Millisecond)
-	if !h.Receiver.Done() {
+	if !net.Flow(id).Done {
 		t.Fatal("flow did not complete")
 	}
 	used := 0

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"errors"
+
 	"occamy/internal/linkfault"
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
@@ -8,10 +10,11 @@ import (
 	"occamy/internal/transport"
 )
 
-// Network bundles an engine, hosts, and switches, and owns the flow
-// table: the flow with ID i is flows[i-1], one value in the run's slab of
-// flow chunks. A chunk never moves, so what points into a flow (its handle,
-// bound callbacks, start event) stays valid; the slab dies with the run.
+// Network bundles an engine, hosts, and switches, and owns the flow table.
+// Flow i's entry points at its slot in the run's slab, whose chunks never
+// move, until every byte is ACKed; the flow then retires, its entry becomes
+// a tombstone and the next StartFlow reuses its slot, so a run holds as many
+// slots as it had flows running at once. Table and slab die with the run.
 type Network struct {
 	Eng      *sim.Engine
 	Rand     *sim.Rand
@@ -23,22 +26,36 @@ type Network struct {
 	// nil when the topology config enabled no fault profile.
 	Faults *linkfault.Plan
 
-	flows []*FlowHandle
-	spare []FlowHandle // the newest slab chunk's unused flows
+	flows  []*[flowChunk]flowEntry // fixed chunks, so growing copies nothing
+	nflows uint64
+	free   []*flowSlot // retired slots, reused last-in first-out
+	spare  []flowSlot  // the newest slab chunk's unused slots
+	slots  int         // slots the slab has made
 }
 
-// FlowHandle is one flow started via StartFlow, a value in the flow slab
-// with both endpoints, which read Spec in place, and the DCTCP controller
-// the sender drives by default.
-type FlowHandle struct {
+const flowChunk = 64
+
+// flowSlot is one running flow, a value in the flow slab: both endpoints,
+// which read Spec in place, and the DCTCP controller the sender drives by
+// default.
+type flowSlot struct {
 	Spec     transport.FlowSpec
 	Sender   transport.Sender
 	Receiver transport.Receiver // its Started is the flow's start time
 	dctcp    transport.DCTCP
 }
 
+// flowEntry is a flow's slot while it runs, then its tombstone: what late
+// data needs to be answered as the done receiver would, and the RTO count.
+type flowEntry struct {
+	live       *flowSlot // nil once the flow retired
+	size       int64
+	lastDataID uint64
+	timeouts   int64
+}
+
 // flowStart is a flow's start event.
-type flowStart FlowHandle
+type flowStart flowSlot
 
 func (f *flowStart) OnEvent(any) { f.Sender.Start() }
 
@@ -55,18 +72,25 @@ type FlowOptions struct {
 	OnComplete func(fct sim.Duration)
 }
 
-// StartFlow creates a sender/receiver pair, appends it to the flow table
-// under the next flow ID, and starts the transfer at virtual time `at`.
-// A flow stays in the table after it completes: late retransmissions
-// still need the receiver to re-ACK so the sender can finish cleanly.
-func (n *Network) StartFlow(at sim.Time, src, dst pkt.NodeID, size int64, opts FlowOptions) *FlowHandle {
+// FlowState is what the network reports of a flow, running or retired.
+type FlowState struct {
+	Received int64 // in-order bytes at the receiver
+	Done     bool  // every byte arrived and was ACKed: the flow retired
+	Timeouts int64 // the sender's RTO events
+}
+
+// StartFlow creates a sender/receiver pair in a free slot, appends it to
+// the flow table under the next flow ID, starts the transfer at virtual
+// time `at`, and returns the ID.
+func (n *Network) StartFlow(at sim.Time, src, dst pkt.NodeID, size int64, opts FlowOptions) uint64 {
 	if src == dst {
 		panic("netsim: flow src == dst")
 	}
 	h := n.newFlow()
 	topts := opts.Transport.WithDefaults()
+	id := n.nflows + 1
 	h.Spec = transport.FlowSpec{
-		ID:       uint64(len(n.flows)) + 1,
+		ID:       id,
 		Src:      src,
 		Dst:      dst,
 		Size:     size,
@@ -82,20 +106,74 @@ func (n *Network) StartFlow(at sim.Time, src, dst pkt.NodeID, size int64, opts F
 	h.Sender.Init(n.Hosts[src], &h.Spec, cc, topts)
 	h.Receiver.Init(n.Hosts[dst], &h.Spec, topts.MSS)
 	h.Receiver.Started, h.Receiver.OnComplete = at, opts.OnComplete
-	n.flows = append(n.flows, h)
+	if n.nflows%flowChunk == 0 {
+		n.flows = append(n.flows, new([flowChunk]flowEntry))
+	}
+	n.nflows = id
+	*n.entry(id) = flowEntry{live: h}
 	n.Eng.AtEvent(at, (*flowStart)(h), nil)
-	return h
+	return id
 }
 
-// newFlow takes the next flow of the slab. A new chunk holds 4 to 64 flows,
-// as many as the run has; newFlow stays out of line to own its allocation.
+// entry returns flow id's table entry, or nil if n (maybe nil) has none.
+func (n *Network) entry(id uint64) *flowEntry {
+	if n == nil || id-1 >= n.nflows {
+		return nil
+	}
+	return &n.flows[(id-1)/flowChunk][(id-1)%flowChunk]
+}
+
+// Flow reports the flow StartFlow returned id for, from its slot while it
+// runs and from its tombstone once it retired.
+func (n *Network) Flow(id uint64) FlowState {
+	e := n.entry(id)
+	if f := e.live; f != nil {
+		return FlowState{Received: f.Receiver.Received(), Done: f.Sender.Done(), Timeouts: f.Sender.Timeouts()}
+	}
+	return FlowState{Received: e.size, Done: true, Timeouts: e.timeouts}
+}
+
+// newFlow takes the last retired slot, or else the next of the slab. A new
+// chunk holds 4 to 64 slots, as many as the slab has made; newFlow stays
+// out of line to own its allocation.
 //
 //go:noinline
-func (n *Network) newFlow() *FlowHandle {
+func (n *Network) newFlow() *flowSlot {
+	if k := len(n.free) - 1; k >= 0 {
+		h := n.free[k]
+		n.free = n.free[:k]
+		return h
+	}
 	if len(n.spare) == 0 {
-		n.spare = make([]FlowHandle, min(max(len(n.flows), 4), 64))
+		n.spare = make([]flowSlot, min(max(n.slots, 4), 64))
+		n.slots += len(n.spare)
 	}
 	h := &n.spare[0]
 	n.spare = n.spare[1:]
 	return h
+}
+
+// retire makes e, whose sender just saw its last byte ACKed, a tombstone
+// and frees its slot; the receiver, which ACKed that byte, is done.
+func (n *Network) retire(e *flowEntry) {
+	f := e.live
+	if !f.Receiver.Done() {
+		panic(errEarlyRetire)
+	}
+	*e = flowEntry{size: f.Spec.Size, lastDataID: f.Receiver.LastDataID(), timeouts: f.Sender.Timeouts()}
+	n.free = append(n.free, f)
+}
+
+var errEarlyRetire = errors.New("netsim: a flow's sender finished before its receiver")
+
+// answer replies from host h to packet p of a retired flow as its done
+// endpoints would: the sender ignores an ACK, and the receiver sheds a
+// link duplicate of its last data packet and ACKs any other data for the
+// whole flow.
+func (e *flowEntry) answer(h *Host, p *pkt.Packet) {
+	if p.Ack || p.ID != 0 && p.ID == e.lastDataID {
+		return
+	}
+	e.lastDataID = p.ID
+	transport.SendAck(h, p, e.size)
 }

@@ -235,6 +235,36 @@ func TestFlakyTorIncastDeterministic(t *testing.T) {
 	}
 }
 
+// TestIncastTimeoutsFromRetiredFlows pins the RTO counts the incast of
+// flaky-tor-incast and buffer-choking reports, as read when every flow
+// kept its sender to the end of the run. A flow now retires when its last
+// byte is ACKed, and the count comes from its tombstone, so a count lost
+// or doubled at retirement shows here.
+func TestIncastTimeoutsFromRetiredFlows(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name, policy string
+		scale        Scale
+		want         int64
+	}{
+		{"flaky-tor-incast", "", ScaleQuick, 4},
+		{"flaky-tor-incast", "", ScaleFull, 14},
+		{"buffer-choking", "dt", ScaleQuick, 6},
+		{"buffer-choking", "dt", ScaleFull, 11},
+		{"buffer-choking", "pushout", ScaleQuick, 14},
+		{"buffer-choking", "pushout", ScaleFull, 11},
+	} {
+		sc, _ := Get(c.name)
+		spec := sc.SpecAt(c.scale)
+		if c.policy != "" {
+			spec.Policy.Kind = c.policy
+		}
+		if got := MustRun(spec).incastStats().Timeouts; got != c.want {
+			t.Errorf("%s@%s %s: incast reports %d RTOs, want %d", c.name, c.scale, c.policy, got, c.want)
+		}
+	}
+}
+
 // TestFaultSweepParallelismInvariant: a sweep over a fault field must
 // produce the identical summary table at -j 1 and -j 4 — per-link RNG
 // streams are seeded by link name, never by wiring or scheduling order.

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,10 +60,11 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 // Differential gate for the file-spec path: every catalog scenario
-// exported to JSON and re-run from the parsed file must produce a
-// byte-identical summary table to the in-code spec — same seed, same
-// columns, same cells. Any serialization loss (a dropped field, a
-// duration rounding, a default resolved differently) shows up here.
+// exported to JSON and re-run from the parsed file must produce
+// byte-identical tables to the in-code spec, the -deep ones included —
+// same seed, same columns, same cells, the per-link fault counters too.
+// Any serialization loss (a dropped field, a duration rounding, a default
+// resolved differently) shows up here.
 func TestFileSpecDifferential(t *testing.T) {
 	t.Parallel()
 	for _, name := range exportableNames(t) {
@@ -86,12 +89,42 @@ func TestFileSpecDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			da, db := mustDoc(t, direct, false), mustDoc(t, fromFile, false)
-			a := render([]*Table{direct.Table(), da.TailTable(), da.PerSwitchTable()})
-			b := render([]*Table{fromFile.Table(), db.TailTable(), db.PerSwitchTable()})
+			a := render([]*Table{direct.Table(), da.TailTable(), da.PerSwitchTable(), da.QueueTable(), da.FaultTable()})
+			b := render([]*Table{fromFile.Table(), db.TailTable(), db.PerSwitchTable(), db.QueueTable(), db.FaultTable()})
 			if a != b {
 				t.Errorf("file-spec run differs from in-code run:\n--- in-code\n%s--- from file\n%s", a, b)
 			}
 		})
+	}
+}
+
+// A spec exported at full scale to a file, loaded, and re-run with its
+// scale field set to quick, as `occamy-scenario run file.json -scale
+// quick` does, runs the generic quick preset of the full spec and answers
+// its queries.
+func TestFileSpecRescaled(t *testing.T) {
+	t.Parallel()
+	sc, _ := Get("incast-storm-256")
+	full := sc.SpecAt(ScaleFull)
+	data, err := full.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "storm.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.Scale = ScaleQuick
+	fromFile, direct := MustRun(loaded), MustRun(QuickSpec(full))
+	if a, b := render([]*Table{direct.Table()}), render([]*Table{fromFile.Table()}); a != b {
+		t.Errorf("rescaled file spec differs from the quick preset:\n--- in-code\n%s--- from file\n%s", a, b)
+	}
+	if q := fromFile.incastStats(); q == nil || q.Done == 0 || q.Done < q.Launched {
+		t.Errorf("rescaled file spec left queries unanswered: %+v", q)
 	}
 }
 

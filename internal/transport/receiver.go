@@ -40,9 +40,10 @@ func NewReceiver(net Net, spec FlowSpec, mss int) *Receiver {
 }
 
 // Init makes r, in place, the receiver NewReceiver returns, reading the
-// flow's unchanging spec through the pointer.
+// flow's unchanging spec through the pointer; r keeps its hold ring, cleared.
 func (r *Receiver) Init(net Net, spec *FlowSpec, mss int) *Receiver {
-	*r = Receiver{net: net, spec: spec, mss: int64(mss)}
+	clear(r.held)
+	*r = Receiver{net: net, spec: spec, mss: int64(mss), held: r.held}
 	return r
 }
 
@@ -51,6 +52,9 @@ func (r *Receiver) Done() bool { return r.done }
 
 // Received returns the in-order byte count.
 func (r *Receiver) Received() int64 { return r.rcvNxt }
+
+// LastDataID returns the ID of the last data packet, which a duplicate repeats.
+func (r *Receiver) LastDataID() uint64 { return r.lastDataID }
 
 // OnPacket consumes a data segment of the flow.
 func (r *Receiver) OnPacket(p *pkt.Packet) {
@@ -81,24 +85,28 @@ func (r *Receiver) OnPacket(p *pkt.Packet) {
 	} else if p.Seq > r.rcvNxt {
 		r.hold(p.Seq)
 	}
-	// ACK every data packet; echo this packet's CE mark.
-	ack := r.net.NewPacket()
-	ack.FlowID = r.spec.ID
-	ack.Src = r.spec.Dst
-	ack.Dst = r.spec.Src
-	ack.Size = pkt.AckBytes
-	ack.Ack = true
-	ack.AckNo = r.rcvNxt
-	ack.ECNEcho = p.CE
-	ack.Priority = p.Priority
-	ack.SentAt = p.SentAt // echoed for the sender's RTT sample
-	r.net.Send(ack)
+	SendAck(r.net, p, r.rcvNxt) // every data packet is ACKed
 	if !r.done && r.rcvNxt >= r.spec.Size {
 		r.done = true
 		if r.OnComplete != nil {
 			r.OnComplete(r.net.Now() - r.Started)
 		}
 	}
+}
+
+// SendAck ACKs data packet p cumulatively up to ackNo, echoing its CE
+// mark, priority and send time (the sender's RTT sample).
+func SendAck(net Net, p *pkt.Packet, ackNo int64) {
+	ack := net.NewPacket()
+	ack.FlowID = p.FlowID
+	ack.Src, ack.Dst = p.Dst, p.Src
+	ack.Size = pkt.AckBytes
+	ack.Ack = true
+	ack.AckNo = ackNo
+	ack.ECNEcho = p.CE
+	ack.Priority = p.Priority
+	ack.SentAt = p.SentAt
+	net.Send(ack)
 }
 
 // slot returns the word and bit that hold segment k.

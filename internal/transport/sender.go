@@ -44,10 +44,12 @@ func NewSender(net Net, spec FlowSpec, cc CC, opts Options) *Sender {
 
 // Init makes s, in place, the sender NewSender returns, reading the flow's
 // unchanging spec through the pointer. s must not move afterwards: its
-// retransmission timer is bound to it.
+// retransmission timer is bound to it, once, by its first Init.
 func (s *Sender) Init(net Net, spec *FlowSpec, cc CC, opts Options) *Sender {
-	*s = Sender{net: net, spec: spec, cc: cc, opts: opts.WithDefaults()}
-	s.timeoutFn = s.onTimeout
+	*s = Sender{net: net, spec: spec, cc: cc, opts: opts.WithDefaults(), timeoutFn: s.timeoutFn}
+	if s.timeoutFn == nil {
+		s.timeoutFn = s.onTimeout
+	}
 	return s
 }
 

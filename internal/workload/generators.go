@@ -135,8 +135,9 @@ type Incast struct {
 	stopped bool
 	queries int64
 	done    int64
-	// timeouts across all response flows (RTO counting for the p99 story)
-	handles []*netsim.FlowHandle
+	// each query's first response flow ID; its Fanout flows start together,
+	// so their IDs run on from it (RTO counting for the p99 story)
+	firstIDs []uint64
 }
 
 // Start begins issuing queries in [from, until] (inclusive: Start(t, t)
@@ -186,8 +187,10 @@ func (g *Incast) Done() int64 { return g.done }
 // Timeouts sums RTO events across all response flows issued so far.
 func (g *Incast) Timeouts() int64 {
 	var t int64
-	for _, h := range g.handles {
-		t += h.Sender.Timeouts()
+	for _, first := range g.firstIDs {
+		for id := first; id < first+uint64(g.Fanout); id++ {
+			t += g.Net.Flow(id).Timeouts
+		}
 	}
 	return t
 }
@@ -211,7 +214,7 @@ func (g *Incast) query() {
 	ideal := IdealFCT(g.QuerySize, g.LinkBps, g.OneWayBase)
 	for i := 0; i < g.Fanout; i++ {
 		srv := g.Servers[perm[i%len(perm)]]
-		h := g.Net.StartFlow(start, srv, client, per, netsim.FlowOptions{
+		if id := g.Net.StartFlow(start, srv, client, per, netsim.FlowOptions{
 			Priority:  g.Priority,
 			ECN:       g.ECN,
 			NewCC:     g.NewCC,
@@ -229,7 +232,8 @@ func (g *Incast) query() {
 					}
 				}
 			},
-		})
-		g.handles = append(g.handles, h)
+		}); i == 0 {
+			g.firstIDs = append(g.firstIDs, id)
+		}
 	}
 }
