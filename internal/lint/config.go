@@ -27,7 +27,6 @@ var deterministicCore = map[string]bool{
 	"core":      true,
 	"sim":       true,
 	"pkt":       true,
-	"cellmem":   true,
 	"netsim":    true,
 	"switchsim": true,
 	"transport": true,

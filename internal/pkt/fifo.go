@@ -2,7 +2,7 @@ package pkt
 
 // FIFO is a packet queue linked through the packets themselves, as a
 // switch links its packet descriptors: a NIC's transmit queue, or a switch
-// queue's packets beside its PD list. Queuing a packet never allocates.
+// queue, whose list of packets is its PD list. Queuing a packet never allocates.
 // A packet is in at most one FIFO at a time. The zero value is an empty
 // queue.
 type FIFO struct {

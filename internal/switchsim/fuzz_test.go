@@ -75,15 +75,48 @@ func checkBacklogged(t *testing.T, sw *Switch, after string) {
 	}
 }
 
+// checkCells holds the buffer's accounting to the packets on the queue
+// lists, which it walks: each queue's byte count is the sum of its
+// packets' sizes, its backlogged bit says whether that sum is non-zero,
+// and the free cells are the buffer's cells less those its buffered
+// packets take, within [0, cells]. Cells are counted here from the
+// configuration, not by the switch's own cellsFor.
+func checkCells(t *testing.T, sw *Switch, after string) {
+	t.Helper()
+	cb := sw.cfg.CellBytes
+	cellsOf := func(n int) int { return max(1, (n+cb-1)/cb) }
+	cells, used := cellsOf(sw.cfg.BufferBytes), 0
+	for q, cq := range sw.flat {
+		bytes := 0
+		// Walk the list by rotating it once: each packet popped is pushed
+		// back, so the queue ends as it began.
+		for range cq.meta.Len() {
+			p := cq.meta.Pop()
+			bytes += p.Size
+			used += cellsOf(p.Size)
+			cq.meta.Push(p)
+		}
+		if bytes != cq.bytes {
+			t.Fatalf("after %s: queue %d lists %d bytes of packets, counts %d", after, q, bytes, cq.bytes)
+		}
+		if got := sw.Backlogged().Get(q); got != (bytes > 0) {
+			t.Fatalf("after %s: queue %d lists %d bytes of packets, backlogged bit %v", after, q, bytes, got)
+		}
+	}
+	if sw.freeCells != cells-used || sw.freeCells < 0 || sw.freeCells > cells {
+		t.Fatalf("after %s: %d of %d cells free, but the buffered packets take %d", after, sw.freeCells, cells, used)
+	}
+}
+
 // TestAllPoliciesSoak pushes randomized traffic through every policy and
 // checks the system invariants that must hold regardless of scheme:
-// packet conservation, cell conservation, and non-negative queues — and,
-// after every operation that moves a queue's length (an enqueue, a
-// dequeue, a head-drop) or declines to (an admission or no-memory drop),
-// that the backlogged set is exactly the queues holding bytes, each
-// class's count is exactly its share of them, and under Occamy the
-// comparator bank marks exactly the backlogged queues over their
-// threshold.
+// packet conservation and non-negative queues — and, after every
+// operation that moves a queue's length (an enqueue, a dequeue, a
+// head-drop) or declines to (an admission or no-memory drop), that the
+// cell accounting agrees with the queue lists (checkCells), the
+// backlogged set is exactly the queues holding bytes, each class's count
+// is exactly its share of them, and under Occamy the comparator bank
+// marks exactly the backlogged queues over their threshold.
 func TestAllPoliciesSoak(t *testing.T) {
 	var dropped [3]int // by DropReason, over every policy and seed
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -122,11 +155,15 @@ func TestAllPoliciesSoak(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					// With no propagation delay a delivery runs right behind
 					// the tx-done that dequeued the next packet.
-					sw.AttachPort(i, 1e9, 0, func(*pkt.Packet) { checkBacklogged(t, sw, "a dequeue") })
+					sw.AttachPort(i, 1e9, 0, func(*pkt.Packet) {
+						checkCells(t, sw, "a dequeue")
+						checkBacklogged(t, sw, "a dequeue")
+					})
 				}
 				sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
 				sw.DropHook = func(_ *pkt.Packet, _ int, reason DropReason) {
 					dropped[reason]++
+					checkCells(t, sw, "a drop ("+reason.String()+")")
 					checkBacklogged(t, sw, "a drop ("+reason.String()+")")
 				}
 
@@ -144,11 +181,12 @@ func TestAllPoliciesSoak(t *testing.T) {
 							Priority:   r.Intn(2),
 							ECNCapable: r.Intn(2) == 0,
 						})
+						checkCells(t, sw, "Receive")
 						checkBacklogged(t, sw, "Receive")
 					})
 				}
 				eng.Run()
-				sw.Pool().CheckInvariants()
+				checkCells(t, sw, "the drain")
 				checkBacklogged(t, sw, "the drain")
 				if sw.Backlogged().Any() {
 					t.Fatalf("%d queues still marked backlogged after the drain", sw.Backlogged().Count())

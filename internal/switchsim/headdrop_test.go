@@ -38,7 +38,7 @@ func TestHeadDropSurvivesRecyclingHook(t *testing.T) {
 	if bytes != size {
 		t.Fatalf("HeadDrop reported %d bytes, want %d (packet recycled before the size was read?)", bytes, size)
 	}
-	if want := sw.Pool().CellsFor(size); cells != want {
+	if want := sw.cellsFor(size); cells != want {
 		t.Fatalf("HeadDrop reported %d cells, want %d", cells, want)
 	}
 }

@@ -1,6 +1,6 @@
 // Package switchsim models an on-chip shared-memory switch: a traffic
-// manager with a cell-structured shared buffer (internal/cellmem),
-// pluggable buffer management (internal/bm, internal/core), per-port
+// manager whose shared buffer is a pool of fixed-size cells, pluggable
+// buffer management (internal/bm, internal/core), per-port
 // egress schedulers, and ECN marking. It is the substrate for every
 // experiment in the paper: the P4/Tofino prototype scenarios, the DPDK
 // software switch, and the switches inside the leaf–spine simulations.
@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"occamy/internal/bm"
-	"occamy/internal/cellmem"
 	"occamy/internal/core"
 	"occamy/internal/hw"
 	"occamy/internal/pkt"
@@ -29,8 +28,9 @@ type DropReason int
 const (
 	// DropAdmission: the BM policy rejected the arriving packet.
 	DropAdmission DropReason = iota
-	// DropNoMemory: the policy admitted it but the cell pool was
-	// physically exhausted (cell-rounding slack).
+	// DropNoMemory: the policy admitted it but the shared buffer had
+	// fewer free cells than the packet takes (cell-rounding slack: the
+	// policies count bytes, the buffer hands out whole cells).
 	DropNoMemory
 	// DropExpelled: a preemptive policy head-dropped a buffered packet.
 	DropExpelled
@@ -60,8 +60,8 @@ type Config struct {
 	Ports int
 	// ClassesPerPort is the number of traffic-class queues per port.
 	ClassesPerPort int
-	// BufferBytes is the shared buffer capacity. The cell pool is sized
-	// as BufferBytes/CellBytes cells.
+	// BufferBytes is the shared buffer capacity: BufferBytes/CellBytes
+	// cells, rounded up.
 	BufferBytes int
 	// CellBytes is the buffer cell size; 0 defaults to 200 (the paper's
 	// prototypes).
@@ -129,14 +129,18 @@ type QueueStats struct {
 // Drops returns the queue's total arrival losses (not expulsions).
 func (s QueueStats) Drops() int64 { return s.DropsAdmission + s.DropsNoMemory }
 
-// classQueue is one traffic-class queue: the PD-list in cell memory plus
-// the in-lockstep packet metadata. drain, the queue's drain-rate
-// estimator, exists only when the policy declares that it reads
-// DequeueRate (bm.ABM's ReadsDequeueRate marker, checked once in New);
-// under every other policy nothing would read it.
+// classQueue is one traffic-class queue. meta, the list linked through
+// the buffered packets, is the paper's per-queue PD list (§2.1, Fig 9),
+// and bytes its length in bytes, the quantity BM thresholds compare
+// against; the cells a packet takes are only counted, in the switch's
+// freeCells. No cell data is modelled: no output reads it, and memBW
+// carries the bandwidth its reads and writes would take. drain, the
+// queue's drain-rate estimator, exists only when the policy declares that
+// it reads DequeueRate (bm.ABM's ReadsDequeueRate marker, checked once in
+// New); under every other policy nothing would read it.
 type classQueue struct {
-	cells cellmem.Queue
 	meta  pkt.FIFO
+	bytes int
 	prio  int
 	drain *rateMeter
 }
@@ -174,7 +178,6 @@ type Switch struct {
 	name     string
 	eng      *sim.Engine
 	cfg      Config
-	pool     *cellmem.Pool
 	ports    []*port
 	flat     []*classQueue // all queues, indexed port*ClassesPerPort+class
 	policy   bm.Policy
@@ -193,6 +196,7 @@ type Switch struct {
 	inClass    []int
 
 	totalBytes int // sum of queue lengths (packet bytes, not cell-rounded)
+	freeCells  int // the shared buffer's cells no buffered packet takes
 	stats      Stats
 	portStats  []PortStats
 	queueStats []QueueStats // indexed port*ClassesPerPort+class
@@ -211,10 +215,10 @@ type Switch struct {
 }
 
 // parkedSet is the last run's switch set, handed to the next run whole:
-// its switches, each emptied but for its cell pool's memories and its
-// queue structs, and the chunk pool its recorders drew from. Each New
-// takes the next parked switch, and NewRecorders the chunks; the next
-// Park replaces whatever is left, never merging with it.
+// its switches, each emptied but for its queue structs, and the chunk
+// pool its recorders drew from. Each New takes the next parked switch,
+// and NewRecorders the chunks; the next Park replaces whatever is left,
+// never merging with it.
 type parkedSet struct {
 	switches []*Switch // in reverse: New takes the last
 	chunks   *chunkPool
@@ -232,8 +236,9 @@ func unpark(take func(*parkedSet)) {
 }
 
 // Park hands a finished or canceled run's switches, and the chunk pool of
-// the recorders watching them, to the next run as one set. Every buffered
-// packet is dropped without a hook; recs' series are left as they are.
+// the recorders watching them, to the next run as one set. Of a switch
+// only its queue structs pass on: every buffered packet is dropped without
+// a hook. recs' series are left as they are.
 func Park(switches []*Switch, recs []*Recorder) {
 	for _, sw := range switches {
 		sw.park()
@@ -258,8 +263,8 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	if cfg.Ports <= 0 || cfg.ClassesPerPort <= 0 || cfg.ClassesPerPort > MaxClassesPerPort {
 		panic("switchsim: need at least one port, and 1 to 64 classes per port")
 	}
-	if cfg.BufferBytes <= 0 {
-		panic("switchsim: BufferBytes must be positive")
+	if cfg.BufferBytes <= 0 || cfg.CellBytes < 0 {
+		panic("switchsim: BufferBytes must be positive, and CellBytes positive or 0 for the default")
 	}
 	if cfg.CellBytes == 0 {
 		cfg.CellBytes = 200
@@ -274,13 +279,12 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 		}
 	})
 	if parked == nil {
-		parked = &Switch{pool: new(cellmem.Pool)}
+		parked = new(Switch)
 	}
 	s := &Switch{
 		name:       name,
 		eng:        eng,
 		cfg:        cfg,
-		pool:       parked.pool,
 		policy:     cfg.Policy,
 		backlogged: hw.NewBitmap(cfg.Ports * cfg.ClassesPerPort),
 		inClass:    make([]int, cfg.ClassesPerPort),
@@ -299,10 +303,7 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	s.portStats = make([]PortStats, cfg.Ports)
 	s.queueStats = make([]QueueStats, cfg.Ports*cfg.ClassesPerPort)
 	s.ports = make([]*port, cfg.Ports)
-	s.pool.Init(cellmem.Config{
-		CellSize: cfg.CellBytes,
-		NumCells: (cfg.BufferBytes + cfg.CellBytes - 1) / cfg.CellBytes,
-	})
+	s.freeCells = s.cellsFor(cfg.BufferBytes)
 	nc := cfg.ClassesPerPort
 	s.flat = slices.Grow(parked.flat[:0], cfg.Ports*nc)[:cfg.Ports*nc]
 	*parked = Switch{} // the last run keeps no way into what moved
@@ -311,7 +312,7 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 			cq = new(classQueue)
 			s.flat[q] = cq
 		}
-		*cq = classQueue{cells: *cellmem.NewQueue(s.pool), prio: q % nc}
+		*cq = classQueue{prio: q % nc}
 		if readsDrain {
 			cq.drain = newRateMeter()
 		}
@@ -322,14 +323,13 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	return s
 }
 
-// park drops every buffered packet and empties s but for its cell pool's
-// memories and its queue structs.
+// park drops every buffered packet and empties s but for its queue
+// structs.
 func (s *Switch) park() {
-	s.pool.Recycle()
 	for _, cq := range s.flat {
 		*cq = classQueue{}
 	}
-	*s = Switch{pool: s.pool, flat: s.flat}
+	*s = Switch{flat: s.flat}
 }
 
 // AttachPort wires port i to a link: egress rate in bits/sec,
@@ -378,9 +378,6 @@ func (s *Switch) Name() string { return s.name }
 
 // Stats returns a snapshot of the counters.
 func (s *Switch) Stats() Stats { return s.stats }
-
-// Pool exposes the cell pool (tests assert on its meters).
-func (s *Switch) Pool() *cellmem.Pool { return s.pool }
 
 // NumPorts returns the egress port count.
 func (s *Switch) NumPorts() int { return len(s.ports) }
@@ -436,7 +433,7 @@ func (s *Switch) Occupancy() int { return s.totalBytes }
 func (s *Switch) NumQueues() int { return len(s.flat) }
 
 // QueueLen implements bm.State and core.TM.
-func (s *Switch) QueueLen(q int) int { return s.flat[q].cells.Len() }
+func (s *Switch) QueueLen(q int) int { return s.flat[q].bytes }
 
 // QueuePriority implements bm.State.
 func (s *Switch) QueuePriority(q int) int { return s.flat[q].prio }
@@ -470,7 +467,7 @@ func (s *Switch) Backlogged() *hw.Bitmap { return s.backlogged }
 // count, from the queue's length.
 func (s *Switch) setBacklogged(q int) {
 	cq := s.flat[q]
-	if on := cq.cells.Len() > 0; on != s.backlogged.Get(q) {
+	if on := cq.bytes > 0; on != s.backlogged.Get(q) {
 		s.backlogged.Assign(q, on)
 		if on {
 			s.inClass[cq.prio]++
@@ -490,11 +487,21 @@ func (s *Switch) HeadPacketCells(q int) int {
 	if cq.meta.Len() == 0 {
 		return 0
 	}
-	return s.pool.CellsFor(cq.meta.Peek().Size)
+	return s.cellsFor(cq.meta.Peek().Size)
 }
 
-// HeadDrop implements core.TM: expel the head packet of queue q without
-// touching cell data memory.
+// cellsFor returns the number of cells a packet of n bytes takes: even a
+// zero-length control packet takes one.
+func (s *Switch) cellsFor(n int) int {
+	if n <= 0 {
+		return 1
+	}
+	return (n + s.cfg.CellBytes - 1) / s.cfg.CellBytes
+}
+
+// HeadDrop implements core.TM: expel the head packet of queue q. Its PD
+// leaves the list and its cells go back to the free count without a read
+// of cell data memory, so it charges memBW only the pointer path.
 func (s *Switch) HeadDrop(q int) (int, int, bool) {
 	cq := s.flat[q]
 	if cq.meta.Len() == 0 {
@@ -507,11 +514,9 @@ func (s *Switch) HeadDrop(q int) (int, int, bool) {
 	// Capture before the hook: a DropHook may recycle p into a pkt.Pool,
 	// which zeroes it in place.
 	size := p.Size
-	cells := s.pool.CellsFor(size)
-	n, id, ok := cq.cells.HeadDrop()
-	if !ok || id != p.ID || n != size {
-		panic(fmt.Sprintf("switchsim: PD/meta desync on head-drop: got (%d,%d), want (%d,%d)", n, id, size, p.ID))
-	}
+	cells := s.cellsFor(size)
+	cq.bytes -= size
+	s.freeCells += cells
 	s.setBacklogged(q)
 	s.totalBytes -= size
 	s.stats.DropsExpelled++
@@ -570,16 +575,19 @@ func (s *Switch) Receive(p *pkt.Packet) {
 		}
 	}
 
-	ref := s.pool.Alloc(p.Size, p.ID)
-	if ref == cellmem.NilPD {
-		// Byte accounting said yes but cell rounding said no.
+	// Byte accounting said yes, but cell rounding may say no. The buffer
+	// has one PD per cell and every packet takes at least one cell, so the
+	// PDs never run out before the cells do.
+	cells := s.cellsFor(p.Size)
+	if cells > s.freeCells {
 		s.drop(p, q, DropNoMemory)
 		return
 	}
+	s.freeCells -= cells
 
 	cq := s.flat[q]
 	// ECN: mark at enqueue when the queue is past the threshold.
-	if s.cfg.ECNThresholdBytes > 0 && p.ECNCapable && cq.cells.Len() >= s.cfg.ECNThresholdBytes {
+	if s.cfg.ECNThresholdBytes > 0 && p.ECNCapable && cq.bytes >= s.cfg.ECNThresholdBytes {
 		p.CE = true
 		s.stats.ECNMarked++
 		s.portStats[portID].ECNMarked++
@@ -588,14 +596,14 @@ func (s *Switch) Receive(p *pkt.Packet) {
 			s.MarkHook(p, q)
 		}
 	}
-	cq.cells.Enqueue(ref)
 	cq.meta.Push(p)
+	cq.bytes += p.Size
 	pt := s.ports[portID]
 	pt.backlog |= 1 << class
 	s.setBacklogged(q)
 	s.totalBytes += p.Size
 	if s.memBW != nil {
-		s.memBW.add(s.eng.Now(), s.pool.CellsFor(p.Size)) // cell writes
+		s.memBW.add(s.eng.Now(), cells) // cell writes
 	}
 
 	if s.occ != nil {
@@ -643,15 +651,13 @@ func (s *Switch) tryTransmit(pt *port) {
 	if cq.meta.Len() == 0 {
 		pt.backlog &^= 1 << class
 	}
-	n, id, ok := cq.cells.Dequeue()
-	if !ok || id != p.ID || n != p.Size {
-		panic(fmt.Sprintf("switchsim: PD/meta desync on dequeue: got (%d,%d), want (%d,%d)", n, id, p.Size, p.ID))
-	}
+	cells := s.cellsFor(p.Size)
+	cq.bytes -= p.Size
+	s.freeCells += cells
 	q := s.qindex(pt.id, class)
 	s.setBacklogged(q)
 	s.totalBytes -= p.Size
 	now := s.eng.Now()
-	cells := s.pool.CellsFor(p.Size)
 	if cq.drain != nil {
 		cq.drain.add(now, p.Size)
 	}

@@ -228,6 +228,21 @@ func TestOccamyNeedsClassPolicy(t *testing.T) {
 	New("sw", sim.NewEngine(), Config{Ports: 1, ClassesPerPort: 1, BufferBytes: 1000, Policy: bm.NewABM(2), Occamy: &core.Config{}})
 }
 
+// A buffer of no bytes, or cells of negative size, has no cells to count.
+func TestNewRejectsBadBuffer(t *testing.T) {
+	for _, cfg := range []Config{{BufferBytes: 0}, {BufferBytes: 1000, CellBytes: -200}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted BufferBytes %d, CellBytes %d", cfg.BufferBytes, cfg.CellBytes)
+				}
+			}()
+			cfg.Ports, cfg.ClassesPerPort, cfg.Policy = 1, 1, bm.NewDT(1)
+			New("sw", sim.NewEngine(), cfg)
+		}()
+	}
+}
+
 func TestOccamyDoesNotExpelFairAllocations(t *testing.T) {
 	eng := sim.NewEngine()
 	sw, _ := testSwitch(t, eng, Config{
@@ -277,33 +292,37 @@ func TestPushoutMakesRoomAtAdmission(t *testing.T) {
 	}
 }
 
+// TestHeadDropNeverTouchesCellData: on the memory-bandwidth meter, an
+// arrival charges its cell writes, a transmit its pointer and cell-data
+// reads (2 × cells), and a head-drop its pointer path alone (cells). Every
+// operation happens at time 0, where the meter does not decay, so each
+// charge is exactly its cells over the meter's time constant.
 func TestHeadDropNeverTouchesCellData(t *testing.T) {
 	eng := sim.NewEngine()
 	sw, _ := testSwitch(t, eng, Config{
-		Ports: 1, ClassesPerPort: 2, BufferBytes: 20000,
-		Policy:    core.New(core.Config{Alpha: 8}),
-		Occamy:    &core.Config{Alpha: 8},
-		Scheduler: SchedSP,
+		Ports: 1, ClassesPerPort: 1, BufferBytes: 100_000, Policy: bm.NewDT(8),
 	}, 1e9)
-	for i := 0; i < 17; i++ {
-		sw.Receive(mkpkt(0, 1000, 1))
+	sw.EnableMemBandwidthMeter()
+	m := sw.memBW
+	charged := func(what string, op func(), cells ...int) {
+		t.Helper()
+		before, want := m.val, m.val
+		for _, n := range cells {
+			want += float64(n) / m.tau
+		}
+		op()
+		if m.val != want {
+			t.Fatalf("%s charged %.3f cells, want %v", what, (m.val-before)*m.tau, cells)
+		}
 	}
-	eng.RunUntil(5 * sim.Microsecond)
-	readsBefore := sw.Pool().Meters().CellDataReads
-	txBefore := sw.Stats().TxPackets
-	for i := 0; i < 10; i++ {
-		sw.Receive(mkpkt(0, 1000, 0))
-	}
-	eng.RunUntil(100 * sim.Microsecond)
-	if sw.Stats().DropsExpelled == 0 {
-		t.Fatal("no expulsions happened; test scenario broken")
-	}
-	// Every cell-data read must be attributable to a transmitted packet.
-	reads := sw.Pool().Meters().CellDataReads - readsBefore
-	tx := sw.Stats().TxPackets - txBefore
-	maxPerPkt := int64(sw.Pool().CellsFor(1000))
-	if reads > tx*maxPerPkt {
-		t.Fatalf("cell-data reads %d exceed %d tx packets × %d cells", reads, tx, maxPerPkt)
+	// 200-byte cells: 1000 B take 5, a zero-length packet 1, 1500 B 8.
+	charged("an arrival at an idle port", func() { sw.Receive(mkpkt(0, 1000, 0)) }, 5, 2*5)
+	charged("an arrival behind it", func() { sw.Receive(mkpkt(0, 0, 0)) }, 1)
+	charged("another arrival", func() { sw.Receive(mkpkt(0, 1500, 0)) }, 8)
+	charged("a head-drop", func() { sw.HeadDrop(0) }, 1)
+	charged("a head-drop", func() { sw.HeadDrop(0) }, 8)
+	if eng.Now() != 0 {
+		t.Fatalf("the charges ran at %v, where the meter decays", eng.Now())
 	}
 	eng.Run()
 }
@@ -374,7 +393,8 @@ func TestABMOnSwitchLimitsSlowQueue(t *testing.T) {
 
 func TestDesyncPanicsAreAbsentUnderRandomTraffic(t *testing.T) {
 	// Soak: random sizes, classes, and ports with Occamy expulsion on;
-	// the PD/meta lockstep invariant (enforced by panics) must hold.
+	// the cell accounting must agree with the queue lists at the end, and
+	// packets must be conserved.
 	eng := sim.NewEngine()
 	sw, _ := testSwitch(t, eng, Config{
 		Ports: 4, ClassesPerPort: 2, BufferBytes: 100000,
@@ -389,7 +409,7 @@ func TestDesyncPanicsAreAbsentUnderRandomTraffic(t *testing.T) {
 		})
 	}
 	eng.Run()
-	sw.Pool().CheckInvariants()
+	checkCells(t, sw, "the drain")
 	st := sw.Stats()
 	if st.TxPackets == 0 {
 		t.Fatal("nothing forwarded")
@@ -400,10 +420,11 @@ func TestDesyncPanicsAreAbsentUnderRandomTraffic(t *testing.T) {
 }
 
 // TestParkedSetStartsClean: a run's switches, parked with packets
-// buffered, are the next run's: each New takes the next parked switch's
-// cell pool, re-initialised for its own buffer, smaller or larger, and
-// starts empty, and the parked switch keeps no way into it. A set parked
-// later replaces the earlier one whole.
+// buffered, are the next run's, but only their queue structs pass on:
+// each New takes the next parked switch's queues, builds everything else
+// afresh, and starts with its own buffer's cells all free, whether that
+// buffer is smaller or larger. The parked switch keeps no way into what
+// it handed on. A set parked later replaces the earlier one whole.
 func TestParkedSetStartsClean(t *testing.T) {
 	build := func(buffer int) *Switch {
 		sw, _ := testSwitch(t, sim.NewEngine(), Config{
@@ -417,20 +438,24 @@ func TestParkedSetStartsClean(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		run[i%2].Receive(mkpkt(pkt.NodeID(i%2), 900, i/2%2))
 	}
-	parked := map[any]int{run[0].Pool(): 0, run[1].Pool(): 1}
+	parked := map[*classQueue]int{run[0].flat[0]: 0, run[1].flat[0]: 1}
+	kept := map[any]bool{run[0].ports[0]: true, run[1].ports[0]: true, run[0].backlogged: true, run[1].backlogged: true}
 	Park(run, nil)
 	for i, buffer := range []int{20_000, 80_000, 40_000} {
 		sw := build(buffer)
-		if from, ok := parked[sw.Pool()]; ok != (i < 2) || ok && from != i {
-			t.Fatalf("switch %d took parked pool %d (%v)", i, from, ok)
+		if from, ok := parked[sw.flat[0]]; ok != (i < 2) || ok && from != i {
+			t.Fatalf("switch %d took parked queues %d (%v)", i, from, ok)
 		}
-		if i < 2 && run[i].Pool() != nil {
-			t.Fatalf("parked switch %d still reaches the pool it handed on", i)
+		if kept[sw.ports[0]] || kept[sw.backlogged] {
+			t.Fatalf("switch %d took more than the queues of a parked switch", i)
 		}
-		sw.Pool().CheckInvariants()
-		if sw.Occupancy() != 0 || sw.BufferedPackets() != 0 || sw.Pool().FreeBytes() < sw.Capacity() {
-			t.Fatalf("switch %d starts with %d bytes, %d packets, %d of %d free", i,
-				sw.Occupancy(), sw.BufferedPackets(), sw.Pool().FreeBytes(), sw.Capacity())
+		if i < 2 && (run[i].flat != nil || run[i].ports != nil) {
+			t.Fatalf("parked switch %d still reaches what it handed on", i)
+		}
+		checkCells(t, sw, "New")
+		if cells := buffer / 200; sw.Occupancy() != 0 || sw.BufferedPackets() != 0 || sw.freeCells != cells {
+			t.Fatalf("switch %d starts with %d bytes, %d packets, %d of %d cells free", i,
+				sw.Occupancy(), sw.BufferedPackets(), sw.freeCells, cells)
 		}
 		for k := 0; k < 10; k++ {
 			sw.Receive(mkpkt(pkt.NodeID(k%2), 900, k/2%2))
@@ -438,7 +463,7 @@ func TestParkedSetStartsClean(t *testing.T) {
 		if st := sw.Stats(); sw.Occupancy() != int(st.RxPackets-st.TxPackets-st.Drops())*900 {
 			t.Fatalf("switch %d holds %d bytes after %+v", i, sw.Occupancy(), st)
 		}
-		sw.Pool().CheckInvariants()
+		checkCells(t, sw, "ten arrivals")
 	}
 }
 
