@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"occamy/internal/bm"
 	"occamy/internal/core"
@@ -662,6 +663,9 @@ func (r *Result) sample(now sim.Time, recs []*switchsim.Recorder) {
 	}
 }
 
+// simulatedEvents totals the events of every run this process finished.
+var simulatedEvents atomic.Uint64
+
 // finishResult snapshots switch state and telemetry into the result,
 // finishing each recorder into its exact slab first, lays the sample grid
 // out as its times, and reports the end of the run to progress.
@@ -694,6 +698,7 @@ func finishResult(res *Result, switches []*switchsim.Switch, recs []*switchsim.R
 		res.SampleTimes[i] = sim.Time(i) * res.SampleEvery
 	}
 	res.Events = eng.Processed()
+	simulatedEvents.Add(res.Events)
 	if progress != nil {
 		progress(RunProgress{SimNow: eng.Now(), SimHorizon: horizon, Events: res.Events, Final: true})
 	}

@@ -134,11 +134,7 @@ func TestLossSweepCompletes(t *testing.T) {
 func TestDuplicationAndReorderComplete(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"duplicate-storm", "jittery-allreduce"} {
-		sc, ok := Get(name)
-		if !ok {
-			t.Fatalf("scenario %q not registered", name)
-		}
-		res := MustRun(sc.SpecAt(ScaleQuick))
+		res := corpus(t, name, "").res
 		if res.DeliveredBytes() == 0 {
 			t.Errorf("%s: nothing delivered", name)
 		}
@@ -209,28 +205,20 @@ func TestFaultColumnsInSummary(t *testing.T) {
 // included.
 func TestFlakyTorIncastDeterministic(t *testing.T) {
 	t.Parallel()
-	sc, ok := Get("flaky-tor-incast")
-	if !ok {
-		t.Fatal("flaky-tor-incast not registered")
-	}
-	spec := sc.SpecAt(ScaleQuick)
-	a := MustRun(spec)
-	b := MustRun(spec)
+	sc, _ := Get("flaky-tor-incast")
+	c, b := corpus(t, "flaky-tor-incast", ""), MustRun(sc.SpecAt(ScaleQuick))
+	a := c.res
 	da, db := mustDoc(t, a, false), mustDoc(t, b, false)
 	ra := render([]*Table{a.Table(), da.TailTable(), da.PerSwitchTable(), da.FaultTable()})
 	rb := render([]*Table{b.Table(), db.TailTable(), db.PerSwitchTable(), db.FaultTable()})
 	if ra != rb {
 		t.Errorf("same spec, different tables:\n--- first\n%s--- second\n%s", ra, rb)
 	}
-	ja, err := a.EncodeJSON(true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	jb, err := b.EncodeJSON(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(ja) != string(jb) {
+	if string(c.data) != string(jb) {
 		t.Error("same spec, different exported result documents")
 	}
 }

@@ -50,6 +50,12 @@ func setPath(node any, t reflect.Type, path string, segs []string, value any) (a
 			return nil, fmt.Errorf("scenario: %s: no field %q in %s", path, key, t)
 		}
 		t = f.Type
+	case reflect.Slice:
+		list := strings.TrimSuffix(path, "."+strings.Join(segs, "."))
+		if _, err := strconv.Atoi(key); err != nil {
+			key = "i"
+		}
+		return nil, fmt.Errorf("scenario: %s: %s is a list; index it as %s[%s]", path, list, list, key)
 	default:
 		return nil, fmt.Errorf("scenario: %s: %s has no field %q", path, t, key)
 	}

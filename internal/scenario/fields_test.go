@@ -125,6 +125,7 @@ func TestSetFieldPaths(t *testing.T) {
 		{"policy.alpha.x", "2"},
 		{"workloads[9].load", "1"},
 		{"workloads[x].load", "1"},
+		{"workloads.0.load", "0.5"},
 		{"policy.alpha", "abc"},
 		{"policy.kind", "3"},
 		{"topology.kind", "1"},
@@ -138,6 +139,9 @@ func TestSetFieldPaths(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.path) {
 			t.Errorf("set %s=%s: error %q does not name the path", c.path, c.val, err)
 		}
+	}
+	if _, err := setOne(sc.Spec, "workloads.0.load", "0.5"); err == nil || !strings.Contains(err.Error(), "workloads[0]") {
+		t.Errorf("set workloads.0.load: error %v does not show the index syntax", err)
 	}
 }
 

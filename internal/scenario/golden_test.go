@@ -48,16 +48,8 @@ func checkGolden(t *testing.T, name, got string) {
 
 func goldenDeepTables(t *testing.T, name string) string {
 	t.Helper()
-	sc, ok := Get(name)
-	if !ok {
-		t.Fatalf("scenario %q not registered", name)
-	}
-	res, err := Run(sc.SpecAt(ScaleQuick))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := mustDoc(t, res, false)
-	return render([]*Table{res.Table(), doc.TailTable(), doc.PerSwitchTable()})
+	c := corpus(t, name, "")
+	return render([]*Table{c.res.Table(), c.doc.TailTable(), c.doc.PerSwitchTable()})
 }
 
 // goldenFaultTables is goldenDeepTables plus the per-link fault counter
@@ -65,18 +57,14 @@ func goldenDeepTables(t *testing.T, name string) string {
 // injection layer under both Occamy and plain DT.
 func goldenFaultTables(t *testing.T, name string, policy *Policy) string {
 	t.Helper()
-	sc, ok := Get(name)
-	if !ok {
-		t.Fatalf("scenario %q not registered", name)
+	if policy == nil {
+		c := corpus(t, name, "")
+		return render([]*Table{c.res.Table(), c.doc.TailTable(), c.doc.PerSwitchTable(), c.doc.FaultTable()})
 	}
+	sc, _ := Get(name)
 	spec := sc.SpecAt(ScaleQuick)
-	if policy != nil {
-		spec.Policy = *policy
-	}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec.Policy = *policy
+	res := MustRun(spec)
 	doc := mustDoc(t, res, false)
 	return render([]*Table{res.Table(), doc.TailTable(), doc.PerSwitchTable(), doc.FaultTable()})
 }

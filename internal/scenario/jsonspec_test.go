@@ -1,32 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
-
-// exportableNames returns the catalog entries that have a spec to
-// serialize (everything but the bespoke figure harnesses).
-func exportableNames(t *testing.T) []string {
-	t.Helper()
-	var out []string
-	for _, name := range Names() {
-		sc, ok := Get(name)
-		if !ok {
-			t.Fatalf("Get(%q) failed", name)
-		}
-		if sc.Tables == nil {
-			out = append(out, name)
-		}
-	}
-	if len(out) < 8 {
-		t.Fatalf("only %d exportable scenarios, want >= 8", len(out))
-	}
-	return out
-}
 
 // Save→Load must be the identity on every catalog spec: a deep-equal
 // spec back from JSON, and a byte-identical re-serialization (so
@@ -60,42 +41,36 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 // Differential gate for the file-spec path: every catalog scenario
-// exported to JSON and re-run from the parsed file must produce
-// byte-identical tables to the in-code spec, the -deep ones included —
-// same seed, same columns, same cells, the per-link fault counters too.
-// Any serialization loss (a dropped field, a duration rounding, a default
-// resolved differently) shows up here.
+// exported to JSON and re-run from the parsed file must encode to the
+// in-code run's document byte for byte — same seed, same spec, every
+// table and counter, the trace included. Any serialization loss (a
+// dropped field, a duration rounding, a default resolved differently)
+// shows up here.
 func TestFileSpecDifferential(t *testing.T) {
 	t.Parallel()
-	for _, name := range exportableNames(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, _ := Get(name)
-			spec := sc.SpecAt(ScaleQuick)
-			direct, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := spec.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := ParseSpec(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromFile, err := Run(loaded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			da, db := mustDoc(t, direct, false), mustDoc(t, fromFile, false)
-			a := render([]*Table{direct.Table(), da.TailTable(), da.PerSwitchTable(), da.QueueTable(), da.FaultTable()})
-			b := render([]*Table{fromFile.Table(), db.TailTable(), db.PerSwitchTable(), db.QueueTable(), db.FaultTable()})
-			if a != b {
-				t.Errorf("file-spec run differs from in-code run:\n--- in-code\n%s--- from file\n%s", a, b)
-			}
-		})
-	}
+	eachEntry(t, func(t *testing.T, name string, c *corpusRun) {
+		sc, _ := Get(name)
+		data, err := sc.SpecAt(ScaleQuick).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ParseSpec(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := Run(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fromFile.EncodeJSON(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.data) {
+			i := firstDiff(got, c.data)
+			t.Errorf("file-spec run's document differs from the in-code run's at byte %d:\n--- in-code\n%s\n--- from file\n%s", i, clip(c.data[i:]), clip(got[i:]))
+		}
+	})
 }
 
 // A spec exported at full scale to a file, loaded, and re-run with its

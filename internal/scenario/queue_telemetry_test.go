@@ -13,80 +13,73 @@ import (
 // class count.
 func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
 	t.Parallel()
-	for _, name := range exportableNames(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, _ := Get(name)
-			res, err := Run(sc.SpecAt(ScaleQuick))
-			if err != nil {
-				t.Fatal(err)
+	eachEntry(t, func(t *testing.T, _ string, run *corpusRun) {
+		res := run.res
+		for i := range res.Telemetry {
+			tel := &res.Telemetry[i]
+			nSamples := len(tel.Series)
+			if nSamples == 0 {
+				t.Fatalf("switch %s recorded no samples", tel.Name)
 			}
-			for i := range res.Telemetry {
-				tel := &res.Telemetry[i]
-				nSamples := len(tel.Series)
-				if nSamples == 0 {
-					t.Fatalf("switch %s recorded no samples", tel.Name)
+			if got := len(tel.PortPeak); got != len(tel.Ports) {
+				t.Fatalf("switch %s: %d port peaks for %d ports", tel.Name, got, len(tel.Ports))
+			}
+			if got := len(tel.Queues); got != len(tel.Ports)*tel.Classes {
+				t.Fatalf("switch %s: %d queue entries for %d ports x %d classes",
+					tel.Name, got, len(tel.Ports), tel.Classes)
+			}
+			for q := range tel.Queues {
+				qt := &tel.Queues[q]
+				if len(qt.Series) != nSamples || len(qt.Threshold) != nSamples {
+					t.Fatalf("switch %s queue %s: series %d / threshold %d samples, switch has %d",
+						tel.Name, qt.Label(), len(qt.Series), len(qt.Threshold), nSamples)
 				}
-				if got := len(tel.PortPeak); got != len(tel.Ports) {
-					t.Fatalf("switch %s: %d port peaks for %d ports", tel.Name, got, len(tel.Ports))
-				}
-				if got := len(tel.Queues); got != len(tel.Ports)*tel.Classes {
-					t.Fatalf("switch %s: %d queue entries for %d ports x %d classes",
-						tel.Name, got, len(tel.Ports), tel.Classes)
-				}
-				for q := range tel.Queues {
-					qt := &tel.Queues[q]
-					if len(qt.Series) != nSamples || len(qt.Threshold) != nSamples {
-						t.Fatalf("switch %s queue %s: series %d / threshold %d samples, switch has %d",
-							tel.Name, qt.Label(), len(qt.Series), len(qt.Threshold), nSamples)
-					}
-				}
-				portPeak, portSum := make([]float64, len(tel.Ports)), make([]float64, len(tel.Ports))
-				for s := 0; s < nSamples; s++ {
-					swSum := 0.0
-					for p := range tel.Ports {
-						occ := 0.0
-						for c := 0; c < tel.Classes; c++ {
-							occ += float64(tel.Queues[p*tel.Classes+c].Series[s])
-						}
-						portPeak[p] = max(portPeak[p], occ)
-						portSum[p] += occ
-						swSum += occ
-					}
-					if swSum != float64(tel.Series[s]) {
-						t.Fatalf("switch %s sample %d: queue sum %g != switch series %d",
-							tel.Name, s, swSum, tel.Series[s])
-					}
-				}
+			}
+			portPeak, portSum := make([]float64, len(tel.Ports)), make([]float64, len(tel.Ports))
+			for s := 0; s < nSamples; s++ {
+				swSum := 0.0
 				for p := range tel.Ports {
-					if mean := portSum[p] / float64(nSamples); int(portPeak[p]) != tel.PortPeak[p] || mean != tel.PortMean[p] {
-						t.Fatalf("switch %s port %d: peak %d / mean %g, queue sums %g / %g",
-							tel.Name, p, tel.PortPeak[p], tel.PortMean[p], portPeak[p], mean)
+					occ := 0.0
+					for c := 0; c < tel.Classes; c++ {
+						occ += float64(tel.Queues[p*tel.Classes+c].Series[s])
 					}
+					portPeak[p] = max(portPeak[p], occ)
+					portSum[p] += occ
+					swSum += occ
 				}
-				// Peaks/means/min-headroom must match their own series.
-				for q := range tel.Queues {
-					qt := &tel.Queues[q]
-					peak, sum, minHead := int32(0), 0.0, qt.Threshold[0]-qt.Series[0]
-					for s := range qt.Series {
-						peak = max(peak, qt.Series[s])
-						sum += float64(qt.Series[s])
-						minHead = min(minHead, qt.Threshold[s]-qt.Series[s])
-					}
-					if int(peak) != qt.Peak {
-						t.Errorf("switch %s queue %s: Peak %d, series max %d", tel.Name, qt.Label(), qt.Peak, peak)
-					}
-					if mean := sum / float64(len(qt.Series)); mean != qt.Mean {
-						t.Errorf("switch %s queue %s: Mean %g, series mean %g", tel.Name, qt.Label(), qt.Mean, mean)
-					}
-					if int(minHead) != qt.MinHeadroom {
-						t.Errorf("switch %s queue %s: MinHeadroom %d, series min %d",
-							tel.Name, qt.Label(), qt.MinHeadroom, minHead)
-					}
+				if swSum != float64(tel.Series[s]) {
+					t.Fatalf("switch %s sample %d: queue sum %g != switch series %d",
+						tel.Name, s, swSum, tel.Series[s])
 				}
 			}
-		})
-	}
+			for p := range tel.Ports {
+				if mean := portSum[p] / float64(nSamples); int(portPeak[p]) != tel.PortPeak[p] || mean != tel.PortMean[p] {
+					t.Fatalf("switch %s port %d: peak %d / mean %g, queue sums %g / %g",
+						tel.Name, p, tel.PortPeak[p], tel.PortMean[p], portPeak[p], mean)
+				}
+			}
+			// Peaks/means/min-headroom must match their own series.
+			for q := range tel.Queues {
+				qt := &tel.Queues[q]
+				peak, sum, minHead := int32(0), 0.0, qt.Threshold[0]-qt.Series[0]
+				for s := range qt.Series {
+					peak = max(peak, qt.Series[s])
+					sum += float64(qt.Series[s])
+					minHead = min(minHead, qt.Threshold[s]-qt.Series[s])
+				}
+				if int(peak) != qt.Peak {
+					t.Errorf("switch %s queue %s: Peak %d, series max %d", tel.Name, qt.Label(), qt.Peak, peak)
+				}
+				if mean := sum / float64(len(qt.Series)); mean != qt.Mean {
+					t.Errorf("switch %s queue %s: Mean %g, series mean %g", tel.Name, qt.Label(), qt.Mean, mean)
+				}
+				if int(minHead) != qt.MinHeadroom {
+					t.Errorf("switch %s queue %s: MinHeadroom %d, series min %d",
+						tel.Name, qt.Label(), qt.MinHeadroom, minHead)
+				}
+			}
+		}
+	})
 }
 
 // Multi-class scenarios must actually exercise multiple classes: at
@@ -95,18 +88,10 @@ func TestQueueSeriesSumToPortAndSwitchSeries(t *testing.T) {
 func TestMultiClassScenariosFillMultipleClasses(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"priority-inversion-8", "mixed-class-incast", "multiclass-fabric-drr"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			sc, ok := Get(name)
-			if !ok {
-				t.Fatalf("scenario %q not registered", name)
-			}
-			if classes := sc.Spec.Topology.Classes; classes < 2 {
+			res := corpus(t, name, "").res
+			if classes := res.Spec.Topology.Classes; classes < 2 {
 				t.Fatalf("spec has %d classes, want >= 2", classes)
-			}
-			res, err := Run(sc.SpecAt(ScaleQuick))
-			if err != nil {
-				t.Fatal(err)
 			}
 			active := map[int]bool{}
 			for i := range res.Telemetry {

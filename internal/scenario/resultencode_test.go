@@ -150,34 +150,27 @@ func clip(b []byte) string {
 // document that encodes to them.
 func TestEncodeMatchesReflectCatalog(t *testing.T) {
 	t.Parallel()
-	for _, name := range exportableNames(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, _ := Get(name)
-			res, err := Run(sc.SpecAt(ScaleQuick))
+	eachEntry(t, func(t *testing.T, _ string, run *corpusRun) {
+		res := run.res
+		for _, withTrace := range []bool{true, false} {
+			doc, err := res.Doc(withTrace)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, withTrace := range []bool{true, false} {
-				doc, err := res.Doc(withTrace)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if withTrace != (doc.Trace != nil) {
-					t.Fatalf("Doc(%v) has trace: %v", withTrace, doc.Trace != nil)
-				}
-				data := checkEncode(t, doc)
-				back, err := DecodeResultDoc(data)
-				if err != nil {
-					t.Fatalf("withTrace=%v: Encode output does not decode: %v", withTrace, err)
-				}
-				again, err := back.Encode()
-				if err != nil || string(again) != string(data) {
-					t.Fatalf("withTrace=%v: decode/encode round trip drifted (err %v)", withTrace, err)
-				}
+			if withTrace != (doc.Trace != nil) {
+				t.Fatalf("Doc(%v) has trace: %v", withTrace, doc.Trace != nil)
 			}
-		})
-	}
+			data := checkEncode(t, doc)
+			back, err := DecodeResultDoc(data)
+			if err != nil {
+				t.Fatalf("withTrace=%v: Encode output does not decode: %v", withTrace, err)
+			}
+			again, err := back.Encode()
+			if err != nil || string(again) != string(data) {
+				t.Fatalf("withTrace=%v: decode/encode round trip drifted (err %v)", withTrace, err)
+			}
+		}
+	})
 }
 
 // Sweep tables are cached and relayed like run documents, so they get
@@ -206,16 +199,7 @@ func TestTrailingDataRejected(t *testing.T) {
 	t.Parallel()
 	spec := `{"name":"x","topology":{"kind":"single-switch"},"policy":{"kind":"dt"},` +
 		`"workloads":[{"kind":"background","load":0.5}]}`
-	sc, _ := Get("quickstart")
-	res, err := Run(sc.SpecAt(ScaleQuick))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := res.EncodeJSON(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := strings.TrimSuffix(string(data), "\n")
+	doc := strings.TrimSuffix(string(corpus(t, "quickstart", "").data), "\n")
 	for _, c := range []struct {
 		tail string
 		ok   bool

@@ -91,16 +91,8 @@ func TestFingerprintCanonical(t *testing.T) {
 // the Result's.
 func TestResultDocRoundTrip(t *testing.T) {
 	t.Parallel()
-	sc, _ := Get("mixed-class-incast")
-	spec := sc.SpecAt(ScaleQuick)
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := res.EncodeJSON(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := corpus(t, "mixed-class-incast", "")
+	res, data := c.res, c.data
 	doc, err := DecodeResultDoc(data)
 	if err != nil {
 		t.Fatal(err)
@@ -169,21 +161,11 @@ func TestResultDocRoundTrip(t *testing.T) {
 // a served result shows exactly what the CLI printed for its run.
 func TestTraceDocCatalogDifferential(t *testing.T) {
 	t.Parallel()
-	for _, name := range exportableNames(t) {
+	eachEntry(t, func(t *testing.T, name string, _ *corpusRun) {
 		for _, policy := range []string{"dt", "abm", "occamy", "pushout"} {
-			sc, _ := Get(name)
-			spec := sc.SpecAt(ScaleQuick)
-			spec.Policy.Kind = policy
-			res, err := Run(spec)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, policy, err)
-			}
-			mem := mustDoc(t, res, true)
-			data, err := mem.Encode()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, policy, err)
-			}
-			doc, err := DecodeResultDoc(data)
+			c := corpus(t, name, policy)
+			res, mem := c.res, c.doc
+			doc, err := DecodeResultDoc(c.data)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, policy, err)
 			}
@@ -222,7 +204,7 @@ func TestTraceDocCatalogDifferential(t *testing.T) {
 				t.Errorf("%s/%s: the decoded document renders other views than the in-memory one", name, policy)
 			}
 		}
-	}
+	})
 }
 
 // Identical runs encode to identical bytes — the determinism the cache
@@ -253,12 +235,8 @@ func TestResultEncodingDeterministic(t *testing.T) {
 // elsewhere pin that full resolution is unchanged).
 func TestTraceStride(t *testing.T) {
 	t.Parallel()
-	sc, _ := Get("quickstart")
-	res, err := Run(sc.SpecAt(ScaleQuick))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := mustDoc(t, res, true).Trace
+	c := corpus(t, "quickstart", "")
+	res, tr := c.res, c.doc.Trace
 	var full strings.Builder
 	if err := tr.WriteCSV(&full, 1); err != nil {
 		t.Fatal(err)

@@ -47,7 +47,6 @@ func TestCatalogSmoke(t *testing.T) {
 		figures[fig.id] = fig.at
 	}
 	for _, name := range names {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			sc, ok := Get(name)
 			if !ok {
@@ -77,18 +76,14 @@ func TestCatalogSmoke(t *testing.T) {
 				}
 				return
 			}
-			spec := sc.SpecAt(ScaleQuick)
-			res, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := corpus(t, name, "").res
 			if res.DeliveredBytes() == 0 {
 				t.Error("no bytes delivered")
 			}
 			if drift := res.AccountingDrift(); drift != 0 {
 				t.Errorf("packet accounting drift %d (rx != tx+drops+expelled+buffered)", drift)
 			}
-			if gate := spec.gatingIncast(); gate >= 0 && res.Workloads[gate].Done == 0 {
+			if gate := sc.SpecAt(ScaleQuick).gatingIncast(); gate >= 0 && res.Workloads[gate].Done == 0 {
 				t.Error("gating incast completed no queries")
 			}
 			tab := res.Table()
@@ -305,6 +300,9 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"no workloads", func(s *Spec) { s.Workloads = nil }},
 		{"bad kind", func(s *Spec) { s.Workloads = []Workload{{Kind: "nope"}} }},
 		{"bad policy", func(s *Spec) { s.Policy.Kind = "nope" }},
+		{"policy.alpha", func(s *Spec) { s.Policy.Alpha = -1 }},
+		{"policy.alpha_hp", func(s *Spec) { s.Policy.AlphaHP = -2 }},
+		{"policy.alpha_lp", func(s *Spec) { s.Policy.AlphaLP = -0.5 }},
 		{"bad sched", func(s *Spec) { s.Topology.Scheduler = "wfq" }},
 		{"raw on fabric", func(s *Spec) {
 			s.Topology.Kind = LeafSpine
@@ -375,6 +373,8 @@ func TestValidateRejectsNonsense(t *testing.T) {
 			t.Errorf("%s: Validate accepted an invalid spec", c.name)
 		} else if !strings.Contains(err.Error(), "scenario") {
 			t.Errorf("%s: unhelpful error %v", c.name, err)
+		} else if strings.HasPrefix(c.name, "policy.") && !strings.Contains(err.Error(), c.name+" is -") {
+			t.Errorf("%s: error %v does not name the path", c.name, err)
 		}
 	}
 }

@@ -434,6 +434,16 @@ func (s Spec) Validate() error {
 	if _, err := s.Topology.schedKind(); err != nil {
 		return err
 	}
+	// α scales free buffer into a threshold; a negative one admits
+	// nothing. 0 selects the kind's default.
+	for _, a := range [...]struct {
+		path  string
+		alpha float64
+	}{{"policy.alpha", s.Policy.Alpha}, {"policy.alpha_hp", s.Policy.AlphaHP}, {"policy.alpha_lp", s.Policy.AlphaLP}} {
+		if a.alpha < 0 {
+			return fmt.Errorf("scenario %q: %s is %g; α is ≥ 0, and 0 selects the default", s.Name, a.path, a.alpha)
+		}
+	}
 	if _, _, err := s.Policy.Build(s.Topology.Classes); err != nil {
 		return err
 	}

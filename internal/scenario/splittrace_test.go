@@ -65,27 +65,13 @@ func checkSplitTrace(t *testing.T, doc *ResultDoc) {
 // is the trace.
 func TestSplitTraceCatalog(t *testing.T) {
 	t.Parallel()
-	for _, name := range exportableNames(t) {
-		sc, _ := Get(name)
-		res, err := Run(sc.SpecAt(ScaleQuick))
-		if err != nil {
-			t.Fatal(err)
+	eachEntry(t, func(t *testing.T, name string, c *corpusRun) {
+		checkSplitTrace(t, c.doc)
+		checkSplitTrace(t, mustDoc(t, c.res, false))
+		if i := bytes.Index(c.data, []byte(traceKey+traceOpen)); i < 0 || i > 16<<10 {
+			t.Errorf("%s: seam at byte %d of %d; the head is expected within 16 KB", name, i, len(c.data))
 		}
-		for _, withTrace := range []bool{true, false} {
-			doc, err := res.Doc(withTrace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSplitTrace(t, doc)
-		}
-		full, err := res.EncodeJSON(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i := bytes.Index(full, []byte(traceKey+traceOpen)); i < 0 || i > 16<<10 {
-			t.Errorf("%s: seam at byte %d of %d; the head is expected within 16 KB", name, i, len(full))
-		}
-	}
+	})
 }
 
 // Documents that are not results have no seam: sweep tables, arbitrary

@@ -13,98 +13,91 @@ import (
 // on every catalog scenario, single-switch and fabric alike.
 func TestTelemetrySumsToGlobalTotals(t *testing.T) {
 	t.Parallel()
-	for _, name := range exportableNames(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, _ := Get(name)
-			res, err := Run(sc.SpecAt(ScaleQuick))
-			if err != nil {
-				t.Fatal(err)
+	eachEntry(t, func(t *testing.T, _ string, run *corpusRun) {
+		res := run.res
+		if len(res.Telemetry) != len(res.PerSwitch) {
+			t.Fatalf("%d telemetry entries for %d switches", len(res.Telemetry), len(res.PerSwitch))
+		}
+		var total switchsim.Stats
+		for i, st := range res.PerSwitch {
+			var agg switchsim.PortStats
+			for _, ps := range res.Telemetry[i].Ports {
+				agg.TxPackets += ps.TxPackets
+				agg.TxBytes += ps.TxBytes
+				agg.DropsAdmission += ps.DropsAdmission
+				agg.DropsNoMemory += ps.DropsNoMemory
+				agg.DropsExpelled += ps.DropsExpelled
+				agg.ECNMarked += ps.ECNMarked
 			}
-			if len(res.Telemetry) != len(res.PerSwitch) {
-				t.Fatalf("%d telemetry entries for %d switches", len(res.Telemetry), len(res.PerSwitch))
+			if agg.TxPackets != st.TxPackets || agg.TxBytes != st.TxBytes {
+				t.Errorf("switch %d: per-port tx (%d pkts, %d B) != stats (%d, %d)",
+					i, agg.TxPackets, agg.TxBytes, st.TxPackets, st.TxBytes)
 			}
-			var total switchsim.Stats
-			for i, st := range res.PerSwitch {
-				var agg switchsim.PortStats
-				for _, ps := range res.Telemetry[i].Ports {
-					agg.TxPackets += ps.TxPackets
-					agg.TxBytes += ps.TxBytes
-					agg.DropsAdmission += ps.DropsAdmission
-					agg.DropsNoMemory += ps.DropsNoMemory
-					agg.DropsExpelled += ps.DropsExpelled
-					agg.ECNMarked += ps.ECNMarked
-				}
-				if agg.TxPackets != st.TxPackets || agg.TxBytes != st.TxBytes {
-					t.Errorf("switch %d: per-port tx (%d pkts, %d B) != stats (%d, %d)",
-						i, agg.TxPackets, agg.TxBytes, st.TxPackets, st.TxBytes)
-				}
-				if agg.Drops() != st.Drops() || agg.DropsExpelled != st.DropsExpelled {
-					t.Errorf("switch %d: per-port drops (%d arr, %d exp) != stats (%d, %d)",
-						i, agg.Drops(), agg.DropsExpelled, st.Drops(), st.DropsExpelled)
-				}
-				if agg.ECNMarked != st.ECNMarked {
-					t.Errorf("switch %d: per-port ECN %d != stats %d", i, agg.ECNMarked, st.ECNMarked)
-				}
-				// One level deeper: each port's per-queue counters must sum
-				// to that port's PortStats exactly (drops no longer
-				// attribute only to ports).
-				tel := &res.Telemetry[i]
-				for p, ps := range tel.Ports {
-					var qagg switchsim.QueueStats
-					for c := 0; c < tel.Classes; c++ {
-						qs := tel.Queues[p*tel.Classes+c].Stats
-						qagg.TxPackets += qs.TxPackets
-						qagg.TxBytes += qs.TxBytes
-						qagg.DropsAdmission += qs.DropsAdmission
-						qagg.DropsNoMemory += qs.DropsNoMemory
-						qagg.DropsExpelled += qs.DropsExpelled
-						qagg.ECNMarked += qs.ECNMarked
-					}
-					want := switchsim.QueueStats{
-						TxPackets: ps.TxPackets, TxBytes: ps.TxBytes,
-						DropsAdmission: ps.DropsAdmission, DropsNoMemory: ps.DropsNoMemory,
-						DropsExpelled: ps.DropsExpelled, ECNMarked: ps.ECNMarked,
-					}
-					if qagg != want {
-						t.Errorf("switch %d port %d: per-queue sums %+v != port stats %+v", i, p, qagg, want)
-					}
-				}
-				total.TxPackets += st.TxPackets
-				total.DropsAdmission += st.DropsAdmission
-				total.DropsNoMemory += st.DropsNoMemory
-				total.DropsExpelled += st.DropsExpelled
+			if agg.Drops() != st.Drops() || agg.DropsExpelled != st.DropsExpelled {
+				t.Errorf("switch %d: per-port drops (%d arr, %d exp) != stats (%d, %d)",
+					i, agg.Drops(), agg.DropsExpelled, st.Drops(), st.DropsExpelled)
 			}
-			if total.TxPackets != res.Total.TxPackets || total.Drops() != res.Total.Drops() ||
-				total.DropsExpelled != res.Total.DropsExpelled {
-				t.Errorf("per-switch sums do not reproduce Total: %+v vs %+v", total, res.Total)
+			if agg.ECNMarked != st.ECNMarked {
+				t.Errorf("switch %d: per-port ECN %d != stats %d", i, agg.ECNMarked, st.ECNMarked)
 			}
-			if drift := res.AccountingDrift(); drift != 0 {
-				t.Errorf("packet accounting drift %d", drift)
-			}
-			// Occupancy telemetry sanity: the recorded peak is the result's
-			// MaxOccupancy, per-port peaks stay under their switch's peak,
-			// and every switch's series has the same aligned length.
-			maxPeak := 0
-			for i := range res.Telemetry {
-				tel := &res.Telemetry[i]
-				if tel.PeakOcc > maxPeak {
-					maxPeak = tel.PeakOcc
+			// One level deeper: each port's per-queue counters must sum
+			// to that port's PortStats exactly (drops no longer
+			// attribute only to ports).
+			tel := &res.Telemetry[i]
+			for p, ps := range tel.Ports {
+				var qagg switchsim.QueueStats
+				for c := 0; c < tel.Classes; c++ {
+					qs := tel.Queues[p*tel.Classes+c].Stats
+					qagg.TxPackets += qs.TxPackets
+					qagg.TxBytes += qs.TxBytes
+					qagg.DropsAdmission += qs.DropsAdmission
+					qagg.DropsNoMemory += qs.DropsNoMemory
+					qagg.DropsExpelled += qs.DropsExpelled
+					qagg.ECNMarked += qs.ECNMarked
 				}
-				for p, pk := range tel.PortPeak {
-					if pk > tel.PeakOcc {
-						t.Errorf("switch %d port %d peak %d exceeds switch peak %d", i, p, pk, tel.PeakOcc)
-					}
+				want := switchsim.QueueStats{
+					TxPackets: ps.TxPackets, TxBytes: ps.TxBytes,
+					DropsAdmission: ps.DropsAdmission, DropsNoMemory: ps.DropsNoMemory,
+					DropsExpelled: ps.DropsExpelled, ECNMarked: ps.ECNMarked,
 				}
-				if len(tel.Series) != len(res.Telemetry[0].Series) {
-					t.Errorf("switch %d series length %d != switch 0's %d", i, len(tel.Series), len(res.Telemetry[0].Series))
+				if qagg != want {
+					t.Errorf("switch %d port %d: per-queue sums %+v != port stats %+v", i, p, qagg, want)
 				}
 			}
-			if maxPeak != res.MaxOccupancy {
-				t.Errorf("telemetry peak %d != MaxOccupancy %d", maxPeak, res.MaxOccupancy)
+			total.TxPackets += st.TxPackets
+			total.DropsAdmission += st.DropsAdmission
+			total.DropsNoMemory += st.DropsNoMemory
+			total.DropsExpelled += st.DropsExpelled
+		}
+		if total.TxPackets != res.Total.TxPackets || total.Drops() != res.Total.Drops() ||
+			total.DropsExpelled != res.Total.DropsExpelled {
+			t.Errorf("per-switch sums do not reproduce Total: %+v vs %+v", total, res.Total)
+		}
+		if drift := res.AccountingDrift(); drift != 0 {
+			t.Errorf("packet accounting drift %d", drift)
+		}
+		// Occupancy telemetry sanity: the recorded peak is the result's
+		// MaxOccupancy, per-port peaks stay under their switch's peak,
+		// and every switch's series has the same aligned length.
+		maxPeak := 0
+		for i := range res.Telemetry {
+			tel := &res.Telemetry[i]
+			if tel.PeakOcc > maxPeak {
+				maxPeak = tel.PeakOcc
 			}
-		})
-	}
+			for p, pk := range tel.PortPeak {
+				if pk > tel.PeakOcc {
+					t.Errorf("switch %d port %d peak %d exceeds switch peak %d", i, p, pk, tel.PeakOcc)
+				}
+			}
+			if len(tel.Series) != len(res.Telemetry[0].Series) {
+				t.Errorf("switch %d series length %d != switch 0's %d", i, len(tel.Series), len(res.Telemetry[0].Series))
+			}
+		}
+		if maxPeak != res.MaxOccupancy {
+			t.Errorf("telemetry peak %d != MaxOccupancy %d", maxPeak, res.MaxOccupancy)
+		}
+	})
 }
 
 // deepColumns are the new tail/per-switch metric columns; the
@@ -119,28 +112,20 @@ var deepColumns = []string{
 func TestDeepColumnsSelectableEverywhere(t *testing.T) {
 	t.Parallel()
 	for _, m := range deepColumns {
-		if _, ok := columnFuncs[m]; !ok {
-			t.Fatalf("column %q not registered", m)
+		// Only a drop_ column changes what a run records; without one the
+		// corpus run is the run these columns select.
+		if _, ok := columnFuncs[m]; !ok || strings.HasPrefix(m, "drop_") {
+			t.Fatalf("column %q not registered, or a drop_ column the corpus run does not record", m)
 		}
 	}
-	for _, name := range exportableNames(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, _ := Get(name)
-			spec := sc.SpecAt(ScaleQuick)
-			spec.Metrics = append([]string{"policy"}, deepColumns...)
-			res, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
+	metrics := append([]string{"policy"}, deepColumns...)
+	eachEntry(t, func(t *testing.T, _ string, c *corpusRun) {
+		for i, cell := range c.res.Row(metrics) {
+			if cell == "" || strings.HasPrefix(cell, "?") {
+				t.Errorf("column %q rendered %q", metrics[i], cell)
 			}
-			row := res.Row(spec.Metrics)
-			for i, cell := range row {
-				if cell == "" || strings.HasPrefix(cell, "?") {
-					t.Errorf("column %q rendered %q", spec.Metrics[i], cell)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // Tail quantiles surfaced as columns must be ordered: p999 >= p99 >=
@@ -148,11 +133,7 @@ func TestDeepColumnsSelectableEverywhere(t *testing.T) {
 // metrics property tests).
 func TestTailColumnsOrdered(t *testing.T) {
 	t.Parallel()
-	sc, _ := Get("mixed-load-90")
-	res, err := Run(sc.SpecAt(ScaleQuick))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := corpus(t, "mixed-load-90", "").res
 	for i := range res.Workloads {
 		col := &res.Workloads[i].Col
 		if col.Count() == 0 {
@@ -171,12 +152,8 @@ func TestTailColumnsOrdered(t *testing.T) {
 // and the sparkline plots name every switch and overlay queue.
 func TestTraceOutputs(t *testing.T) {
 	t.Parallel()
-	sc, _ := Get("degraded-leafspine")
-	res, err := Run(sc.SpecAt(ScaleQuick))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := mustDoc(t, res, true).Trace
+	c := corpus(t, "degraded-leafspine", "")
+	res, tr := c.res, c.doc.Trace
 	var buf strings.Builder
 	if err := tr.WriteCSV(&buf, 1); err != nil {
 		t.Fatal(err)

@@ -391,7 +391,7 @@ func TestABMOnSwitchLimitsSlowQueue(t *testing.T) {
 	eng.Run()
 }
 
-func TestDesyncPanicsAreAbsentUnderRandomTraffic(t *testing.T) {
+func TestCellAccountingHoldsUnderRandomTraffic(t *testing.T) {
 	// Soak: random sizes, classes, and ports with Occamy expulsion on;
 	// the cell accounting must agree with the queue lists at the end, and
 	// packets must be conserved.
